@@ -595,6 +595,11 @@ impl<K: Key> DashLh<K> {
             match self.view(seg).search(&self.cfg, h, key, verify) {
                 SegFind::Found(v) => return Some(v),
                 SegFind::NotFound => return None,
+                // A writer descheduled while it holds the bucket lock
+                // needs this CPU more than the reader does: spinning on
+                // through its whole time slice (and, in debug builds,
+                // into the livelock guard above) helps nobody.
+                SegFind::Retry if spins.is_multiple_of(256) => std::thread::yield_now(),
                 SegFind::Retry => std::hint::spin_loop(),
             }
         }

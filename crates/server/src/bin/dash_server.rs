@@ -52,9 +52,11 @@ OPTIONS:
                        allkeys-lru (evict the least-recently-used of N
                        samples) or allkeys-lfu (least-frequently-used)
     --repl-log-max-bytes N
-                       rotate a shard's redo log once its active file
-                       crosses N bytes; a durable SNAPSHOT then deletes
-                       the sealed segments it covers (default: never)
+                       a shard's redo log always seals its active file
+                       into a segment at a size cap (default 4 MiB), so
+                       a restart validates one bounded file; N overrides
+                       the cap and lets a durable SNAPSHOT delete the
+                       sealed segments it covers (default: keep them)
     --replica-of HOST:PORT
                        start as a read-only replica of the primary at
                        HOST:PORT (bootstraps via PSYNC snapshot+tail;

@@ -135,9 +135,12 @@ pub struct EngineConfig {
     pub max_memory: Option<u64>,
     /// What to evict when the budget is hit (`--maxmemory-policy`).
     pub eviction: EvictionPolicy,
-    /// Rotate a shard's redo log once its active file crosses this size
-    /// (`--repl-log-max-bytes`); a durable `SNAPSHOT` then deletes the
-    /// sealed segments it covers. `None` = logs grow forever.
+    /// `--repl-log-max-bytes`. A shard's redo log always seals its
+    /// active file into a segment at a size cap (that is what bounds
+    /// reopen); `Some(n)` overrides the default cap
+    /// ([`SEGMENT_BYTES`](crate::repl::log::SEGMENT_BYTES)) **and** opts
+    /// in to a durable `SNAPSHOT` deleting the sealed segments it
+    /// covers. `None` = default cap, and sealed segments are kept.
     pub repl_log_max_bytes: Option<u64>,
 }
 
@@ -152,6 +155,17 @@ impl Default for EngineConfig {
             repl_log_max_bytes: None,
         }
     }
+}
+
+/// What reopening the per-shard redo logs cost, summed over the shards:
+/// the answer to "why was that restart slow" (`INFO replication`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogOpenCost {
+    /// Log-file bytes read and validated — bounded by the segment cap
+    /// per shard, whatever the logs' size.
+    pub scanned_bytes: u64,
+    /// Wall time inside `LogWriter::open`.
+    pub micros: u64,
 }
 
 /// How one shard came up, surfaced through `INFO`.
@@ -529,9 +543,11 @@ pub struct ShardedDash {
     /// this open (the wheel is volatile, and rebuilding it on open
     /// would break constant-time recovery).
     sweep_cursor: Mutex<(usize, u64)>,
-    /// Whether redo-log rotation is configured (`--repl-log-max-bytes`);
-    /// gates snapshot-time segment sealing + truncation.
+    /// Whether `--repl-log-max-bytes` was given; gates snapshot-time
+    /// segment sealing + truncation (the logs rotate either way).
     log_rotation: bool,
+    /// What reopening the redo logs cost at [`open`](Self::open).
+    log_open: LogOpenCost,
     /// Keys deleted because their deadline passed (lazy + active).
     expired_keys: AtomicU64,
     /// Keys evicted to satisfy the memory budget.
@@ -601,8 +617,12 @@ fn discover_shards(dir: &Path) -> EngineResult<usize> {
 impl ShardedDash {
     /// Open the store in `cfg.dir`, creating it (with `cfg.shards`
     /// shards) when no shard files exist yet, otherwise reattaching to
-    /// every `shard-N.pool` found — each pool runs Dash's constant-work
-    /// recovery, so open time is independent of the data volume.
+    /// every `shard-N.pool` found. Open time is independent of the data
+    /// volume: each pool runs Dash's constant-work recovery, and each
+    /// redo log validates one file of bounded size, its active one
+    /// ([`LogWriter::open`]; [`repl_log_open_cost`] reports the bytes).
+    ///
+    /// [`repl_log_open_cost`]: Self::repl_log_open_cost
     pub fn open(cfg: &EngineConfig) -> EngineResult<Self> {
         if cfg.shards == 0 {
             return Err(EngineError::Layout("shard count must be at least 1".into()));
@@ -612,6 +632,7 @@ impl ShardedDash {
         let now = now_ms();
         let mut shards = Vec::new();
         let mut shard_paths = Vec::new();
+        let mut log_open = LogOpenCost::default();
         match &cfg.dir {
             None => {
                 for _ in 0..cfg.shards {
@@ -659,6 +680,7 @@ impl ShardedDash {
                     // The shard's redo log opens alongside its pool:
                     // torn tails truncate here, and the recovered record
                     // count seeds the store-wide replication offset.
+                    let log_open_start = std::time::Instant::now();
                     let (log, log_rec) =
                         LogWriter::open(&log_file(dir, i), i as u32, cfg.repl_log_max_bytes)
                             .map_err(|e| {
@@ -667,6 +689,8 @@ impl ShardedDash {
                                     log_file(dir, i).display()
                                 ))
                             })?;
+                    log_open.micros += log_open_start.elapsed().as_micros() as u64;
+                    log_open.scanned_bytes += log_rec.scanned_bytes;
                     log_records += log_rec.records;
                     // Recovered shards defer their base count to the
                     // first DBSIZE/INFO; fresh ones are known empty.
@@ -710,6 +734,7 @@ impl ShardedDash {
             local_expiry: AtomicBool::new(true),
             sweep_cursor: Mutex::new((0, 0)),
             log_rotation: cfg.repl_log_max_bytes.is_some(),
+            log_open,
             expired_keys: AtomicU64::new(0),
             evicted_keys: AtomicU64::new(0),
             oom_rejections: AtomicU64::new(0),
@@ -1273,6 +1298,17 @@ impl ShardedDash {
     /// Total redo-log bytes across shards (0 for a volatile store).
     pub fn repl_log_bytes(&self) -> u64 {
         self.shards.iter().filter_map(|s| s.log.as_ref()).map(|l| l.lock().bytes()).sum()
+    }
+
+    /// Sealed redo-log segments on disk across shards.
+    pub fn repl_log_segments(&self) -> u64 {
+        self.shards.iter().filter_map(|s| s.log.as_ref()).map(|l| l.lock().segments()).sum()
+    }
+
+    /// What reopening the redo logs cost when this store was opened
+    /// (zeros for a volatile store).
+    pub fn repl_log_open_cost(&self) -> LogOpenCost {
+        self.log_open
     }
 
     /// The directory holding this store's files (`None` for a volatile
@@ -1896,10 +1932,14 @@ impl ShardedDash {
                 break;
             }
             // The chain reader walks rotated segments first, then the
-            // active file — the original append order.
-            let (ops, _recovery) = crate::repl::log::read_log_chain(&path)
-                .map_err(|e| EngineError::ReplLog(format!("{}: {e}", path.display())))?;
-            applied += self.apply_ops(&ops)?;
+            // active file — the original append order — and each file
+            // is applied before the next is read: peak memory is one
+            // segment's ops, not the log's.
+            let log_err = |e| EngineError::ReplLog(format!("{}: {e}", path.display()));
+            for file in crate::repl::log::read_log_chain(&path).map_err(log_err)? {
+                let (ops, _recovery) = file.map_err(log_err)?;
+                applied += self.apply_ops(&ops)?;
+            }
         }
         Ok(applied)
     }

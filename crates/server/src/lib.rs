@@ -68,7 +68,9 @@ pub mod trace;
 
 pub use client::{ClusterClient, ClusterClientStats, RespClient, SlowlogEntry};
 pub use cluster::slots::{key_slot, NUM_SLOTS};
-pub use engine::{EngineConfig, EngineError, EngineResult, ShardInfo, ShardedDash, MAX_VALUE_LEN};
+pub use engine::{
+    EngineConfig, EngineError, EngineResult, LogOpenCost, ShardInfo, ShardedDash, MAX_VALUE_LEN,
+};
 pub use expire::EvictionPolicy;
 pub use repl::ReplOp;
 pub use resp::{ProtocolError, Value};

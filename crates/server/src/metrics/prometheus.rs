@@ -109,6 +109,10 @@ pub(crate) fn render(inner: &Inner) -> String {
         let _ = writeln!(out, "dash_repl_sink_offset{{sink=\"{id}\"}} {}", offset.saturating_sub(lag));
     }
     gauge_i(&mut out, "dash_repl_log_bytes", "Total bytes across the per-shard redo logs.", inner.engine.repl_log_bytes() as i64);
+    gauge_i(&mut out, "dash_repl_log_segments", "Sealed redo-log segments on disk across shards.", inner.engine.repl_log_segments() as i64);
+    let log_open = inner.engine.repl_log_open_cost();
+    gauge_i(&mut out, "dash_repl_log_open_scanned_bytes", "Redo-log bytes read and validated by the last store open (bounded by the segment cap per shard).", log_open.scanned_bytes as i64);
+    gauge_i(&mut out, "dash_repl_log_open_us", "Microseconds the last store open spent reopening the redo logs.", log_open.micros as i64);
 
     // Cluster: slot ownership, redirect and migration counters. Only in
     // cluster mode — a non-cluster server exports no cluster series.

@@ -107,9 +107,9 @@ pub(crate) struct Conn {
     /// readiness for the first command of a tick, the previous
     /// command's completion for pipelined successors.
     cmd_mark: Option<Instant>,
-    /// Captured spans whose replies have not fully reached the kernel
-    /// yet; completed (reply-flush stage stamped, record published) as
-    /// `wsent` passes their end offset.
+    /// Captured spans (already in the flight recorder) whose replies
+    /// have not fully reached the kernel yet; completed (reply-flush
+    /// stage stamped) as `wsent` passes their end offset.
     pending_traces: VecDeque<PendingTrace>,
     /// In-flight command context for the worker-panic log line: name and
     /// key prefixes (fixed-size copies, no per-command allocation) plus
@@ -123,8 +123,10 @@ pub(crate) struct Conn {
 
 /// A captured span waiting for its reply bytes to reach the kernel.
 struct PendingTrace {
-    rec: trace::TraceRecord,
+    id: u64,
     family: CmdFamily,
+    /// Every stage but reply-flush, for the per-stage histograms.
+    stages_ns: [u64; Stage::COUNT],
     /// When execution finished: the reply-flush stage runs from here.
     exec_end: Instant,
     /// `wsent` value at which this span's reply is fully written.
@@ -438,9 +440,11 @@ impl Conn {
         Ok(())
     }
 
-    /// Queue a captured span to complete when its reply bytes reach the
-    /// kernel. The reply-flush stage and the final record are stamped in
-    /// [`Conn::complete_traces`].
+    /// Publish a captured span to the flight recorder and queue it to
+    /// complete when its reply bytes reach the kernel. Publishing comes
+    /// first, before any reply byte can leave: whoever has read the reply
+    /// finds the span, whichever connection or worker they ask through.
+    /// The reply-flush stage is stamped in [`Conn::complete_traces`].
     #[allow(clippy::too_many_arguments)]
     fn push_pending_trace(
         &mut self,
@@ -461,20 +465,28 @@ impl Conn {
             None if span_id != 0 => (span_id, 0, trace::Reason::Sampled),
             None => (inner.tracer.alloc_id(), 0, trace::Reason::Threshold),
         };
-        let rec =
-            trace::TraceRecord::new(id, hops, parts, self.worker, stages_ns, pre_total_ns, reason);
+        inner.tracer.record(trace::TraceRecord::new(
+            id,
+            hops,
+            parts,
+            self.worker,
+            stages_ns,
+            pre_total_ns,
+            reason,
+        ));
         let name = parts.first().map(Vec::as_slice).unwrap_or(b"");
         self.pending_traces.push_back(PendingTrace {
-            rec,
+            id,
             family: CmdFamily::classify(name),
+            stages_ns,
             exec_end,
             end_off: self.wsent + self.pending() as u64,
         });
     }
 
     /// Complete every pending span whose reply bytes have fully reached
-    /// the kernel: stamp the reply-flush stage, publish the record to
-    /// the flight recorder, and feed the per-stage histograms.
+    /// the kernel: stamp the reply-flush stage onto its flight-recorder
+    /// entry and feed the per-stage histograms.
     fn complete_traces(&mut self, inner: &Inner) {
         if self.pending_traces.is_empty() {
             return;
@@ -486,16 +498,15 @@ impl Conn {
             }
             let mut pt = self.pending_traces.pop_front().expect("front exists");
             let flush_ns = dur_ns(now.saturating_duration_since(pt.exec_end));
-            pt.rec.stages_ns[Stage::ReplyFlush.index()] = flush_ns;
-            pt.rec.total_ns += flush_ns;
-            inner.metrics.observe_stages(pt.family, &pt.rec.stages_ns);
-            inner.tracer.record(pt.rec);
+            pt.stages_ns[Stage::ReplyFlush.index()] = flush_ns;
+            inner.metrics.observe_stages(pt.family, &pt.stages_ns);
+            inner.tracer.stamp_reply_flush(self.worker, pt.id, flush_ns);
         }
     }
 
     /// The connection is going away: spans still waiting for their
-    /// reply flush will never complete. Count them so `TRACE STATUS`
-    /// can tell silence from loss.
+    /// reply flush keep a zero reply-flush stage for good. Count them
+    /// so `TRACE STATUS` can tell a fast flush from a lost one.
     pub(crate) fn abandon_traces(&mut self, inner: &Inner) {
         let n = self.pending_traces.len() as u64;
         if n > 0 {

@@ -6,12 +6,13 @@
 //! * [`wire`] — the versioned-header + FNV-checksummed framing shared by
 //!   the snapshot format and the redo log (one reader/writer helper
 //!   instead of two hand-rolled copies).
-//! * [`log`] — the redo log: one append-only `repl-N.log` file per
-//!   shard, written under the shard's existing write serialization.
-//!   Reopen truncates torn tails and never yields a corrupt record, so
-//!   the log doubles as an incremental backup: replaying it on top of a
-//!   snapshot (or an empty store) reconstructs the final state without
-//!   rewriting the full store.
+//! * [`log`] — the redo log: per shard, an append-only `repl-N.log`
+//!   behind a chain of sealed segments, written under the shard's
+//!   existing write serialization. Reopen validates the one active file
+//!   (bounded, whatever the log's size), truncates its torn tail and
+//!   never yields a corrupt record, so the log doubles as an incremental
+//!   backup: replaying it on top of a snapshot (or an empty store)
+//!   reconstructs the final state without rewriting the full store.
 //! * [`hub`] — the in-memory fan-out: every applied mutation is
 //!   published as a [`ReplOp`] with a store-wide monotonic offset;
 //!   replica-serving connections subscribe and stream the tail.

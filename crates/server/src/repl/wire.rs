@@ -58,18 +58,23 @@ impl FileHeader {
         out
     }
 
-    /// Parse and validate a header against the expected magic/version;
-    /// returns the format's `meta` word. `kind` names the format in
+    /// Parse a header and validate it against the expected magic and the
+    /// versions this reader understands. `kind` names the format in
     /// error messages ("snapshot", "repl log").
-    pub fn read(p: &mut Parser<'_>, magic: u64, version: u32, kind: &str) -> Result<u32, String> {
+    pub fn read(
+        p: &mut Parser<'_>,
+        magic: u64,
+        versions: std::ops::RangeInclusive<u32>,
+        kind: &str,
+    ) -> Result<FileHeader, String> {
         if p.u64("magic")? != magic {
             return Err(format!("bad magic: not a dash {kind} file"));
         }
-        let got = p.u32("version")?;
-        if got != version {
-            return Err(format!("unsupported {kind} version {got}"));
+        let version = p.u32("version")?;
+        if !versions.contains(&version) {
+            return Err(format!("unsupported {kind} version {version}"));
         }
-        p.u32("meta")
+        Ok(FileHeader { magic, version, meta: p.u32("meta")? })
     }
 }
 
@@ -135,14 +140,14 @@ mod tests {
         let h = FileHeader { magic: 0x1122_3344_5566_7788, version: 3, meta: 9 };
         let bytes = h.encode();
         let mut p = Parser::new(&bytes);
-        assert_eq!(FileHeader::read(&mut p, h.magic, 3, "test").unwrap(), 9);
+        assert_eq!(FileHeader::read(&mut p, h.magic, 2..=3, "test").unwrap(), h);
         assert_eq!(p.pos(), FileHeader::LEN);
         let mut p = Parser::new(&bytes);
-        assert!(FileHeader::read(&mut p, h.magic + 1, 3, "test").unwrap_err().contains("magic"));
+        assert!(FileHeader::read(&mut p, h.magic + 1, 3..=3, "test").unwrap_err().contains("magic"));
         let mut p = Parser::new(&bytes);
-        assert!(FileHeader::read(&mut p, h.magic, 4, "test").unwrap_err().contains("version"));
+        assert!(FileHeader::read(&mut p, h.magic, 4..=5, "test").unwrap_err().contains("version"));
         let mut p = Parser::new(&bytes[..10]);
-        assert!(FileHeader::read(&mut p, h.magic, 3, "test").unwrap_err().contains("truncated"));
+        assert!(FileHeader::read(&mut p, h.magic, 3..=3, "test").unwrap_err().contains("truncated"));
     }
 
     #[test]

@@ -1203,6 +1203,13 @@ fn replication_info_text(inner: &Inner) -> String {
     // Total bytes across the per-shard redo logs — what --replay-logs
     // would read, and the number capacity planning wants to watch.
     out.push_str(&format!("repl_log_bytes:{}\r\n", engine.repl_log_bytes()));
+    out.push_str(&format!("repl_log_segments:{}\r\n", engine.repl_log_segments()));
+    // What the last restart paid to reopen the logs: bounded by the
+    // segment cap per shard, so a slow restart that is not the log's
+    // fault says so here.
+    let log_open = engine.repl_log_open_cost();
+    out.push_str(&format!("repl_log_open_scanned_bytes:{}\r\n", log_open.scanned_bytes));
+    out.push_str(&format!("repl_log_open_us:{}\r\n", log_open.micros));
     if role == Role::Replica {
         if let Some(master) = &inner.master_addr {
             out.push_str(&format!("master_addr:{master}\r\n"));

@@ -207,14 +207,10 @@ pub fn parse_all(buf: &[u8]) -> SnapshotResult<Vec<SnapshotEntry>> {
         return Err(corrupt(format!("stream of {} bytes is smaller than an empty snapshot", buf.len())));
     }
     let mut p = Parser::new(buf);
-    if p.u64("magic").map_err(corrupt)? != SNAP_MAGIC {
-        return Err(corrupt("bad magic: not a dash snapshot file"));
-    }
-    let version = p.u32("version").map_err(corrupt)?;
-    if !(SNAP_VERSION_MIN..=SNAP_VERSION).contains(&version) {
-        return Err(corrupt(format!("unsupported snapshot version {version}")));
-    }
-    let _shards = p.u32("meta").map_err(corrupt)?;
+    let version =
+        FileHeader::read(&mut p, SNAP_MAGIC, SNAP_VERSION_MIN..=SNAP_VERSION, "snapshot")
+            .map_err(corrupt)?
+            .version;
     let mut records = Vec::new();
     loop {
         let klen = p.u32("key length").map_err(corrupt)?;

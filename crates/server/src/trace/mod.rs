@@ -162,7 +162,8 @@ impl TraceRecord {
     /// Build a record at execute completion. `total_ns` is the
     /// independently measured pre-flush total (readiness → execute end);
     /// the reply-flush stage is stamped — and added to the total — when
-    /// the reply bytes reach the kernel. `origin` starts equal to `id`;
+    /// the reply bytes reach the kernel
+    /// ([`Tracer::stamp_reply_flush`]). `origin` starts equal to `id`;
     /// propagated spans overwrite it.
     pub fn new(
         id: u64,
@@ -216,7 +217,7 @@ pub struct Tracer {
     captured: AtomicU64,
     /// Captured spans whose reply-flush completion was never observed
     /// (connection died first) or that were evicted from the pending
-    /// queue under backpressure.
+    /// queue under backpressure: their reply-flush stage stays 0.
     abandoned: AtomicU64,
     /// `(worker id, ring)` — created on first use per worker, read
     /// whole by DUMP/GET. The list write lock is only taken on first
@@ -315,9 +316,11 @@ impl Tracer {
         r
     }
 
-    /// Append a completed span to its worker's ring (oldest evicted at
-    /// [`RING_CAP`]). Runs on the worker that served the request, so
-    /// the ring mutex is uncontended except against a concurrent dump.
+    /// Append a span to its worker's ring (oldest evicted at
+    /// [`RING_CAP`]) — at execute end, before the reply can reach the
+    /// client, so that a reply in hand implies a span on record. Runs on
+    /// the worker that served the request, so the ring mutex is
+    /// uncontended except against a concurrent dump.
     pub fn record(&self, rec: TraceRecord) {
         let ring = self.ring_for(rec.worker);
         let mut ring = ring.lock();
@@ -326,6 +329,22 @@ impl Tracer {
         }
         ring.push_back(rec);
         self.captured.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The reply bytes of span `id` on `worker`'s ring reached the
+    /// kernel `flush_ns` after execute end: stamp the stage and extend
+    /// the total, in place. Two spans may share a forced id; they
+    /// complete in the order they were recorded, so the oldest one
+    /// still unstamped is the one meant. A span the ring has already
+    /// evicted is past caring.
+    pub fn stamp_reply_flush(&self, worker: u64, id: u64, flush_ns: u64) {
+        let flush = Stage::ReplyFlush.index();
+        let ring = self.ring_for(worker);
+        let mut ring = ring.lock();
+        if let Some(rec) = ring.iter_mut().find(|r| r.id == id && r.stages_ns[flush] == 0) {
+            rec.stages_ns[flush] = flush_ns;
+            rec.total_ns += flush_ns;
+        }
     }
 
     /// The most recent `n` spans across every worker ring, newest
@@ -525,6 +544,32 @@ mod tests {
         assert_eq!(t.captured_total(), RING_CAP as u64 + 11);
         t.reset();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn reply_flush_is_stamped_in_place_oldest_unstamped_first() {
+        let t = Tracer::new();
+        let flush = Stage::ReplyFlush.index();
+        let unflushed = |id, unix_ms| {
+            let mut r = rec(id, 0, unix_ms);
+            r.stages_ns[flush] = 0;
+            r.total_ns = 900;
+            r
+        };
+        // Recorded at execute end: visible at once, flush stage pending.
+        t.record(unflushed(7, 1));
+        t.record(unflushed(7, 2)); // the same forced id, retried
+        t.record(unflushed(8, 3));
+        assert_eq!(t.get(7).len(), 2);
+        t.stamp_reply_flush(0, 7, 50);
+        t.stamp_reply_flush(0, 7, 60);
+        t.stamp_reply_flush(0, 9, 70); // evicted or never recorded: a no-op
+        t.stamp_reply_flush(1, 8, 70); // another worker's ring: not this span
+        let got: Vec<(u64, u64)> =
+            t.get(7).iter().map(|r| (r.stages_ns[flush], r.total_ns)).collect();
+        assert_eq!(got, [(50, 950), (60, 960)], "completions land in recording order");
+        assert_eq!(t.get(8)[0].stages_ns[flush], 0);
+        assert_eq!(t.captured_total(), 3, "stamping is not a second capture");
     }
 
     #[test]

@@ -498,6 +498,17 @@ fn repl_log_bytes_and_cluster_metrics_surface() {
     let bytes: u64 =
         c.info_field("repl_log_bytes").unwrap().expect("repl_log_bytes in INFO").parse().unwrap();
     assert!(bytes > 0, "50 SETs against a persistent store must have logged bytes");
+    // ...and what the last open paid to reopen it (a fresh store: two
+    // empty logs, nothing to scan).
+    for (field, want) in [
+        ("repl_log_segments", Some(0)),
+        ("repl_log_open_scanned_bytes", Some(0)),
+        ("repl_log_open_us", None),
+    ] {
+        let got = c.info_field(field).unwrap().unwrap_or_else(|| panic!("{field} in INFO"));
+        let got: u64 = got.parse().unwrap();
+        assert!(want.is_none_or(|w| w == got), "{field} is {got}");
+    }
 
     // The Prometheus endpoint exports the same gauge and the cluster
     // family.
@@ -508,6 +519,9 @@ fn repl_log_bytes_and_cluster_metrics_surface() {
     stream.read_to_string(&mut body).unwrap();
     for needle in [
         "dash_repl_log_bytes ",
+        "dash_repl_log_segments 0",
+        "dash_repl_log_open_scanned_bytes 0",
+        "dash_repl_log_open_us ",
         "dash_cluster_enabled 1",
         "dash_cluster_slots_assigned 16384",
         "dash_cluster_slots_owned 16384",

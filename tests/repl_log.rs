@@ -4,9 +4,13 @@
 //! never turn a corrupted byte into replayed state.
 #![cfg(unix)]
 
-use dash_repro::dash_server::repl::log::{read_log, LogWriter};
-use dash_repro::dash_server::ReplOp;
+use dash_repro::dash_server::repl::log::{
+    encode_record, read_log, segment_files, LogWriter, LOG_MAGIC, SEGMENT_BYTES,
+};
+use dash_repro::dash_server::repl::wire::{fnv64, FileHeader};
+use dash_repro::dash_server::{ReplOp, MAX_VALUE_LEN};
 use dash_repro::{EngineConfig, ShardedDash};
+use proptest::prelude::*;
 
 mod common;
 use common::TempDir;
@@ -249,4 +253,208 @@ fn offset_recovers_across_restarts() {
     store.set(&k, &v).unwrap();
     assert_eq!(store.repl_offset(), 121);
     store.close().unwrap();
+}
+
+/// The offset never rewinds: a durable `SNAPSHOT` deletes the sealed
+/// segments it covers, and the next open still continues the count —
+/// it is carried by the active file's base record, not re-summed from
+/// whatever segments survive.
+#[test]
+fn offset_is_continuous_across_truncate_and_reopen() {
+    let src = TempDir::new("repl-offset-trunc");
+    let cfg = EngineConfig { repl_log_max_bytes: Some(2048), ..dir_cfg(&src, 2) };
+    let before = {
+        let store = ShardedDash::open(&cfg).unwrap();
+        for i in 0..600 {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
+        }
+        let sealed = store.repl_log_segments();
+        assert!(sealed >= 4, "a 2 KiB cap over 600 SETs must seal segments");
+        store.snapshot_to(&src.path.join("cut.snap")).unwrap();
+        assert_eq!(store.repl_log_segments(), 0, "the snapshot covers every sealed segment");
+        for i in 0..10 {
+            let (k, _) = kv(i);
+            store.set(&k, b"after-the-cut").unwrap();
+        }
+        assert_eq!(store.repl_offset(), 610);
+        store.repl_offset()
+        // Crash-style teardown: no close().
+    };
+    let store = ShardedDash::open(&cfg).unwrap();
+    assert_eq!(store.repl_offset(), before, "reopen after truncation must not rewind");
+    store.close().unwrap();
+}
+
+/// Recovery is size-independent, asserted as a count: a log ten times
+/// the segment cap reopens by reading one file of at most the cap plus
+/// one record — under the default cap, the one `None` selects.
+#[test]
+fn reopening_a_log_ten_times_the_cap_scans_one_segment() {
+    let dir = TempDir::new("repl-bounded");
+    std::fs::create_dir_all(&dir.path).unwrap();
+    let path = dir.path.join("repl-0.log");
+    let value = vec![0x5Au8; 32 << 10];
+    let mut appended = 0u64;
+    {
+        let (mut w, _) = LogWriter::open(&path, 0, None).unwrap();
+        while w.bytes() < 10 * SEGMENT_BYTES {
+            let key = format!("big:{appended:06}").into_bytes();
+            w.append(&ReplOp::Set { key, value: value.clone() }).unwrap();
+            appended += 1;
+        }
+        // Leave a torn tail behind, as a crash mid-append would.
+        w.append(&ReplOp::Del { key: b"torn".to_vec() }).unwrap();
+    }
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(len - 2).unwrap();
+    assert!(segment_files(&path).unwrap().len() >= 9, "ten caps of log is nine sealed segments");
+
+    let (w, rec) = LogWriter::open(&path, 0, None).unwrap();
+    assert_eq!(rec.records, appended, "every intact record, and only those");
+    assert!(rec.truncated_bytes > 0 && !rec.reset);
+    assert_eq!(rec.scanned_bytes, len - 2, "the active file and nothing else");
+    let max_record = (4 + 1 + 4 + dash_repro::dash_common::MAX_KEY_LEN + 8 + MAX_VALUE_LEN + 8) as u64;
+    assert!(rec.scanned_bytes <= SEGMENT_BYTES + max_record);
+    assert!(w.bytes() >= 10 * SEGMENT_BYTES, "sealed segments still count towards the size");
+}
+
+/// A store whose logs were written before base records existed (v1
+/// headers, one file of any size, no base record): it opens with the
+/// offset it closed with, keeps counting, and still replays in full.
+#[test]
+fn parent_format_store_keeps_its_offset_and_replays() {
+    let src = TempDir::new("repl-v1-src");
+    let dst = TempDir::new("repl-v1-dst");
+    {
+        let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
+        for i in 0..300 {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
+        }
+        store.close().unwrap();
+    }
+    // Rewrite each shard's log the way the parent commit wrote it.
+    for shard in 0..2u32 {
+        let path = src.path.join(format!("repl-{shard}.log"));
+        let (ops, _) = read_log(&path).unwrap();
+        let mut v1 = FileHeader { magic: LOG_MAGIC, version: 1, meta: shard }.encode().to_vec();
+        for op in &ops {
+            encode_record(op, &mut v1);
+        }
+        std::fs::write(&path, v1).unwrap();
+    }
+    {
+        let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
+        assert_eq!(store.repl_offset(), 300, "a v1 log is counted record by record, once");
+        assert_eq!(store.len(), 300);
+        // The next append per shard seals the v1 file into the new scheme.
+        for i in 300..320 {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
+        }
+        assert_eq!(store.repl_log_segments(), 2);
+    }
+    let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
+    assert_eq!(store.repl_offset(), 320);
+    assert!(
+        store.repl_log_open_cost().scanned_bytes < 2048,
+        "sealed v1 segments are not read again: {:?}",
+        store.repl_log_open_cost()
+    );
+    let restored = ShardedDash::open(&dir_cfg(&dst, 3)).unwrap();
+    assert_eq!(restored.replay_log_dir(&src.path).unwrap(), 320);
+    for i in 0..320 {
+        let (k, v) = kv(i);
+        assert_eq!(restored.get(&k).unwrap(), Some(v), "key {i}");
+    }
+    restored.close().unwrap();
+    store.close().unwrap();
+}
+
+/// What the format allows in a record body that follows a file's base
+/// record — written from the layout in the module doc, not from the
+/// decoder.
+fn body_is_an_op_record(body: &[u8]) -> bool {
+    if body.len() < 5 {
+        return false;
+    }
+    let key_len = u32::from_le_bytes(body[1..5].try_into().unwrap()) as usize;
+    let after_key_len = body.len() - 5;
+    match body[0] {
+        1 => key_len <= after_key_len,
+        2 => key_len == after_key_len,
+        3 => key_len + 8 <= after_key_len,
+        _ => false,
+    }
+}
+
+/// Record bodies that mostly look like records — a tag near the legal
+/// ones, a small key length, some bytes — and now and then are noise too
+/// short to be one.
+fn body_strategy() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        4 => (0u8..6, 0u32..12, proptest::collection::vec(any::<u8>(), 0..24)).prop_map(
+            |(tag, key_len, rest)| {
+                let mut body = vec![tag];
+                body.extend_from_slice(&key_len.to_le_bytes());
+                body.extend_from_slice(&rest);
+                body
+            }
+        ),
+        1 => proptest::collection::vec(any::<u8>(), 0..8),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// Validator ≡ decoder: behind a valid log, append arbitrary record
+    /// bodies in intact frames (length and checksum right, so only the
+    /// structural checks can stop them). The counting scan in
+    /// `LogWriter::open` and the copying reader in `read_log` must stop
+    /// at the same record — the first the format does not allow — and
+    /// what they accepted must be what the writer would have written.
+    #[test]
+    fn open_counts_exactly_the_records_read_log_reads(
+        bodies in proptest::collection::vec(body_strategy(), 1..8),
+    ) {
+        let dir = TempDir::new("repl-prop");
+        std::fs::create_dir_all(&dir.path).unwrap();
+        let path = dir.path.join("repl-0.log");
+        {
+            let (mut w, _) = LogWriter::open(&path, 0, None).unwrap();
+            for i in 0..3 {
+                let (key, value) = kv(i);
+                w.append(&ReplOp::Set { key, value }).unwrap();
+            }
+        }
+        let mut file = std::fs::read(&path).unwrap();
+        let mut frames = Vec::new();
+        for body in bodies {
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            let checksum = fnv64(&frame);
+            frame.extend_from_slice(&checksum.to_le_bytes());
+            file.extend_from_slice(&frame);
+            frames.push((body, frame));
+        }
+        std::fs::write(&path, &file).unwrap();
+        let allowed = frames.iter().take_while(|(body, _)| body_is_an_op_record(body)).count();
+
+        let (ops, read) = read_log(&path).unwrap();
+        prop_assert_eq!(ops.len(), 3 + allowed, "read_log accepts what the format allows");
+        for (op, (_, frame)) in ops[3..].iter().zip(&frames) {
+            let mut again = Vec::new();
+            encode_record(op, &mut again);
+            prop_assert_eq!(&again, frame, "an accepted record is one the writer produces");
+        }
+        let (_, rec) = LogWriter::open(&path, 0, None).unwrap();
+        prop_assert_eq!(rec.records, ops.len() as u64);
+        prop_assert_eq!(rec.truncated_bytes, read.truncated_bytes);
+        prop_assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            file.len() as u64 - rec.truncated_bytes
+        );
+    }
 }
