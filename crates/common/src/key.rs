@@ -6,14 +6,12 @@ use crate::hash::{hash64, hash_u64};
 /// optimistic reader may scan when validating a possibly-stale pointer.
 pub const MAX_KEY_LEN: usize = 512;
 
-/// A key storable in the 8-byte key field of a record slot (§4.5): either
-/// the value itself (fixed-length mode) or a pointer to a pooled,
-/// length-prefixed byte string (variable-length mode). All four hash
-/// tables are generic over this trait.
-pub trait Key: Clone + Send + Sync + 'static {
-    /// True when the stored representation is the key itself.
-    const INLINE: bool;
-
+/// What a table needs from a key to *find or place* it — hash it,
+/// compare it against a stored representation, encode it. Every [`Key`]
+/// has these, and so does a key's borrowed form (`[u8]` for [`VarKey`]),
+/// which is what lets a lookup run straight off a caller's buffer
+/// without building an owned key first.
+pub trait KeyProbe {
     /// 64-bit hash of the key.
     fn hash64(&self) -> u64;
 
@@ -25,6 +23,15 @@ pub trait Key: Clone + Send + Sync + 'static {
     /// Does `stored` represent this key? Out-of-line keys dereference the
     /// pool (metered as a PM read).
     fn matches(&self, pool: &PmemPool, stored: u64) -> bool;
+}
+
+/// A key storable in the 8-byte key field of a record slot (§4.5): either
+/// the value itself (fixed-length mode) or a pointer to a pooled,
+/// length-prefixed byte string (variable-length mode). All four hash
+/// tables are generic over this trait.
+pub trait Key: KeyProbe + Clone + Send + Sync + 'static {
+    /// True when the stored representation is the key itself.
+    const INLINE: bool;
 
     /// Re-hash a stored representation (recovery rebuilds overflow
     /// metadata from stash records, which requires re-hashing them §4.8).
@@ -43,9 +50,7 @@ pub trait Key: Clone + Send + Sync + 'static {
     fn release(pool: &PmemPool, stored: u64);
 }
 
-impl Key for u64 {
-    const INLINE: bool = true;
-
+impl KeyProbe for u64 {
     #[inline]
     fn hash64(&self) -> u64 {
         hash_u64(*self)
@@ -60,6 +65,10 @@ impl Key for u64 {
     fn matches(&self, _pool: &PmemPool, stored: u64) -> bool {
         stored == *self
     }
+}
+
+impl Key for u64 {
+    const INLINE: bool = true;
 
     #[inline]
     fn hash_stored(_pool: &PmemPool, stored: u64) -> u64 {
@@ -115,33 +124,59 @@ impl VarKey {
     }
 }
 
-impl Key for VarKey {
-    const INLINE: bool = false;
-
+/// The borrowed form of a [`VarKey`]: the key's bytes, wherever they
+/// live. Must be at most [`MAX_KEY_LEN`] long to be inserted (checked
+/// by `encode`; a longer slice simply matches nothing).
+impl KeyProbe for [u8] {
     #[inline]
     fn hash64(&self) -> u64 {
-        hash64(&self.0)
+        hash64(self)
     }
 
     fn encode(&self, pool: &PmemPool) -> PmResult<u64> {
-        let total = 4 + self.0.len();
+        assert!(self.len() <= MAX_KEY_LEN, "key longer than MAX_KEY_LEN");
+        let total = 4 + self.len();
         let off = pool.alloc(total)?;
         // SAFETY: freshly allocated block of at least `total` bytes.
         unsafe {
             let p = pool.base().add(off.get() as usize);
-            (p as *mut u32).write(self.0.len() as u32);
-            std::ptr::copy_nonoverlapping(self.0.as_ptr(), p.add(4), self.0.len());
+            (p as *mut u32).write(self.len() as u32);
+            std::ptr::copy_nonoverlapping(self.as_ptr(), p.add(4), self.len());
         }
         pool.persist(off, total);
         Ok(off.get())
     }
 
     fn matches(&self, pool: &PmemPool, stored: u64) -> bool {
-        match Self::stored_bytes(pool, stored) {
-            Some(bytes) => bytes == self.0.as_slice(),
-            None => false,
-        }
+        VarKey::stored_bytes(pool, stored) == Some(self)
     }
+}
+
+impl KeyProbe for VarKey {
+    #[inline]
+    fn hash64(&self) -> u64 {
+        self.0.as_slice().hash64()
+    }
+
+    fn encode(&self, pool: &PmemPool) -> PmResult<u64> {
+        self.0.as_slice().encode(pool)
+    }
+
+    fn matches(&self, pool: &PmemPool, stored: u64) -> bool {
+        self.0.as_slice().matches(pool, stored)
+    }
+}
+
+/// Lets a `DashEh<VarKey>` be probed with plain bytes (hash and
+/// equality agree with the owned key by construction, above).
+impl std::borrow::Borrow<[u8]> for VarKey {
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl Key for VarKey {
+    const INLINE: bool = false;
 
     fn hash_stored(pool: &PmemPool, stored: u64) -> u64 {
         match Self::stored_bytes(pool, stored) {

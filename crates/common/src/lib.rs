@@ -11,7 +11,7 @@ mod table;
 mod workload;
 
 pub use hash::{hash64, hash64_seed, hash_u64};
-pub use key::{Key, VarKey, MAX_KEY_LEN};
+pub use key::{Key, KeyProbe, VarKey, MAX_KEY_LEN};
 pub use table::{PmHashTable, ScanCursor, ScanPage, Session, TableError, TableResult};
 pub use workload::{
     mix64, mixed_ops, negative_keys, uniform_keys, var_keys, MixedOp, ZipfGenerator,

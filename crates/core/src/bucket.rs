@@ -21,7 +21,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-use dash_common::Key;
+use dash_common::KeyProbe;
 use pmem::{PmOffset, PmemPool};
 
 /// Record slots per bucket.
@@ -275,7 +275,7 @@ impl Bucket {
     /// up to the whole 256-byte block. Continuation lines within the block
     /// are charged as bandwidth only — the media fetch latency is paid once
     /// per probe, matching DCPMM's internal 256-byte block buffering.
-    pub fn search_key<K: Key>(
+    pub fn search_key<K: KeyProbe + ?Sized>(
         &self,
         pool: &PmemPool,
         fp: u8,

@@ -9,11 +9,12 @@
 //! doubling publishes a freshly built directory with one atomic root
 //! store; the old directory is reclaimed through the epoch manager.
 
+use std::borrow::Borrow;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dash_common::{Key, PmHashTable, ScanCursor, ScanPage, TableError, TableResult};
+use dash_common::{Key, KeyProbe, PmHashTable, ScanCursor, ScanPage, TableError, TableResult};
 use parking_lot::Mutex;
 use pmem::{PmOffset, PmemPool};
 
@@ -247,14 +248,22 @@ impl<K: Key> DashEh<K> {
 
     // ---- public operations ----------------------------------------------
 
-    pub fn get(&self, key: &K) -> Option<u64> {
+    // The single-key operations take any borrowed form of the key
+    // (`HashMap`'s idiom): a `DashEh<VarKey>` is probed with `&[u8]`
+    // straight off the caller's buffer, no owned key built.
+
+    pub fn get<Q>(&self, key: &Q) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
         let _g = self.pool.epoch().pin();
         self.get_pinned(key)
     }
 
     /// `get` body without the epoch entry — the caller holds the pin
     /// (single ops pin per call; [`DashEh::get_many`] pins per batch).
-    fn get_pinned(&self, key: &K) -> Option<u64> {
+    fn get_pinned<Q: KeyProbe + ?Sized>(&self, key: &Q) -> Option<u64> {
         let h = key.hash64();
         loop {
             let seg = self.resolve(h);
@@ -266,12 +275,16 @@ impl<K: Key> DashEh<K> {
         }
     }
 
-    pub fn insert(&self, key: &K, value: u64) -> TableResult<()> {
+    pub fn insert<Q>(&self, key: &Q, value: u64) -> TableResult<()>
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
         let _g = self.pool.epoch().pin();
         self.insert_pinned(key, value)
     }
 
-    fn insert_pinned(&self, key: &K, value: u64) -> TableResult<()> {
+    fn insert_pinned<Q: KeyProbe + ?Sized>(&self, key: &Q, value: u64) -> TableResult<()> {
         let h = key.hash64();
         let key_repr = key.encode(&self.pool)?;
         loop {
@@ -293,25 +306,45 @@ impl<K: Key> DashEh<K> {
         }
     }
 
-    pub fn update(&self, key: &K, value: u64) -> bool {
+    /// Replace the value stored under `key` and return the one it
+    /// replaced; `None`, with nothing written, when the key is absent.
+    /// One locked probe: the overwrite a `get` + `update` pair would
+    /// spend two on.
+    pub fn swap<Q>(&self, key: &Q, value: u64) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
         let h = key.hash64();
         let _g = self.pool.epoch().pin();
         loop {
             let seg = self.resolve(h);
             match self.view(seg).update(&self.cfg, h, key, value, || self.locate(h) == seg) {
-                SegMutate::Done(_) => return true,
-                SegMutate::NotFound => return false,
+                SegMutate::Done(old) => return Some(old),
+                SegMutate::NotFound => return None,
                 SegMutate::Retry => std::hint::spin_loop(),
             }
         }
     }
 
-    pub fn remove(&self, key: &K) -> bool {
+    pub fn update<Q>(&self, key: &Q, value: u64) -> bool
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
+        self.swap(key, value).is_some()
+    }
+
+    pub fn remove<Q>(&self, key: &Q) -> bool
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
         let _g = self.pool.epoch().pin();
         self.remove_pinned(key)
     }
 
-    fn remove_pinned(&self, key: &K) -> bool {
+    fn remove_pinned<Q: KeyProbe + ?Sized>(&self, key: &Q) -> bool {
         let h = key.hash64();
         loop {
             let seg = self.resolve(h);
@@ -987,6 +1020,43 @@ mod tests {
         assert_eq!(t.get(&1), None);
         assert!(!t.remove(&1));
         assert!(!t.update(&1, 1));
+    }
+
+    #[test]
+    fn swap_replaces_in_one_probe_and_never_inserts() {
+        let t = new_table(16, small_cfg());
+        assert_eq!(t.swap(&7, 1), None, "absent: nothing to replace");
+        assert_eq!(t.get(&7), None, "and nothing written");
+        t.insert(&7, 100).unwrap();
+        assert_eq!(t.swap(&7, 200), Some(100));
+        assert_eq!(t.swap(&7, 300), Some(200));
+        assert_eq!(t.get(&7), Some(300));
+        // Stash-resident records too: fill far past the normal buckets.
+        for k in 1_000..3_000u64 {
+            t.insert(&k, k).unwrap();
+        }
+        for k in 1_000..3_000u64 {
+            assert_eq!(t.swap(&k, k + 1), Some(k), "key {k}");
+        }
+        assert!((1_000..3_000u64).all(|k| t.get(&k) == Some(k + 1)));
+    }
+
+    #[test]
+    fn var_key_tables_are_probed_with_borrowed_bytes() {
+        let pool = PmemPool::create(PoolConfig::with_size(16 << 20)).unwrap();
+        let t: DashEh<VarKey> = DashEh::create(pool, small_cfg()).unwrap();
+        let wire = b"GET user:42 trailing".to_vec();
+        let key: &[u8] = &wire[4..11];
+        // Inserted from a borrowed slice, found by owned key, and back.
+        t.insert(key, 1).unwrap();
+        assert_eq!(t.get(&VarKey::new(*b"user:42")), Some(1));
+        t.insert(&VarKey::new(*b"user:43"), 2).unwrap();
+        assert_eq!(t.get(&wire[..0]), None);
+        assert_eq!(t.get(b"user:43".as_slice()), Some(2));
+        assert!(matches!(t.insert(key, 9), Err(TableError::Duplicate)));
+        assert_eq!(t.swap(key, 3), Some(1));
+        assert!(t.remove(key));
+        assert_eq!(t.get(key), None);
     }
 
     #[test]

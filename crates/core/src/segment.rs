@@ -7,7 +7,7 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
-use dash_common::{Key, TableResult};
+use dash_common::{Key, KeyProbe, TableResult};
 use pmem::{PmOffset, PmemPool};
 
 use crate::bucket::{Bucket, BUCKET_SIZE, SLOTS};
@@ -263,7 +263,7 @@ impl<'a> SegView<'a> {
     /// and must confirm the caller's directory resolution still holds.
     /// `allow_chain` enables Dash-LH's chained stash.
     #[allow(clippy::too_many_arguments)]
-    pub fn insert<K: Key>(
+    pub fn insert<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -525,7 +525,7 @@ impl<'a> SegView<'a> {
     }
 
     /// Uniqueness check with target + probing bucket locks held.
-    fn contains_locked<K: Key>(&self, cfg: &DashConfig, h: u64, key: &K, y: usize, p: usize) -> bool {
+    fn contains_locked<K: KeyProbe + ?Sized>(&self, cfg: &DashConfig, h: u64, key: &K, y: usize, p: usize) -> bool {
         let fp = h as u8;
         let use_fp = cfg.fingerprints;
         if self.bucket(y).search_key(self.pool, fp, key, use_fp).is_some() {
@@ -539,7 +539,7 @@ impl<'a> SegView<'a> {
 
     /// Probe the stash area, consulting overflow metadata to skip it when
     /// possible (§4.3). Returns the record's location and value.
-    fn stash_lookup<K: Key>(
+    fn stash_lookup<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -602,7 +602,7 @@ impl<'a> SegView<'a> {
     }
 
     /// Exhaustive scan of fixed stash buckets and the chain.
-    fn stash_scan<K: Key>(&self, cfg: &DashConfig, fp: u8, key: &K) -> Option<(RecLoc, usize, u64)> {
+    fn stash_scan<K: KeyProbe + ?Sized>(&self, cfg: &DashConfig, fp: u8, key: &K) -> Option<(RecLoc, usize, u64)> {
         let use_fp = cfg.fingerprints;
         for j in 0..self.geom.stash as usize {
             if let Some((slot, v)) = self.stash(j).search_key(self.pool, fp, key, use_fp) {
@@ -622,7 +622,7 @@ impl<'a> SegView<'a> {
 
     // ---- search (Algorithm 3) ------------------------------------------
 
-    pub fn search<K: Key>(
+    pub fn search<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -635,7 +635,7 @@ impl<'a> SegView<'a> {
         }
     }
 
-    fn search_optimistic<K: Key>(
+    fn search_optimistic<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -696,7 +696,7 @@ impl<'a> SegView<'a> {
         }
     }
 
-    fn search_pessimistic<K: Key>(
+    fn search_pessimistic<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -740,7 +740,7 @@ impl<'a> SegView<'a> {
 
     /// Remove a record. Returns the removed key representation so callers
     /// can release out-of-line key storage.
-    pub fn remove<K: Key>(
+    pub fn remove<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -759,8 +759,9 @@ impl<'a> SegView<'a> {
         })
     }
 
-    /// Overwrite a record's value in place (8-byte atomic).
-    pub fn update<K: Key>(
+    /// Overwrite a record's value in place (8-byte atomic). `Done`
+    /// carries the value it replaced.
+    pub fn update<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -774,9 +775,9 @@ impl<'a> SegView<'a> {
                 RecLoc::Stash(j) => (view.stash(j), view.stash_off(j)),
                 RecLoc::Chain(n) => (&view.node(n).bucket, n.add(64)),
             };
+            let (_, old) = bucket.record(slot);
             bucket.update_value(view.pool, off, slot, value);
-            let (key_repr, _) = bucket.record(slot);
-            key_repr
+            old
         })
     }
 
@@ -784,7 +785,7 @@ impl<'a> SegView<'a> {
     /// probing buckets, verifies, locates the record anywhere in the
     /// segment, applies `apply`, and maintains overflow metadata for
     /// stash-resident deletions.
-    fn mutate<K: Key>(
+    fn mutate<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
         h: u64,
@@ -800,6 +801,12 @@ impl<'a> SegView<'a> {
         let mode = cfg.lock_mode;
 
         let (lo, hi) = (y.min(p), y.max(p));
+        // Load both lock words before locking either: two independent
+        // loads take their cache misses in parallel, where the two
+        // locking CASes — each a full fence — would take them one after
+        // the other. On a table larger than the cache this is what keeps
+        // a locked probe as cheap as the optimistic one it replaces.
+        let _ = (self.bucket(lo).version(), self.bucket(hi).version());
         self.writer_lock(self.bucket(lo), mode);
         if hi != lo {
             self.writer_lock(self.bucket(hi), mode);

@@ -42,6 +42,10 @@ pub struct EpochManager {
     global: AtomicU64,
     registry: Mutex<Vec<Arc<ThreadSlot>>>,
     garbage: Mutex<Vec<(u64, Deferred)>>,
+    /// `collect`'s scratch list, kept between collections so that a
+    /// steady stream of deferred frees (every overwrite retires a blob)
+    /// costs no heap allocation.
+    ready: Mutex<Vec<Deferred>>,
     /// Bytes held by pending [`Deferred::Free`] items — retired from the
     /// application's point of view but not yet back on a free list. The
     /// service layer reads this as its "dead bytes" fragmentation gauge.
@@ -60,6 +64,7 @@ impl EpochManager {
             global: AtomicU64::new(1),
             registry: Mutex::new(Vec::new()),
             garbage: Mutex::new(Vec::new()),
+            ready: Mutex::new(Vec::new()),
             pending_bytes: AtomicU64::new(0),
         }
     }
@@ -142,34 +147,33 @@ impl EpochManager {
     pub(crate) fn collect(&self, mut free: impl FnMut(PmOffset, usize)) -> usize {
         self.global.fetch_add(1, Ordering::SeqCst);
         let min_pinned = self.min_pinned();
-        let ready: Vec<Deferred> = {
-            let mut g = self.garbage.lock();
-            let mut ready = Vec::new();
-            g.retain_mut(|(e, d)| {
-                let safe = match min_pinned {
-                    Some(m) => *e < m,
-                    None => true,
-                };
-                if safe {
-                    if let Deferred::Free { size, .. } = d {
-                        self.pending_bytes.fetch_sub(*size as u64, Ordering::Relaxed);
-                    }
-                    // Replace with a no-op so we can move the deferred
-                    // action out while retain iterates.
-                    let taken = std::mem::replace(d, Deferred::Run(Box::new(|| {})));
-                    ready.push(taken);
+        // A concurrent collection finds the scratch list taken and
+        // starts an empty one; whichever finishes last leaves its own.
+        let mut ready = std::mem::take(&mut *self.ready.lock());
+        self.garbage.lock().retain_mut(|(e, d)| {
+            let safe = match min_pinned {
+                Some(m) => *e < m,
+                None => true,
+            };
+            if safe {
+                if let Deferred::Free { size, .. } = d {
+                    self.pending_bytes.fetch_sub(*size as u64, Ordering::Relaxed);
                 }
-                !safe
-            });
-            ready
-        };
+                // Replace with a no-op so we can move the deferred
+                // action out while retain iterates.
+                let taken = std::mem::replace(d, Deferred::Run(Box::new(|| {})));
+                ready.push(taken);
+            }
+            !safe
+        });
         let n = ready.len();
-        for d in ready {
+        for d in ready.drain(..) {
             match d {
                 Deferred::Free { off, size } => free(off, size),
                 Deferred::Run(f) => f(),
             }
         }
+        *self.ready.lock() = ready;
         n
     }
 

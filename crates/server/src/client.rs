@@ -307,6 +307,12 @@ impl RespClient {
         self.repl_u64("repl_offset")
     }
 
+    /// `repl_log_flushes`: `write(2)` calls the redo logs have issued for
+    /// records since the store was opened.
+    pub fn repl_log_flushes(&mut self) -> std::io::Result<u64> {
+        self.repl_u64("repl_log_flushes")
+    }
+
     /// `connected_replicas`: live replica streams on a primary.
     pub fn connected_replicas(&mut self) -> std::io::Result<u64> {
         self.repl_u64("connected_replicas")

@@ -422,13 +422,13 @@ impl ClusterState {
 /// command is not keyed (node-local or administrative) and bypasses the
 /// slot gate entirely — `SCAN`/`KEYS`/`DBSIZE`/`SNAPSHOT` deliberately
 /// stay node-local under cluster mode.
-pub(crate) fn keyed_args<'a>(name: &str, args: &'a [Vec<u8>]) -> Option<Vec<&'a [u8]>> {
+pub(crate) fn keyed_args<'a>(name: &[u8], args: &[&'a [u8]]) -> Option<Vec<&'a [u8]>> {
     let keys: Vec<&[u8]> = match name {
-        "GET" | "SET" | "EXPIRE" | "PEXPIRE" | "TTL" | "PTTL" | "PERSIST" => {
-            vec![args.first()?.as_slice()]
+        b"GET" | b"SET" | b"EXPIRE" | b"PEXPIRE" | b"TTL" | b"PTTL" | b"PERSIST" => {
+            vec![*args.first()?]
         }
-        "MGET" | "DEL" | "UNLINK" | "EXISTS" => args.iter().map(|a| a.as_slice()).collect(),
-        "MSET" => args.iter().step_by(2).map(|a| a.as_slice()).collect(),
+        b"MGET" | b"DEL" | b"UNLINK" | b"EXISTS" => args.to_vec(),
+        b"MSET" => args.iter().step_by(2).copied().collect(),
         _ => return None,
     };
     if keys.is_empty() {
@@ -456,7 +456,7 @@ fn parse_range(a: &[u8], b: &[u8]) -> Option<(u16, u16)> {
 }
 
 /// Dispatch one `CLUSTER <subcommand> ...`.
-pub(crate) fn cluster_command(cl: &Arc<ClusterState>, inner: &Inner, args: &[Vec<u8>]) -> Value {
+pub(crate) fn cluster_command(cl: &Arc<ClusterState>, inner: &Inner, args: &[&[u8]]) -> Value {
     let Some(sub) = args.first() else {
         return cluster_err("CLUSTER requires a subcommand");
     };
@@ -650,26 +650,26 @@ mod tests {
 
     #[test]
     fn keyed_args_extracts_the_right_keys() {
-        let args = |v: &[&str]| v.iter().map(|s| s.as_bytes().to_vec()).collect::<Vec<_>>();
-        assert_eq!(keyed_args("GET", &args(&["k"])).unwrap(), vec![b"k".as_slice()]);
-        assert_eq!(keyed_args("SET", &args(&["k", "v"])).unwrap(), vec![b"k".as_slice()]);
+        let args = |v: &[&'static str]| v.iter().map(|s| s.as_bytes()).collect::<Vec<_>>();
+        assert_eq!(keyed_args(b"GET", &args(&["k"])).unwrap(), vec![b"k".as_slice()]);
+        assert_eq!(keyed_args(b"SET", &args(&["k", "v"])).unwrap(), vec![b"k".as_slice()]);
         assert_eq!(
-            keyed_args("MGET", &args(&["a", "b"])).unwrap(),
+            keyed_args(b"MGET", &args(&["a", "b"])).unwrap(),
             vec![b"a".as_slice(), b"b".as_slice()]
         );
         assert_eq!(
-            keyed_args("MSET", &args(&["a", "1", "b", "2"])).unwrap(),
+            keyed_args(b"MSET", &args(&["a", "1", "b", "2"])).unwrap(),
             vec![b"a".as_slice(), b"b".as_slice()],
             "MSET keys are every other argument"
         );
         assert_eq!(
-            keyed_args("DEL", &args(&["a", "b", "c"])).unwrap().len(),
+            keyed_args(b"DEL", &args(&["a", "b", "c"])).unwrap().len(),
             3
         );
-        assert!(keyed_args("PING", &args(&[])).is_none());
-        assert!(keyed_args("INFO", &args(&["replication"])).is_none());
-        assert!(keyed_args("SCAN", &args(&["0"])).is_none(), "SCAN stays node-local");
-        assert!(keyed_args("GET", &args(&[])).is_none(), "bad arity bypasses the gate");
+        assert!(keyed_args(b"PING", &args(&[])).is_none());
+        assert!(keyed_args(b"INFO", &args(&["replication"])).is_none());
+        assert!(keyed_args(b"SCAN", &args(&["0"])).is_none(), "SCAN stays node-local");
+        assert!(keyed_args(b"GET", &args(&[])).is_none(), "bad arity bypasses the gate");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::cluster::slots::{key_slot, NUM_SLOTS};
 use crate::expire::{is_expired, now_ms, policy, EvictionPolicy, TimerWheel};
 use crate::repl::hub::{ReplHub, ReplSubscription};
 use crate::repl::log::LogWriter;
-use crate::repl::ReplOp;
+use crate::repl::{OpRef, ReplOp};
 use crate::snapshot::{SnapshotResult, SnapshotStream, SnapshotWriter};
 
 /// Upper bound on one value. Bounded (like keys) so a stale blob pointer
@@ -232,6 +232,8 @@ impl SlotCounters {
 }
 
 struct Shard {
+    /// This shard's position in [`ShardedDash::shards`].
+    index: usize,
     pool: Arc<PmemPool>,
     table: DashEh<VarKey>,
     /// Serializes read-modify-write sequences (overwrite, delete) so two
@@ -247,15 +249,13 @@ struct Shard {
     keys_delta: AtomicI64,
     info: ShardInfo,
     /// Redo log (file-backed stores only): every applied mutation is
-    /// appended here, under the write lock the caller already holds —
-    /// the log needs no locking of its own, the `Mutex` is just interior
-    /// mutability for the `File`.
+    /// buffered here under the write lock the caller already holds, so
+    /// buffer order is apply order. The `Mutex` is what lets a
+    /// [`LogBatch`] flush the buffer at the end of its scope without
+    /// taking the write lock.
     log: Option<Mutex<LogWriter>>,
     /// Store-wide replication fan-out (shared by all shards).
     hub: Arc<ReplHub>,
-    /// Redo-log append failures (the write itself already succeeded, so
-    /// they must not fail the op — they are counted and surfaced).
-    log_errors: AtomicU64,
     /// Value-blob bytes allocated (header included) since open.
     blob_written: AtomicU64,
     /// Value-blob bytes retired since open. `written - released` is the
@@ -324,14 +324,15 @@ impl Shard {
         blob_meta(&self.pool, off)
     }
 
-    /// Copy out the payload of the blob whose header `meta` already
-    /// decoded (the caller holds an epoch pin).
-    fn read_payload(&self, off: u64, meta: &BlobMeta) -> Vec<u8> {
+    /// The payload of the blob whose header `meta` already decoded, in
+    /// place. Valid for as long as the caller's epoch pin: payload bytes
+    /// are immutable per blob, and a retired blob is not recycled while
+    /// a pin that could have seen it is held.
+    fn payload(&self, off: u64, meta: &BlobMeta) -> &[u8] {
         self.pool.note_pm_read(BLOB_HDR + meta.len);
         // SAFETY: bounds checked by blob_meta.
         unsafe {
             std::slice::from_raw_parts(self.pool.base().add(off as usize + BLOB_HDR), meta.len)
-                .to_vec()
         }
     }
 
@@ -367,39 +368,28 @@ impl Shard {
     /// plain `Set` otherwise, and queues the deadline on the wheel.
     fn set_locked(
         &self,
-        k: &VarKey,
+        key: &[u8],
         value: &[u8],
         expire_at_ms: u64,
         access: u32,
     ) -> EngineResult<()> {
         let new_off = self.write_blob(value, expire_at_ms, access)?;
-        match self.table.get(k) {
-            Some(old_off) => {
-                if !self.table.update(k, new_off) {
-                    // The write lock excludes concurrent mutators, so the
-                    // key cannot have vanished between get and update.
-                    unreachable!("key disappeared under the shard write lock");
-                }
-                self.release_blob(old_off);
-            }
+        match self.table.swap(key, new_off) {
+            Some(old_off) => self.release_blob(old_off),
             None => {
-                if let Err(e) = self.table.insert(k, new_off) {
+                if let Err(e) = self.table.insert(key, new_off) {
                     self.release_blob(new_off);
                     return Err(e.into());
                 }
                 self.keys_delta.fetch_add(1, Ordering::Relaxed);
-                self.slots.delta[key_slot(k.as_bytes()) as usize].fetch_add(1, Ordering::SeqCst);
+                self.slots.delta[key_slot(key) as usize].fetch_add(1, Ordering::SeqCst);
             }
         }
         if expire_at_ms != 0 {
-            self.wheel.insert(k.as_bytes().to_vec(), expire_at_ms);
-            self.record(|| ReplOp::SetEx {
-                key: k.as_bytes().to_vec(),
-                value: value.to_vec(),
-                expire_at_ms,
-            });
+            self.wheel.insert(key.to_vec(), expire_at_ms);
+            self.record(OpRef::SetEx { key, value, expire_at_ms });
         } else {
-            self.record(|| ReplOp::Set { key: k.as_bytes().to_vec(), value: value.to_vec() });
+            self.record(OpRef::Set { key, value });
         }
         Ok(())
     }
@@ -407,52 +397,139 @@ impl Shard {
     /// Delete one key; true when it existed. The caller holds this
     /// shard's write lock — the shared body of [`ShardedDash::del`] and
     /// [`ShardedDash::mdel`].
-    fn del_locked(&self, k: &VarKey) -> bool {
-        match self.table.get(k) {
+    fn del_locked(&self, key: &[u8]) -> bool {
+        match self.table.get(key) {
             None => false,
             Some(off) => {
-                let removed = self.table.remove(k);
+                let removed = self.table.remove(key);
                 debug_assert!(removed, "key disappeared under the shard write lock");
                 self.release_blob(off);
                 self.keys_delta.fetch_sub(1, Ordering::Relaxed);
-                self.slots.delta[key_slot(k.as_bytes()) as usize].fetch_sub(1, Ordering::SeqCst);
-                self.record(|| ReplOp::Del { key: k.as_bytes().to_vec() });
+                self.slots.delta[key_slot(key) as usize].fetch_sub(1, Ordering::SeqCst);
+                self.record(OpRef::Del { key });
                 true
             }
         }
     }
 
-    /// Record one applied mutation: append it to the shard's redo log
+    /// Is `key` present with a deadline that has passed? (The caller
+    /// holds the write lock and an epoch pin.) Every expiry path asks
+    /// this again under the lock before deleting: what it saw lock-free
+    /// may have been overwritten since.
+    fn is_due(&self, key: &[u8], now: u64) -> bool {
+        self.table
+            .get(key)
+            .and_then(|off| self.blob_meta(off))
+            .is_some_and(|m| is_expired(m.expire_at_ms, now))
+    }
+
+    /// Record one applied mutation: buffer it for the shard's redo log
     /// (when file-backed) and publish it to the replication hub. Called
     /// with the shard write lock held, *after* the table update — which
     /// is what makes the hub's offset a consistent cut (every op at or
-    /// below a subscriber's start offset is already in the table).
+    /// below a subscriber's start offset is already in the table), and
+    /// the log's record order the apply order.
     ///
-    /// A log append failure must not fail the op (the write is already
-    /// applied and durable in the pool), but it must not leave a silent
-    /// *gap* either — a replay over a gapped log would reconstruct a
-    /// state that never existed. So the first failure poisons the
-    /// shard's log: no further records are appended (the log stays a
-    /// clean prefix, replaying to a consistent-but-stale state, exactly
-    /// like an older backup), and every skipped op keeps incrementing
-    /// the `INFO log_append_errors` counter so the operator sees both
-    /// the failure and its scale. Live replica streams are unaffected
-    /// (they feed from the hub, not the log).
-    fn record(&self, make: impl FnOnce() -> ReplOp) {
-        match &self.log {
-            Some(log) => {
-                let op = make();
-                if self.log_errors.load(Ordering::Relaxed) == 0 {
-                    if log.lock().append(&op).is_err() {
-                        self.log_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                } else {
-                    self.log_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                self.hub.publish_with(move || op);
+    /// The record is encoded straight from the caller's `key`/`value`;
+    /// an owned [`ReplOp`] exists only if a replica sink wants one. The
+    /// buffer reaches the file at the end of the [`LogBatch`] scope open
+    /// on this thread, or — none open — here, before returning
+    /// (write-through). A failed log write never fails the op (it is
+    /// applied and durable in the pool): it poisons the [`LogWriter`],
+    /// which keeps the file a clean prefix and counts what it drops
+    /// (`INFO log_append_errors`). Live replica streams feed from the
+    /// hub and are unaffected.
+    fn record(&self, op: OpRef<'_>) {
+        if let Some(log) = &self.log {
+            let deferred = LogBatch::defers(self);
+            let mut log = log.lock();
+            log.buffer(op);
+            if !deferred {
+                let _ = log.flush();
             }
-            None => self.hub.publish_with(make),
         }
+        self.hub.publish_with(|| op.to_owned());
+    }
+}
+
+thread_local! {
+    /// The [`LogBatch`] scope open on this thread, if any.
+    static LOG_BATCH: std::cell::RefCell<BatchScope> = const {
+        std::cell::RefCell::new(BatchScope { engine: 0, depth: 0, touched: Vec::new() })
+    };
+}
+
+struct BatchScope {
+    /// Which engine's scope (the address of its hub; 0 = none open).
+    engine: usize,
+    /// Nesting depth: only the outermost guard flushes.
+    depth: usize,
+    /// Shards that buffered a record inside the scope.
+    touched: Vec<usize>,
+}
+
+/// A group-commit scope: while one is open on a thread, the mutations
+/// that thread applies buffer their redo records instead of writing them
+/// one `write(2)` each, and dropping the outermost guard flushes every
+/// shard touched — one `write` per shard. The holder must not let an
+/// acknowledgement of those mutations out before the guard is dropped;
+/// in exchange, *acknowledged ⇒ in the page cache* holds exactly as it
+/// does write-through. Dropping on unwind flushes too, so a panic costs
+/// no record of an earlier, successful mutation of the scope.
+///
+/// A connection opens one per readiness tick around its pipelined
+/// commands; the engine's own batch calls open one around each batch.
+/// There is nothing to configure: the scope is as long as the work
+/// whose acknowledgements leave together.
+pub(crate) struct LogBatch<'a> {
+    engine: &'a ShardedDash,
+    /// False when another engine's scope was already open on this
+    /// thread: this guard then does nothing and the calls under it stay
+    /// write-through.
+    entered: bool,
+}
+
+impl LogBatch<'_> {
+    /// Should `shard`'s record stay buffered (a scope of its engine is
+    /// open on this thread)? Notes the shard for the closing flush.
+    fn defers(shard: &Shard) -> bool {
+        LOG_BATCH.with(|scope| {
+            let mut scope = scope.borrow_mut();
+            if scope.depth == 0 || scope.engine != Arc::as_ptr(&shard.hub) as usize {
+                return false;
+            }
+            if !scope.touched.contains(&shard.index) {
+                scope.touched.push(shard.index);
+            }
+            true
+        })
+    }
+}
+
+impl Drop for LogBatch<'_> {
+    fn drop(&mut self) {
+        if !self.entered {
+            return;
+        }
+        // The list is taken out (and handed back, emptied, for its
+        // capacity) so that no flush runs under the `RefCell` borrow.
+        let touched = LOG_BATCH.with(|scope| {
+            let mut scope = scope.borrow_mut();
+            scope.depth -= 1;
+            if scope.depth > 0 {
+                return None;
+            }
+            scope.engine = 0;
+            Some(std::mem::take(&mut scope.touched))
+        });
+        let Some(mut touched) = touched else { return };
+        for &si in &touched {
+            if let Some(log) = &self.engine.shards[si].log {
+                let _ = log.lock().flush();
+            }
+        }
+        touched.clear();
+        LOG_BATCH.with(|scope| scope.borrow_mut().touched = touched);
     }
 }
 
@@ -639,6 +716,7 @@ impl ShardedDash {
                     let pool = PmemPool::create(PoolConfig::with_size(cfg.shard_bytes))?;
                     let table = DashEh::create(pool.clone(), DashConfig::default())?;
                     shards.push(Shard {
+                        index: shards.len(),
                         pool,
                         table,
                         write_lock: Mutex::new(()),
@@ -647,7 +725,6 @@ impl ShardedDash {
                         info: ShardInfo { recovered: false, clean: true, version: 1 },
                         log: None,
                         hub: hub.clone(),
-                        log_errors: AtomicU64::new(0),
                         blob_written: AtomicU64::new(0),
                         blob_released: AtomicU64::new(0),
                         lock_waits: AtomicU64::new(0),
@@ -696,6 +773,7 @@ impl ShardedDash {
                     // first DBSIZE/INFO; fresh ones are known empty.
                     let base_keys = if recovered { OnceLock::new() } else { OnceLock::from(0) };
                     shards.push(Shard {
+                        index: i,
                         pool,
                         table,
                         write_lock: Mutex::new(()),
@@ -704,7 +782,6 @@ impl ShardedDash {
                         info: ShardInfo { recovered, clean: out.clean, version: out.version },
                         log: Some(Mutex::new(log)),
                         hub: hub.clone(),
-                        log_errors: AtomicU64::new(0),
                         blob_written: AtomicU64::new(0),
                         blob_released: AtomicU64::new(0),
                         lock_waits: AtomicU64::new(0),
@@ -754,29 +831,46 @@ impl ShardedDash {
         &self.shards[self.shard_index(key)]
     }
 
-    fn check_key(key: &[u8]) -> EngineResult<VarKey> {
+    fn check_key(key: &[u8]) -> EngineResult<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(EngineError::KeyTooLong(key.len()));
         }
-        Ok(VarKey::new(key.to_vec()))
+        Ok(())
     }
 
-    /// Read a key's value (`None` when absent — or expired: an expired
-    /// key is never served). Lock-free; on a primary an expired key
-    /// found here is lazily deleted (replicated as `DEL`).
-    pub fn get(&self, key: &[u8]) -> EngineResult<Option<Vec<u8>>> {
-        Ok(self.get_with_expiry(key)?.map(|(v, _)| v))
+    /// Open a group-commit scope on this thread (see [`LogBatch`]).
+    pub(crate) fn log_batch(&self) -> LogBatch<'_> {
+        let id = Arc::as_ptr(&self.hub) as usize;
+        let entered = LOG_BATCH.with(|scope| {
+            let mut scope = scope.borrow_mut();
+            if scope.depth == 0 {
+                scope.engine = id;
+            }
+            let ours = scope.engine == id;
+            if ours {
+                scope.depth += 1;
+            }
+            ours
+        });
+        LogBatch { engine: self, entered }
     }
 
-    /// Read a key's value plus its expiry deadline in Unix ms (0 = no
-    /// expiry) — how cluster migration carries TTLs across nodes.
-    pub fn get_with_expiry(&self, key: &[u8]) -> EngineResult<Option<(Vec<u8>, u64)>> {
-        let k = Self::check_key(key)?;
+    /// The one read path: look `key` up and, when it is present and not
+    /// expired, hand its value — still in the pool, under the epoch pin
+    /// — and its expiry deadline to `f`. `None` when absent or expired:
+    /// an expired key is never served, and on a primary one found here
+    /// is lazily deleted (replicated as `DEL`). Lock-free.
+    fn read_with<R>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&[u8], u64) -> R,
+    ) -> EngineResult<Option<R>> {
+        Self::check_key(key)?;
         let shard = self.shard(key);
         let now = now_ms();
         {
             let _pin = shard.pin();
-            let Some(off) = shard.table.get(&k) else {
+            let Some(off) = shard.table.get(key) else {
                 return Ok(None);
             };
             let Some(meta) = shard.blob_meta(off) else {
@@ -784,39 +878,71 @@ impl ShardedDash {
             };
             if !is_expired(meta.expire_at_ms, now) {
                 self.touch(shard, off, &meta, now);
-                return Ok(Some((shard.read_payload(off, &meta), meta.expire_at_ms)));
+                return Ok(Some(f(shard.payload(off, &meta), meta.expire_at_ms)));
             }
         }
         // Deadline passed: hidden everywhere, deleted on a primary (the
         // pin is dropped first — the delete defers the blob free, which
         // a pin held by this thread would keep pending forever).
-        self.lazy_expire_key(shard, &k, now);
+        self.lazy_expire_key(shard, key, now);
         Ok(None)
+    }
+
+    /// Read a key's value (`None` when absent or expired).
+    pub fn get(&self, key: &[u8]) -> EngineResult<Option<Vec<u8>>> {
+        self.read_with(key, |value, _| value.to_vec())
+    }
+
+    /// Read a key's value plus its expiry deadline in Unix ms (0 = no
+    /// expiry) — how cluster migration carries TTLs across nodes.
+    pub fn get_with_expiry(&self, key: &[u8]) -> EngineResult<Option<(Vec<u8>, u64)>> {
+        self.read_with(key, |value, expire_at_ms| (value.to_vec(), expire_at_ms))
+    }
+
+    /// `GET` as the wire wants it: append the reply for `key` to `out` —
+    /// the RESP bulk header, then the value copied once, pool to `out`,
+    /// under the epoch pin; the nil bulk when absent or expired.
+    pub fn get_into(&self, key: &[u8], out: &mut Vec<u8>) -> EngineResult<()> {
+        if self.read_with(key, |value, _| crate::resp::encode_bulk(value, out))?.is_none() {
+            out.extend_from_slice(crate::resp::NIL);
+        }
+        Ok(())
     }
 
     /// Whether a key is present (expired keys are not). Lock-free, does
     /// not copy the value.
     pub fn exists(&self, key: &[u8]) -> EngineResult<bool> {
-        let k = Self::check_key(key)?;
+        Self::check_key(key)?;
         let shard = self.shard(key);
         let now = now_ms();
         let live = {
             let _pin = shard.pin();
-            match shard.table.get(&k).and_then(|off| shard.blob_meta(off)) {
+            match shard.table.get(key).and_then(|off| shard.blob_meta(off)) {
                 None => return Ok(false),
                 Some(meta) => !is_expired(meta.expire_at_ms, now),
             }
         };
         if !live {
-            self.lazy_expire_key(shard, &k, now);
+            self.lazy_expire_key(shard, key, now);
         }
         Ok(live)
     }
 
-    /// Insert or overwrite. Durable before return: both the value blob
-    /// and the table update are persisted by the time this returns, so a
-    /// reply sent after `set` is an acknowledged write that survives a
-    /// process kill. Clears any previous TTL (plain `SET` semantics).
+    /// Insert or overwrite. Clears any previous TTL (plain `SET`
+    /// semantics).
+    ///
+    /// The durability contract of every mutating call, in two halves.
+    /// The **pool** — the ground truth — is persisted per operation: the
+    /// value blob and the table update are flushed and fenced by the
+    /// time the call returns. The **redo log** — the derived replication
+    /// and backup feed — is in the kernel before the mutation can be
+    /// acknowledged: a direct call like this one is write-through (its
+    /// record is written before it returns), and a connection, which
+    /// executes a whole tick of pipelined commands under one
+    /// [`LogBatch`], writes the batch out before that tick's first reply
+    /// byte goes to the socket. Either way a reply sent after `set` is
+    /// an acknowledged write that survives a process kill, in the pool
+    /// and in the log.
     pub fn set(&self, key: &[u8], value: &[u8]) -> EngineResult<()> {
         self.set_with_expiry(key, value, 0)
     }
@@ -831,40 +957,40 @@ impl ShardedDash {
         value: &[u8],
         expire_at_ms: u64,
     ) -> EngineResult<()> {
-        let k = Self::check_key(key)?;
+        Self::check_key(key)?;
         if value.len() > MAX_VALUE_LEN {
             return Err(EngineError::ValueTooLong(value.len()));
         }
         let si = self.shard_index(key);
         let shard = &self.shards[si];
         let _w = shard.lock_write();
-        self.set_under_budget(si, &k, value, expire_at_ms, now_ms())
+        self.set_under_budget(si, key, value, expire_at_ms, now_ms())
     }
 
     /// Delete a key; true when it existed.
     pub fn del(&self, key: &[u8]) -> EngineResult<bool> {
-        let k = Self::check_key(key)?;
+        Self::check_key(key)?;
         let shard = self.shard(key);
         let _w = shard.lock_write();
-        Ok(shard.del_locked(&k))
+        Ok(shard.del_locked(key))
     }
 
     /// Remaining TTL of `key` in milliseconds: `-2` when absent (or
     /// expired), `-1` when present without expiry, else the remaining
     /// time.
     pub fn ttl_ms(&self, key: &[u8]) -> EngineResult<i64> {
-        let k = Self::check_key(key)?;
+        Self::check_key(key)?;
         let shard = self.shard(key);
         let now = now_ms();
         let deadline = {
             let _pin = shard.pin();
-            shard.table.get(&k).and_then(|off| shard.blob_meta(off)).map(|m| m.expire_at_ms)
+            shard.table.get(key).and_then(|off| shard.blob_meta(off)).map(|m| m.expire_at_ms)
         };
         match deadline {
             None => Ok(-2),
             Some(0) => Ok(-1),
             Some(e) if is_expired(e, now) => {
-                self.lazy_expire_key(shard, &k, now);
+                self.lazy_expire_key(shard, key, now);
                 Ok(-2)
             }
             Some(e) => Ok((e - now) as i64),
@@ -878,33 +1004,33 @@ impl ShardedDash {
     /// deadline already in the past deletes the key outright (Redis
     /// semantics), replicated as `DEL`.
     pub fn expire_at(&self, key: &[u8], expire_at_ms: u64) -> EngineResult<bool> {
-        let k = Self::check_key(key)?;
+        Self::check_key(key)?;
         let si = self.shard_index(key);
         let shard = &self.shards[si];
         let now = now_ms();
         let _w = shard.lock_write();
         let current = {
             let _pin = shard.pin();
-            match shard.table.get(&k).and_then(|off| shard.blob_meta(off).map(|m| (off, m))) {
+            match shard.table.get(key).and_then(|off| shard.blob_meta(off).map(|m| (off, m))) {
                 None => return Ok(false),
                 Some((off, meta)) => (!is_expired(meta.expire_at_ms, now))
-                    .then(|| shard.read_payload(off, &meta)),
+                    .then(|| shard.payload(off, &meta).to_vec()),
             }
         };
         match current {
             None => {
                 // It was already past its *old* deadline: it is gone.
-                if shard.del_locked(&k) {
+                if shard.del_locked(key) {
                     self.expired_keys.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(false)
             }
             Some(value) => {
                 if is_expired(expire_at_ms, now) {
-                    let _ = shard.del_locked(&k);
+                    let _ = shard.del_locked(key);
                     self.expired_keys.fetch_add(1, Ordering::Relaxed);
                 } else {
-                    self.set_under_budget(si, &k, &value, expire_at_ms, now)?;
+                    self.set_under_budget(si, key, &value, expire_at_ms, now)?;
                 }
                 Ok(true)
             }
@@ -914,29 +1040,29 @@ impl ShardedDash {
     /// Remove `key`'s expiry (`PERSIST`); true when the key existed and
     /// had one. Replicates as a plain `Set` (full value, no deadline).
     pub fn persist(&self, key: &[u8]) -> EngineResult<bool> {
-        let k = Self::check_key(key)?;
+        Self::check_key(key)?;
         let si = self.shard_index(key);
         let shard = &self.shards[si];
         let now = now_ms();
         let _w = shard.lock_write();
         let current = {
             let _pin = shard.pin();
-            match shard.table.get(&k).and_then(|off| shard.blob_meta(off).map(|m| (off, m))) {
+            match shard.table.get(key).and_then(|off| shard.blob_meta(off).map(|m| (off, m))) {
                 None => return Ok(false),
                 Some((_, meta)) if meta.expire_at_ms == 0 => return Ok(false),
                 Some((off, meta)) => (!is_expired(meta.expire_at_ms, now))
-                    .then(|| shard.read_payload(off, &meta)),
+                    .then(|| shard.payload(off, &meta).to_vec()),
             }
         };
         match current {
             None => {
-                if shard.del_locked(&k) {
+                if shard.del_locked(key) {
                     self.expired_keys.fetch_add(1, Ordering::Relaxed);
                 }
                 Ok(false)
             }
             Some(value) => {
-                self.set_under_budget(si, &k, &value, 0, now)?;
+                self.set_under_budget(si, key, &value, 0, now)?;
                 Ok(true)
             }
         }
@@ -960,18 +1086,13 @@ impl ShardedDash {
     /// Delete `key` if its deadline is (still) past, under the shard
     /// write lock — the lazy half of expiry. Primary only: a replica
     /// hides the key and waits for the primary's `DEL`.
-    fn lazy_expire_key(&self, shard: &Shard, k: &VarKey, now: u64) {
+    fn lazy_expire_key(&self, shard: &Shard, key: &[u8], now: u64) {
         if !self.local_expiry.load(Ordering::Relaxed) {
             return;
         }
         let _w = shard.lock_write();
         let _pin = shard.pin();
-        let still = shard
-            .table
-            .get(k)
-            .and_then(|off| shard.blob_meta(off))
-            .is_some_and(|m| is_expired(m.expire_at_ms, now));
-        if still && shard.del_locked(k) {
+        if shard.is_due(key, now) && shard.del_locked(key) {
             self.expired_keys.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -986,16 +1107,15 @@ impl ShardedDash {
     // mid-batch pool error (`mset` only) can leave earlier keys written,
     // exactly like the equivalent sequence of single-key calls.
 
-    /// Group `keys` by shard. Returns the per-key encoded `VarKey`s plus,
-    /// per shard, the indices of the keys it owns (in input order).
-    fn group_keys(&self, keys: &[&[u8]]) -> EngineResult<(Vec<VarKey>, Vec<Vec<usize>>)> {
-        let mut vks = Vec::with_capacity(keys.len());
+    /// Validate `keys` and group them by shard: per shard, the indices
+    /// of the keys it owns (in input order).
+    fn group_keys(&self, keys: &[&[u8]]) -> EngineResult<Vec<Vec<usize>>> {
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, key) in keys.iter().enumerate() {
-            vks.push(Self::check_key(key)?);
+            Self::check_key(key)?;
             groups[self.shard_index(key)].push(i);
         }
-        Ok((vks, groups))
+        Ok(groups)
     }
 
     /// Batched read: values in key order, `None` for absent (or
@@ -1003,7 +1123,7 @@ impl ShardedDash {
     /// locks taken. Expired keys found along the way are lazily deleted
     /// after the pins drop (primary only).
     pub fn mget(&self, keys: &[&[u8]]) -> EngineResult<Vec<Option<Vec<u8>>>> {
-        let (vks, groups) = self.group_keys(keys)?;
+        let groups = self.group_keys(keys)?;
         let now = now_ms();
         let mut out = vec![None; keys.len()];
         let mut expired: Vec<(usize, usize)> = Vec::new(); // (shard, key index)
@@ -1013,24 +1133,25 @@ impl ShardedDash {
             }
             let _pin = shard.pin();
             for &i in group {
-                let Some(off) = shard.table.get(&vks[i]) else { continue };
+                let Some(off) = shard.table.get(keys[i]) else { continue };
                 let Some(meta) = shard.blob_meta(off) else { continue };
                 if is_expired(meta.expire_at_ms, now) {
                     expired.push((si, i));
                 } else {
                     self.touch(shard, off, &meta, now);
-                    out[i] = Some(shard.read_payload(off, &meta));
+                    out[i] = Some(shard.payload(off, &meta).to_vec());
                 }
             }
         }
         for (si, i) in expired {
-            self.lazy_expire_key(&self.shards[si], &vks[i], now);
+            self.lazy_expire_key(&self.shards[si], keys[i], now);
         }
         Ok(out)
     }
 
-    /// Batched insert-or-overwrite. Durable before return, like `set`.
-    /// Each shard's pairs execute under one write-lock acquisition.
+    /// Batched insert-or-overwrite, with `set`'s durability contract.
+    /// Each shard's pairs execute under one write-lock acquisition and
+    /// leave in one redo-log write.
     pub fn mset(&self, pairs: &[(&[u8], &[u8])]) -> EngineResult<()> {
         let triples: Vec<(&[u8], &[u8], u64)> =
             pairs.iter().map(|(k, v)| (*k, *v, 0)).collect();
@@ -1050,9 +1171,10 @@ impl ShardedDash {
             }
         }
         let keys: Vec<&[u8]> = triples.iter().map(|(k, _, _)| *k).collect();
-        let (vks, groups) = self.group_keys(&keys)?;
+        let groups = self.group_keys(&keys)?;
         let now = now_ms();
         let enforce = enforce && self.shard_budget.is_some();
+        let _batch = self.log_batch();
         for (si, (shard, group)) in self.shards.iter().zip(&groups).enumerate() {
             if group.is_empty() {
                 continue;
@@ -1063,13 +1185,13 @@ impl ShardedDash {
                 // deferred frees, and a pin held by this thread would
                 // keep them pending forever.
                 for &i in group {
-                    self.set_under_budget(si, &vks[i], triples[i].1, triples[i].2, now)?;
+                    self.set_under_budget(si, keys[i], triples[i].1, triples[i].2, now)?;
                 }
             } else {
                 let _pin = shard.pin();
                 let access = policy::initial_access(self.policy, now);
                 for &i in group {
-                    shard.set_locked(&vks[i], triples[i].1, triples[i].2, access)?;
+                    shard.set_locked(keys[i], triples[i].1, triples[i].2, access)?;
                 }
             }
         }
@@ -1079,8 +1201,9 @@ impl ShardedDash {
     /// Batched delete; returns how many of the keys existed. Each shard's
     /// keys execute under one write-lock acquisition and one epoch pin.
     pub fn mdel(&self, keys: &[&[u8]]) -> EngineResult<u64> {
-        let (vks, groups) = self.group_keys(keys)?;
+        let groups = self.group_keys(keys)?;
         let mut removed = 0u64;
+        let _batch = self.log_batch();
         for (shard, group) in self.shards.iter().zip(&groups) {
             if group.is_empty() {
                 continue;
@@ -1088,7 +1211,7 @@ impl ShardedDash {
             let _w = shard.lock_write();
             let _pin = shard.pin();
             for &i in group {
-                removed += u64::from(shard.del_locked(&vks[i]));
+                removed += u64::from(shard.del_locked(keys[i]));
             }
         }
         Ok(removed)
@@ -1098,7 +1221,7 @@ impl ShardedDash {
     /// (a key listed twice counts twice, RESP `EXISTS` semantics).
     /// Lock-free: one epoch pin per shard group.
     pub fn mexists(&self, keys: &[&[u8]]) -> EngineResult<u64> {
-        let (vks, groups) = self.group_keys(keys)?;
+        let groups = self.group_keys(keys)?;
         let now = now_ms();
         let mut present = 0u64;
         let mut expired: Vec<(usize, usize)> = Vec::new();
@@ -1108,7 +1231,7 @@ impl ShardedDash {
             }
             let _pin = shard.pin();
             for &i in group {
-                match shard.table.get(&vks[i]).and_then(|off| shard.blob_meta(off)) {
+                match shard.table.get(keys[i]).and_then(|off| shard.blob_meta(off)) {
                     Some(meta) if is_expired(meta.expire_at_ms, now) => expired.push((si, i)),
                     Some(_) => present += 1,
                     None => {}
@@ -1116,7 +1239,7 @@ impl ShardedDash {
             }
         }
         for (si, i) in expired {
-            self.lazy_expire_key(&self.shards[si], &vks[i], now);
+            self.lazy_expire_key(&self.shards[si], keys[i], now);
         }
         Ok(present)
     }
@@ -1343,7 +1466,7 @@ impl ShardedDash {
     fn set_under_budget(
         &self,
         si: usize,
-        k: &VarKey,
+        key: &[u8],
         value: &[u8],
         expire_at_ms: u64,
         now: u64,
@@ -1363,7 +1486,7 @@ impl ShardedDash {
         }
         let mut attempts = 0;
         loop {
-            match shard.set_locked(k, value, expire_at_ms, access) {
+            match shard.set_locked(key, value, expire_at_ms, access) {
                 Err(e)
                     if is_pool_oom(&e)
                         && self.max_memory.is_some()
@@ -1443,7 +1566,7 @@ impl ShardedDash {
             shard.sample_pos.store(pos, Ordering::Relaxed);
         }
         match victim {
-            Some((k, _, expired)) if shard.del_locked(&k) => {
+            Some((k, _, expired)) if shard.del_locked(k.as_bytes()) => {
                 let counter = if expired { &self.expired_keys } else { &self.evicted_keys };
                 counter.fetch_add(1, Ordering::Relaxed);
                 true
@@ -1470,15 +1593,9 @@ impl ShardedDash {
             let _w = shard.lock_write();
             let _pin = shard.pin();
             for entry in due {
-                let k = VarKey::new(entry.key);
                 // The entry is a hint: the key may be gone, overwritten
                 // without a TTL, or re-written with a later deadline.
-                let still = shard
-                    .table
-                    .get(&k)
-                    .and_then(|off| shard.blob_meta(off))
-                    .is_some_and(|m| is_expired(m.expire_at_ms, now));
-                if still && shard.del_locked(&k) {
+                if shard.is_due(&entry.key, now) && shard.del_locked(&entry.key) {
                     n += 1;
                 }
             }
@@ -1531,12 +1648,7 @@ impl ShardedDash {
         let _w = shard.lock_write();
         let _pin = shard.pin();
         for k in &stale {
-            let still = shard
-                .table
-                .get(k)
-                .and_then(|off| shard.blob_meta(off))
-                .is_some_and(|m| is_expired(m.expire_at_ms, now));
-            if still && shard.del_locked(k) {
+            if shard.is_due(k.as_bytes(), now) && shard.del_locked(k.as_bytes()) {
                 n += 1;
             }
         }
@@ -1661,8 +1773,7 @@ impl ShardedDash {
                     if is_expired(meta.expire_at_ms, now) {
                         continue;
                     }
-                    let value = shard.read_payload(*off, &meta);
-                    emit(key.as_bytes(), &value, meta.expire_at_ms)
+                    emit(key.as_bytes(), shard.payload(*off, &meta), meta.expire_at_ms)
                         .map_err(|e| EngineError::Snapshot(e.to_string()))?;
                 }
                 if page.cursor.is_done() {
@@ -1814,10 +1925,19 @@ impl ShardedDash {
         self.hub.sink_count()
     }
 
-    /// Redo-log append failures since open (the ops themselves
-    /// succeeded; their log records are missing).
+    /// Redo-log records dropped since open (the ops themselves
+    /// succeeded; a failed write poisoned their shard's log).
     pub fn log_append_errors(&self) -> u64 {
-        self.shards.iter().map(|s| s.log_errors.load(Ordering::Relaxed)).sum()
+        self.shards.iter().filter_map(|s| s.log.as_ref()).map(|l| l.lock().dropped()).sum()
+    }
+
+    /// `write(2)` calls the redo logs issued for records since open.
+    /// Against the records written over the same interval
+    /// ([`repl_offset`](Self::repl_offset)) this is the group commit's
+    /// batching factor: equal when every op travels alone, far fewer
+    /// under pipelines and batches.
+    pub fn repl_log_flushes(&self) -> u64 {
+        self.shards.iter().filter_map(|s| s.log.as_ref()).map(|l| l.lock().flushes()).sum()
     }
 
     /// Register a replica stream: returns the subscription whose

@@ -152,13 +152,13 @@ impl Metrics {
     #[inline]
     pub fn observe_command(
         &self,
-        parts: &[Vec<u8>],
+        parts: &[impl AsRef<[u8]>],
         elapsed: Duration,
         worker: u64,
         stages_ns: Option<[u64; crate::trace::Stage::COUNT]>,
     ) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let family = CmdFamily::classify(&parts[0]);
+        let family = CmdFamily::classify(parts[0].as_ref());
         self.cmd_hist[family.index()].record(ns);
         self.slowlog.maybe_record(ns, parts, worker, stages_ns);
     }

@@ -98,8 +98,9 @@ pub(crate) fn render(inner: &Inner) -> String {
     // Replication: the stream position, each live sink's position and
     // lag, and how often this replica's link had to be rebuilt.
     counter(&mut out, "dash_repl_offset", "Replication stream offset (ops since store creation).", inner.engine.repl_offset());
+    counter(&mut out, "dash_repl_log_flushes_total", "write(2) calls the redo logs issued for records since open (records per flush is the group-commit batching factor).", inner.engine.repl_log_flushes());
     gauge_i(&mut out, "dash_repl_connected_replicas", "Live replica streams.", inner.engine.connected_replicas() as i64);
-    counter(&mut out, "dash_log_append_errors_total", "Redo-log append failures (ops applied, records missing).", inner.engine.log_append_errors());
+    counter(&mut out, "dash_log_append_errors_total", "Redo-log records dropped by a failed write (ops applied, records missing).", inner.engine.log_append_errors());
     counter(&mut out, "dash_repl_reconnects_total", "Replica-side reconnects to the primary.", m.repl_reconnects.get());
     help_type(&mut out, "dash_repl_sink_lag_ops", "Ops queued to a replica sink, not yet drained.", "gauge");
     help_type(&mut out, "dash_repl_sink_offset", "The sink's acknowledged stream position (offset minus lag).", "gauge");

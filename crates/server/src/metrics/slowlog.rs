@@ -71,7 +71,7 @@ impl SlowLog {
     pub fn maybe_record(
         &self,
         duration_ns: u64,
-        parts: &[Vec<u8>],
+        parts: &[impl AsRef<[u8]>],
         worker: u64,
         stages_ns: Option<[u64; crate::trace::Stage::COUNT]>,
     ) {
@@ -79,8 +79,9 @@ impl SlowLog {
         if duration_us < self.threshold_us.load(Ordering::Relaxed) {
             return;
         }
-        let cmd = String::from_utf8_lossy(&parts[0]).to_ascii_uppercase();
+        let cmd = String::from_utf8_lossy(parts[0].as_ref()).to_ascii_uppercase();
         let key = parts.get(1).map_or_else(String::new, |k| {
+            let k = k.as_ref();
             String::from_utf8_lossy(&k[..k.len().min(KEY_PREFIX_LEN)]).into_owned()
         });
         let unix_secs =

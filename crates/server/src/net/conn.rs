@@ -17,26 +17,49 @@
 //!   are read per tick; level-triggered epoll re-arms the rest, so one
 //!   firehose connection cannot starve its loop-mates.
 //!
+//! And what a burst did grow is given back: a buffer that one large
+//! command or reply stretched returns to its resting size once it drains
+//! ([`release_if_oversized`]), so peak capacity is not pinned for the
+//! life of the connection.
+//!
+//! **One pass, nothing copied twice.** Bytes are read straight into the
+//! read buffer; each command is decoded into slices *of that buffer*
+//! ([`decode_args`]), executed, and its reply appended to the write
+//! buffer by [`execute`] itself (a `GET` value goes pool → write buffer
+//! in one copy). In steady state a request allocates nothing.
+//!
+//! **Group commit, scoped to the tick.** [`Conn::run_commands`] holds one
+//! [`LogBatch`](crate::engine::LogBatch) for as long as it executes: the
+//! redo-log records of the tick's mutations are buffered, and written
+//! out — one `write(2)` per shard touched — when it returns, which is
+//! before [`Conn::on_ready`] hands any of the tick's reply bytes to the
+//! socket. Acknowledged therefore still implies logged, at a fraction of
+//! a syscall per pipelined write.
+//!
 //! The slow paths keep their blocking shape deliberately: `SHUTDOWN`'s
 //! `+OK` and the `PSYNC` handoff flush with a bounded blocking write,
 //! because both are once-per-connection events whose next act (server
 //! teardown, replication streaming) is blocking anyway.
 
 use std::collections::VecDeque;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Write};
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
 use crate::metrics::CmdFamily;
-use crate::resp::{decode_command, encode, Decode, Value};
+use crate::resp::{decode_args, encode, Decode, Value};
 use crate::server::{execute, Inner, Outcome, Session, WRITE_TIMEOUT};
 use crate::trace::{self, Stage};
 
-use super::sys::Interest;
+use super::sys::{read_spare, Interest};
 
-/// Read chunk per `read` call.
+/// The read buffer's resting capacity, and so the most one `read` asks
+/// for on a connection that keeps up.
 const READ_CHUNK: usize = 64 * 1024;
+/// Spare read-buffer capacity below which a `read` first grows the
+/// buffer (a partial command is sitting in it).
+const MIN_READ_SPARE: usize = READ_CHUNK / 4;
 /// Reads per readiness tick before yielding to other connections.
 const MAX_READS_PER_EVENT: usize = 4;
 /// Pending-reply bytes above which the connection stops executing
@@ -111,14 +134,35 @@ pub(crate) struct Conn {
     /// have not fully reached the kernel yet; completed (reply-flush
     /// stage stamped) as `wsent` passes their end offset.
     pending_traces: VecDeque<PendingTrace>,
-    /// In-flight command context for the worker-panic log line: name and
-    /// key prefixes (fixed-size copies, no per-command allocation) plus
-    /// the active trace span id (0 when untraced).
-    panic_cmd: [u8; PANIC_CTX_LEN],
-    panic_cmd_len: u8,
-    panic_key: [u8; PANIC_CTX_LEN],
-    panic_key_len: u8,
-    panic_span: u64,
+    /// The command in flight, for the worker-panic log line.
+    panic: PanicContext,
+}
+
+/// In-flight command context for the worker-panic log line: name and key
+/// prefixes (fixed-size copies, no per-command allocation) plus the
+/// active trace span id (0 when untraced).
+#[derive(Default)]
+struct PanicContext {
+    cmd: [u8; PANIC_CTX_LEN],
+    cmd_len: u8,
+    key: [u8; PANIC_CTX_LEN],
+    key_len: u8,
+    span: u64,
+}
+
+impl PanicContext {
+    /// Remember the command about to execute.
+    fn note(&mut self, parts: &[&[u8]], span_id: u64) {
+        let cmd = parts.first().copied().unwrap_or(b"");
+        let n = cmd.len().min(PANIC_CTX_LEN);
+        self.cmd[..n].copy_from_slice(&cmd[..n]);
+        self.cmd_len = n as u8;
+        let key = parts.get(1).copied().unwrap_or(b"");
+        let k = key.len().min(PANIC_CTX_LEN);
+        self.key[..k].copy_from_slice(&key[..k]);
+        self.key_len = k as u8;
+        self.span = span_id;
+    }
 }
 
 /// A captured span waiting for its reply bytes to reach the kernel.
@@ -135,6 +179,17 @@ struct PendingTrace {
 
 fn dur_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Give back what one large command or reply made a connection buffer
+/// grow to: called on a buffer that has just drained, it returns an
+/// oversized one to its resting capacity, so that a 16 MiB `MSET` (or a
+/// trip to [`HIGH_WATER`]) does not pin that memory until the client
+/// disconnects.
+fn release_if_oversized(buf: &mut Vec<u8>) {
+    if buf.is_empty() && buf.capacity() > 4 * READ_CHUNK {
+        buf.shrink_to(READ_CHUNK);
+    }
 }
 
 impl Conn {
@@ -154,11 +209,7 @@ impl Conn {
             wsent: 0,
             cmd_mark: None,
             pending_traces: VecDeque::new(),
-            panic_cmd: [0; PANIC_CTX_LEN],
-            panic_cmd_len: 0,
-            panic_key: [0; PANIC_CTX_LEN],
-            panic_key_len: 0,
-            panic_span: 0,
+            panic: PanicContext::default(),
         }
     }
 
@@ -246,20 +297,21 @@ impl Conn {
         self.stream
     }
 
+    /// Read what the socket has, up to the burst bound, straight into
+    /// the read buffer's spare capacity.
     fn read_burst(&mut self) -> io::Result<()> {
-        let mut chunk = [0u8; READ_CHUNK];
         for _ in 0..MAX_READS_PER_EVENT {
-            match self.stream.read(&mut chunk) {
+            if self.rbuf.capacity() - self.rbuf.len() < MIN_READ_SPARE {
+                self.rbuf.reserve(READ_CHUNK);
+            }
+            let spare = self.rbuf.capacity() - self.rbuf.len();
+            match read_spare(self.stream.as_raw_fd(), &mut self.rbuf) {
                 Ok(0) => {
                     self.peer_eof = true;
                     return Ok(());
                 }
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
-                        return Ok(()); // socket drained
-                    }
-                }
+                Ok(n) if n < spare => return Ok(()), // socket drained
+                Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
@@ -272,12 +324,18 @@ impl Conn {
     /// buffer until it drains, backpressure pauses it, or a
     /// connection-fate command (SHUTDOWN/PSYNC) executes.
     fn run_commands(&mut self, inner: &Inner) -> Ran {
+        // The tick's group commit: redo records buffer while this is
+        // held and are written out when it drops — on every way out of
+        // this function, a panic's unwind included — so before the
+        // caller can put a reply byte on the socket.
+        let _batch = inner.engine.log_batch();
         loop {
             if self.pending() >= HIGH_WATER {
                 return Ran::Paused;
             }
             let t_parse = Instant::now();
-            match decode_command(&self.rbuf[self.consumed..]) {
+            let (parts, used) = match decode_args(&self.rbuf[self.consumed..]) {
+                Ok(Decode::Complete(parts, used)) => (parts, used),
                 Ok(Decode::Incomplete) => {
                     if self.consumed > 0 {
                         self.rbuf.drain(..self.consumed);
@@ -290,103 +348,9 @@ impl Conn {
                     // first bytes ARE already waiting.
                     if self.rbuf.is_empty() {
                         self.cmd_mark = None;
+                        release_if_oversized(&mut self.rbuf);
                     }
                     return Ran::Drained;
-                }
-                Ok(Decode::Complete(parts, used)) => {
-                    self.consumed += used;
-                    inner.count_command();
-                    // The instrumentation seam: every executed command is
-                    // timed here, and the elapsed time feeds the per-family
-                    // histogram and (if over threshold) the SLOWLOG. A
-                    // command is *captured* — full per-stage attribution —
-                    // when a TRACEID forced it or the 1-in-N sampler picked
-                    // it; everything else pays only the timestamps below.
-                    let queue_start = self.cmd_mark.take();
-                    let forced = self.session.trace_force.take();
-                    let tracing = inner.tracer.enabled();
-                    let captured =
-                        forced.is_some() || (tracing && inner.tracer.sample_tick());
-                    let span_id = if captured {
-                        let id = match forced {
-                            Some((id, _)) => id,
-                            None => inner.tracer.alloc_id(),
-                        };
-                        trace::begin_span(id);
-                        id
-                    } else {
-                        0
-                    };
-                    self.note_panic_context(&parts, span_id);
-                    let started = Instant::now();
-                    let outcome = execute(&parts, inner, &mut self.session);
-                    let exec_end = Instant::now();
-                    let exec_ns = dur_ns(exec_end - started);
-                    // End the span whatever the outcome, so the
-                    // thread-locals are disarmed before the next command.
-                    let detail = if captured {
-                        Some(trace::end_span(started, exec_ns))
-                    } else {
-                        None
-                    };
-                    self.panic_span = 0;
-                    let mut stages: Option<[u64; Stage::COUNT]> = None;
-                    let mut pre_total_ns = 0u64;
-                    if tracing || captured {
-                        let queue_ns =
-                            queue_start.map_or(0, |t| dur_ns(t_parse.saturating_duration_since(t)));
-                        let parse_ns = dur_ns(started.saturating_duration_since(t_parse));
-                        if let Some(d) = detail {
-                            let mut s = [0u64; Stage::COUNT];
-                            s[Stage::QueueWait.index()] = queue_ns;
-                            s[Stage::Parse.index()] = parse_ns;
-                            s[Stage::Dispatch.index()] = d.dispatch_ns;
-                            s[Stage::LockWait.index()] = d.lock_wait_ns;
-                            s[Stage::Execute.index()] = d.execute_ns;
-                            s[Stage::Persist.index()] = d.persist_ns;
-                            stages = Some(s);
-                            pre_total_ns = queue_ns + parse_ns + exec_ns;
-                        } else {
-                            // Not sampled, but slow enough to capture
-                            // anyway — coarse: the whole execute seam lands
-                            // in the execute stage.
-                            let threshold_us = inner.tracer.threshold_us();
-                            let total = queue_ns + parse_ns + exec_ns;
-                            if threshold_us > 0 && total >= threshold_us.saturating_mul(1000) {
-                                let mut s = [0u64; Stage::COUNT];
-                                s[Stage::QueueWait.index()] = queue_ns;
-                                s[Stage::Parse.index()] = parse_ns;
-                                s[Stage::Execute.index()] = exec_ns;
-                                stages = Some(s);
-                                pre_total_ns = total;
-                            }
-                        }
-                    }
-                    inner.metrics.observe_command(&parts, exec_end - started, self.worker, stages);
-                    match outcome {
-                        Outcome::Reply(v) => {
-                            encode(&v, &mut self.wbuf);
-                            if let Some(s) = stages {
-                                self.push_pending_trace(
-                                    inner,
-                                    &parts,
-                                    span_id,
-                                    forced,
-                                    s,
-                                    pre_total_ns,
-                                    exec_end,
-                                );
-                            }
-                        }
-                        Outcome::Shutdown => {
-                            encode(&Value::Simple("OK".into()), &mut self.wbuf);
-                            return Ran::Shutdown;
-                        }
-                        Outcome::StartReplication => return Ran::Replicate,
-                    }
-                    // The next pipelined command has been queued since
-                    // this one finished.
-                    self.cmd_mark = Some(exec_end);
                 }
                 Err(e) => {
                     // Protocol errors are fatal for the connection:
@@ -398,7 +362,95 @@ impl Conn {
                     self.close_after_flush = true;
                     return Ran::Drained;
                 }
+            };
+            self.consumed += used;
+            inner.count_command();
+            // The instrumentation seam: every executed command is
+            // timed here, and the elapsed time feeds the per-family
+            // histogram and (if over threshold) the SLOWLOG. A
+            // command is *captured* — full per-stage attribution —
+            // when a TRACEID forced it or the 1-in-N sampler picked
+            // it; everything else pays only the timestamps below.
+            let queue_start = self.cmd_mark.take();
+            let forced = self.session.trace_force.take();
+            let tracing = inner.tracer.enabled();
+            let captured = forced.is_some() || (tracing && inner.tracer.sample_tick());
+            let span_id = if captured {
+                let id = match forced {
+                    Some((id, _)) => id,
+                    None => inner.tracer.alloc_id(),
+                };
+                trace::begin_span(id);
+                id
+            } else {
+                0
+            };
+            self.panic.note(&parts, span_id);
+            let started = Instant::now();
+            let outcome = execute(&parts, inner, &mut self.session, &mut self.wbuf);
+            let exec_end = Instant::now();
+            let exec_ns = dur_ns(exec_end - started);
+            // End the span whatever the outcome, so the
+            // thread-locals are disarmed before the next command.
+            let detail = if captured { Some(trace::end_span(started, exec_ns)) } else { None };
+            self.panic.span = 0;
+            let mut stages: Option<[u64; Stage::COUNT]> = None;
+            let mut pre_total_ns = 0u64;
+            if tracing || captured {
+                let queue_ns =
+                    queue_start.map_or(0, |t| dur_ns(t_parse.saturating_duration_since(t)));
+                let parse_ns = dur_ns(started.saturating_duration_since(t_parse));
+                if let Some(d) = detail {
+                    let mut s = [0u64; Stage::COUNT];
+                    s[Stage::QueueWait.index()] = queue_ns;
+                    s[Stage::Parse.index()] = parse_ns;
+                    s[Stage::Dispatch.index()] = d.dispatch_ns;
+                    s[Stage::LockWait.index()] = d.lock_wait_ns;
+                    s[Stage::Execute.index()] = d.execute_ns;
+                    s[Stage::Persist.index()] = d.persist_ns;
+                    stages = Some(s);
+                    pre_total_ns = queue_ns + parse_ns + exec_ns;
+                } else {
+                    // Not sampled, but slow enough to capture
+                    // anyway — coarse: the whole execute seam lands
+                    // in the execute stage.
+                    let threshold_us = inner.tracer.threshold_us();
+                    let total = queue_ns + parse_ns + exec_ns;
+                    if threshold_us > 0 && total >= threshold_us.saturating_mul(1000) {
+                        let mut s = [0u64; Stage::COUNT];
+                        s[Stage::QueueWait.index()] = queue_ns;
+                        s[Stage::Parse.index()] = parse_ns;
+                        s[Stage::Execute.index()] = exec_ns;
+                        stages = Some(s);
+                        pre_total_ns = total;
+                    }
+                }
             }
+            inner.metrics.observe_command(&parts, exec_end - started, self.worker, stages);
+            match outcome {
+                Outcome::Replied => {
+                    if let Some(s) = stages {
+                        let end_off = self.wsent + self.pending() as u64;
+                        Self::push_pending_trace(
+                            &mut self.pending_traces,
+                            inner,
+                            &parts,
+                            self.worker,
+                            span_id,
+                            forced,
+                            s,
+                            pre_total_ns,
+                            exec_end,
+                            end_off,
+                        );
+                    }
+                }
+                Outcome::Shutdown => return Ran::Shutdown,
+                Outcome::StartReplication => return Ran::Replicate,
+            }
+            // The next pipelined command has been queued since
+            // this one finished.
+            self.cmd_mark = Some(exec_end);
         }
     }
 
@@ -421,6 +473,7 @@ impl Conn {
         if self.wpos == self.wbuf.len() {
             self.wbuf.clear();
             self.wpos = 0;
+            release_if_oversized(&mut self.wbuf);
         } else if self.wpos > COMPACT_AT {
             self.wbuf.drain(..self.wpos);
             self.wpos = 0;
@@ -445,19 +498,24 @@ impl Conn {
     /// first, before any reply byte can leave: whoever has read the reply
     /// finds the span, whichever connection or worker they ask through.
     /// The reply-flush stage is stamped in [`Conn::complete_traces`].
+    /// (An associated function over the queue: `parts` still borrows
+    /// the read buffer. `end_off` is the `wsent` value at which the
+    /// span's reply will be fully written.)
     #[allow(clippy::too_many_arguments)]
     fn push_pending_trace(
-        &mut self,
+        pending_traces: &mut VecDeque<PendingTrace>,
         inner: &Inner,
-        parts: &[Vec<u8>],
+        parts: &[&[u8]],
+        worker: u64,
         span_id: u64,
         forced: Option<(u64, u32)>,
         stages_ns: [u64; Stage::COUNT],
         pre_total_ns: u64,
         exec_end: Instant,
+        end_off: u64,
     ) {
-        if self.pending_traces.len() >= PENDING_TRACE_CAP {
-            self.pending_traces.pop_front();
+        if pending_traces.len() >= PENDING_TRACE_CAP {
+            pending_traces.pop_front();
             inner.tracer.note_abandoned(1);
         }
         let (id, hops, reason) = match forced {
@@ -469,18 +527,18 @@ impl Conn {
             id,
             hops,
             parts,
-            self.worker,
+            worker,
             stages_ns,
             pre_total_ns,
             reason,
         ));
-        let name = parts.first().map(Vec::as_slice).unwrap_or(b"");
-        self.pending_traces.push_back(PendingTrace {
+        let name = parts.first().copied().unwrap_or(b"");
+        pending_traces.push_back(PendingTrace {
             id,
             family: CmdFamily::classify(name),
             stages_ns,
             exec_end,
-            end_off: self.wsent + self.pending() as u64,
+            end_off,
         });
     }
 
@@ -515,27 +573,98 @@ impl Conn {
         }
     }
 
-    /// Remember the in-flight command (fixed-size copies, no per-command
-    /// allocation) so a worker panic can be logged with context.
-    fn note_panic_context(&mut self, parts: &[Vec<u8>], span_id: u64) {
-        let cmd = parts.first().map(Vec::as_slice).unwrap_or(b"");
-        let n = cmd.len().min(PANIC_CTX_LEN);
-        self.panic_cmd[..n].copy_from_slice(&cmd[..n]);
-        self.panic_cmd_len = n as u8;
-        let key = parts.get(1).map(Vec::as_slice).unwrap_or(b"");
-        let k = key.len().min(PANIC_CTX_LEN);
-        self.panic_key[..k].copy_from_slice(&key[..k]);
-        self.panic_key_len = k as u8;
-        self.panic_span = span_id;
-    }
-
     /// The last command this connection started executing (command name
     /// prefix, key prefix, active trace id) — the worker-panic log line.
     pub(crate) fn panic_context(&self) -> (String, String, u64) {
-        let cmd = String::from_utf8_lossy(&self.panic_cmd[..self.panic_cmd_len as usize])
-            .into_owned();
-        let key = String::from_utf8_lossy(&self.panic_key[..self.panic_key_len as usize])
-            .into_owned();
-        (cmd, key, self.panic_span)
+        let p = &self.panic;
+        let cmd = String::from_utf8_lossy(&p.cmd[..p.cmd_len as usize]).into_owned();
+        let key = String::from_utf8_lossy(&p.key[..p.key_len as usize]).into_owned();
+        (cmd, key, p.span)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::RespClient;
+    use crate::engine::{EngineConfig, ShardedDash};
+    use std::net::TcpListener;
+
+    /// Call `on_ready` on `conn` until `done` says its peer has what it
+    /// was waiting for (spurious readiness is harmless on a nonblocking
+    /// socket).
+    fn drive_until(conn: &mut Conn, inner: &Inner, done: impl Fn() -> bool) {
+        while !done() {
+            assert!(matches!(conn.on_ready(true, true, inner), Ok(Drive::Continue)));
+            std::thread::yield_now();
+        }
+    }
+
+    /// One oversized command and one oversized reply must not pin their
+    /// buffers' peak capacity on the connection: both are back at the
+    /// resting size once drained, and the connection pipelines on.
+    #[test]
+    fn buffers_shrink_back_after_a_large_command_and_keep_pipelining() {
+        let engine = ShardedDash::open(&EngineConfig {
+            shards: 2,
+            shard_bytes: 32 << 20,
+            dir: None,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let server = crate::server::serve(engine, "127.0.0.1:0").unwrap();
+        let inner = server.inner().clone();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+
+        let client = std::thread::spawn(move || {
+            let mut c = RespClient::connect(addr).unwrap();
+            // 2 MiB of command, then 2 MiB of reply.
+            let big = vec![0xABu8; 512 << 10];
+            c.mset(&[(b"big0", &big), (b"big1", &big), (b"big2", &big), (b"big3", &big)]).unwrap();
+            let got = c.mget(&[b"big0", b"big1", b"big2", b"big3"]).unwrap();
+            assert!(got.iter().all(|v| v.as_deref() == Some(big.as_slice())));
+            c
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream, 0);
+        drive_until(&mut conn, &inner, || client.is_finished());
+        let mut c = client.join().unwrap();
+        assert_eq!(
+            (conn.rbuf.capacity(), conn.wbuf.capacity()),
+            (READ_CHUNK, READ_CHUNK),
+            "drained buffers must be back at their resting capacity"
+        );
+
+        let client = std::thread::spawn(move || {
+            c.enqueue(&[b"SET", b"small", b"v"]);
+            c.enqueue(&[b"GET", b"small"]);
+            c.enqueue(&[b"PING"]);
+            c.flush().unwrap();
+            assert_eq!(c.read_reply().unwrap(), Value::Simple("OK".into()));
+            assert_eq!(c.read_reply().unwrap(), Value::bulk(*b"v"));
+            assert_eq!(c.read_reply().unwrap(), Value::Simple("PONG".into()));
+            c // kept open: a hang-up would end the drive with `Close`
+        });
+        drive_until(&mut conn, &inner, || client.is_finished());
+        let _c = client.join().unwrap();
+        assert_eq!((conn.rbuf.capacity(), conn.wbuf.capacity()), (READ_CHUNK, READ_CHUNK));
+        drop(conn);
+        server.shutdown();
+    }
+
+    #[test]
+    fn only_a_drained_oversized_buffer_is_released() {
+        let mut buf = Vec::with_capacity(8 * READ_CHUNK);
+        buf.push(1u8);
+        release_if_oversized(&mut buf);
+        assert!(buf.capacity() >= 8 * READ_CHUNK, "bytes still buffered: leave it alone");
+        buf.clear();
+        release_if_oversized(&mut buf);
+        assert_eq!(buf.capacity(), READ_CHUNK);
+        let mut modest = Vec::<u8>::with_capacity(4 * READ_CHUNK);
+        release_if_oversized(&mut modest);
+        assert_eq!(modest.capacity(), 4 * READ_CHUNK, "up to 4x the chunk is not oversized");
     }
 }

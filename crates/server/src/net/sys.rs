@@ -1,5 +1,6 @@
-//! Safe wrappers over the `libc` shim: `epoll`, `eventfd`, and the
-//! `RLIMIT_NOFILE` helpers the high-connection paths need.
+//! Safe wrappers over the `libc` shim: `epoll`, `eventfd`, a `read`
+//! into a `Vec`'s spare capacity, and the `RLIMIT_NOFILE` helpers the
+//! high-connection paths need.
 //!
 //! Everything here is Linux-only, like the rest of the tree (the pmem
 //! substrate already binds `mmap` directly). The wrappers own their
@@ -157,6 +158,23 @@ impl Drop for EventFd {
     fn drop(&mut self) {
         unsafe { libc::close(self.fd) };
     }
+}
+
+/// One `read(2)` from `fd` into `buf`'s spare capacity, extending `buf`
+/// by what arrived: no zero-filled bounce buffer, no second copy.
+pub(crate) fn read_spare(fd: RawFd, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let spare = buf.spare_capacity_mut();
+    // SAFETY: the kernel writes at most `spare.len()` bytes into memory
+    // this `Vec` owns and has not yet exposed.
+    let n = unsafe { libc::read(fd, spare.as_mut_ptr().cast(), spare.len()) };
+    if n < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    let n = n as usize;
+    // SAFETY: `read` initialized the first `n` spare bytes, `n` at most
+    // the spare capacity.
+    unsafe { buf.set_len(buf.len() + n) };
+    Ok(n)
 }
 
 /// `(soft, hard)` RLIMIT_NOFILE for this process.

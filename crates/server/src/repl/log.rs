@@ -61,13 +61,33 @@
 //! without losing replay coverage: snapshot + remaining log still
 //! reconstructs the final state.
 //!
-//! The writer issues one unbuffered `write` per record: the bytes are in
-//! the kernel page cache when `append` returns, so a process kill (the
-//! failure mode the service recovers from) loses nothing; [`sync`]
-//! (called from the engine's clean close) makes the file durable against
-//! power loss too. Sealing is a rename plus a create, neither fsynced:
-//! process-death-safe like the appends around it.
+//! **What a write guarantees.** The pool is the ground truth and is
+//! persisted per operation; this log is the derived replication and
+//! backup feed, and its contract is *acknowledged ⇒ in the kernel*: a
+//! record is in the page cache before the acknowledgement of its
+//! mutation can leave the process, so a process kill (the failure mode
+//! the service recovers from) loses nothing acknowledged. The writer
+//! therefore separates the two halves of an append. [`buffer`] encodes a
+//! record into the writer's memory, under the shard's write lock, so
+//! buffer order is apply order whichever thread wrote; [`flush`] hands
+//! everything buffered to the kernel in one `write`. Whoever is about to
+//! acknowledge flushes first: a connection once per readiness tick,
+//! before that tick's reply bytes go to the socket, and every other
+//! caller (and [`append`], which is `buffer` + `flush`) before it
+//! returns. The buffer is bounded (it flushes itself at
+//! [`BUFFER_BYTES`]), and every entry point that looks at or moves the
+//! file position — sealing, [`sync`], `Drop` — drains it first. A failed
+//! `write` poisons the writer: the records it carried and every later
+//! one are dropped and counted ([`dropped`]), so the file stays a clean
+//! prefix of the op stream instead of acquiring a gap. [`sync`] (called
+//! from the engine's clean close) makes the file durable against power
+//! loss too. Sealing is a rename plus a create, neither fsynced:
+//! process-death-safe like the writes around it.
 //!
+//! [`buffer`]: LogWriter::buffer
+//! [`flush`]: LogWriter::flush
+//! [`append`]: LogWriter::append
+//! [`dropped`]: LogWriter::dropped
 //! [`sync`]: LogWriter::sync
 
 use std::fs::{File, OpenOptions};
@@ -78,7 +98,7 @@ use dash_common::MAX_KEY_LEN;
 
 use crate::engine::MAX_VALUE_LEN;
 use crate::repl::wire::{fnv64, FileHeader, Fnv, Parser};
-use crate::repl::ReplOp;
+use crate::repl::{OpRef, ReplOp};
 
 /// `b"DASHLOG1"` as a little-endian u64.
 pub const LOG_MAGIC: u64 = u64::from_le_bytes(*b"DASHLOG1");
@@ -89,6 +109,9 @@ const LOG_VERSION_V1: u32 = 1;
 /// Size at which the active file is sealed unless the caller overrides
 /// it: the bound on what a reopen scans.
 pub const SEGMENT_BYTES: u64 = 4 << 20;
+/// Buffered bytes at which [`LogWriter::buffer`] flushes on its own: the
+/// bound on what a writer holds however long its caller defers.
+pub const BUFFER_BYTES: usize = 64 << 10;
 
 const OP_SET: u8 = 1;
 const OP_DEL: u8 = 2;
@@ -100,10 +123,14 @@ const MAX_BODY: usize = 1 + 4 + MAX_KEY_LEN + 8 + MAX_VALUE_LEN;
 
 /// Append the wire form of `op` to `out`.
 pub fn encode_record(op: &ReplOp, out: &mut Vec<u8>) {
+    encode_op(op.as_ref(), out);
+}
+
+fn encode_op(op: OpRef<'_>, out: &mut Vec<u8>) {
     let (tag, key, value, expire): (u8, &[u8], &[u8], u64) = match op {
-        ReplOp::Set { key, value } => (OP_SET, key, value, 0),
-        ReplOp::SetEx { key, value, expire_at_ms } => (OP_SET_EX, key, value, *expire_at_ms),
-        ReplOp::Del { key } => (OP_DEL, key, &[], 0),
+        OpRef::Set { key, value } => (OP_SET, key, value, 0),
+        OpRef::SetEx { key, value, expire_at_ms } => (OP_SET_EX, key, value, expire_at_ms),
+        OpRef::Del { key } => (OP_DEL, key, &[], 0),
     };
     let body_len =
         1 + 4 + key.len() + value.len() + if tag == OP_SET_EX { 8 } else { 0 };
@@ -133,12 +160,11 @@ fn encode_prelude(shard: u32, records_before: u64) -> Vec<u8> {
     out
 }
 
-/// One decoded record, its key and value borrowed from the file buffer.
+/// One decoded record, an op's key and value borrowed from the file
+/// buffer.
 enum Record<'a> {
     Base(u64),
-    Set { key: &'a [u8], value: &'a [u8] },
-    SetEx { key: &'a [u8], value: &'a [u8], expire_at_ms: u64 },
-    Del { key: &'a [u8] },
+    Op(OpRef<'a>),
 }
 
 /// Decode the record starting at `p`'s position. `None` means the bytes
@@ -176,9 +202,9 @@ fn decode_record<'a>(p: &mut Parser<'a>) -> Option<Record<'a>> {
         return None;
     }
     match tag {
-        OP_SET => Some(Record::Set { key, value }),
-        OP_SET_EX => Some(Record::SetEx { key, value, expire_at_ms }),
-        OP_DEL if value.is_empty() => Some(Record::Del { key }),
+        OP_SET => Some(Record::Op(OpRef::Set { key, value })),
+        OP_SET_EX => Some(Record::Op(OpRef::SetEx { key, value, expire_at_ms })),
+        OP_DEL if value.is_empty() => Some(Record::Op(OpRef::Del { key })),
         _ => None,
     }
 }
@@ -199,7 +225,7 @@ struct Scan {
 
 /// Validate one log file's bytes, handing each op record of the valid
 /// prefix to `on_op`. `Err` only when the header itself is unusable.
-fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(Record<'a>)) -> Result<Scan, String> {
+fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(OpRef<'a>)) -> Result<Scan, String> {
     let mut p = Parser::new(buf);
     let header = FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION_V1..=LOG_VERSION, "repl log")?;
     let mut scan = Scan {
@@ -221,7 +247,7 @@ fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(Record<'a>)) -> Result<Scan, St
             // A base record anywhere but first is not something the
             // writer produces.
             None | Some(Record::Base(_)) => break,
-            Some(op) => {
+            Some(Record::Op(op)) => {
                 on_op(op);
                 scan.records += 1;
                 scan.valid_len = p.pos();
@@ -251,16 +277,7 @@ pub struct LogRecovery {
 /// [`scan`], copying each op record out of the buffer.
 fn parse(buf: &[u8]) -> Result<(Vec<ReplOp>, Scan), String> {
     let mut ops = Vec::new();
-    let found = scan(buf, |record| {
-        ops.push(match record {
-            Record::Set { key, value } => ReplOp::Set { key: key.to_vec(), value: value.to_vec() },
-            Record::SetEx { key, value, expire_at_ms } => {
-                ReplOp::SetEx { key: key.to_vec(), value: value.to_vec(), expire_at_ms }
-            }
-            Record::Del { key } => ReplOp::Del { key: key.to_vec() },
-            Record::Base(_) => unreachable!("scan hands out op records only"),
-        })
-    })?;
+    let found = scan(buf, |op| ops.push(op.to_owned()))?;
     Ok((ops, found))
 }
 
@@ -363,8 +380,18 @@ pub struct LogWriter {
     /// Active file length (header + valid records + appends) — kept
     /// here so observing log growth never pays a stat() per scrape.
     bytes: u64,
-    /// Reused by every `append` to encode its record.
-    encode_buf: Vec<u8>,
+    /// Encoded records not yet handed to the kernel, and how many. The
+    /// counters above already include them: they are in the log as far
+    /// as anyone who can observe them is concerned, because nothing is
+    /// acknowledged before [`flush`](Self::flush).
+    buf: Vec<u8>,
+    buffered: u64,
+    /// `write` calls issued for records (records ÷ flushes is the group
+    /// commit's batching factor).
+    flushes: u64,
+    /// Records lost to a failed `write`, and every record offered since:
+    /// non-zero means poisoned.
+    dropped: u64,
 }
 
 impl LogWriter {
@@ -441,7 +468,10 @@ impl LogWriter {
             segments: segs.len() as u64,
             segment_bytes,
             bytes: bytes as u64,
-            encode_buf: Vec::new(),
+            buf: Vec::new(),
+            buffered: 0,
+            flushes: 0,
+            dropped: 0,
         };
         Ok((writer, recovery))
     }
@@ -452,6 +482,8 @@ impl LogWriter {
     /// retries. A crash between the rename and the fresh file's prelude
     /// is repaired by [`open`](Self::open) from the segment just sealed.
     fn rotate(&mut self) -> io::Result<()> {
+        // What is buffered belongs to the file being sealed.
+        self.flush()?;
         let seg = segment_path(&self.path, self.next_seq);
         std::fs::rename(&self.path, &seg)?;
         let prelude = encode_prelude(self.shard, self.records);
@@ -484,36 +516,92 @@ impl LogWriter {
     /// sealed segment currently on disk — the set a snapshot started
     /// *after* this call covers, and may delete once durable.
     pub fn rotate_for_snapshot(&mut self) -> io::Result<Vec<PathBuf>> {
+        self.flush()?;
         if self.active_records > 0 {
             self.rotate()?;
         }
         Ok(segment_files(&self.path)?.into_iter().map(|(_, p)| p).collect())
     }
 
-    /// Append one record. One `write` syscall: in the page cache (and so
-    /// safe against a process kill) when this returns. Crossing the size
-    /// cap seals the active file first (best-effort — a failed rotation
-    /// leaves the log growing, to be retried on the next append).
-    pub fn append(&mut self, op: &ReplOp) -> io::Result<()> {
-        if self.active_records > 0 && (self.bytes >= self.cap || self.active_is_v1) {
+    /// Encode one record into the buffer; nothing reaches the file until
+    /// [`flush`](Self::flush). Call under the shard's write lock, so that
+    /// buffer order is apply order. Crossing the size cap seals the
+    /// active file first (best-effort — a failed rotation leaves the log
+    /// growing, to be retried on the next record). Never fails: a
+    /// poisoned writer counts the record in [`dropped`](Self::dropped).
+    pub fn buffer(&mut self, op: OpRef<'_>) {
+        let seal_due = self.active_records > 0 && (self.bytes >= self.cap || self.active_is_v1);
+        if seal_due && self.dropped == 0 {
             let _ = self.rotate();
         }
-        self.encode_buf.clear();
-        encode_record(op, &mut self.encode_buf);
-        self.file.write_all(&self.encode_buf)?;
+        // Poisoned (possibly by the flush that sealing just tried).
+        if self.dropped > 0 {
+            self.dropped += 1;
+            return;
+        }
+        let start = self.buf.len();
+        encode_op(op, &mut self.buf);
         self.records += 1;
         self.active_records += 1;
-        self.bytes += self.encode_buf.len() as u64;
+        self.bytes += (self.buf.len() - start) as u64;
+        self.buffered += 1;
+        if self.buf.len() >= BUFFER_BYTES {
+            let _ = self.flush();
+        }
+    }
+
+    /// Hand everything buffered to the kernel — one `write`, after which
+    /// it is safe against a process kill. A failure poisons the writer:
+    /// the buffered records are dropped and counted, and so is every
+    /// record offered afterwards.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.flushes += 1;
+        let written = self.file.write_all(&self.buf);
+        if written.is_err() {
+            self.records -= self.buffered;
+            self.active_records -= self.buffered;
+            self.bytes -= self.buf.len() as u64;
+            self.dropped += self.buffered;
+        }
+        self.buf.clear();
+        self.buffered = 0;
+        written
+    }
+
+    /// Append one record write-through: [`buffer`](Self::buffer) then
+    /// [`flush`](Self::flush), so it is in the page cache when this
+    /// returns.
+    pub fn append(&mut self, op: &ReplOp) -> io::Result<()> {
+        self.buffer(op.as_ref());
+        self.flush()?;
+        if self.dropped > 0 {
+            return Err(io::Error::other("redo log poisoned by an earlier failed write"));
+        }
         Ok(())
     }
 
-    /// Records in the log so far (recovered + appended), deleted
-    /// segments included.
+    /// `write` calls issued for records since open.
+    pub fn flushes(&self) -> u64 {
+        self.flushes
+    }
+
+    /// Records dropped since open: those a failed `write` carried, and
+    /// every one offered after it.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Records in the log so far (recovered + appended, buffered ones
+    /// included), deleted segments included.
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Total log bytes on disk: sealed segments + the active file.
+    /// Total log bytes: sealed segments + the active file, what is
+    /// buffered for it included.
     pub fn bytes(&self) -> u64 {
         self.segment_bytes + self.bytes
     }
@@ -523,9 +611,10 @@ impl LogWriter {
         self.segments
     }
 
-    /// fsync the active file — durable against power loss, not just
-    /// process death.
-    pub fn sync(&self) -> io::Result<()> {
+    /// Flush, then fsync the active file — durable against power loss,
+    /// not just process death.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.flush()?;
         self.file.sync_all()
     }
 
@@ -534,6 +623,7 @@ impl LogWriter {
     /// record count is unaffected, now and after a reopen: the active
     /// file's base record carries it.
     pub fn truncate_segments(&mut self, covered: &[PathBuf]) -> io::Result<u64> {
+        self.flush()?;
         let mut removed = 0u64;
         for p in covered {
             let len = std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
@@ -548,6 +638,12 @@ impl LogWriter {
             }
         }
         Ok(removed)
+    }
+}
+
+impl Drop for LogWriter {
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -967,6 +1063,102 @@ mod tests {
         assert!(segment_files(&p.0).unwrap().is_empty());
         assert_eq!(base_of(&p.0), Some(0));
         assert_eq!(read_chain(&p.0).len(), 1);
+    }
+
+    /// Buffered records are in the writer's counts but not in the file
+    /// until `flush`, which writes them all, in order, in one call.
+    #[test]
+    fn buffered_records_reach_the_file_at_flush_in_order() {
+        let p = TempPath::new("buffered");
+        let ops = sample_ops(12);
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        let empty = w.bytes();
+        for op in &ops[..8] {
+            w.buffer(op.as_ref());
+        }
+        assert_eq!((w.records(), w.flushes()), (8, 0));
+        assert!(w.bytes() > empty, "sizes count what is buffered");
+        assert_eq!(read_log(&p.0).unwrap().0, [], "nothing is written before a flush");
+        w.flush().unwrap();
+        assert_eq!(w.flushes(), 1, "eight records, one write");
+        assert_eq!(read_log(&p.0).unwrap().0, ops[..8]);
+        assert_eq!(std::fs::metadata(&p.0).unwrap().len(), w.bytes());
+        w.flush().unwrap();
+        assert_eq!(w.flushes(), 1, "an empty flush is not a write");
+        // Write-through and buffered callers share the one buffer: an
+        // `append` behind buffered records carries them out ahead of it.
+        w.buffer(ops[8].as_ref());
+        w.buffer(ops[9].as_ref());
+        w.append(&ops[10]).unwrap();
+        assert_eq!(w.flushes(), 2);
+        assert_eq!(read_log(&p.0).unwrap().0, ops[..11]);
+    }
+
+    /// However long a caller defers, the writer holds at most the bound
+    /// plus one record.
+    #[test]
+    fn the_buffer_flushes_itself_at_its_bound() {
+        let p = TempPath::new("bounded-buffer");
+        let big = ReplOp::Set { key: b"k".to_vec(), value: vec![7u8; 10_000] };
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        for _ in 0..20 {
+            w.buffer(big.as_ref());
+            assert!(w.buf.len() < BUFFER_BYTES, "the buffer must not outgrow its bound");
+        }
+        assert_eq!(w.flushes(), 2, "200 KB through a 64 KiB buffer");
+        drop(w);
+        assert_eq!(read_log(&p.0).unwrap().0.len(), 20, "drop drains what is left");
+    }
+
+    /// Sealing moves the file out from under the buffer, so it drains
+    /// first: a chain written without one explicit flush still replays
+    /// in order, every record in the segment its base record says.
+    #[test]
+    fn sealing_and_drop_drain_the_buffer_first() {
+        let p = TempPath::new("buffered-seal");
+        let ops = sample_ops(60);
+        {
+            let (mut w, _) = LogWriter::open(&p.0, 0, Some(TINY_CAP)).unwrap();
+            for op in &ops[..40] {
+                w.buffer(op.as_ref());
+            }
+            let covered = w.rotate_for_snapshot().unwrap();
+            assert_eq!(covered.len(), segment_files(&p.0).unwrap().len());
+            assert_eq!(read_chain(&p.0), ops[..40], "a forced seal leaves nothing buffered");
+            for op in &ops[40..] {
+                w.buffer(op.as_ref());
+            }
+        }
+        assert!(segment_files(&p.0).unwrap().len() > 2);
+        assert_eq!(read_chain(&p.0), ops);
+        let (_, rec) = LogWriter::open(&p.0, 0, Some(TINY_CAP)).unwrap();
+        assert_eq!((rec.records, rec.truncated_bytes), (60, 0));
+    }
+
+    /// A failed write drops what it carried and everything after it —
+    /// counted, so the file stays a prefix of the op stream with a known
+    /// number missing, never a stream with a hole.
+    #[test]
+    fn a_failed_write_poisons_the_writer_and_counts_every_dropped_record() {
+        let p = TempPath::new("poison");
+        let ops = sample_ops(10);
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        for op in &ops[..3] {
+            w.append(op).unwrap();
+        }
+        // The next write fails: a handle that was not opened for writing.
+        w.file = File::open(&p.0).unwrap();
+        for op in &ops[3..7] {
+            w.buffer(op.as_ref());
+        }
+        assert_eq!(w.records(), 7);
+        assert!(w.flush().is_err());
+        assert_eq!((w.records(), w.dropped()), (3, 4), "the four buffered records are gone");
+        w.buffer(ops[7].as_ref());
+        assert!(w.append(&ops[8]).is_err(), "a poisoned writer refuses, and says so");
+        assert_eq!((w.records(), w.dropped()), (3, 6));
+        drop(w);
+        assert_eq!(read_log(&p.0).unwrap().0, ops[..3], "a clean prefix");
     }
 
     /// The counting scan and the copying reader are one decoder: over

@@ -7,8 +7,9 @@
 //!   the snapshot format and the redo log (one reader/writer helper
 //!   instead of two hand-rolled copies).
 //! * [`log`] — the redo log: per shard, an append-only `repl-N.log`
-//!   behind a chain of sealed segments, written under the shard's
-//!   existing write serialization. Reopen validates the one active file
+//!   behind a chain of sealed segments, buffered under the shard's
+//!   existing write serialization and written out before any of its
+//!   records is acknowledged. Reopen validates the one active file
 //!   (bounded, whatever the log's size), truncates its torn tail and
 //!   never yields a corrupt record, so the log doubles as an incremental
 //!   backup: replaying it on top of a snapshot (or an empty store)
@@ -62,6 +63,40 @@ impl ReplOp {
     pub fn key(&self) -> &[u8] {
         match self {
             ReplOp::Set { key, .. } | ReplOp::SetEx { key, .. } | ReplOp::Del { key } => key,
+        }
+    }
+
+    pub fn as_ref(&self) -> OpRef<'_> {
+        match self {
+            ReplOp::Set { key, value } => OpRef::Set { key, value },
+            ReplOp::SetEx { key, value, expire_at_ms } => {
+                OpRef::SetEx { key, value, expire_at_ms: *expire_at_ms }
+            }
+            ReplOp::Del { key } => OpRef::Del { key },
+        }
+    }
+}
+
+/// A [`ReplOp`] with its key and value borrowed: what the engine's write
+/// path hands to the redo log (encoded straight from the caller's
+/// buffers) and what the log's decoder hands out (borrowed from the file
+/// buffer). An owned [`ReplOp`] is only built where one must outlive the
+/// borrow — a live replica sink, a copying log read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpRef<'a> {
+    Set { key: &'a [u8], value: &'a [u8] },
+    SetEx { key: &'a [u8], value: &'a [u8], expire_at_ms: u64 },
+    Del { key: &'a [u8] },
+}
+
+impl OpRef<'_> {
+    pub fn to_owned(self) -> ReplOp {
+        match self {
+            OpRef::Set { key, value } => ReplOp::Set { key: key.to_vec(), value: value.to_vec() },
+            OpRef::SetEx { key, value, expire_at_ms } => {
+                ReplOp::SetEx { key: key.to_vec(), value: value.to_vec(), expire_at_ms }
+            }
+            OpRef::Del { key } => ReplOp::Del { key: key.to_vec() },
         }
     }
 }

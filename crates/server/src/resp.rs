@@ -9,9 +9,14 @@
 //! decoding until `Incomplete`, executes everything it got, and writes
 //! all replies back in one burst.
 //!
-//! * [`decode_command`] — the server side: a client request, restricted
+//! * [`decode_args`] — the server side: a client request, restricted
 //!   (as real Redis restricts it) to an array of bulk strings. Inline
-//!   commands are rejected cleanly rather than half-supported.
+//!   commands are rejected cleanly rather than half-supported. The
+//!   arguments come back as [`Args`], slices *borrowed from the read
+//!   buffer* — a command is parsed, executed and answered without a
+//!   byte of it being copied or a heap allocation made for it.
+//!   [`decode_command`] is the same decoder copying the arguments out,
+//!   for callers that must keep them past the buffer.
 //! * [`decode_value`] — the client side: any RESP2 reply, including
 //!   nested arrays.
 
@@ -80,6 +85,48 @@ pub enum Decode<T> {
 
 // ---- encoding ------------------------------------------------------------
 
+/// The wire form of `+OK`.
+pub const OK: &[u8] = b"+OK\r\n";
+/// The wire form of the nil bulk string.
+pub const NIL: &[u8] = b"$-1\r\n";
+
+/// Append `type_byte`, `n` in decimal and CRLF — an integer reply, or
+/// the header of a bulk string or array. Digits are formatted on the
+/// stack.
+fn encode_int_line(type_byte: u8, n: i64, out: &mut Vec<u8>) {
+    // '-' and the 19 digits of i64::MIN.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    out.push(type_byte);
+    out.extend_from_slice(&digits[at..]);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Append `:n\r\n`.
+pub fn encode_integer(n: i64, out: &mut Vec<u8>) {
+    encode_int_line(b':', n, out);
+}
+
+/// Append `bytes` as a bulk string: `$len\r\n`, the bytes, `\r\n`.
+pub fn encode_bulk(bytes: &[u8], out: &mut Vec<u8>) {
+    encode_int_line(b'$', bytes.len() as i64, out);
+    out.extend_from_slice(bytes);
+    out.extend_from_slice(b"\r\n");
+}
+
 /// Append the wire form of `v` to `out`.
 pub fn encode(v: &Value, out: &mut Vec<u8>) {
     match v {
@@ -93,23 +140,11 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
             out.extend_from_slice(s.as_bytes());
             out.extend_from_slice(b"\r\n");
         }
-        Value::Integer(i) => {
-            out.push(b':');
-            out.extend_from_slice(i.to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-        }
-        Value::Bulk(b) => {
-            out.push(b'$');
-            out.extend_from_slice(b.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
-            out.extend_from_slice(b);
-            out.extend_from_slice(b"\r\n");
-        }
-        Value::Nil => out.extend_from_slice(b"$-1\r\n"),
+        Value::Integer(i) => encode_integer(*i, out),
+        Value::Bulk(b) => encode_bulk(b, out),
+        Value::Nil => out.extend_from_slice(NIL),
         Value::Array(items) => {
-            out.push(b'*');
-            out.extend_from_slice(items.len().to_string().as_bytes());
-            out.extend_from_slice(b"\r\n");
+            encode_int_line(b'*', items.len() as i64, out);
             for item in items {
                 encode(item, out);
             }
@@ -119,15 +154,9 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
 
 /// Encode a command (array of bulk strings) — what clients send.
 pub fn encode_command(parts: &[&[u8]], out: &mut Vec<u8>) {
-    out.push(b'*');
-    out.extend_from_slice(parts.len().to_string().as_bytes());
-    out.extend_from_slice(b"\r\n");
+    encode_int_line(b'*', parts.len() as i64, out);
     for p in parts {
-        out.push(b'$');
-        out.extend_from_slice(p.len().to_string().as_bytes());
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(p);
-        out.extend_from_slice(b"\r\n");
+        encode_bulk(p, out);
     }
 }
 
@@ -166,16 +195,17 @@ fn parse_int(line: &[u8], what: &str) -> Result<i64, ProtocolError> {
     s.parse::<i64>().map_err(|_| protocol(format!("invalid {what}: {s:?}")))
 }
 
-/// Result of decoding one bulk string: incomplete, the nil bulk, or data;
-/// complete variants carry the offset just past what they consumed.
-enum Bulk {
+/// Result of decoding one bulk string: incomplete, the nil bulk, or data
+/// (borrowed from the buffer); complete variants carry the offset just
+/// past what they consumed.
+enum Bulk<'a> {
     Incomplete,
     Nil(usize),
-    Data(Vec<u8>, usize),
+    Data(&'a [u8], usize),
 }
 
 /// Decode one bulk string whose `$` type byte sits at `buf[pos]`.
-fn decode_bulk(buf: &[u8], pos: usize) -> Result<Bulk, ProtocolError> {
+fn decode_bulk(buf: &[u8], pos: usize) -> Result<Bulk<'_>, ProtocolError> {
     if pos >= buf.len() {
         return Ok(Bulk::Incomplete);
     }
@@ -205,14 +235,70 @@ fn decode_bulk(buf: &[u8], pos: usize) -> Result<Bulk, ProtocolError> {
     if &buf[body + len..body + len + 2] != b"\r\n" {
         return Err(protocol("bulk string not terminated by CRLF"));
     }
-    Ok(Bulk::Data(buf[body..body + len].to_vec(), body + len + 2))
+    Ok(Bulk::Data(&buf[body..body + len], body + len + 2))
+}
+
+/// Arguments an [`Args`] holds without spilling to the heap: every
+/// single-key command with all its options, and multi-key commands up to
+/// this many words.
+const INLINE_ARGS: usize = 8;
+
+/// One decoded command: its words (name first), each a slice of the
+/// buffer it was decoded from. Dereferences to `[&[u8]]`. Up to
+/// [`INLINE_ARGS`] words live in the value itself; a longer command (a
+/// big `MSET`/`MGET`/`DEL` list) spills to one heap vector.
+#[derive(Debug)]
+pub struct Args<'a> {
+    inline: [&'a [u8]; INLINE_ARGS],
+    len: usize,
+    /// Allocated (capacity > 0) exactly when the command has more than
+    /// [`INLINE_ARGS`] words, and then holds all of them.
+    spill: Vec<&'a [u8]>,
+}
+
+impl<'a> Args<'a> {
+    fn with_capacity(n: usize) -> Self {
+        let spill = if n > INLINE_ARGS { Vec::with_capacity(n) } else { Vec::new() };
+        Args { inline: [&[]; INLINE_ARGS], len: 0, spill }
+    }
+
+    fn push(&mut self, arg: &'a [u8]) {
+        if self.spill.capacity() > 0 {
+            self.spill.push(arg);
+        } else {
+            self.inline[self.len] = arg;
+            self.len += 1;
+        }
+    }
+}
+
+impl<'a> std::ops::Deref for Args<'a> {
+    type Target = [&'a [u8]];
+
+    fn deref(&self) -> &Self::Target {
+        if self.spill.capacity() > 0 {
+            &self.spill
+        } else {
+            &self.inline[..self.len]
+        }
+    }
+}
+
+/// [`decode_args`], copying the arguments out of the buffer.
+pub fn decode_command(buf: &[u8]) -> Result<Decode<Vec<Vec<u8>>>, ProtocolError> {
+    Ok(match decode_args(buf)? {
+        Decode::Complete(args, used) => {
+            Decode::Complete(args.iter().map(|arg| arg.to_vec()).collect(), used)
+        }
+        Decode::Incomplete => Decode::Incomplete,
+    })
 }
 
 /// Decode one client command from the head of `buf`: an array of bulk
 /// strings, the only request form `dash-server` accepts. Inline commands
 /// (a bare `PING\r\n` text line) are rejected with a clear error instead
 /// of being guessed at.
-pub fn decode_command(buf: &[u8]) -> Result<Decode<Vec<Vec<u8>>>, ProtocolError> {
+pub fn decode_args(buf: &[u8]) -> Result<Decode<Args<'_>>, ProtocolError> {
     if buf.is_empty() {
         return Ok(Decode::Incomplete);
     }
@@ -235,7 +321,7 @@ pub fn decode_command(buf: &[u8]) -> Result<Decode<Vec<Vec<u8>>>, ProtocolError>
     if n as usize > MAX_COMMAND_ARGS {
         return Err(protocol(format!("command array length {n} exceeds limit")));
     }
-    let mut parts = Vec::with_capacity(n as usize);
+    let mut parts = Args::with_capacity(n as usize);
     for _ in 0..n {
         match decode_bulk(buf, pos)? {
             Bulk::Incomplete => {
@@ -300,7 +386,7 @@ fn decode_value_at(
         b'$' => match decode_bulk(buf, pos)? {
             Bulk::Incomplete => Ok(None),
             Bulk::Nil(next) => Ok(Some((Value::Nil, next))),
-            Bulk::Data(b, next) => Ok(Some((Value::Bulk(b), next))),
+            Bulk::Data(b, next) => Ok(Some((Value::Bulk(b.to_vec()), next))),
         },
         b'*' => {
             let Some((line, mut next)) = read_line(buf, pos + 1)? else {
@@ -365,6 +451,38 @@ mod tests {
             }
             Decode::Incomplete => panic!("complete command not decoded"),
         }
+    }
+
+    #[test]
+    fn args_borrow_from_the_buffer_inline_and_spilled() {
+        // One word under the inline limit, at it, and past it.
+        for words in [1, INLINE_ARGS, INLINE_ARGS + 1, 40] {
+            let parts: Vec<Vec<u8>> =
+                (0..words).map(|i| format!("word-{i}").into_bytes()).collect();
+            let refs: Vec<&[u8]> = parts.iter().map(Vec::as_slice).collect();
+            let mut wire = Vec::new();
+            encode_command(&refs, &mut wire);
+            wire.extend_from_slice(b"*1\r\n$4\r\nNEXT\r\n");
+            let Decode::Complete(args, used) = decode_args(&wire).unwrap() else {
+                panic!("incomplete at {words} words");
+            };
+            assert_eq!(&*args, refs.as_slice(), "{words} words");
+            assert_eq!(&wire[used..], b"*1\r\n$4\r\nNEXT\r\n");
+            // Borrowed, not copied: each argument lies inside the buffer.
+            let range = wire.as_ptr_range();
+            assert!(args.iter().all(|a| range.contains(&a.as_ptr())), "{words} words");
+            assert_eq!(decode_command(&wire).unwrap(), Decode::Complete(parts, used));
+        }
+    }
+
+    #[test]
+    fn integers_are_formatted_exactly_at_every_width() {
+        for n in [0, 1, -1, 9, 10, -10, 12345, i64::from(i32::MAX), i64::MAX, i64::MIN] {
+            assert_eq!(enc(&Value::Integer(n)), format!(":{n}\r\n").into_bytes());
+        }
+        let mut out = Vec::new();
+        encode_bulk(&[b'x'; 1000], &mut out);
+        assert!(out.starts_with(b"$1000\r\nxxx") && out.ends_with(b"x\r\n"));
     }
 
     #[test]

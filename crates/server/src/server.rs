@@ -50,7 +50,7 @@ use crate::engine::ShardedDash;
 use crate::metrics::{CmdFamily, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
 use crate::net::EventFd;
 use crate::repl::ReplOp;
-use crate::resp::{encode, encode_command, Value};
+use crate::resp::{self, encode, encode_command, Value};
 
 /// How long a blocking reply write (SHUTDOWN ack, replication stream)
 /// may stall before the connection is dropped.
@@ -265,6 +265,19 @@ impl ServerHandle {
         self.inner.metrics_addr
     }
 
+    /// The engine this server serves: direct calls share it with the
+    /// connections (and are write-through, see [`ShardedDash::set`]).
+    pub fn engine(&self) -> &ShardedDash {
+        &self.inner.engine
+    }
+
+    /// The shared server state, for unit tests that drive a
+    /// [`Conn`](crate::net::conn::Conn) by hand.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Arc<Inner> {
+        &self.inner
+    }
+
     /// Block until the server stops on its own (a client issued
     /// `SHUTDOWN`) — the serve-forever mode of the `dash-server` binary.
     pub fn join(mut self) {
@@ -390,10 +403,13 @@ pub fn serve_with(
     Ok(ServerHandle { inner, accept_thread: Some(accept_thread) })
 }
 
+/// What the connection should do once a command's reply is in its write
+/// buffer ([`execute`] always puts it there itself).
 pub(crate) enum Outcome {
-    Reply(Value),
+    Replied,
     /// `PSYNC` accepted: the connection becomes a replication stream.
     StartReplication,
+    /// `SHUTDOWN`: its `+OK` is in the buffer.
     Shutdown,
 }
 
@@ -410,25 +426,48 @@ pub(crate) struct Session {
     pub(crate) trace_force: Option<(u64, u32)>,
 }
 
+/// Room for any command name (the longest, `REPLICAOF`, is 9 bytes): a
+/// longer first word cannot be a command.
+const MAX_NAME_LEN: usize = 16;
+
 /// Does this command mutate engine state? The replica write gate — keep
 /// in lockstep with the dispatch arms in [`execute`]: every command that
 /// reaches a mutating engine call MUST be listed here, or clients could
 /// write to a replica and silently diverge it from its primary.
-fn writes_engine_state(name: &str) -> bool {
-    matches!(name, "SET" | "MSET" | "DEL" | "UNLINK" | "EXPIRE" | "PEXPIRE" | "PERSIST")
+fn writes_engine_state(name: &[u8]) -> bool {
+    matches!(name, b"SET" | b"MSET" | b"DEL" | b"UNLINK" | b"EXPIRE" | b"PEXPIRE" | b"PERSIST")
 }
 
-fn err(msg: impl Into<String>) -> Outcome {
-    Outcome::Reply(Value::Error(format!("ERR {}", msg.into())))
+/// The one way a reply leaves [`execute`]: appended to the connection's
+/// write buffer. The hot replies have their own spellings below (static
+/// bytes, or an integer formatted on the stack); everything else is a
+/// [`Value`] encoded here.
+fn reply(out: &mut Vec<u8>, v: Value) -> Outcome {
+    encode(&v, out);
+    Outcome::Replied
+}
+
+fn reply_ok(out: &mut Vec<u8>) -> Outcome {
+    out.extend_from_slice(resp::OK);
+    Outcome::Replied
+}
+
+fn reply_int(out: &mut Vec<u8>, n: i64) -> Outcome {
+    resp::encode_integer(n, out);
+    Outcome::Replied
+}
+
+fn err(out: &mut Vec<u8>, msg: impl Into<String>) -> Outcome {
+    reply(out, Value::Error(format!("ERR {}", msg.into())))
 }
 
 /// Map an engine error to its reply. [`EngineError::Oom`] gets the
 /// Redis `OOM` error class (clients special-case it); everything else
 /// is generic `ERR`.
-fn engine_err(e: crate::engine::EngineError) -> Outcome {
+fn engine_err(out: &mut Vec<u8>, e: crate::engine::EngineError) -> Outcome {
     match e {
-        crate::engine::EngineError::Oom => Outcome::Reply(Value::Error(format!("OOM {e}"))),
-        e => err(e.to_string()),
+        crate::engine::EngineError::Oom => reply(out, Value::Error(format!("OOM {e}"))),
+        e => err(out, e.to_string()),
     }
 }
 
@@ -436,24 +475,42 @@ fn parse_int(b: &[u8]) -> Option<i64> {
     std::str::from_utf8(b).ok().and_then(|s| s.parse::<i64>().ok())
 }
 
-fn wrong_args(cmd: &str) -> Outcome {
-    err(format!("wrong number of arguments for '{cmd}' command"))
+fn wrong_args(out: &mut Vec<u8>, cmd: &str) -> Outcome {
+    err(out, format!("wrong number of arguments for '{cmd}' command"))
 }
 
-/// Execute one decoded command against the engine.
-pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -> Outcome {
+/// Execute one decoded command against the engine, appending its reply
+/// to `out`. `parts` borrows from the connection's read buffer: nothing
+/// here copies an argument unless the command must keep it.
+pub(crate) fn execute(
+    parts: &[&[u8]],
+    inner: &Inner,
+    session: &mut Session,
+    out: &mut Vec<u8>,
+) -> Outcome {
     let engine = &inner.engine;
-    let name = String::from_utf8_lossy(&parts[0]).to_ascii_uppercase();
+    // Case-insensitive lookup on bytes: the name is upper-cased into a
+    // stack buffer (a word too long to be a command matches nothing).
+    let mut upper = [0u8; MAX_NAME_LEN];
+    let name: &[u8] = match upper.get_mut(..parts[0].len()) {
+        Some(word) => {
+            word.copy_from_slice(parts[0]);
+            word.make_ascii_uppercase();
+            word
+        }
+        None => b"",
+    };
     let args = &parts[1..];
     // ASKING is one-shot: it covers exactly the next command.
     let asking = std::mem::take(&mut session.asking);
     // A replica owns no writes: its state is the primary's stream (the
     // sync thread applies that through the engine directly, not through
     // commands). Client writes bounce with the Redis error class.
-    if writes_engine_state(&name) && inner.role() == Role::Replica {
-        return Outcome::Reply(Value::Error(
-            "READONLY You can't write against a read only replica.".into(),
-        ));
+    if writes_engine_state(name) && inner.role() == Role::Replica {
+        return reply(
+            out,
+            Value::Error("READONLY You can't write against a read only replica.".into()),
+        );
     }
     // The cluster slot gate: every keyed command must hash to a slot
     // this node may serve, or the redirect (MOVED/ASK/TRYAGAIN/
@@ -462,54 +519,56 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
     // the migration flip's fence waits on those.
     let mut _migrating_guard = None;
     if let Some(cl) = &inner.cluster {
-        match name.as_str() {
-            "ASKING" => {
+        match name {
+            b"ASKING" => {
                 session.asking = true;
-                return Outcome::Reply(Value::Simple("OK".into()));
+                return reply_ok(out);
             }
-            "CLUSTER" => {
-                return Outcome::Reply(crate::cluster::cluster_command(cl, inner, args));
+            b"CLUSTER" => {
+                return reply(out, crate::cluster::cluster_command(cl, inner, args));
             }
             _ => {
-                if let Some(keys) = crate::cluster::keyed_args(&name, args) {
+                if let Some(keys) = crate::cluster::keyed_args(name, args) {
                     match cl.check(&keys, asking) {
                         Ok(guard) => _migrating_guard = guard,
-                        Err(reply) => return Outcome::Reply(reply),
+                        Err(redirect) => return reply(out, redirect),
                     }
                 }
             }
         }
     }
-    match name.as_str() {
-        "PING" => match args {
-            [] => Outcome::Reply(Value::Simple("PONG".into())),
-            [msg] => Outcome::Reply(Value::bulk(msg.clone())),
-            _ => wrong_args("ping"),
+    match name {
+        b"PING" => match args {
+            [] => reply(out, Value::Simple("PONG".into())),
+            [msg] => {
+                resp::encode_bulk(msg, out);
+                Outcome::Replied
+            }
+            _ => wrong_args(out, "ping"),
         },
-        "GET" => match args {
-            [key] => match engine.get(key) {
-                Ok(Some(v)) => Outcome::Reply(Value::Bulk(v)),
-                Ok(None) => Outcome::Reply(Value::Nil),
-                Err(e) => err(e.to_string()),
+        b"GET" => match args {
+            [key] => match engine.get_into(key, out) {
+                Ok(()) => Outcome::Replied,
+                Err(e) => err(out, e.to_string()),
             },
-            _ => wrong_args("get"),
+            _ => wrong_args(out, "get"),
         },
         // `SET key value [EX s | PX ms | EXAT s | PXAT ms]`. The
         // relative forms resolve to an absolute Unix-ms deadline *here*,
         // on the primary — everything downstream (redo log, replica
         // stream, snapshots, migration) carries the absolute deadline
         // and never re-derives time. Plain SET clears any existing TTL.
-        "SET" => {
+        b"SET" => {
             let (key, value, ttl) = match args {
                 [key, value] => (key, value, None),
                 [key, value, unit, n] => (key, value, Some((unit, n))),
-                _ => return wrong_args("set"),
+                _ => return wrong_args(out, "set"),
             };
             let expire_at_ms = match ttl {
                 None => 0,
                 Some((unit, n)) => {
                     let Some(n) = parse_int(n).filter(|n| *n >= 1) else {
-                        return err("invalid expire time in 'set' command");
+                        return err(out, "invalid expire time in 'set' command");
                     };
                     let n = n as u64;
                     let now = crate::expire::now_ms();
@@ -522,174 +581,163 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
                     } else if unit.eq_ignore_ascii_case(b"PXAT") {
                         n
                     } else {
-                        return err("syntax error");
+                        return err(out, "syntax error");
                     }
                 }
             };
             match engine.set_with_expiry(key, value, expire_at_ms) {
-                Ok(()) => Outcome::Reply(Value::Simple("OK".into())),
-                Err(e) => engine_err(e),
+                Ok(()) => reply_ok(out),
+                Err(e) => engine_err(out, e),
             }
         }
-        "MGET" => {
+        b"MGET" => {
             if args.is_empty() {
-                return wrong_args("mget");
+                return wrong_args(out, "mget");
             }
-            let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-            match engine.mget(&keys) {
-                Ok(values) => Outcome::Reply(Value::Array(
-                    values
-                        .into_iter()
-                        .map(|v| v.map_or(Value::Nil, Value::Bulk))
-                        .collect(),
-                )),
-                Err(e) => err(e.to_string()),
+            match engine.mget(args) {
+                Ok(values) => reply(
+                    out,
+                    Value::Array(
+                        values.into_iter().map(|v| v.map_or(Value::Nil, Value::Bulk)).collect(),
+                    ),
+                ),
+                Err(e) => err(out, e.to_string()),
             }
         }
-        "MSET" => {
+        b"MSET" => {
             if args.is_empty() || !args.len().is_multiple_of(2) {
-                return wrong_args("mset");
+                return wrong_args(out, "mset");
             }
             let pairs: Vec<(&[u8], &[u8])> =
-                args.chunks_exact(2).map(|c| (c[0].as_slice(), c[1].as_slice())).collect();
+                args.chunks_exact(2).map(|c| (c[0], c[1])).collect();
             match engine.mset(&pairs) {
-                Ok(()) => Outcome::Reply(Value::Simple("OK".into())),
-                Err(e) => engine_err(e),
+                Ok(()) => reply_ok(out),
+                Err(e) => engine_err(out, e),
             }
         }
-        "DEL" => match args {
-            [] => wrong_args("del"),
+        b"DEL" => match args {
+            [] => wrong_args(out, "del"),
             // Single key (the common case): skip the batch path's
             // grouping allocations.
             [key] => match engine.del(key) {
-                Ok(removed) => Outcome::Reply(Value::Integer(i64::from(removed))),
-                Err(e) => err(e.to_string()),
+                Ok(removed) => reply_int(out, i64::from(removed)),
+                Err(e) => err(out, e.to_string()),
             },
-            _ => {
-                let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-                match engine.mdel(&keys) {
-                    Ok(removed) => Outcome::Reply(Value::Integer(removed as i64)),
-                    Err(e) => err(e.to_string()),
-                }
-            }
+            _ => match engine.mdel(args) {
+                Ok(removed) => reply_int(out, removed as i64),
+                Err(e) => err(out, e.to_string()),
+            },
         },
         // UNLINK: DEL's contract through the batch path unconditionally
         // — one write-lock acquisition per shard for the whole key set.
         // (Frees are epoch-deferred here as everywhere, so the "async
         // reclaim" half of Redis UNLINK is the engine's normal mode.)
-        "UNLINK" => match args {
-            [] => wrong_args("unlink"),
-            _ => {
-                let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-                match engine.mdel(&keys) {
-                    Ok(removed) => Outcome::Reply(Value::Integer(removed as i64)),
-                    Err(e) => err(e.to_string()),
-                }
-            }
+        b"UNLINK" => match args {
+            [] => wrong_args(out, "unlink"),
+            _ => match engine.mdel(args) {
+                Ok(removed) => reply_int(out, removed as i64),
+                Err(e) => err(out, e.to_string()),
+            },
         },
         // `EXPIRE key s` / `PEXPIRE key ms`: resolved to an absolute
         // deadline here on the primary (the one clock); a non-positive
         // TTL deletes the key now, exactly like Redis.
-        "EXPIRE" | "PEXPIRE" => match args {
+        b"EXPIRE" | b"PEXPIRE" => match args {
             [key, n] => {
                 let Some(n) = parse_int(n) else {
-                    return err("value is not an integer or out of range");
+                    return err(out, "value is not an integer or out of range");
                 };
                 let now = crate::expire::now_ms();
                 let deadline = if n <= 0 {
                     now // already due: expire_at deletes outright
-                } else if name == "EXPIRE" {
+                } else if name == b"EXPIRE" {
                     now.saturating_add((n as u64).saturating_mul(1000))
                 } else {
                     now.saturating_add(n as u64)
                 };
                 match engine.expire_at(key, deadline) {
-                    Ok(set) => Outcome::Reply(Value::Integer(i64::from(set))),
-                    Err(e) => engine_err(e),
+                    Ok(set) => reply_int(out, i64::from(set)),
+                    Err(e) => engine_err(out, e),
                 }
             }
-            _ => wrong_args(if name == "EXPIRE" { "expire" } else { "pexpire" }),
+            _ => wrong_args(out, if name == b"EXPIRE" { "expire" } else { "pexpire" }),
         },
-        "TTL" | "PTTL" => match args {
+        b"TTL" | b"PTTL" => match args {
             [key] => match engine.ttl_ms(key) {
                 // TTL rounds the remaining time *up*: a key with 1 ms
                 // left reports 1 s, never the "no expiry" -0.
-                Ok(ms) if ms >= 0 && name == "TTL" => {
-                    Outcome::Reply(Value::Integer((ms + 999) / 1000))
-                }
-                Ok(ms) => Outcome::Reply(Value::Integer(ms)),
-                Err(e) => err(e.to_string()),
+                Ok(ms) if ms >= 0 && name == b"TTL" => reply_int(out, (ms + 999) / 1000),
+                Ok(ms) => reply_int(out, ms),
+                Err(e) => err(out, e.to_string()),
             },
-            _ => wrong_args(if name == "TTL" { "ttl" } else { "pttl" }),
+            _ => wrong_args(out, if name == b"TTL" { "ttl" } else { "pttl" }),
         },
-        "PERSIST" => match args {
+        b"PERSIST" => match args {
             [key] => match engine.persist(key) {
-                Ok(cleared) => Outcome::Reply(Value::Integer(i64::from(cleared))),
-                Err(e) => engine_err(e),
+                Ok(cleared) => reply_int(out, i64::from(cleared)),
+                Err(e) => engine_err(out, e),
             },
-            _ => wrong_args("persist"),
+            _ => wrong_args(out, "persist"),
         },
-        "EXISTS" => match args {
-            [] => wrong_args("exists"),
+        b"EXISTS" => match args {
+            [] => wrong_args(out, "exists"),
             [key] => match engine.exists(key) {
-                Ok(present) => Outcome::Reply(Value::Integer(i64::from(present))),
-                Err(e) => err(e.to_string()),
+                Ok(present) => reply_int(out, i64::from(present)),
+                Err(e) => err(out, e.to_string()),
             },
-            _ => {
-                let keys: Vec<&[u8]> = args.iter().map(|a| a.as_slice()).collect();
-                match engine.mexists(&keys) {
-                    Ok(present) => Outcome::Reply(Value::Integer(present as i64)),
-                    Err(e) => err(e.to_string()),
-                }
-            }
+            _ => match engine.mexists(args) {
+                Ok(present) => reply_int(out, present as i64),
+                Err(e) => err(out, e.to_string()),
+            },
         },
-        "SCAN" => {
+        b"SCAN" => {
             let (cursor, count) = match args {
                 [cur] => (cur, DEFAULT_SCAN_COUNT),
                 [cur, word, n] if word.eq_ignore_ascii_case(b"COUNT") => {
                     match std::str::from_utf8(n).ok().and_then(|s| s.parse::<usize>().ok()) {
                         Some(n) if n >= 1 => (cur, n.min(MAX_SCAN_COUNT)),
-                        _ => return err("COUNT must be a positive integer"),
+                        _ => return err(out, "COUNT must be a positive integer"),
                     }
                 }
-                _ => return wrong_args("scan"),
+                _ => return wrong_args(out, "scan"),
             };
             let Some(cursor) =
                 std::str::from_utf8(cursor).ok().and_then(|s| s.parse::<u64>().ok())
             else {
-                return err("invalid cursor");
+                return err(out, "invalid cursor");
             };
             match engine.scan_keys(cursor, count) {
-                Ok((next, keys)) => Outcome::Reply(Value::Array(vec![
-                    Value::Bulk(next.to_string().into_bytes()),
-                    Value::Array(keys.into_iter().map(Value::Bulk).collect()),
-                ])),
-                Err(e) => err(e.to_string()),
+                Ok((next, keys)) => reply(
+                    out,
+                    Value::Array(vec![
+                        Value::Bulk(next.to_string().into_bytes()),
+                        Value::Array(keys.into_iter().map(Value::Bulk).collect()),
+                    ]),
+                ),
+                Err(e) => err(out, e.to_string()),
             }
         }
         // Test-only: enumerates the whole store in one reply. Only the
         // match-everything pattern is supported; use SCAN in production.
-        "KEYS" => match args {
-            [pat] if pat.as_slice() == b"*" => match engine.keys() {
-                Ok(keys) => {
-                    Outcome::Reply(Value::Array(keys.into_iter().map(Value::Bulk).collect()))
-                }
-                Err(e) => err(e.to_string()),
+        b"KEYS" => match args {
+            [pat] if *pat == b"*" => match engine.keys() {
+                Ok(keys) => reply(out, Value::Array(keys.into_iter().map(Value::Bulk).collect())),
+                Err(e) => err(out, e.to_string()),
             },
-            [_] => err("only the '*' pattern is supported"),
-            _ => wrong_args("keys"),
+            [_] => err(out, "only the '*' pattern is supported"),
+            _ => wrong_args(out, "keys"),
         },
-        "SNAPSHOT" => match args {
+        b"SNAPSHOT" => match args {
             [path] => match std::str::from_utf8(path) {
                 Ok(path) => match engine.snapshot_to(std::path::Path::new(path)) {
-                    Ok(count) => Outcome::Reply(Value::Integer(count as i64)),
-                    Err(e) => err(e.to_string()),
+                    Ok(count) => reply_int(out, count as i64),
+                    Err(e) => err(out, e.to_string()),
                 },
-                Err(_) => err("snapshot path must be valid UTF-8"),
+                Err(_) => err(out, "snapshot path must be valid UTF-8"),
             },
-            _ => wrong_args("snapshot"),
+            _ => wrong_args(out, "snapshot"),
         },
-        "DBSIZE" => match args {
+        b"DBSIZE" => match args {
             [] => {
                 // Collapse due timers first so the count never includes
                 // an expired-but-unreclaimed key. Only a primary may do
@@ -698,46 +746,41 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
                 if inner.role() == Role::Primary {
                     engine.expire_now();
                 }
-                Outcome::Reply(Value::Integer(engine.len() as i64))
+                reply_int(out, engine.len() as i64)
             }
-            _ => wrong_args("dbsize"),
+            _ => wrong_args(out, "dbsize"),
         },
         // Every INFO form is O(shards) except `INFO keyspace`, which
         // pays an O(total keys) ground-truth scan — deliberately opt-in
         // so monitoring polls never scale with the data they watch.
-        "INFO" => match args {
-            [] => Outcome::Reply(Value::Bulk(info_text(inner).into_bytes())),
-            [section] if section.eq_ignore_ascii_case(b"replication") => {
-                Outcome::Reply(Value::Bulk(replication_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"stats") => {
-                Outcome::Reply(Value::Bulk(stats_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"latency") => {
-                Outcome::Reply(Value::Bulk(latency_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"keyspace") => {
-                Outcome::Reply(Value::Bulk(keyspace_info_text(inner).into_bytes()))
-            }
-            [section] if section.eq_ignore_ascii_case(b"memory") => {
-                Outcome::Reply(Value::Bulk(memory_info_text(inner).into_bytes()))
-            }
-            [_] => err(
-                "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
-            ),
-            _ => wrong_args("info"),
-        },
+        b"INFO" => {
+            let text = match args {
+                [] => info_text(inner),
+                [s] if s.eq_ignore_ascii_case(b"replication") => replication_info_text(inner),
+                [s] if s.eq_ignore_ascii_case(b"stats") => stats_info_text(inner),
+                [s] if s.eq_ignore_ascii_case(b"latency") => latency_info_text(inner),
+                [s] if s.eq_ignore_ascii_case(b"keyspace") => keyspace_info_text(inner),
+                [s] if s.eq_ignore_ascii_case(b"memory") => memory_info_text(inner),
+                [_] => return err(
+                    out,
+                    "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
+                ),
+                _ => return wrong_args(out, "info"),
+            };
+            resp::encode_bulk(text.as_bytes(), out);
+            Outcome::Replied
+        }
         // The slow-command ring: `SLOWLOG GET [n]` (newest first),
         // `SLOWLOG LEN`, `SLOWLOG RESET`. Entries are arrays shaped like
         // Redis's: id, unix time, duration µs, [command, key prefix],
         // plus the serving worker id.
-        "SLOWLOG" => match args {
+        b"SLOWLOG" => match args {
             [sub] if sub.eq_ignore_ascii_case(b"LEN") => {
-                Outcome::Reply(Value::Integer(inner.metrics.slowlog.len() as i64))
+                reply_int(out, inner.metrics.slowlog.len() as i64)
             }
             [sub] if sub.eq_ignore_ascii_case(b"RESET") => {
                 inner.metrics.slowlog.reset();
-                Outcome::Reply(Value::Simple("OK".into()))
+                reply_ok(out)
             }
             [sub] | [sub, _] if sub.eq_ignore_ascii_case(b"GET") => {
                 let n = match args {
@@ -745,7 +788,7 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
                     {
                         Some(-1) => usize::MAX,
                         Some(n) if n >= 0 => n as usize,
-                        _ => return err("SLOWLOG GET count must be an integer >= -1"),
+                        _ => return err(out, "SLOWLOG GET count must be an integer >= -1"),
                     },
                     _ => 10,
                 };
@@ -776,78 +819,84 @@ pub(crate) fn execute(parts: &[Vec<u8>], inner: &Inner, session: &mut Session) -
                         Value::Array(fields)
                     })
                     .collect();
-                Outcome::Reply(Value::Array(entries))
+                reply(out, Value::Array(entries))
             }
-            _ => err("SLOWLOG subcommand must be GET [count], LEN or RESET"),
+            _ => err(out, "SLOWLOG subcommand must be GET [count], LEN or RESET"),
         },
         // The tracing control surface. `TRACE ON [SAMPLE n]` /
         // `TRACE OFF` gate the sampler; DUMP/GET read the flight
         // recorder; THRESHOLD tunes always-on slow capture; STATUS
         // reports the knobs; RESET clears the rings.
-        "TRACE" => trace_command(inner, args),
+        b"TRACE" => trace_command(inner, args, out),
         // One-shot trace propagation: capture the NEXT command under
         // this identity. `TRACEID 0 0` asks the server to assign a
         // fresh id (the reply), which is how a client starts a trace it
         // can later look up; nonzero ids arrive from cluster clients
         // re-sending after a redirect and from the PSYNC tail.
-        "TRACEID" => match args {
+        b"TRACEID" => match args {
             [id, hops] => {
                 let (Some(id), Some(hops)) = (parse_int(id), parse_int(hops)) else {
-                    return err("TRACEID arguments must be integers");
+                    return err(out, "TRACEID arguments must be integers");
                 };
                 if id < 0 || hops < 0 {
-                    return err("TRACEID arguments must be non-negative");
+                    return err(out, "TRACEID arguments must be non-negative");
                 }
                 let id = if id == 0 { inner.tracer.alloc_id() } else { id as u64 };
                 session.trace_force = Some((id, hops as u32));
-                Outcome::Reply(Value::Integer(id as i64))
+                reply_int(out, id as i64)
             }
-            _ => wrong_args("traceid"),
+            _ => wrong_args(out, "traceid"),
         },
         // Replication handshake: REPLCONF carries replica metadata
         // (accepted and ignored — `listening-port` etc. are advisory);
         // PSYNC turns the connection into a replication stream.
-        "REPLCONF" => Outcome::Reply(Value::Simple("OK".into())),
-        "PSYNC" => {
+        b"REPLCONF" => reply_ok(out),
+        b"PSYNC" => {
             if inner.role() == Role::Replica {
-                err("PSYNC on a replica (chained replication) is not supported")
+                err(out, "PSYNC on a replica (chained replication) is not supported")
             } else {
                 Outcome::StartReplication
             }
         }
-        "REPLICAOF" => match args {
+        b"REPLICAOF" => match args {
             [host, port]
                 if host.eq_ignore_ascii_case(b"NO") && port.eq_ignore_ascii_case(b"ONE") =>
             {
                 // Promote: stop and join the sync loop, then accept
                 // writes. +OK is sent only once the fence is complete.
                 inner.promote();
-                Outcome::Reply(Value::Simple("OK".into()))
+                reply_ok(out)
             }
-            [_, _] => err("attaching to a primary at runtime is not supported; start with --replica-of"),
-            _ => wrong_args("replicaof"),
+            [_, _] => err(
+                out,
+                "attaching to a primary at runtime is not supported; start with --replica-of",
+            ),
+            _ => wrong_args(out, "replicaof"),
         },
         // Cluster commands exist (as errors) outside cluster mode too,
         // so misdirected clients get a clear diagnosis instead of
         // "unknown command".
-        "CLUSTER" | "ASKING" => err("this server was not started in cluster mode"),
-        "SHUTDOWN" => Outcome::Shutdown,
+        b"CLUSTER" | b"ASKING" => err(out, "this server was not started in cluster mode"),
+        b"SHUTDOWN" => {
+            out.extend_from_slice(resp::OK);
+            Outcome::Shutdown
+        }
         // Test-only: panics inside the command handler, to prove a
         // connection panic is caught, counted, and costs only that
         // connection (not the worker or its other connections).
         #[cfg(test)]
-        "PANICTEST" => panic!("PANICTEST: injected command-handler panic"),
-        _ => err(format!("unknown command '{}'", String::from_utf8_lossy(&parts[0]))),
+        b"PANICTEST" => panic!("PANICTEST: injected command-handler panic"),
+        _ => err(out, format!("unknown command '{}'", String::from_utf8_lossy(parts[0]))),
     }
 }
 
 /// Dispatch the `TRACE` subcommands against [`Inner::tracer`].
-fn trace_command(inner: &Inner, args: &[Vec<u8>]) -> Outcome {
+fn trace_command(inner: &Inner, args: &[&[u8]], out: &mut Vec<u8>) -> Outcome {
     let t = &inner.tracer;
     match args {
         [sub] if sub.eq_ignore_ascii_case(b"ON") => {
             t.set_enabled(true);
-            Outcome::Reply(Value::Simple("OK".into()))
+            reply_ok(out)
         }
         [sub, word, n]
             if sub.eq_ignore_ascii_case(b"ON") && word.eq_ignore_ascii_case(b"SAMPLE") =>
@@ -856,41 +905,42 @@ fn trace_command(inner: &Inner, args: &[Vec<u8>]) -> Outcome {
                 Some(n) if n >= 0 => {
                     t.set_sample_every(n as u64);
                     t.set_enabled(true);
-                    Outcome::Reply(Value::Simple("OK".into()))
+                    reply_ok(out)
                 }
-                _ => err("SAMPLE must be a non-negative integer (0 disables the sampler)"),
+                _ => err(out, "SAMPLE must be a non-negative integer (0 disables the sampler)"),
             }
         }
         [sub] if sub.eq_ignore_ascii_case(b"OFF") => {
             t.set_enabled(false);
-            Outcome::Reply(Value::Simple("OK".into()))
+            reply_ok(out)
         }
         [sub] | [sub, _] if sub.eq_ignore_ascii_case(b"DUMP") => {
             let n = match args {
                 [_, n] => match parse_int(n) {
                     Some(n) if n >= 1 => n as usize,
-                    _ => return err("TRACE DUMP count must be a positive integer"),
+                    _ => return err(out, "TRACE DUMP count must be a positive integer"),
                 },
                 _ => usize::MAX,
             };
-            Outcome::Reply(Value::Array(t.dump(n).iter().map(trace_record_value).collect()))
+            reply(out, Value::Array(t.dump(n).iter().map(trace_record_value).collect()))
         }
         [sub, id] if sub.eq_ignore_ascii_case(b"GET") => match parse_int(id) {
-            Some(id) if id >= 1 => Outcome::Reply(Value::Array(
-                t.get(id as u64).iter().map(trace_record_value).collect(),
-            )),
-            _ => err("TRACE GET id must be a positive integer"),
+            Some(id) if id >= 1 => reply(
+                out,
+                Value::Array(t.get(id as u64).iter().map(trace_record_value).collect()),
+            ),
+            _ => err(out, "TRACE GET id must be a positive integer"),
         },
         [sub, us] if sub.eq_ignore_ascii_case(b"THRESHOLD") => match parse_int(us) {
             Some(us) if us >= 0 => {
                 t.set_threshold_us(us as u64);
-                Outcome::Reply(Value::Simple("OK".into()))
+                reply_ok(out)
             }
-            _ => err("THRESHOLD must be microseconds >= 0 (0 disables threshold capture)"),
+            _ => err(out, "THRESHOLD must be microseconds >= 0 (0 disables threshold capture)"),
         },
         [sub] if sub.eq_ignore_ascii_case(b"RESET") => {
             t.reset();
-            Outcome::Reply(Value::Simple("OK".into()))
+            reply_ok(out)
         }
         [sub] if sub.eq_ignore_ascii_case(b"STATUS") => {
             let pairs: [(&str, i64); 6] = [
@@ -901,14 +951,18 @@ fn trace_command(inner: &Inner, args: &[Vec<u8>]) -> Outcome {
                 ("abandoned", t.abandoned_total() as i64),
                 ("retained", t.len() as i64),
             ];
-            Outcome::Reply(Value::Array(
-                pairs
-                    .iter()
-                    .flat_map(|(k, v)| [Value::bulk(k.as_bytes()), Value::Integer(*v)])
-                    .collect(),
-            ))
+            reply(
+                out,
+                Value::Array(
+                    pairs
+                        .iter()
+                        .flat_map(|(k, v)| [Value::bulk(k.as_bytes()), Value::Integer(*v)])
+                        .collect(),
+                ),
+            )
         }
         _ => err(
+            out,
             "TRACE subcommand must be ON [SAMPLE n], OFF, DUMP [n], GET <id>, THRESHOLD <us>, STATUS or RESET",
         ),
     }
@@ -1200,6 +1254,9 @@ fn replication_info_text(inner: &Inner) -> String {
     out.push_str(&format!("repl_offset:{repl_offset}\r\n"));
     out.push_str(&format!("connected_replicas:{}\r\n", engine.connected_replicas()));
     out.push_str(&format!("log_append_errors:{}\r\n", engine.log_append_errors()));
+    // `write(2)` calls behind the records written since this open: a
+    // pipelined or batched load shows far fewer flushes than records.
+    out.push_str(&format!("repl_log_flushes:{}\r\n", engine.repl_log_flushes()));
     // Total bytes across the per-shard redo logs — what --replay-logs
     // would read, and the number capacity planning wants to watch.
     out.push_str(&format!("repl_log_bytes:{}\r\n", engine.repl_log_bytes()));
@@ -1410,6 +1467,61 @@ mod tests {
         assert_eq!(survivor.command(&[b"GET", b"k"]).unwrap(), Value::bulk(*b"v"));
         assert_eq!(survivor.info_field("worker_panics").unwrap().as_deref(), Some("1"));
         server.shutdown();
+    }
+
+    /// A panic mid-pipeline, under group commit: the mutations the tick
+    /// had already applied reach the log (the batch scope flushes on
+    /// unwind — they are in the pool, so a log without them would have a
+    /// gap), and the worker's scope is not left open: the next
+    /// connection's write is in the log by the time its reply is read.
+    #[test]
+    fn handler_panic_mid_pipeline_flushes_the_tick_and_closes_its_batch() {
+        let dir = std::env::temp_dir().join(format!("dash-panic-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ShardedDash::open(&EngineConfig {
+            shards: 1,
+            shard_bytes: 16 << 20,
+            dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let server = serve_with(
+            engine,
+            "127.0.0.1:0",
+            ServeOptions { event_workers: Some(1), ..Default::default() },
+        )
+        .unwrap();
+        let logged = || -> Vec<ReplOp> {
+            let mut ops = Vec::new();
+            for file in crate::repl::log::read_log_chain(&dir.join("repl-0.log")).unwrap() {
+                ops.append(&mut file.unwrap().0);
+            }
+            ops
+        };
+        let set = |k: &[u8], v: &[u8]| ReplOp::Set { key: k.to_vec(), value: v.to_vec() };
+
+        let mut victim = TcpStream::connect(server.addr()).unwrap();
+        let mut pipeline = Vec::new();
+        encode_command(&[b"SET", b"a", b"1"], &mut pipeline);
+        encode_command(&[b"SET", b"b", b"2"], &mut pipeline);
+        encode_command(&[b"PANICTEST"], &mut pipeline);
+        encode_command(&[b"SET", b"c", b"3"], &mut pipeline);
+        victim.write_all(&pipeline).unwrap();
+        // EOF: the connection was dropped by the caught panic.
+        let mut got = Vec::new();
+        let _ = victim.read_to_end(&mut got);
+        assert_eq!(logged(), vec![set(b"a", b"1"), set(b"b", b"2")]);
+        assert_eq!(server.engine().get(b"c").unwrap(), None, "nothing runs after the panic");
+
+        // Same worker, next connection: were the scope still open, this
+        // tick's would nest inside it and never flush.
+        let mut survivor = RespClient::connect(server.addr()).unwrap();
+        assert_eq!(survivor.command(&[b"SET", b"d", b"4"]).unwrap(), Value::Simple("OK".into()));
+        assert_eq!(logged(), vec![set(b"a", b"1"), set(b"b", b"2"), set(b"d", b"4")]);
+        assert_eq!(survivor.info_field("worker_panics").unwrap().as_deref(), Some("1"));
+        assert_eq!(survivor.info_field("log_append_errors").unwrap().as_deref(), Some("0"));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

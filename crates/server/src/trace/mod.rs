@@ -168,7 +168,7 @@ impl TraceRecord {
     pub fn new(
         id: u64,
         hops: u32,
-        parts: &[Vec<u8>],
+        parts: &[impl AsRef<[u8]>],
         worker: u64,
         stages_ns: [u64; Stage::COUNT],
         total_ns: u64,
@@ -176,11 +176,14 @@ impl TraceRecord {
     ) -> TraceRecord {
         let cmd = parts
             .first()
-            .map(|c| String::from_utf8_lossy(c).to_ascii_uppercase())
+            .map(|c| String::from_utf8_lossy(c.as_ref()).to_ascii_uppercase())
             .unwrap_or_default();
         let key = parts
             .get(1)
-            .map(|k| String::from_utf8_lossy(&k[..k.len().min(KEY_PREFIX_LEN)]).into_owned())
+            .map(|k| {
+                let k = k.as_ref();
+                String::from_utf8_lossy(&k[..k.len().min(KEY_PREFIX_LEN)]).into_owned()
+            })
             .unwrap_or_default();
         TraceRecord {
             id,

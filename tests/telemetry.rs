@@ -11,6 +11,9 @@ use std::time::{Duration, Instant};
 
 use dash_repro::{serve_with, EngineConfig, RespClient, ServeOptions, ServerHandle, ShardedDash};
 
+mod common;
+use common::TempDir;
+
 /// An in-memory server with the telemetry knobs under test.
 fn telemetry_server(shards: usize, shard_mb: usize, opts: ServeOptions) -> ServerHandle {
     let engine = ShardedDash::open(&EngineConfig {
@@ -240,6 +243,70 @@ fn info_is_sectioned_and_typed_accessors_read_it() {
     // Unknown sections are a clean error.
     let reply = c.command(&[b"INFO", b"bogus"]).unwrap();
     assert!(matches!(reply, dash_repro::dash_server::Value::Error(_)), "{reply:?}");
+    server.shutdown();
+}
+
+/// "Is group commit working" on a live server: records ÷ flushes. A
+/// pipeline's records leave in far fewer `write(2)` calls than there are
+/// records; the same ops one per round trip cost one call each.
+#[test]
+fn log_flushes_show_the_batching_factor() {
+    const OPS: u64 = 16 * 32;
+    let dir = TempDir::new("telemetry-flushes");
+    let engine = ShardedDash::open(&EngineConfig {
+        shards: 2,
+        shard_bytes: 16 << 20,
+        dir: Some(dir.path.clone()),
+        ..EngineConfig::default()
+    })
+    .unwrap();
+    let server = serve_with(
+        engine,
+        "127.0.0.1:0",
+        ServeOptions {
+            event_workers: Some(1),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    let key = |i: u64| format!("flush:{:03}", i % 64).into_bytes();
+
+    // Depth 16: each batch reaches the server as one burst.
+    for batch in 0..OPS / 16 {
+        for i in 0..16 {
+            c.enqueue(&[b"SET", &key(batch * 16 + i), b"pipelined"]);
+        }
+        c.flush().unwrap();
+        for _ in 0..16 {
+            c.read_reply().unwrap();
+        }
+    }
+    let (records, flushes) = (c.repl_offset().unwrap(), c.repl_log_flushes().unwrap());
+    assert_eq!(records, OPS);
+    assert!(
+        flushes < records,
+        "a depth-16 pipeline must share log writes: {flushes} flushes for {records} records"
+    );
+
+    // Depth 1: nothing to share a write with.
+    for i in 0..OPS {
+        c.command(&[b"SET", &key(i), b"alone"]).unwrap();
+    }
+    let (records2, flushes2) = (c.repl_offset().unwrap(), c.repl_log_flushes().unwrap());
+    assert_eq!(records2 - records, OPS);
+    assert_eq!(
+        flushes2 - flushes,
+        OPS,
+        "one op per round trip is one log write per op (write-through by construction)"
+    );
+
+    // The same counter, next to the record count, on the metrics endpoint.
+    let (_, body) = http_get(server.metrics_addr().unwrap(), "GET /metrics HTTP/1.0\r\n\r\n");
+    assert!(body.contains(&format!("dash_repl_log_flushes_total {flushes2}")), "{body}");
+    assert!(body.contains(&format!("dash_repl_offset {records2}")), "{body}");
+    assert_eq!(c.info_field("log_append_errors").unwrap().as_deref(), Some("0"));
     server.shutdown();
 }
 
