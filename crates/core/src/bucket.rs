@@ -299,6 +299,30 @@ impl Bucket {
         hit
     }
 
+    // ---- lookup hints (unmetered, read-only) ---------------------------
+
+    /// Start loading all four cachelines of this bucket.
+    #[inline]
+    pub fn prefetch_lines(&self) {
+        let base = (self as *const Bucket).cast::<u8>();
+        for at in (0..BUCKET_SIZE).step_by(pmem::CACHELINE) {
+            pmem::prefetch(base.wrapping_add(at));
+        }
+    }
+
+    /// The `(key word, value word)` of every slot a probe for `fp` would
+    /// compare. For hints only: no version check, no PM metering, and
+    /// the words may be torn against a concurrent writer.
+    #[inline]
+    pub fn hint_candidates(&self, fp: u8, use_fp: bool, mut f: impl FnMut(u64, u64)) {
+        let mut m = self.fp_candidates(fp, use_fp);
+        while m != 0 {
+            let (key, value) = self.record(m.trailing_zeros() as usize);
+            m &= m - 1;
+            f(key, value);
+        }
+    }
+
     #[inline]
     pub fn slot_fp(&self, slot: usize) -> u8 {
         if slot < 8 {

@@ -364,6 +364,67 @@ impl<K: Key> DashEh<K> {
         }
     }
 
+    // ---- lookup hints ---------------------------------------------------
+    //
+    // A caller holding several keys it is about to probe (a pipelined
+    // tick, an `MGET`) overlaps their dependent cache misses by hinting
+    // all of them one stage at a time: `hint_buckets` for every key, then
+    // `hint_records` for every key — by which time the bucket lines the
+    // first stage asked for have arrived. Hints change nothing and trust
+    // nothing: they take no lock, write nothing, are not metered as PM
+    // reads, and bounds-check every offset they read out of the pool
+    // before following it, so a stale or torn word costs a useless
+    // prefetch and nothing else. The caller holds an epoch pin, as for
+    // `get`. Deliberately not part of `PmHashTable`: only Dash-EH serves
+    // requests.
+
+    /// The segment a probe for `h` would resolve to — without the
+    /// recovery gate, and `None` unless the directory and the segment lie
+    /// inside the pool.
+    fn hint_segment(&self, h: u64) -> Option<SegView<'_>> {
+        let size = self.pool.size() as u64;
+        let in_pool = |off: u64, len: u64, align: u64| {
+            off != 0 && off.is_multiple_of(align) && off.checked_add(len).is_some_and(|e| e <= size)
+        };
+        let dir = self.dir_off();
+        if !in_pool(dir.get(), 8, 8) {
+            return None;
+        }
+        let depth = self.dir_depth(dir).min(MAX_DEPTH);
+        let entry = dir.get() + 8 + 8 * Self::seg_index(h, depth) as u64;
+        if !in_pool(entry, 8, 8) {
+            return None;
+        }
+        // SAFETY: `entry` is an aligned word inside the pool (checked).
+        let seg = unsafe { self.pool.at_ref::<AtomicU64>(PmOffset::new(entry)) }
+            .load(Ordering::Acquire);
+        in_pool(seg, self.geom.bytes() as u64, 64).then(|| self.view(PmOffset::new(seg)))
+    }
+
+    /// Stage 1: start loading the segment header line and the target
+    /// and probing buckets a probe for hash `h` will read.
+    pub fn hint_buckets(&self, h: u64) {
+        if let Some(seg) = self.hint_segment(h) {
+            seg.hint_buckets(h);
+        }
+    }
+
+    /// Stage 2, once stage 1's lines are on their way: for every
+    /// fingerprint candidate of `h`, start loading the line its key word
+    /// points at (out-of-line keys) and pass its value word to `value` —
+    /// unvalidated: the caller owns what a value word means, and must
+    /// check it before use.
+    pub fn hint_records(&self, h: u64, mut value: impl FnMut(u64)) {
+        let Some(seg) = self.hint_segment(h) else { return };
+        let size = self.pool.size() as u64;
+        seg.hint_records(&self.cfg, h, |key_word, value_word| {
+            if !K::INLINE && key_word < size {
+                pmem::prefetch(self.pool.base().wrapping_add(key_word as usize));
+            }
+            value(value_word);
+        });
+    }
+
     // ---- batched operations (§4.5: one epoch entry per batch) ------------
 
     /// Batched lookup: enter the epoch once, then run the
@@ -1039,6 +1100,77 @@ mod tests {
             assert_eq!(t.swap(&k, k + 1), Some(k), "key {k}");
         }
         assert!((1_000..3_000u64).all(|k| t.get(&k) == Some(k + 1)));
+    }
+
+    /// Hinting present and absent keys of a table grown through many
+    /// splits changes no counter of the pool, and every present key
+    /// outside the stash has its value word handed over.
+    #[test]
+    fn hints_are_inert_and_find_what_a_probe_would() {
+        let pool = PmemPool::create(PoolConfig::with_size(64 << 20)).unwrap();
+        let t: DashEh<VarKey> = DashEh::create(pool.clone(), DashConfig::default()).unwrap();
+        let key = |i: u64| format!("hint-key-{i:06}").into_bytes();
+        for i in 0..10_000u64 {
+            t.insert(key(i).as_slice(), i + 1).unwrap();
+        }
+        assert!(t.split_count() > 8, "{} splits", t.split_count());
+        let before = pool.stats();
+        let mut found = 0u64;
+        {
+            let _pin = pool.epoch().pin();
+            for i in 0..20_000u64 {
+                let h = key(i).as_slice().hash64();
+                t.hint_buckets(h);
+                let mut hit = false;
+                t.hint_records(h, |value| hit |= value == i + 1);
+                assert!(i < 10_000 || !hit, "absent key {i} cannot yield its value");
+                found += u64::from(hit);
+            }
+        }
+        assert_eq!(pool.stats(), before, "hints are not metered and write nothing");
+        assert!(found > 9_000, "only stash-resident keys go unhinted, found {found}");
+        assert!((0..10_000u64).all(|i| t.get(key(i).as_slice()) == Some(i + 1)));
+    }
+
+    /// Hints race every structural change the table has — splits,
+    /// doublings, merges, halvings, deletes with their deferred key frees
+    /// — holding only an epoch pin, and never fault or panic: whatever a
+    /// hint reads is bounds-checked before it is followed.
+    #[test]
+    fn hints_survive_concurrent_splits_doublings_and_deletes() {
+        let pool = PmemPool::create(PoolConfig::with_size(64 << 20)).unwrap();
+        let cfg = DashConfig { merge_threshold: 0.3, ..small_cfg() };
+        let t: DashEh<VarKey> = DashEh::create(pool.clone(), cfg).unwrap();
+        let key = |i: u64| format!("churn-{i:05}").into_bytes();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                started.wait();
+                for round in 0..4u64 {
+                    for i in 0..4_000u64 {
+                        t.insert(key(i).as_slice(), round * 10_000 + i + 1).unwrap();
+                    }
+                    for i in 0..4_000u64 {
+                        assert!(t.remove(key(i).as_slice()));
+                    }
+                    pool.epoch_collect();
+                }
+                done.store(true, Ordering::Release);
+            });
+            started.wait();
+            let mut seen = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let _pin = pool.epoch().pin();
+                for i in 0..4_000u64 {
+                    let h = key(i).as_slice().hash64();
+                    t.hint_buckets(h);
+                    t.hint_records(h, |value| seen += u64::from(value != 0));
+                }
+            }
+            assert!(seen > 0, "the hinting thread ran against a live table");
+        });
+        assert!(t.split_count() > 0 && t.doubling_count() > 0 && t.merge_count() > 0);
     }
 
     #[test]

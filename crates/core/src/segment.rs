@@ -736,6 +736,43 @@ impl<'a> SegView<'a> {
         }
     }
 
+    // ---- lookup hints ---------------------------------------------------
+    //
+    // What a caller about to probe several keys uses to overlap their
+    // cache misses (Dash-EH's `hint_buckets` / `hint_records`). Hints
+    // only read and prefetch: no lock, no version check, no PM metering,
+    // so a probe costs and counts exactly what it would have unhinted.
+
+    /// The target and probing buckets of `h`.
+    #[inline]
+    fn probe_pair(&self, h: u64) -> (&'a Bucket, &'a Bucket) {
+        let y = self.geom.bucket_index(h);
+        (self.bucket(y), self.bucket((y + 1) & (self.geom.normal() - 1)))
+    }
+
+    /// Start loading what a probe for `h` reads first: the header line
+    /// (the lazy-recovery version gate) and both buckets, four lines
+    /// each. Dereferences nothing.
+    pub fn hint_buckets(&self, h: u64) {
+        pmem::prefetch(self.header());
+        let (tb, pb) = self.probe_pair(h);
+        tb.prefetch_lines();
+        if !std::ptr::eq(tb, pb) {
+            pb.prefetch_lines();
+        }
+    }
+
+    /// Hand `f` the `(key word, value word)` of every record a probe for
+    /// `h` would compare in its target and probing buckets. Stash
+    /// records are not visited: the few keys that overflow go unhinted.
+    pub fn hint_records(&self, cfg: &DashConfig, h: u64, mut f: impl FnMut(u64, u64)) {
+        let (tb, pb) = self.probe_pair(h);
+        tb.hint_candidates(h as u8, cfg.fingerprints, &mut f);
+        if !std::ptr::eq(tb, pb) {
+            pb.hint_candidates(h as u8, cfg.fingerprints, &mut f);
+        }
+    }
+
     // ---- delete / update -------------------------------------------------
 
     /// Remove a record. Returns the removed key representation so callers
@@ -1503,6 +1540,41 @@ mod tests {
             let h = dash_common::hash_u64(k);
             assert!(matches!(view.search(&cfg, h, &k, always()), SegFind::Found(_)));
         }
+    }
+
+    /// Hints read and prefetch, nothing else: a resident record's words
+    /// are handed over, an absent or stash-resident key yields at most
+    /// fingerprint false positives, and the pool's counters do not move.
+    #[test]
+    fn hints_yield_resident_records_and_meter_nothing() {
+        let cfg = DashConfig::default();
+        let (pool, off, geom) = setup(&cfg);
+        let view = SegView::new(&pool, off, geom);
+        // Fill until some records overflow into the stash.
+        let mut n = 0u64;
+        let mut stashed = Vec::new();
+        while stashed.is_empty() {
+            for _ in 0..64 {
+                let h = dash_common::hash_u64(n);
+                view.insert(&cfg, h, &n, n, n + 1_000_000, false, always()).unwrap();
+                n += 1;
+            }
+            view.for_each_record(|loc, _, key, _| {
+                if matches!(loc, RecLoc::Stash(_)) {
+                    stashed.push(key);
+                }
+            });
+        }
+        let before = pool.stats();
+        for k in 0..n + 500 {
+            let h = dash_common::hash_u64(k);
+            view.hint_buckets(h);
+            let mut hit = false;
+            view.hint_records(&cfg, h, |key, value| hit |= key == k && value == k + 1_000_000);
+            let resident = k < n && !stashed.contains(&k);
+            assert_eq!(hit, resident, "key {k} of {n} ({} stashed)", stashed.len());
+        }
+        assert_eq!(pool.stats(), before, "a hint is not a metered PM access");
     }
 
     #[test]

@@ -57,3 +57,22 @@ pub use layout::{align_up, PmOffset, CACHELINE};
 pub use pool::{PmemPool, PoolConfig, PoolImage, RecoveryOutcome};
 pub use stats::StatsSnapshot;
 pub use tx::MAX_TX_WRITES;
+
+/// Ask the CPU to start pulling the cacheline holding `ptr` toward L1
+/// (`prefetcht0`) without waiting for it: how a caller that knows several
+/// addresses it will read soon overlaps their misses instead of taking
+/// them one after another. A hint only — it reads nothing, never faults
+/// whatever `ptr` is, and is not metered as a PM read. Does nothing on
+/// targets other than x86-64.
+#[inline(always)]
+pub fn prefetch<T>(ptr: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE is part of the x86-64 baseline, and a prefetch of any
+    // address, mapped or not, is architecturally a no-op at worst.
+    #[allow(unused_unsafe)]
+    unsafe {
+        std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(ptr.cast())
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = ptr;
+}

@@ -6,12 +6,17 @@
 //! one write; `read_reply` then yields the replies in order. `command`
 //! is the one-shot convenience wrapping all three.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::time::Duration;
 
 use crate::cluster::slots::key_slot;
+use crate::net::sys::read_spare;
 use crate::resp::{decode_value, encode_command, Decode, Value};
+
+/// Least spare read-buffer capacity a `read` is issued with.
+const READ_CHUNK: usize = 16 * 1024;
 
 pub struct RespClient {
     stream: TcpStream,
@@ -79,8 +84,10 @@ impl RespClient {
                     return Ok(v);
                 }
                 Ok(Decode::Incomplete) => {
-                    let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk).map_err(|e| {
+                    // Straight into the buffer's spare capacity: no
+                    // zeroed bounce buffer, no second copy.
+                    self.rbuf.reserve(READ_CHUNK);
+                    let n = read_spare(self.stream.as_raw_fd(), &mut self.rbuf).map_err(|e| {
                         // With a read timeout set, a silent server
                         // surfaces as WouldBlock/TimedOut depending on
                         // the platform; normalize to one clear error.
@@ -99,7 +106,6 @@ impl RespClient {
                             "server closed the connection mid-reply",
                         ));
                     }
-                    self.rbuf.extend_from_slice(&chunk[..n]);
                 }
                 Err(e) => {
                     return Err(std::io::Error::new(ErrorKind::InvalidData, e.to_string()));

@@ -286,21 +286,24 @@ impl ClusterState {
     }
 
     /// The dispatch gate: may this node serve a command touching
-    /// `keys`? `Err` is the redirect (or CROSSSLOT/TRYAGAIN) reply to
-    /// send instead. `Ok(Some(guard))` pins the command as in-flight
-    /// against a migrating slot; the caller holds it across execution.
-    pub(crate) fn check<'a>(
+    /// `keys` ([`command_keys`](crate::server::command_keys))? `Err` is
+    /// the redirect (or CROSSSLOT/TRYAGAIN) reply to send instead.
+    /// `Ok(Some(guard))` pins the command as in-flight against a
+    /// migrating slot; the caller holds it across execution. A command
+    /// with no keys bypasses the gate.
+    pub(crate) fn check<'a, 'k>(
         &'a self,
-        keys: &[&[u8]],
+        mut keys: impl Iterator<Item = &'k [u8]>,
         asking: bool,
     ) -> Result<Option<MigratingGuard<'a>>, Value> {
-        let slot = key_slot(keys[0]);
-        for key in &keys[1..] {
-            if key_slot(key) != slot {
-                return Err(Value::Error(
-                    "CROSSSLOT Keys in request don't hash to the same slot".into(),
-                ));
-            }
+        let Some(first) = keys.next() else {
+            return Ok(None);
+        };
+        let slot = key_slot(first);
+        if keys.any(|key| key_slot(key) != slot) {
+            return Err(Value::Error(
+                "CROSSSLOT Keys in request don't hash to the same slot".into(),
+            ));
         }
         self.check_slot(slot, asking)
     }
@@ -415,26 +418,6 @@ impl ClusterState {
             out.push_str(&format!("import_source:{}\r\n", imp.source));
         }
         out
-    }
-}
-
-/// The keys a command addresses, for slot routing. `None` means the
-/// command is not keyed (node-local or administrative) and bypasses the
-/// slot gate entirely — `SCAN`/`KEYS`/`DBSIZE`/`SNAPSHOT` deliberately
-/// stay node-local under cluster mode.
-pub(crate) fn keyed_args<'a>(name: &[u8], args: &[&'a [u8]]) -> Option<Vec<&'a [u8]>> {
-    let keys: Vec<&[u8]> = match name {
-        b"GET" | b"SET" | b"EXPIRE" | b"PEXPIRE" | b"TTL" | b"PTTL" | b"PERSIST" => {
-            vec![*args.first()?]
-        }
-        b"MGET" | b"DEL" | b"UNLINK" | b"EXISTS" => args.to_vec(),
-        b"MSET" => args.iter().step_by(2).copied().collect(),
-        _ => return None,
-    };
-    if keys.is_empty() {
-        None // malformed arity; let dispatch produce the error
-    } else {
-        Some(keys)
     }
 }
 
@@ -648,28 +631,8 @@ mod tests {
         ClusterState::open(announce.to_string(), None).unwrap()
     }
 
-    #[test]
-    fn keyed_args_extracts_the_right_keys() {
-        let args = |v: &[&'static str]| v.iter().map(|s| s.as_bytes()).collect::<Vec<_>>();
-        assert_eq!(keyed_args(b"GET", &args(&["k"])).unwrap(), vec![b"k".as_slice()]);
-        assert_eq!(keyed_args(b"SET", &args(&["k", "v"])).unwrap(), vec![b"k".as_slice()]);
-        assert_eq!(
-            keyed_args(b"MGET", &args(&["a", "b"])).unwrap(),
-            vec![b"a".as_slice(), b"b".as_slice()]
-        );
-        assert_eq!(
-            keyed_args(b"MSET", &args(&["a", "1", "b", "2"])).unwrap(),
-            vec![b"a".as_slice(), b"b".as_slice()],
-            "MSET keys are every other argument"
-        );
-        assert_eq!(
-            keyed_args(b"DEL", &args(&["a", "b", "c"])).unwrap().len(),
-            3
-        );
-        assert!(keyed_args(b"PING", &args(&[])).is_none());
-        assert!(keyed_args(b"INFO", &args(&["replication"])).is_none());
-        assert!(keyed_args(b"SCAN", &args(&["0"])).is_none(), "SCAN stays node-local");
-        assert!(keyed_args(b"GET", &args(&[])).is_none(), "bad arity bypasses the gate");
+    fn keys<'k>(keys: &'k [&'k [u8]]) -> impl Iterator<Item = &'k [u8]> {
+        keys.iter().copied()
     }
 
     #[test]
@@ -677,14 +640,14 @@ mod tests {
         let cl = state("127.0.0.1:7000");
         let slot = key_slot(b"foo"); // 12182
         // Unassigned slot: CLUSTERDOWN.
-        let Err(Value::Error(e)) = cl.check(&[b"foo"], false) else {
+        let Err(Value::Error(e)) = cl.check(keys(&[b"foo"]), false) else {
             panic!("unassigned slot must not be served")
         };
         assert!(e.starts_with("CLUSTERDOWN"), "{e}");
         // Assigned elsewhere: MOVED with slot and owner.
         cl.update_map(|m| m.assign(0, NUM_SLOTS - 1, "10.0.0.9:7001")).unwrap();
         cl.sync_phases_to_map();
-        let Err(Value::Error(e)) = cl.check(&[b"foo"], false) else {
+        let Err(Value::Error(e)) = cl.check(keys(&[b"foo"]), false) else {
             panic!("remote slot must redirect")
         };
         assert_eq!(e, format!("MOVED {slot} 10.0.0.9:7001"));
@@ -692,10 +655,10 @@ mod tests {
         // Ours: served.
         cl.update_map(|m| m.assign(0, NUM_SLOTS - 1, "127.0.0.1:7000")).unwrap();
         cl.sync_phases_to_map();
-        assert!(cl.check(&[b"foo"], false).unwrap().is_none());
+        assert!(cl.check(keys(&[b"foo"]), false).unwrap().is_none());
         // Migrating: served, with an in-flight guard.
         cl.set_phase_range(slot, slot, PHASE_MIGRATING);
-        let guard = cl.check(&[b"foo"], false).unwrap();
+        let guard = cl.check(keys(&[b"foo"]), false).unwrap();
         assert!(guard.is_some());
         assert_eq!(cl.migrating_inflight(), 1);
         drop(guard);
@@ -703,14 +666,14 @@ mod tests {
         // Handoff: ASK to the migration target.
         cl.migration.lock().target = "10.0.0.9:7001".into();
         cl.set_phase_range(slot, slot, PHASE_HANDOFF);
-        let Err(Value::Error(e)) = cl.check(&[b"foo"], false) else {
+        let Err(Value::Error(e)) = cl.check(keys(&[b"foo"]), false) else {
             panic!("handoff must redirect")
         };
         assert_eq!(e, format!("ASK {slot} 10.0.0.9:7001"));
         // Importing: only ASKING connections are served.
         cl.set_phase_range(slot, slot, PHASE_IMPORTING);
-        assert!(matches!(cl.check(&[b"foo"], false), Err(Value::Error(e)) if e.starts_with("MOVED")));
-        assert!(cl.check(&[b"foo"], true).unwrap().is_none());
+        assert!(matches!(cl.check(keys(&[b"foo"]), false), Err(Value::Error(e)) if e.starts_with("MOVED")));
+        assert!(cl.check(keys(&[b"foo"]), true).unwrap().is_none());
     }
 
     #[test]
@@ -718,13 +681,13 @@ mod tests {
         let cl = state("127.0.0.1:7000");
         cl.update_map(|m| m.assign(0, NUM_SLOTS - 1, "127.0.0.1:7000")).unwrap();
         cl.sync_phases_to_map();
-        let Err(Value::Error(e)) = cl.check(&[b"foo", b"bar"], false) else {
+        let Err(Value::Error(e)) = cl.check(keys(&[b"foo", b"bar"]), false) else {
             panic!("foo (12182) and bar (5061) must not share a command")
         };
         assert!(e.starts_with("CROSSSLOT"), "{e}");
         // Same hash tag → same slot → allowed.
         assert!(cl
-            .check(&[b"{user1}.a".as_slice(), b"{user1}.b".as_slice()], false)
+            .check(keys(&[b"{user1}.a", b"{user1}.b"]), false)
             .unwrap()
             .is_none());
     }
@@ -735,7 +698,7 @@ mod tests {
         let slot = key_slot(b"foo");
         cl.set_phase_range(slot, slot, PHASE_FROZEN);
         let started = Instant::now();
-        let Err(Value::Error(e)) = cl.check(&[b"foo"], false) else {
+        let Err(Value::Error(e)) = cl.check(keys(&[b"foo"]), false) else {
             panic!("permanently frozen slot must eventually TRYAGAIN")
         };
         assert!(e.starts_with("TRYAGAIN"), "{e}");
@@ -747,7 +710,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(30));
             cl2.set_phase_range(slot, slot, PHASE_MINE);
         });
-        assert!(cl.check(&[b"foo"], false).unwrap().is_none());
+        assert!(cl.check(keys(&[b"foo"]), false).unwrap().is_none());
         t.join().unwrap();
     }
 }

@@ -37,13 +37,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use dash_common::{hash64_seed, PmHashTable, ScanCursor, TableError, VarKey, MAX_KEY_LEN};
+use dash_common::{
+    hash64_seed, KeyProbe, PmHashTable, ScanCursor, TableError, VarKey, MAX_KEY_LEN,
+};
 use dash_core::{DashConfig, DashEh};
 use parking_lot::Mutex;
-use pmem::{PmError, PmOffset, PmemPool, PoolConfig};
+use pmem::{PmError, PmOffset, PmemPool, PoolConfig, CACHELINE};
 
 use crate::cluster::slots::{key_slot, NUM_SLOTS};
 use crate::expire::{is_expired, now_ms, policy, EvictionPolicy, TimerWheel};
+use crate::metrics::Counter;
 use crate::repl::hub::{ReplHub, ReplSubscription};
 use crate::repl::log::LogWriter;
 use crate::repl::{OpRef, ReplOp};
@@ -540,6 +543,19 @@ type SnapshotEmit<'a> = dyn FnMut(&[u8], &[u8], u64) -> SnapshotResult<()> + 'a;
 /// Value-blob header size: `u32 len | u32 access | u64 expire_at_ms`.
 const BLOB_HDR: usize = 16;
 
+/// Keys hinted together by [`ShardedDash::prefetch`], and so the most
+/// commands a connection decodes into one window. Sized to what an L1d
+/// holds, not tuned: per key a hint asks for 9 lines of segment header
+/// and buckets, 1 of key and at most 1 + [`PREFETCH_VALUE_LINES`] of
+/// value, so 16 keys are ≈ 27 KiB of 64 B lines at the cap and ≈ 12 KiB
+/// for values under 128 B — nothing hinted is evicted again before its
+/// command runs. More keys are hinted as consecutive groups of this size.
+pub(crate) const PREFETCH_WINDOW: usize = 16;
+/// Payload lines the hint asks for beyond a value's first: 1 KiB, past
+/// which the copy is sequential for long enough that the hardware
+/// streamer has taken it over.
+const PREFETCH_VALUE_LINES: usize = 16;
+
 /// Keys sampled per eviction decision (Redis's `maxmemory-samples`).
 const EVICT_SAMPLES: usize = 5;
 /// Bound on reclaim/evict rounds per write — turns a no-progress
@@ -566,6 +582,14 @@ struct BlobMeta {
     expire_at_ms: u64,
 }
 
+/// Could a blob header start at `off`: non-null, 16-aligned, and wholly
+/// inside the pool?
+fn blob_header_in_pool(pool: &PmemPool, off: u64) -> bool {
+    off != 0
+        && off.is_multiple_of(16)
+        && off.checked_add(BLOB_HDR as u64).is_some_and(|end| end <= pool.size() as u64)
+}
+
 /// Decode and bounds-check the blob header at `off`. `None` means the
 /// offset cannot be a valid blob in this pool (corrupt table / stale
 /// pointer) — the single gate every read and release of a value blob
@@ -573,7 +597,7 @@ struct BlobMeta {
 /// size class), so the 16-alignment check is strict for any corrupt
 /// offset that isn't.
 fn blob_meta(pool: &PmemPool, off: u64) -> Option<BlobMeta> {
-    if off == 0 || !off.is_multiple_of(16) || off + BLOB_HDR as u64 > pool.size() as u64 {
+    if !blob_header_in_pool(pool, off) {
         return None;
     }
     // SAFETY: bounds checked above; off is 16-aligned so every field is
@@ -635,6 +659,10 @@ pub struct ShardedDash {
     compactions: AtomicU64,
     /// Bytes returned to the allocators by reclamation.
     reclaimed_bytes: AtomicU64,
+    /// [`prefetch`](Self::prefetch) calls that had keys to overlap, and
+    /// the keys they hinted: keys ÷ windows is the batching the hint saw.
+    prefetch_windows: Counter,
+    prefetch_keys: Counter,
 }
 
 fn shard_file(dir: &Path, i: usize) -> PathBuf {
@@ -817,6 +845,8 @@ impl ShardedDash {
             oom_rejections: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             reclaimed_bytes: AtomicU64::new(0),
+            prefetch_windows: Counter::new(),
+            prefetch_keys: Counter::new(),
         })
     }
 
@@ -867,7 +897,7 @@ impl ShardedDash {
     ) -> EngineResult<Option<R>> {
         Self::check_key(key)?;
         let shard = self.shard(key);
-        let now = now_ms();
+        let now;
         {
             let _pin = shard.pin();
             let Some(off) = shard.table.get(key) else {
@@ -876,6 +906,11 @@ impl ShardedDash {
             let Some(meta) = shard.blob_meta(off) else {
                 return Ok(None);
             };
+            // The clock is read only for a blob that can use it: one
+            // with a deadline to compare (so an expired one, below, has
+            // a real `now`), or an access word that `touch` will stamp
+            // (a store with a memory budget).
+            now = if meta.expire_at_ms != 0 || self.max_memory.is_some() { now_ms() } else { 0 };
             if !is_expired(meta.expire_at_ms, now) {
                 self.touch(shard, off, &meta, now);
                 return Ok(Some(f(shard.payload(off, &meta), meta.expire_at_ms)));
@@ -914,14 +949,18 @@ impl ShardedDash {
     pub fn exists(&self, key: &[u8]) -> EngineResult<bool> {
         Self::check_key(key)?;
         let shard = self.shard(key);
-        let now = now_ms();
-        let live = {
+        let deadline = {
             let _pin = shard.pin();
             match shard.table.get(key).and_then(|off| shard.blob_meta(off)) {
                 None => return Ok(false),
-                Some(meta) => !is_expired(meta.expire_at_ms, now),
+                Some(meta) => meta.expire_at_ms,
             }
         };
+        if deadline == 0 {
+            return Ok(true); // no deadline: no need to ask the clock
+        }
+        let now = now_ms();
+        let live = !is_expired(deadline, now);
         if !live {
             self.lazy_expire_key(shard, key, now);
         }
@@ -981,7 +1020,6 @@ impl ShardedDash {
     pub fn ttl_ms(&self, key: &[u8]) -> EngineResult<i64> {
         Self::check_key(key)?;
         let shard = self.shard(key);
-        let now = now_ms();
         let deadline = {
             let _pin = shard.pin();
             shard.table.get(key).and_then(|off| shard.blob_meta(off)).map(|m| m.expire_at_ms)
@@ -989,11 +1027,15 @@ impl ShardedDash {
         match deadline {
             None => Ok(-2),
             Some(0) => Ok(-1),
-            Some(e) if is_expired(e, now) => {
-                self.lazy_expire_key(shard, key, now);
-                Ok(-2)
+            Some(e) => {
+                let now = now_ms();
+                if is_expired(e, now) {
+                    self.lazy_expire_key(shard, key, now);
+                    Ok(-2)
+                } else {
+                    Ok((e - now) as i64)
+                }
             }
-            Some(e) => Ok((e - now) as i64),
         }
     }
 
@@ -1097,6 +1139,98 @@ impl ShardedDash {
         }
     }
 
+    // ---- the lookup hint --------------------------------------------------
+
+    /// Hint that `keys` are about to be looked up, so that the cache
+    /// misses of their lookups overlap instead of being taken one key at
+    /// a time. A lookup walks a chain of dependent lines — bucket
+    /// metadata, then the record's key and value blobs, then the value's
+    /// payload — and the hint walks it for all keys at once, one stage per
+    /// pass, each pass issuing the loads the next one reads:
+    ///
+    /// 1. **buckets** — hash, shard, directory → segment; prefetch the
+    ///    segment header and the target and probing buckets;
+    /// 2. **records** — for every fingerprint candidate in those buckets,
+    ///    prefetch its key blob and the first line of its value blob;
+    /// 3. **values** — decode each candidate's blob header and prefetch
+    ///    the payload lines its length says a copy will touch, at most
+    ///    `PREFETCH_VALUE_LINES` (16) of them.
+    ///
+    /// **The contract: a hint changes nothing.** It writes nothing, takes
+    /// no lock, is not metered as a PM read (`pool.stats()` is identical
+    /// before and after), and replaces no check of the operation that
+    /// follows, which probes, validates and counts exactly as if it had
+    /// not been hinted. It trusts nothing it reads: every offset is
+    /// bounds-checked before it is followed, so a stale or torn word
+    /// costs a useless prefetch. It holds one epoch pin per shard touched
+    /// per group of `PREFETCH_WINDOW` (16) keys, all released on return — the
+    /// caller may go on to free memory. Fewer than two keys have nothing
+    /// to overlap with: such a call returns at once.
+    pub fn prefetch(&self, keys: &[&[u8]]) {
+        if keys.len() < 2 {
+            return;
+        }
+        self.prefetch_windows.incr();
+        self.prefetch_keys.add(keys.len() as u64);
+        for group in keys.chunks(PREFETCH_WINDOW) {
+            self.prefetch_group(group);
+        }
+    }
+
+    /// The three passes over at most [`PREFETCH_WINDOW`] keys. All
+    /// scratch is on the stack.
+    fn prefetch_group(&self, keys: &[&[u8]]) {
+        let mut probes = [(0usize, 0u64); PREFETCH_WINDOW]; // (shard, table hash)
+        let probes = &mut probes[..keys.len()];
+        let mut pins = [const { None }; PREFETCH_WINDOW];
+        for i in 0..probes.len() {
+            let si = self.shard_index(keys[i]);
+            probes[i] = (si, keys[i].hash64());
+            if !probes[..i].iter().any(|&(earlier, _)| earlier == si) {
+                let shard = &self.shards[si];
+                shard.pins.fetch_add(1, Ordering::Relaxed);
+                pins[i] = Some(shard.pool.epoch().pin());
+            }
+        }
+        for &(si, h) in probes.iter() {
+            self.shards[si].table.hint_buckets(h);
+        }
+        // A fingerprint false positive adds a candidate; past twice the
+        // keys the extra ones go unhinted.
+        let mut blobs = [(0usize, 0u64); 2 * PREFETCH_WINDOW]; // (shard, blob offset)
+        let mut found = 0;
+        for &(si, h) in probes.iter() {
+            let shard = &self.shards[si];
+            shard.table.hint_records(h, |off| {
+                if found < blobs.len() && blob_header_in_pool(&shard.pool, off) {
+                    pmem::prefetch(shard.pool.base().wrapping_add(off as usize));
+                    blobs[found] = (si, off);
+                    found += 1;
+                }
+            });
+        }
+        for &(si, off) in &blobs[..found] {
+            let pool = &self.shards[si].pool;
+            let Some(meta) = blob_meta(pool, off) else { continue };
+            let first = off as usize & !(CACHELINE - 1);
+            let last = (off as usize + BLOB_HDR + meta.len - 1) & !(CACHELINE - 1);
+            for line in (first + CACHELINE..=last).step_by(CACHELINE).take(PREFETCH_VALUE_LINES) {
+                pmem::prefetch(pool.base().wrapping_add(line));
+            }
+        }
+        drop(pins); // held across all three passes, released before returning
+    }
+
+    /// [`prefetch`](Self::prefetch) calls that had at least two keys.
+    pub fn prefetch_windows_total(&self) -> u64 {
+        self.prefetch_windows.get()
+    }
+
+    /// Keys those calls hinted.
+    pub fn prefetch_keys_total(&self) -> u64 {
+        self.prefetch_keys.get()
+    }
+
     // ---- batched operations ----------------------------------------------
     //
     // The batch entry points group keys by owning shard, then execute
@@ -1105,7 +1239,9 @@ impl ShardedDash {
     // Dash §4.5's epoch amortization. Keys are validated up front, so a
     // `KeyTooLong`/`ValueTooLong` error means nothing was executed; a
     // mid-batch pool error (`mset` only) can leave earlier keys written,
-    // exactly like the equivalent sequence of single-key calls.
+    // exactly like the equivalent sequence of single-key calls. Each
+    // entry point hints its whole key set first (`prefetch`), so the
+    // probes that follow find their lines already on the way.
 
     /// Validate `keys` and group them by shard: per shard, the indices
     /// of the keys it owns (in input order).
@@ -1124,6 +1260,7 @@ impl ShardedDash {
     /// after the pins drop (primary only).
     pub fn mget(&self, keys: &[&[u8]]) -> EngineResult<Vec<Option<Vec<u8>>>> {
         let groups = self.group_keys(keys)?;
+        self.prefetch(keys);
         let now = now_ms();
         let mut out = vec![None; keys.len()];
         let mut expired: Vec<(usize, usize)> = Vec::new(); // (shard, key index)
@@ -1172,6 +1309,7 @@ impl ShardedDash {
         }
         let keys: Vec<&[u8]> = triples.iter().map(|(k, _, _)| *k).collect();
         let groups = self.group_keys(&keys)?;
+        self.prefetch(&keys);
         let now = now_ms();
         let enforce = enforce && self.shard_budget.is_some();
         let _batch = self.log_batch();
@@ -1202,6 +1340,7 @@ impl ShardedDash {
     /// keys execute under one write-lock acquisition and one epoch pin.
     pub fn mdel(&self, keys: &[&[u8]]) -> EngineResult<u64> {
         let groups = self.group_keys(keys)?;
+        self.prefetch(keys);
         let mut removed = 0u64;
         let _batch = self.log_batch();
         for (shard, group) in self.shards.iter().zip(&groups) {
@@ -1222,6 +1361,7 @@ impl ShardedDash {
     /// Lock-free: one epoch pin per shard group.
     pub fn mexists(&self, keys: &[&[u8]]) -> EngineResult<u64> {
         let groups = self.group_keys(keys)?;
+        self.prefetch(keys);
         let now = now_ms();
         let mut present = 0u64;
         let mut expired: Vec<(usize, usize)> = Vec::new();
@@ -2352,6 +2492,63 @@ mod tests {
         assert!(matches!(e.set(b"k", &long_val), Err(EngineError::ValueTooLong(_))));
         // Max sizes themselves are fine.
         e.set(&vec![b'k'; MAX_KEY_LEN], b"v").unwrap();
+    }
+
+    /// The hint contract: `prefetch` over present keys (values from
+    /// empty to past the payload-line cap), absent keys, malformed keys
+    /// and records whose value word is garbage or a freed blob leaves
+    /// every pool counter where it was and every key readable as before.
+    #[test]
+    fn prefetch_is_inert_over_present_absent_and_garbage() {
+        let e = mem_engine(2);
+        let key = |i: usize| format!("hinted:{i:05}").into_bytes();
+        let value = |i: usize| vec![i as u8; (i * 37) % 2_000];
+        for i in 0..10_000 {
+            e.set(&key(i), &value(i)).unwrap();
+        }
+        // Records no engine call would write: value words that point
+        // nowhere, past the pool, off alignment, or at a blob that has
+        // been freed and handed back to the allocator.
+        let freed = {
+            let shard = e.shard(b"victim");
+            e.set(b"victim", &[1u8; 300]).unwrap();
+            let off = shard.table.get(b"victim".as_slice()).unwrap();
+            assert!(e.del(b"victim").unwrap());
+            shard.pool.epoch_collect();
+            off
+        };
+        let size = e.shards[0].pool.size() as u64;
+        let garbage = [0, 8, 24, u64::MAX, u64::MAX - 15, size, size - 16, size + 64, freed];
+        for (i, word) in garbage.iter().enumerate() {
+            let k = format!("garbage:{i}").into_bytes();
+            e.shard(&k).table.insert(k.as_slice(), *word).unwrap();
+        }
+
+        let mut keys: Vec<Vec<u8>> = (0..20_000).map(key).collect(); // half of them absent
+        keys.extend((0..garbage.len()).map(|i| format!("garbage:{i}").into_bytes()));
+        keys.push(Vec::new());
+        keys.push(vec![0xFF; MAX_KEY_LEN + 1]);
+        keys.extend((0..64u8).map(|i| vec![i, 0, 13, 10, 255 - i]));
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+
+        let stats = |e: &ShardedDash| e.shards.iter().map(|s| s.pool.stats()).collect::<Vec<_>>();
+        let (before, mem_before) = (stats(&e), e.mem_used());
+        // As a connection does (windows of a pipeline), as a multi-key
+        // call does (everything at once), and the lone key that is no
+        // window at all.
+        for window in refs.chunks(PREFETCH_WINDOW) {
+            e.prefetch(window);
+        }
+        e.prefetch(&refs);
+        e.prefetch(&refs[..1]);
+        assert_eq!(stats(&e), before, "a hint must not move a pool counter");
+        assert_eq!(e.mem_used(), mem_before);
+        let windows = refs.len().div_ceil(PREFETCH_WINDOW) as u64 + 1;
+        assert_eq!(e.prefetch_windows_total(), windows, "a lone key is not a window");
+        assert_eq!(e.prefetch_keys_total(), 2 * refs.len() as u64);
+        for i in 0..10_000 {
+            assert_eq!(e.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+        }
     }
 
     #[test]

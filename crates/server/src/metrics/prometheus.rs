@@ -95,6 +95,11 @@ pub(crate) fn render(inner: &Inner) -> String {
     counter(&mut out, "dash_compactions_total", "Value-log reclamation passes that freed space.", engine.compactions_total());
     counter(&mut out, "dash_reclaimed_bytes_total", "Value-log bytes returned to the free lists by reclamation.", engine.reclaimed_bytes_total());
 
+    // The lookup hint: keys ÷ windows is how many lookups a pipelined
+    // tick or a multi-key call overlapped.
+    counter(&mut out, "dash_prefetch_windows_total", "Lookup hints issued for two or more keys (pipeline windows and multi-key calls).", engine.prefetch_windows_total());
+    counter(&mut out, "dash_prefetch_keys_total", "Keys those hints covered.", engine.prefetch_keys_total());
+
     // Replication: the stream position, each live sink's position and
     // lag, and how often this replica's link had to be rebuilt.
     counter(&mut out, "dash_repl_offset", "Replication stream offset (ops since store creation).", inner.engine.repl_offset());

@@ -22,11 +22,37 @@
 //! ([`release_if_oversized`]), so peak capacity is not pinned for the
 //! life of the connection.
 //!
-//! **One pass, nothing copied twice.** Bytes are read straight into the
-//! read buffer; each command is decoded into slices *of that buffer*
-//! ([`decode_args`]), executed, and its reply appended to the write
-//! buffer by [`execute`] itself (a `GET` value goes pool → write buffer
-//! in one copy). In steady state a request allocates nothing.
+//! **Decode a window, hint it, execute it in order.** Bytes are read
+//! straight into the read buffer. [`Conn::run_commands`] then takes the
+//! buffered pipeline a *window* at a time — up to [`WINDOW`] complete
+//! commands:
+//!
+//! 1. **decode** each command once, into slices *of the read buffer*
+//!    ([`decode_args`]) held in a fixed array on the stack;
+//! 2. **hint** the engine with the keys of the window's keyed commands
+//!    ([`command_keys`] → [`ShardedDash::prefetch`]), which starts
+//!    loading the buckets, records and values their lookups will read —
+//!    for all of them at once, so that sixteen lookups wait for their
+//!    cache misses together instead of one after another;
+//! 3. **execute** the commands strictly in order, each reply appended to
+//!    the write buffer by [`execute`] itself (a `GET` value goes pool →
+//!    write buffer in one copy).
+//!
+//! A window reorders *nothing*. The hint only reads and prefetches — it
+//! is not an early execution, and what a command sees is decided when it
+//! runs: `SET k` then `GET k` in one window returns the new value. A
+//! command is consumed from the read buffer only as it starts, so one
+//! that backpressure (or a `SHUTDOWN`/`PSYNC` ahead of it) keeps from
+//! starting is decoded again by a later window — never executed twice,
+//! never dropped — and a protocol error behind `k` good commands is
+//! reported after their `k` replies. One-shot session state (`ASKING`,
+//! `TRACEID`), the panic boundary and the trace spans are per command,
+//! as ever. A buffer holding a single complete command — depth-1 traffic
+//! — is a window of one, and skips the hint: there is nothing to overlap
+//! it with. That is a property of the input, not a setting. In steady
+//! state a request allocates nothing.
+//!
+//! [`ShardedDash::prefetch`]: crate::engine::ShardedDash::prefetch
 //!
 //! **Group commit, scoped to the tick.** [`Conn::run_commands`] holds one
 //! [`LogBatch`](crate::engine::LogBatch) for as long as it executes: the
@@ -43,13 +69,15 @@
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Write};
+use std::mem::MaybeUninit;
 use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
+use crate::engine::{ShardedDash, PREFETCH_WINDOW};
 use crate::metrics::CmdFamily;
-use crate::resp::{decode_args, encode, Decode, Value};
-use crate::server::{execute, Inner, Outcome, Session, WRITE_TIMEOUT};
+use crate::resp::{decode_args, encode, Args, Decode, ProtocolError, Value};
+use crate::server::{command_keys, execute, Inner, Outcome, Session, WRITE_TIMEOUT};
 use crate::trace::{self, Stage};
 
 use super::sys::{read_spare, Interest};
@@ -72,6 +100,10 @@ const COMPACT_AT: usize = 1 << 20;
 /// connection. A deeply pipelined connection past this loses its oldest
 /// spans (counted as abandoned) rather than growing without bound.
 const PENDING_TRACE_CAP: usize = 128;
+/// Commands decoded, hinted and then executed together: as many as the
+/// engine hints at once (see [`PREFETCH_WINDOW`] for the sizing). A deeper
+/// pipeline is consecutive windows.
+const WINDOW: usize = PREFETCH_WINDOW;
 /// Bytes of command name / key kept for the worker-panic log line.
 const PANIC_CTX_LEN: usize = 24;
 
@@ -89,6 +121,16 @@ pub(crate) enum Drive {
     /// `PSYNC` accepted: hand the (flushed, re-blocked) socket to a
     /// dedicated replication-stream thread.
     Replicate,
+}
+
+/// Why a window stopped decoding.
+enum WindowEnd {
+    /// It holds [`WINDOW`] commands; more may follow.
+    Full,
+    /// The read buffer holds no further complete command.
+    Drained,
+    /// What follows the window's commands is not RESP.
+    Malformed(ProtocolError),
 }
 
 /// Why the command-execution loop stopped.
@@ -175,6 +217,80 @@ struct PendingTrace {
     exec_end: Instant,
     /// `wsent` value at which this span's reply is fully written.
     end_off: u64,
+}
+
+/// Up to [`WINDOW`] decoded commands, inline. The slots are initialised
+/// only as commands are pushed: building and dropping a whole
+/// `[Args; WINDOW]` measures ~80 ns, which a depth-1 request — a window of
+/// one — would pay in full on every round trip.
+struct Window<'a> {
+    slots: [MaybeUninit<Args<'a>>; WINDOW],
+    /// `ends[i]`: the read-buffer offset just past command `i`.
+    ends: [usize; WINDOW],
+    len: usize,
+}
+
+impl<'a> Window<'a> {
+    fn new() -> Self {
+        Window { slots: [const { MaybeUninit::uninit() }; WINDOW], ends: [0; WINDOW], len: 0 }
+    }
+
+    /// Append a command (panics past [`WINDOW`] of them).
+    fn push(&mut self, parts: Args<'a>, end: usize) {
+        self.slots[self.len].write(parts);
+        self.ends[self.len] = end;
+        self.len += 1;
+    }
+
+    fn commands(&self) -> &[Args<'a>] {
+        // SAFETY: `push` initialised the first `len` slots and nothing
+        // de-initialises one before `drop`; `MaybeUninit<T>` has `T`'s
+        // layout, so they are `len` consecutive `Args`.
+        unsafe { std::slice::from_raw_parts(self.slots.as_ptr().cast(), self.len) }
+    }
+}
+
+impl Drop for Window<'_> {
+    fn drop(&mut self) {
+        for slot in &mut self.slots[..self.len] {
+            // SAFETY: initialised by `push` (see `commands`), dropped
+            // exactly once: here.
+            unsafe { slot.assume_init_drop() };
+        }
+    }
+}
+
+/// Fill the (empty) `window` with up to [`WINDOW`] complete commands
+/// decoded from `buf[from..]`, each once, as slices of `buf`, and say
+/// why decoding stopped. Nothing is consumed: that happens as each
+/// command starts executing.
+fn decode_window<'a>(buf: &'a [u8], from: usize, window: &mut Window<'a>) -> WindowEnd {
+    let mut pos = from;
+    while window.len < WINDOW {
+        match decode_args(&buf[pos..]) {
+            Ok(Decode::Complete(parts, used)) => {
+                pos += used;
+                window.push(parts, pos);
+            }
+            Ok(Decode::Incomplete) => return WindowEnd::Drained,
+            Err(e) => return WindowEnd::Malformed(e),
+        }
+    }
+    WindowEnd::Full
+}
+
+/// Hint the engine with the keys the window's commands address (the
+/// first [`WINDOW`] of them: a multi-key command hints its own key list
+/// again when it runs), so their lookups start loading together.
+fn hint_window(engine: &ShardedDash, window: &[Args<'_>]) {
+    let mut keys: [&[u8]; WINDOW] = [&[]; WINDOW];
+    let mut n = 0;
+    let keyed = window.iter().flat_map(|parts| command_keys(parts[0], &parts[1..]));
+    for key in keyed.take(WINDOW) {
+        keys[n] = key;
+        n += 1;
+    }
+    engine.prefetch(&keys[..n]);
 }
 
 fn dur_ns(d: Duration) -> u64 {
@@ -321,8 +437,8 @@ impl Conn {
     }
 
     /// Execute complete commands from the read buffer into the write
-    /// buffer until it drains, backpressure pauses it, or a
-    /// connection-fate command (SHUTDOWN/PSYNC) executes.
+    /// buffer, a window at a time, until the buffer drains, backpressure
+    /// pauses it, or a connection-fate command (SHUTDOWN/PSYNC) executes.
     fn run_commands(&mut self, inner: &Inner) -> Ran {
         // The tick's group commit: redo records buffer while this is
         // held and are written out when it drops — on every way out of
@@ -333,10 +449,135 @@ impl Conn {
             if self.pending() >= HIGH_WATER {
                 return Ran::Paused;
             }
-            let t_parse = Instant::now();
-            let (parts, used) = match decode_args(&self.rbuf[self.consumed..]) {
-                Ok(Decode::Complete(parts, used)) => (parts, used),
-                Ok(Decode::Incomplete) => {
+            let end = {
+                let t_window = Instant::now();
+                let mut window = Window::new();
+                let end = decode_window(&self.rbuf, self.consumed, &mut window);
+                let (window, ends) = (window.commands(), &window.ends);
+                let len = window.len();
+                // A lone command has nothing to overlap its lookup with
+                // and goes straight on.
+                let t_ready = if len > 1 {
+                    hint_window(&inner.engine, window);
+                    Instant::now()
+                } else {
+                    t_window
+                };
+                // Decode and hint served the whole window: each command's
+                // parse stage carries an equal share of them.
+                let shared_parse_ns = dur_ns(t_ready - t_window) / len.max(1) as u64;
+                // Execute: strictly in order, each command consumed only
+                // as it starts. One that backpressure or a fate command
+                // ahead of it keeps from starting stays in the read
+                // buffer and is decoded again by a later window.
+                let (mut queue_until, mut parse_from) = (t_window, t_ready);
+                for (parts, &end) in window.iter().zip(ends) {
+                    if self.pending() >= HIGH_WATER {
+                        return Ran::Paused;
+                    }
+                    self.consumed = end;
+                    inner.count_command();
+                    // The instrumentation seam: every executed command is
+                    // timed here, and the elapsed time feeds the per-family
+                    // histogram and (if over threshold) the SLOWLOG. A
+                    // command is *captured* — full per-stage attribution —
+                    // when a TRACEID forced it or the 1-in-N sampler picked
+                    // it; everything else pays only the timestamps below.
+                    let queue_start = self.cmd_mark.take();
+                    let forced = self.session.trace_force.take();
+                    let tracing = inner.tracer.enabled();
+                    let captured =
+                        forced.is_some() || (tracing && inner.tracer.sample_tick());
+                    let span_id = if captured {
+                        let id = match forced {
+                            Some((id, _)) => id,
+                            None => inner.tracer.alloc_id(),
+                        };
+                        trace::begin_span(id);
+                        id
+                    } else {
+                        0
+                    };
+                    self.panic.note(parts, span_id);
+                    let started = Instant::now();
+                    let outcome = execute(parts, inner, &mut self.session, &mut self.wbuf);
+                    let exec_end = Instant::now();
+                    let exec_ns = dur_ns(exec_end - started);
+                    // End the span whatever the outcome, so the
+                    // thread-locals are disarmed before the next command.
+                    let detail =
+                        if captured { Some(trace::end_span(started, exec_ns)) } else { None };
+                    self.panic.span = 0;
+                    let mut stages: Option<[u64; Stage::COUNT]> = None;
+                    let mut pre_total_ns = 0u64;
+                    if tracing || captured {
+                        // Queue wait ends where the window began (for its
+                        // first command) or the previous command ended;
+                        // the stages of a window's spans partition the
+                        // wall time from its queue start to its last
+                        // execute end.
+                        let queue_ns = queue_start
+                            .map_or(0, |t| dur_ns(queue_until.saturating_duration_since(t)));
+                        let parse_ns = shared_parse_ns
+                            + dur_ns(started.saturating_duration_since(parse_from));
+                        if let Some(d) = detail {
+                            let mut s = [0u64; Stage::COUNT];
+                            s[Stage::QueueWait.index()] = queue_ns;
+                            s[Stage::Parse.index()] = parse_ns;
+                            s[Stage::Dispatch.index()] = d.dispatch_ns;
+                            s[Stage::LockWait.index()] = d.lock_wait_ns;
+                            s[Stage::Execute.index()] = d.execute_ns;
+                            s[Stage::Persist.index()] = d.persist_ns;
+                            stages = Some(s);
+                            pre_total_ns = queue_ns + parse_ns + exec_ns;
+                        } else {
+                            // Not sampled, but slow enough to capture
+                            // anyway — coarse: the whole execute seam lands
+                            // in the execute stage.
+                            let threshold_us = inner.tracer.threshold_us();
+                            let total = queue_ns + parse_ns + exec_ns;
+                            if threshold_us > 0 && total >= threshold_us.saturating_mul(1000) {
+                                let mut s = [0u64; Stage::COUNT];
+                                s[Stage::QueueWait.index()] = queue_ns;
+                                s[Stage::Parse.index()] = parse_ns;
+                                s[Stage::Execute.index()] = exec_ns;
+                                stages = Some(s);
+                                pre_total_ns = total;
+                            }
+                        }
+                    }
+                    inner.metrics.observe_command(parts, exec_end - started, self.worker, stages);
+                    match outcome {
+                        Outcome::Replied => {
+                            if let Some(s) = stages {
+                                let end_off = self.wsent + self.pending() as u64;
+                                Self::push_pending_trace(
+                                    &mut self.pending_traces,
+                                    inner,
+                                    parts,
+                                    self.worker,
+                                    span_id,
+                                    forced,
+                                    s,
+                                    pre_total_ns,
+                                    exec_end,
+                                    end_off,
+                                );
+                            }
+                        }
+                        Outcome::Shutdown => return Ran::Shutdown,
+                        Outcome::StartReplication => return Ran::Replicate,
+                    }
+                    // The next pipelined command has been queued since
+                    // this one finished.
+                    self.cmd_mark = Some(exec_end);
+                    (queue_until, parse_from) = (exec_end, exec_end);
+                }
+                end
+            };
+            match end {
+                WindowEnd::Full => {}
+                WindowEnd::Drained => {
                     if self.consumed > 0 {
                         self.rbuf.drain(..self.consumed);
                         self.consumed = 0;
@@ -352,105 +593,18 @@ impl Conn {
                     }
                     return Ran::Drained;
                 }
-                Err(e) => {
-                    // Protocol errors are fatal for the connection:
+                WindowEnd::Malformed(e) => {
+                    // Protocol errors are fatal for the connection: the
+                    // good commands ahead of it have been answered; now
                     // reply, discard the unparseable tail, and hang up
-                    // once the reply is flushed.
+                    // once the replies are flushed.
                     encode(&Value::Error(format!("ERR {e}")), &mut self.wbuf);
                     self.rbuf.clear();
                     self.consumed = 0;
                     self.close_after_flush = true;
                     return Ran::Drained;
                 }
-            };
-            self.consumed += used;
-            inner.count_command();
-            // The instrumentation seam: every executed command is
-            // timed here, and the elapsed time feeds the per-family
-            // histogram and (if over threshold) the SLOWLOG. A
-            // command is *captured* — full per-stage attribution —
-            // when a TRACEID forced it or the 1-in-N sampler picked
-            // it; everything else pays only the timestamps below.
-            let queue_start = self.cmd_mark.take();
-            let forced = self.session.trace_force.take();
-            let tracing = inner.tracer.enabled();
-            let captured = forced.is_some() || (tracing && inner.tracer.sample_tick());
-            let span_id = if captured {
-                let id = match forced {
-                    Some((id, _)) => id,
-                    None => inner.tracer.alloc_id(),
-                };
-                trace::begin_span(id);
-                id
-            } else {
-                0
-            };
-            self.panic.note(&parts, span_id);
-            let started = Instant::now();
-            let outcome = execute(&parts, inner, &mut self.session, &mut self.wbuf);
-            let exec_end = Instant::now();
-            let exec_ns = dur_ns(exec_end - started);
-            // End the span whatever the outcome, so the
-            // thread-locals are disarmed before the next command.
-            let detail = if captured { Some(trace::end_span(started, exec_ns)) } else { None };
-            self.panic.span = 0;
-            let mut stages: Option<[u64; Stage::COUNT]> = None;
-            let mut pre_total_ns = 0u64;
-            if tracing || captured {
-                let queue_ns =
-                    queue_start.map_or(0, |t| dur_ns(t_parse.saturating_duration_since(t)));
-                let parse_ns = dur_ns(started.saturating_duration_since(t_parse));
-                if let Some(d) = detail {
-                    let mut s = [0u64; Stage::COUNT];
-                    s[Stage::QueueWait.index()] = queue_ns;
-                    s[Stage::Parse.index()] = parse_ns;
-                    s[Stage::Dispatch.index()] = d.dispatch_ns;
-                    s[Stage::LockWait.index()] = d.lock_wait_ns;
-                    s[Stage::Execute.index()] = d.execute_ns;
-                    s[Stage::Persist.index()] = d.persist_ns;
-                    stages = Some(s);
-                    pre_total_ns = queue_ns + parse_ns + exec_ns;
-                } else {
-                    // Not sampled, but slow enough to capture
-                    // anyway — coarse: the whole execute seam lands
-                    // in the execute stage.
-                    let threshold_us = inner.tracer.threshold_us();
-                    let total = queue_ns + parse_ns + exec_ns;
-                    if threshold_us > 0 && total >= threshold_us.saturating_mul(1000) {
-                        let mut s = [0u64; Stage::COUNT];
-                        s[Stage::QueueWait.index()] = queue_ns;
-                        s[Stage::Parse.index()] = parse_ns;
-                        s[Stage::Execute.index()] = exec_ns;
-                        stages = Some(s);
-                        pre_total_ns = total;
-                    }
-                }
             }
-            inner.metrics.observe_command(&parts, exec_end - started, self.worker, stages);
-            match outcome {
-                Outcome::Replied => {
-                    if let Some(s) = stages {
-                        let end_off = self.wsent + self.pending() as u64;
-                        Self::push_pending_trace(
-                            &mut self.pending_traces,
-                            inner,
-                            &parts,
-                            self.worker,
-                            span_id,
-                            forced,
-                            s,
-                            pre_total_ns,
-                            exec_end,
-                            end_off,
-                        );
-                    }
-                }
-                Outcome::Shutdown => return Ran::Shutdown,
-                Outcome::StartReplication => return Ran::Replicate,
-            }
-            // The next pipelined command has been queued since
-            // this one finished.
-            self.cmd_mark = Some(exec_end);
         }
     }
 
@@ -587,7 +741,7 @@ impl Conn {
 mod tests {
     use super::*;
     use crate::client::RespClient;
-    use crate::engine::{EngineConfig, ShardedDash};
+    use crate::engine::EngineConfig;
     use std::net::TcpListener;
 
     /// Call `on_ready` on `conn` until `done` says its peer has what it
@@ -650,6 +804,75 @@ mod tests {
         drive_until(&mut conn, &inner, || client.is_finished());
         let _c = client.join().unwrap();
         assert_eq!((conn.rbuf.capacity(), conn.wbuf.capacity()), (READ_CHUNK, READ_CHUNK));
+        drop(conn);
+        server.shutdown();
+    }
+
+    /// Backpressure cuts a window: the commands it had decoded but not
+    /// started stay in the read buffer, unconsumed and uncounted, and run
+    /// — once — when the client reads again.
+    #[test]
+    fn a_window_cut_by_backpressure_leaves_the_rest_unconsumed() {
+        const GETS: usize = 6 * WINDOW; // ~20 MiB of replies: more than socket buffers hold
+        let engine = ShardedDash::open(&EngineConfig {
+            shards: 2,
+            shard_bytes: 32 << 20,
+            dir: None,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        // Five replies reach the high-water mark: inside the first window.
+        let big = vec![0x5Au8; HIGH_WATER / 5];
+        engine.set(b"big", &big).unwrap();
+        let server = crate::server::serve(engine, "127.0.0.1:0").unwrap();
+        let inner = server.inner().clone();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+
+        let (sent, wait_sent) = std::sync::mpsc::channel();
+        let (resume, wait_resume) = std::sync::mpsc::channel::<()>();
+        let client = std::thread::spawn(move || {
+            let mut c = RespClient::connect(addr).unwrap();
+            for _ in 0..GETS {
+                c.enqueue(&[b"GET", b"big"]);
+            }
+            c.flush().unwrap();
+            sent.send(()).unwrap();
+            wait_resume.recv().unwrap();
+            let hits = (0..GETS).filter(|_| c.read_reply().unwrap() == Value::Bulk(big.clone()));
+            (hits.count(), c) // `c` kept open: a hang-up would end the drive with `Close`
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream, 0);
+        wait_sent.recv().unwrap();
+        let before = inner.metrics.commands_served.get();
+        // Tick until the write side is clogged (the client is not
+        // reading); the whole pipeline, sent before the first tick, is
+        // buffered by then.
+        for tick in 0.. {
+            assert!(matches!(conn.on_ready(true, true, &inner), Ok(Drive::Continue)));
+            if conn.pending() >= HIGH_WATER {
+                break;
+            }
+            assert!(tick < 100_000, "{GETS} replies never clogged the socket");
+        }
+        let executed = (inner.metrics.commands_served.get() - before) as usize;
+        assert!(executed < GETS, "the socket swallowed {GETS} replies: nothing was cut");
+        let mut left = 0;
+        let mut at = conn.consumed;
+        while let Ok(Decode::Complete(_, used)) = decode_args(&conn.rbuf[at..]) {
+            at += used;
+            left += 1;
+        }
+        assert_eq!(executed + left, GETS, "an unexecuted command must stay buffered");
+        assert!(!conn.desired_interest().readable, "and the connection must stop reading");
+
+        resume.send(()).unwrap();
+        drive_until(&mut conn, &inner, || client.is_finished());
+        let (answered, _c) = client.join().unwrap();
+        assert_eq!(answered, GETS, "every GET answered, with the value");
+        assert_eq!((inner.metrics.commands_served.get() - before) as usize, GETS);
         drop(conn);
         server.shutdown();
     }

@@ -438,6 +438,42 @@ fn writes_engine_state(name: &[u8]) -> bool {
     matches!(name, b"SET" | b"MSET" | b"DEL" | b"UNLINK" | b"EXPIRE" | b"PEXPIRE" | b"PERSIST")
 }
 
+/// The keys `name args…` addresses, in argument order — the one place
+/// that knows where a command's keys sit. The cluster slot gate routes
+/// by them and a connection's pipeline window hints them to the engine
+/// ([`ShardedDash::prefetch`]); both walk this iterator, nothing is
+/// collected. Empty for a command that addresses no key — node-local or
+/// administrative: `SCAN`/`KEYS`/`DBSIZE`/`SNAPSHOT` deliberately stay
+/// node-local under cluster mode — and for a keyed command sent without
+/// arguments (dispatch produces the arity error). `name` is matched
+/// case-insensitively.
+pub(crate) fn command_keys<'a, 'k>(
+    name: &[u8],
+    args: &'a [&'k [u8]],
+) -> impl Iterator<Item = &'k [u8]> + 'a {
+    /// `(name, step, limit)`: the keys are every `step`-th argument
+    /// from the first, at most `limit` of them.
+    const KEYED: [(&[u8], usize, usize); 12] = [
+        (b"GET", 1, 1),
+        (b"SET", 1, 1),
+        (b"MGET", 1, usize::MAX),
+        (b"MSET", 2, usize::MAX),
+        (b"DEL", 1, usize::MAX),
+        (b"UNLINK", 1, usize::MAX),
+        (b"EXISTS", 1, usize::MAX),
+        (b"EXPIRE", 1, 1),
+        (b"PEXPIRE", 1, 1),
+        (b"TTL", 1, 1),
+        (b"PTTL", 1, 1),
+        (b"PERSIST", 1, 1),
+    ];
+    let (step, limit) = KEYED
+        .iter()
+        .find(|(keyed, ..)| name.eq_ignore_ascii_case(keyed))
+        .map_or((1, 0), |&(_, step, limit)| (step, limit));
+    args.iter().copied().step_by(step).take(limit)
+}
+
 /// The one way a reply leaves [`execute`]: appended to the connection's
 /// write buffer. The hot replies have their own spellings below (static
 /// bytes, or an integer formatted on the stack); everything else is a
@@ -528,11 +564,9 @@ pub(crate) fn execute(
                 return reply(out, crate::cluster::cluster_command(cl, inner, args));
             }
             _ => {
-                if let Some(keys) = crate::cluster::keyed_args(name, args) {
-                    match cl.check(&keys, asking) {
-                        Ok(guard) => _migrating_guard = guard,
-                        Err(redirect) => return reply(out, redirect),
-                    }
+                match cl.check(command_keys(name, args), asking) {
+                    Ok(guard) => _migrating_guard = guard,
+                    Err(redirect) => return reply(out, redirect),
                 }
             }
         }
@@ -1138,6 +1172,8 @@ fn stats_info_text(inner: &Inner) -> String {
     out.push_str(&format!("trace_sample_every:{}\r\n", inner.tracer.sample_every()));
     out.push_str(&format!("traces_captured:{}\r\n", inner.tracer.captured_total()));
     out.push_str(&format!("traces_abandoned:{}\r\n", inner.tracer.abandoned_total()));
+    out.push_str(&format!("prefetch_windows:{}\r\n", inner.engine.prefetch_windows_total()));
+    out.push_str(&format!("prefetch_keys:{}\r\n", inner.engine.prefetch_keys_total()));
     out.push_str(&format!("epoch_pins:{}\r\n", sum(|t| t.epoch_pins)));
     out.push_str(&format!("write_lock_waits:{}\r\n", sum(|t| t.write_lock_waits)));
     out.push_str(&format!("eh_splits:{}\r\n", sum(|t| t.eh_splits)));
@@ -1374,6 +1410,32 @@ mod tests {
             assert_eq!(c.read_reply().unwrap(), Value::bulk(format!("v{i}").into_bytes()));
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn command_keys_extracts_the_right_keys() {
+        fn keys(name: &[u8], args: &[&'static str]) -> Vec<&'static [u8]> {
+            let args: Vec<&[u8]> = args.iter().map(|s| s.as_bytes()).collect();
+            command_keys(name, &args).collect()
+        }
+        assert_eq!(keys(b"GET", &["k"]), [b"k"]);
+        assert_eq!(keys(b"get", &["k"]), [b"k"], "names match case-insensitively");
+        assert_eq!(keys(b"SET", &["k", "v"]), [b"k"]);
+        assert_eq!(keys(b"SET", &["k", "v", "EX", "10"]), [b"k"]);
+        assert_eq!(keys(b"MGET", &["a", "b"]), [b"a", b"b"]);
+        assert_eq!(
+            keys(b"MSET", &["a", "1", "b", "2"]),
+            [b"a", b"b"],
+            "MSET keys are every other argument"
+        );
+        assert_eq!(keys(b"DEL", &["a", "b", "c"]).len(), 3);
+        for single in ["EXPIRE", "PEXPIRE", "TTL", "PTTL", "PERSIST"] {
+            assert_eq!(keys(single.as_bytes(), &["k", "7"]), [b"k"], "{single}");
+        }
+        assert!(keys(b"PING", &[]).is_empty());
+        assert!(keys(b"INFO", &["replication"]).is_empty());
+        assert!(keys(b"SCAN", &["0"]).is_empty(), "SCAN stays node-local");
+        assert!(keys(b"GET", &[]).is_empty(), "bad arity bypasses the gate");
     }
 
     #[test]

@@ -165,12 +165,14 @@ fn engine_hot_calls_allocate_nothing() {
     assert_eq!(store.log_append_errors(), 0);
 }
 
-/// `GET` and `SET` through a real connection: the serving threads'
-/// allocation count does not move while a warmed connection's requests
-/// are decoded, executed and answered. The only other thread that ever
-/// allocates is the 100 ms expiry tick, so the quietest of several short
-/// windows is the worker's own count — and a per-request allocation
-/// would put at least `REQUESTS` into every one of them.
+/// `GET` and `SET` through a real connection, one per round trip and in
+/// depth-16 pipelines (whole windows: decoded into inline storage, their
+/// keys hinted from stack scratch): the serving threads' allocation count
+/// does not move while a warmed connection's requests are decoded,
+/// executed and answered. The only other thread that ever allocates is
+/// the 100 ms expiry tick, so the quietest of several short windows is
+/// the worker's own count — and a per-request allocation would put at
+/// least `REQUESTS` into every one of them.
 #[test]
 fn a_served_get_or_set_allocates_nothing() {
     const REQUESTS: usize = 400;
@@ -187,31 +189,36 @@ fn a_served_get_or_set_allocates_nothing() {
     .unwrap();
     let mut c = RespClient::connect(server.addr()).unwrap();
     let value = [9u8; 64];
-    let window = |c: &mut RespClient| {
+    let window = |c: &mut RespClient, depth: usize| {
         let before = others();
-        for i in 0..REQUESTS {
-            let k = key(i % KEYS);
-            if i % 2 == 0 {
-                assert_eq!(
-                    c.command(&[b"SET", &k, &value]).unwrap(),
-                    Value::Simple("OK".into())
-                );
-            } else {
-                // Written one request ago.
-                let k = key((i - 1) % KEYS);
-                assert_eq!(c.command(&[b"GET", &k]).unwrap(), Value::bulk(value));
+        for first in (0..REQUESTS).step_by(depth) {
+            for i in first..first + depth {
+                if i % 2 == 0 {
+                    c.enqueue(&[b"SET", &key(i % KEYS), &value]);
+                } else {
+                    // Written one request ago — inside the same window.
+                    c.enqueue(&[b"GET", &key((i - 1) % KEYS)]);
+                }
+            }
+            c.flush().unwrap();
+            for i in first..first + depth {
+                let want = if i % 2 == 0 { Value::Simple("OK".into()) } else { Value::bulk(value) };
+                assert_eq!(c.read_reply().unwrap(), want);
             }
         }
         others() - before
     };
-    // Warm-up: buffers, the log's encode buffer, every key present.
-    for _ in 0..4 {
-        window(&mut c);
+    for depth in [1, 16] {
+        // Warm-up: buffers, the log's encode buffer, every key present.
+        for _ in 0..4 {
+            window(&mut c, depth);
+        }
+        let quietest = (0..WINDOWS).map(|_| window(&mut c, depth)).min().unwrap();
+        assert_eq!(
+            quietest, 0,
+            "depth {depth}: the serving threads allocated in every window of {REQUESTS} requests"
+        );
     }
-    let quietest = (0..WINDOWS).map(|_| window(&mut c)).min().unwrap();
-    assert_eq!(
-        quietest, 0,
-        "the serving threads allocated in every window of {REQUESTS} requests"
-    );
+    assert!(c.stat_u64("prefetch_keys").unwrap() > 0, "the depth-16 windows were hinted");
     server.shutdown();
 }

@@ -310,6 +310,55 @@ fn log_flushes_show_the_batching_factor() {
     server.shutdown();
 }
 
+/// The lookup hint's batching, visible: commands that arrive one per
+/// round trip are never hinted (a lone command has nothing to overlap
+/// with), and a depth-16 pipeline is hinted a window at a time — keys
+/// per window is the pipeline depth the server actually saw.
+#[test]
+fn prefetch_counters_show_the_window_depth() {
+    const DEPTH: u64 = 16;
+    const BATCHES: u64 = 64;
+    let server = telemetry_server(
+        2,
+        16,
+        ServeOptions {
+            event_workers: Some(1),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        },
+    );
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    let key = |i: u64| format!("hint:{:03}", i % 200).into_bytes();
+
+    for i in 0..200 {
+        c.command(&[b"SET", &key(i), b"value"]).unwrap();
+        c.command(&[b"GET", &key(i)]).unwrap();
+    }
+    assert_eq!(c.stat_u64("prefetch_windows").unwrap(), 0, "depth 1 forms no window");
+    assert_eq!(c.stat_u64("prefetch_keys").unwrap(), 0);
+
+    for batch in 0..BATCHES {
+        for i in 0..DEPTH {
+            c.enqueue(&[b"GET", &key(batch * DEPTH + i)]);
+        }
+        c.flush().unwrap();
+        for _ in 0..DEPTH {
+            assert_eq!(c.read_reply().unwrap(), dash_repro::dash_server::Value::bulk(*b"value"));
+        }
+    }
+    let (windows, keys) =
+        (c.stat_u64("prefetch_windows").unwrap(), c.stat_u64("prefetch_keys").unwrap());
+    // A batch normally arrives whole; one that TCP delivered in two
+    // pieces makes two smaller windows (or a window and a lone command).
+    assert!((BATCHES..=BATCHES * 3 / 2).contains(&windows), "{windows} windows");
+    assert!(keys <= BATCHES * DEPTH && keys >= windows * 10, "{keys} keys in {windows} windows");
+
+    let (_, body) = http_get(server.metrics_addr().unwrap(), "GET /metrics HTTP/1.0\r\n\r\n");
+    assert!(body.contains(&format!("dash_prefetch_windows_total {windows}")), "{body}");
+    assert!(body.contains(&format!("dash_prefetch_keys_total {keys}")), "{body}");
+    server.shutdown();
+}
+
 /// The acceptance gate for the INFO redesign: the default payload's cost
 /// must not scale with key count, while `INFO keyspace` (which carries
 /// the scan ground truth) visibly does. Ignored by default — loading

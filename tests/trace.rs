@@ -218,6 +218,49 @@ fn stage_sums_match_totals_under_live_load() {
     server.shutdown();
 }
 
+/// The same invariant inside pipeline windows: a window's decode and
+/// hint are shared work, billed to the parse stage of its commands in
+/// equal parts — not to a new stage, and not lost: every span of a
+/// depth-16 pipeline still sums to its total, and its parse stage is
+/// never empty.
+#[test]
+fn stage_sums_match_totals_in_pipeline_windows() {
+    let server = serve(ShardedDash::open(&mem_cfg(2)).unwrap(), "127.0.0.1:0").unwrap();
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    for i in 0..64u32 {
+        assert_ok(&c.command(&[b"SET", format!("win:{i:02}").as_bytes(), &[b'x'; 512]]).unwrap());
+    }
+    c.trace_on(Some(1)).unwrap();
+    for batch in 0..8u32 {
+        for i in 0..16u32 {
+            let k = format!("win:{:02}", (batch * 16 + i) % 64).into_bytes();
+            if i % 4 == 3 {
+                c.enqueue(&[b"SET", &k, &[b'y'; 512]]);
+            } else {
+                c.enqueue(&[b"GET", &k]);
+            }
+        }
+        c.flush().unwrap();
+        for _ in 0..16 {
+            c.read_reply().unwrap();
+        }
+    }
+    c.command(&[b"TRACE", b"OFF"]).unwrap();
+    let piped = |c: &mut RespClient| {
+        let mut dump = c.trace_dump(256).unwrap();
+        dump.retain(|t| t.key.starts_with("win:"));
+        dump
+    };
+    wait_for("the pipelined spans", || piped(&mut c).len() >= 128);
+    for rec in piped(&mut c) {
+        let (sum, total) = (rec.stage_sum_ns(), rec.total_ns);
+        let slack = (total / 10).max(2_000);
+        assert!((sum - total).abs() <= slack, "stage sum {sum} vs total {total}: {rec:?}");
+        assert!(rec.stage_ns("parse").unwrap() > 0, "parse carries the window's share: {rec:?}");
+    }
+    server.shutdown();
+}
+
 /// SLOWLOG entries for captured commands carry the per-stage breakdown;
 /// uncaptured commands keep the compact five-field shape.
 #[test]
