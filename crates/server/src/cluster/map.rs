@@ -2,9 +2,8 @@
 //! 16384 hash slots, plus a monotonically increasing epoch that bumps
 //! on every topology change (ASSIGN, migration flip, TAKEOVER).
 //!
-//! Persistence is a small text file (`cluster.map`) written with the
-//! usual crash-safe recipe: serialize to a sibling tmp file, fsync it,
-//! rename over the real path. Only *ownership* is durable — migration
+//! Persistence is a small text file (`cluster.map`) published whole and
+//! durably ([`DurableFile`]). Only *ownership* is durable — migration
 //! progress (importing / migrating marks) is deliberately volatile, so
 //! a node that dies mid-migration comes back as the unambiguous owner
 //! of everything it owned before the flip, and the migration is simply
@@ -12,12 +11,13 @@
 //! intermediate durable state in which both (or neither) side owns a
 //! slot.
 
-use std::fs::{self, File, OpenOptions};
+use std::fs::File;
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
 use super::slots::NUM_SLOTS;
+use crate::snapshot::DurableFile;
 
 const MAGIC: &str = "dash-cluster-map v1";
 
@@ -125,20 +125,12 @@ impl SlotMap {
         Ok(map)
     }
 
-    /// Crash-safe persist: write a tmp sibling, fsync, rename over.
+    /// Crash-safe persist: `Ok` means the map on disk is this one, for
+    /// good — the migration flip hands a range over on that.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("map.tmp");
-        let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        file.write_all(self.encode().as_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
+        let mut file = DurableFile::create(path)?;
+        file.out.write_all(self.encode().as_bytes())?;
+        file.commit()
     }
 
     pub fn load(path: &Path) -> io::Result<SlotMap> {
@@ -151,6 +143,7 @@ impl SlotMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
     use std::path::PathBuf;
 
     struct TempDir(PathBuf);

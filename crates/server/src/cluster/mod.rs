@@ -286,7 +286,7 @@ impl ClusterState {
     }
 
     /// The dispatch gate: may this node serve a command touching
-    /// `keys` ([`command_keys`](crate::server::command_keys))? `Err` is
+    /// `keys` ([`Command::keys`](crate::command::Command::keys))? `Err` is
     /// the redirect (or CROSSSLOT/TRYAGAIN) reply to send instead.
     /// `Ok(Some(guard))` pins the command as in-flight against a
     /// migrating slot; the caller holds it across execution. A command

@@ -50,7 +50,7 @@ use crate::metrics::Counter;
 use crate::repl::hub::{ReplHub, ReplSubscription};
 use crate::repl::log::LogWriter;
 use crate::repl::{OpRef, ReplOp};
-use crate::snapshot::{SnapshotResult, SnapshotStream, SnapshotWriter};
+use crate::snapshot::{DurableFile, SnapshotError, SnapshotResult, SnapshotStream};
 
 /// Upper bound on one value. Bounded (like keys) so a stale blob pointer
 /// scanned by an optimistic reader can never walk far out of a block.
@@ -1926,8 +1926,8 @@ impl ShardedDash {
     }
 
     /// Online snapshot: stream every `(key, value)` record to a
-    /// checksummed file at `path` (written to `<path>.tmp` and renamed —
-    /// never half-present). Returns the record count.
+    /// checksummed file at `path` (published whole and durably, never
+    /// half-present). Returns the record count.
     pub fn snapshot_to(&self, path: &Path) -> EngineResult<u64> {
         // A snapshot renamed over a live shard pool file would destroy
         // that shard's data at the next restart (the running server keeps
@@ -1958,12 +1958,16 @@ impl ShardedDash {
                 }
             }
         }
-        let mut writer = SnapshotWriter::create(path, self.shards.len() as u32)
-            .map_err(|e| EngineError::Snapshot(e.to_string()))?;
-        self.snapshot_each(&mut |key, value, expire| writer.append(key, value, expire))?;
-        let n = writer.finish().map_err(|e| EngineError::Snapshot(e.to_string()))?;
-        // The snapshot is durable (tmp + rename): drop the covered
-        // segments. Best-effort — a failure only leaves extra log.
+        let failed = |e: SnapshotError| EngineError::Snapshot(e.to_string());
+        let mut file = DurableFile::create(path).map_err(|e| failed(e.into()))?;
+        let mut stream =
+            SnapshotStream::new(&mut file.out, self.shards.len() as u32).map_err(failed)?;
+        self.snapshot_each(&mut |key, value, expire| stream.append(key, value, expire))?;
+        let n = stream.finish().map_err(failed)?.1;
+        file.commit().map_err(|e| failed(e.into()))?;
+        // `finish` returned: the snapshot is durable (file and directory
+        // fsynced), so the covered segments may go. Best-effort — a
+        // failure only leaves extra log.
         for (si, segs) in covered {
             if let Some(log) = &self.shards[si].log {
                 let _ = log.lock().truncate_segments(&segs);

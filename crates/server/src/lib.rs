@@ -12,14 +12,14 @@
 //!   line in the owning shard's pool; reads are lock-free under an
 //!   epoch pin, writes serialize per shard.
 //! * [`serve`] ([`server`], [`net`]) — an event-driven TCP server
-//!   speaking a RESP2 subset (`GET` `SET` `MGET` `MSET` `DEL` `EXISTS`
-//!   `PING` `INFO` `DBSIZE` `SHUTDOWN`) with full pipelining: a fixed
-//!   pool of epoll event-loop workers (default: one per CPU) drives
-//!   nonblocking connections round-robin-assigned at accept time, so
-//!   thousands of connections cost no threads and an idle server makes
-//!   zero periodic wakeups. The multi-key commands run through the
-//!   engine's batch paths: keys grouped by shard, one epoch entry and
-//!   one write-lock acquisition per shard per command.
+//!   speaking RESP2 with full pipelining. Its commands are the rows of
+//!   one table ([`commands`]: name, arity, write flag, key positions),
+//!   which is also what the server dispatches from — there is no second
+//!   list to fall behind. A fixed pool of epoll event-loop workers
+//!   (default: one per CPU) drives nonblocking connections, so thousands
+//!   of connections cost no threads; the multi-key commands run through
+//!   the engine's batch paths (keys grouped by shard, one epoch entry and
+//!   one write-lock acquisition per shard per command).
 //! * [`repl`] — replication: a per-shard redo log (torn-tail-safe,
 //!   doubling as incremental backup via `--replay-logs`), primary-side
 //!   streaming (`REPLCONF`/`PSYNC` → `+FULLRESYNC` snapshot + tail),
@@ -56,6 +56,7 @@
 
 pub mod client;
 pub mod cluster;
+pub(crate) mod command;
 pub mod engine;
 pub mod expire;
 pub(crate) mod metrics;
@@ -68,6 +69,7 @@ pub mod trace;
 
 pub use client::{ClusterClient, ClusterClientStats, RespClient, SlowlogEntry};
 pub use cluster::slots::{key_slot, NUM_SLOTS};
+pub use command::{commands, Command};
 pub use engine::{
     EngineConfig, EngineError, EngineResult, LogOpenCost, ShardInfo, ShardedDash, MAX_VALUE_LEN,
 };
@@ -75,5 +77,5 @@ pub use expire::EvictionPolicy;
 pub use repl::ReplOp;
 pub use resp::{ProtocolError, Value};
 pub use server::{serve, serve_with, Role, ServeOptions, ServerHandle};
-pub use snapshot::{SnapshotError, SnapshotWriter};
+pub use snapshot::SnapshotError;
 pub use trace::{log::Level as LogLevel, Stage, TraceRecord, Tracer};

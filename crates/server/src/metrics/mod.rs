@@ -7,9 +7,10 @@
 //!
 //! * **The hot path pays almost nothing.** Recording a command is one
 //!   `Instant` pair around `execute`, two relaxed `fetch_add`s into a
-//!   thread-local stripe ([`histogram`]), and one relaxed load for the
-//!   slowlog threshold. No locks, no allocation, no shared cacheline
-//!   between event workers.
+//!   thread-local stripe ([`histogram`]) of the family its table entry
+//!   ([`crate::command`]) names — no name is classified here — and one
+//!   relaxed load for the slowlog threshold. No locks, no allocation, no
+//!   shared cacheline between event workers.
 //! * **Readers pay the aggregation.** INFO and a scrape sum the
 //!   stripes; both are O(shards + buckets), never O(keys).
 //! * **Nothing is counted twice.** The event core's health counters
@@ -22,8 +23,6 @@ pub mod histogram;
 pub mod slowlog;
 pub(crate) mod prometheus;
 
-use std::time::Duration;
-
 pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnapshot, Histogram};
 pub use slowlog::SlowLog;
@@ -35,7 +34,8 @@ pub const DEFAULT_SLOWLOG_THRESHOLD_US: u64 = 10_000;
 /// a family is a latency *class* (point read, point write, batch read,
 /// batch write, delete, iteration, replication bootstrap), not a
 /// command name — `EXISTS` times like `GET` but is rare enough to pool
-/// under `other` with the rest of the admin surface.
+/// under `other` with the rest of the admin surface. Which family a
+/// command belongs to is a column of the command table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmdFamily {
     Get,
@@ -60,26 +60,6 @@ impl CmdFamily {
         CmdFamily::Psync,
         CmdFamily::Other,
     ];
-
-    /// Classify a wire command name (case-insensitive).
-    pub fn classify(name: &[u8]) -> CmdFamily {
-        const TABLE: [(&[u8], CmdFamily); 8] = [
-            (b"GET", CmdFamily::Get),
-            (b"SET", CmdFamily::Set),
-            (b"MGET", CmdFamily::Mget),
-            (b"MSET", CmdFamily::Mset),
-            (b"DEL", CmdFamily::Del),
-            // Same contract, same latency class — only the reclaim
-            // batching differs, which the hot path never sees.
-            (b"UNLINK", CmdFamily::Del),
-            (b"SCAN", CmdFamily::Scan),
-            (b"PSYNC", CmdFamily::Psync),
-        ];
-        TABLE
-            .iter()
-            .find(|(n, _)| name.eq_ignore_ascii_case(n))
-            .map_or(CmdFamily::Other, |(_, f)| *f)
-    }
 
     pub fn index(self) -> usize {
         self as usize
@@ -145,20 +125,19 @@ impl Metrics {
         }
     }
 
-    /// Record one executed command: classify, time, and slowlog it.
-    /// Called at the `conn.rs` execute seam with the decoded command;
-    /// `stages_ns` carries the stage breakdown when this request was
-    /// trace-sampled, so SLOWLOG entries can explain themselves.
+    /// Record one executed command: time it under its family, and
+    /// slowlog it. Called at the `conn.rs` execute seam with the decoded
+    /// command; `stages_ns` carries the stage breakdown when this request
+    /// was trace-sampled, so SLOWLOG entries can explain themselves.
     #[inline]
     pub fn observe_command(
         &self,
+        family: CmdFamily,
         parts: &[impl AsRef<[u8]>],
-        elapsed: Duration,
+        ns: u64,
         worker: u64,
         stages_ns: Option<[u64; crate::trace::Stage::COUNT]>,
     ) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let family = CmdFamily::classify(parts[0].as_ref());
         self.cmd_hist[family.index()].record(ns);
         self.slowlog.maybe_record(ns, parts, worker, stages_ns);
     }
@@ -187,28 +166,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification_is_case_insensitive_and_total() {
-        assert_eq!(CmdFamily::classify(b"get"), CmdFamily::Get);
-        assert_eq!(CmdFamily::classify(b"GeT"), CmdFamily::Get);
-        assert_eq!(CmdFamily::classify(b"MSET"), CmdFamily::Mset);
-        assert_eq!(CmdFamily::classify(b"psync"), CmdFamily::Psync);
-        assert_eq!(CmdFamily::classify(b"EXISTS"), CmdFamily::Other);
-        assert_eq!(CmdFamily::classify(b"NOSUCH"), CmdFamily::Other);
-        for (i, fam) in CmdFamily::ALL.iter().enumerate() {
-            assert_eq!(fam.index(), i, "index must match ALL order");
-        }
-    }
-
-    #[test]
     fn observe_routes_to_family_and_slowlog() {
         let m = Metrics::new(0); // threshold 0: everything is "slow"
-        m.observe_command(&[b"GET".to_vec(), b"k".to_vec()], Duration::from_micros(5), 1, None);
-        m.observe_command(
-            &[b"SET".to_vec(), b"k".to_vec(), b"v".to_vec()],
-            Duration::from_micros(7),
-            2,
-            None,
-        );
+        let get = [b"GET".to_vec(), b"k".to_vec()];
+        m.observe_command(CmdFamily::Get, &get, 5_000, 1, None);
+        let set = [b"SET".to_vec(), b"k".to_vec(), b"v".to_vec()];
+        m.observe_command(CmdFamily::Set, &set, 7_000, 2, None);
         assert_eq!(m.cmd_snapshot(CmdFamily::Get).count(), 1);
         assert_eq!(m.cmd_snapshot(CmdFamily::Set).count(), 1);
         assert_eq!(m.cmd_snapshot(CmdFamily::Other).count(), 0);

@@ -16,9 +16,6 @@ use parking_lot::Mutex;
 
 /// Entries the ring retains (older ones are evicted).
 pub const SLOWLOG_CAP: usize = 128;
-/// How many bytes of the first key are kept (enough to identify a key
-/// family without copying a whole 1 MB value-sized key into the log).
-const KEY_PREFIX_LEN: usize = 32;
 
 /// One over-threshold command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,11 +76,7 @@ impl SlowLog {
         if duration_us < self.threshold_us.load(Ordering::Relaxed) {
             return;
         }
-        let cmd = String::from_utf8_lossy(parts[0].as_ref()).to_ascii_uppercase();
-        let key = parts.get(1).map_or_else(String::new, |k| {
-            let k = k.as_ref();
-            String::from_utf8_lossy(&k[..k.len().min(KEY_PREFIX_LEN)]).into_owned()
-        });
+        let (cmd, key) = crate::command::describe(parts);
         let unix_secs =
             SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);

@@ -28,24 +28,26 @@
 //! commands:
 //!
 //! 1. **decode** each command once, into slices *of the read buffer*
-//!    ([`decode_args`]) held in a fixed array on the stack;
+//!    ([`decode_args`]) held in a fixed array on the stack, and **resolve**
+//!    its name against the command table ([`lookup`]) — once: every
+//!    later step takes the entry;
 //! 2. **hint** the engine with the keys of the window's keyed commands
-//!    ([`command_keys`] → [`ShardedDash::prefetch`]), which starts
+//!    (the entry's key spec → [`ShardedDash::prefetch`]), which starts
 //!    loading the buckets, records and values their lookups will read —
 //!    for all of them at once, so that sixteen lookups wait for their
 //!    cache misses together instead of one after another;
 //! 3. **execute** the commands strictly in order, each reply appended to
 //!    the write buffer by [`execute`] itself (a `GET` value goes pool →
-//!    write buffer in one copy).
+//!    write buffer in one copy), and time each under its entry's family.
 //!
 //! A window reorders *nothing*. The hint only reads and prefetches — it
 //! is not an early execution, and what a command sees is decided when it
 //! runs: `SET k` then `GET k` in one window returns the new value. A
 //! command is consumed from the read buffer only as it starts, so one
 //! that backpressure (or a `SHUTDOWN`/`PSYNC` ahead of it) keeps from
-//! starting is decoded again by a later window — never executed twice,
-//! never dropped — and a protocol error behind `k` good commands is
-//! reported after their `k` replies. One-shot session state (`ASKING`,
+//! starting is decoded and resolved again by a later window — never
+//! executed twice, never dropped — and a protocol error behind `k` good
+//! commands is reported after their `k` replies. One-shot session state (`ASKING`,
 //! `TRACEID`), the panic boundary and the trace spans are per command,
 //! as ever. A buffer holding a single complete command — depth-1 traffic
 //! — is a window of one, and skips the hint: there is nothing to overlap
@@ -74,10 +76,11 @@ use std::net::TcpStream;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::{Duration, Instant};
 
+use crate::command::{lookup, Command};
 use crate::engine::{ShardedDash, PREFETCH_WINDOW};
 use crate::metrics::CmdFamily;
 use crate::resp::{decode_args, encode, Args, Decode, ProtocolError, Value};
-use crate::server::{command_keys, execute, Inner, Outcome, Session, WRITE_TIMEOUT};
+use crate::server::{execute, Inner, Outcome, Session, WRITE_TIMEOUT};
 use crate::trace::{self, Stage};
 
 use super::sys::{read_spare, Interest};
@@ -104,7 +107,7 @@ const PENDING_TRACE_CAP: usize = 128;
 /// engine hints at once (see [`PREFETCH_WINDOW`] for the sizing). A deeper
 /// pipeline is consecutive windows.
 const WINDOW: usize = PREFETCH_WINDOW;
-/// Bytes of command name / key kept for the worker-panic log line.
+/// Bytes of the key kept for the worker-panic log line.
 const PANIC_CTX_LEN: usize = 24;
 
 /// The error sent to a connection the shutdown path can no longer
@@ -180,13 +183,12 @@ pub(crate) struct Conn {
     panic: PanicContext,
 }
 
-/// In-flight command context for the worker-panic log line: name and key
-/// prefixes (fixed-size copies, no per-command allocation) plus the
-/// active trace span id (0 when untraced).
+/// In-flight command context for the worker-panic log line: the table
+/// name, a key prefix (a fixed-size copy, no per-command allocation) and
+/// the active trace span id (0 when untraced).
 #[derive(Default)]
 struct PanicContext {
-    cmd: [u8; PANIC_CTX_LEN],
-    cmd_len: u8,
+    cmd: &'static str,
     key: [u8; PANIC_CTX_LEN],
     key_len: u8,
     span: u64,
@@ -194,11 +196,8 @@ struct PanicContext {
 
 impl PanicContext {
     /// Remember the command about to execute.
-    fn note(&mut self, parts: &[&[u8]], span_id: u64) {
-        let cmd = parts.first().copied().unwrap_or(b"");
-        let n = cmd.len().min(PANIC_CTX_LEN);
-        self.cmd[..n].copy_from_slice(&cmd[..n]);
-        self.cmd_len = n as u8;
+    fn note(&mut self, cmd: &'static Command, parts: &[&[u8]], span_id: u64) {
+        self.cmd = cmd.name;
         let key = parts.get(1).copied().unwrap_or(b"");
         let k = key.len().min(PANIC_CTX_LEN);
         self.key[..k].copy_from_slice(&key[..k]);
@@ -224,28 +223,30 @@ struct PendingTrace {
 /// `[Args; WINDOW]` measures ~80 ns, which a depth-1 request — a window of
 /// one — would pay in full on every round trip.
 struct Window<'a> {
-    slots: [MaybeUninit<Args<'a>>; WINDOW],
-    /// `ends[i]`: the read-buffer offset just past command `i`.
-    ends: [usize; WINDOW],
+    slots: [MaybeUninit<Decoded<'a>>; WINDOW],
     len: usize,
 }
 
+/// A command, the table entry its name resolved to, and the read-buffer
+/// offset just past it.
+type Decoded<'a> = (Args<'a>, &'static Command, usize);
+
 impl<'a> Window<'a> {
     fn new() -> Self {
-        Window { slots: [const { MaybeUninit::uninit() }; WINDOW], ends: [0; WINDOW], len: 0 }
+        Window { slots: [const { MaybeUninit::uninit() }; WINDOW], len: 0 }
     }
 
-    /// Append a command (panics past [`WINDOW`] of them).
+    /// Append a command, resolving its name (panics past [`WINDOW`]).
     fn push(&mut self, parts: Args<'a>, end: usize) {
-        self.slots[self.len].write(parts);
-        self.ends[self.len] = end;
+        let cmd = lookup(parts[0]);
+        self.slots[self.len].write((parts, cmd, end));
         self.len += 1;
     }
 
-    fn commands(&self) -> &[Args<'a>] {
+    fn commands(&self) -> &[Decoded<'a>] {
         // SAFETY: `push` initialised the first `len` slots and nothing
         // de-initialises one before `drop`; `MaybeUninit<T>` has `T`'s
-        // layout, so they are `len` consecutive `Args`.
+        // layout, so they are `len` consecutive `Decoded`.
         unsafe { std::slice::from_raw_parts(self.slots.as_ptr().cast(), self.len) }
     }
 }
@@ -261,9 +262,9 @@ impl Drop for Window<'_> {
 }
 
 /// Fill the (empty) `window` with up to [`WINDOW`] complete commands
-/// decoded from `buf[from..]`, each once, as slices of `buf`, and say
-/// why decoding stopped. Nothing is consumed: that happens as each
-/// command starts executing.
+/// decoded from `buf[from..]`, each once, as slices of `buf`, each
+/// resolved to its table entry, and say why decoding stopped. Nothing is
+/// consumed: that happens as each command starts executing.
 fn decode_window<'a>(buf: &'a [u8], from: usize, window: &mut Window<'a>) -> WindowEnd {
     let mut pos = from;
     while window.len < WINDOW {
@@ -282,10 +283,10 @@ fn decode_window<'a>(buf: &'a [u8], from: usize, window: &mut Window<'a>) -> Win
 /// Hint the engine with the keys the window's commands address (the
 /// first [`WINDOW`] of them: a multi-key command hints its own key list
 /// again when it runs), so their lookups start loading together.
-fn hint_window(engine: &ShardedDash, window: &[Args<'_>]) {
+fn hint_window(engine: &ShardedDash, window: &[Decoded<'_>]) {
     let mut keys: [&[u8]; WINDOW] = [&[]; WINDOW];
     let mut n = 0;
-    let keyed = window.iter().flat_map(|parts| command_keys(parts[0], &parts[1..]));
+    let keyed = window.iter().flat_map(|(parts, cmd, _)| cmd.keys(&parts[1..]));
     for key in keyed.take(WINDOW) {
         keys[n] = key;
         n += 1;
@@ -453,7 +454,7 @@ impl Conn {
                 let t_window = Instant::now();
                 let mut window = Window::new();
                 let end = decode_window(&self.rbuf, self.consumed, &mut window);
-                let (window, ends) = (window.commands(), &window.ends);
+                let window = window.commands();
                 let len = window.len();
                 // A lone command has nothing to overlap its lookup with
                 // and goes straight on.
@@ -471,7 +472,7 @@ impl Conn {
                 // ahead of it keeps from starting stays in the read
                 // buffer and is decoded again by a later window.
                 let (mut queue_until, mut parse_from) = (t_window, t_ready);
-                for (parts, &end) in window.iter().zip(ends) {
+                for &(ref parts, cmd, end) in window {
                     if self.pending() >= HIGH_WATER {
                         return Ran::Paused;
                     }
@@ -498,9 +499,9 @@ impl Conn {
                     } else {
                         0
                     };
-                    self.panic.note(parts, span_id);
+                    self.panic.note(cmd, parts, span_id);
                     let started = Instant::now();
-                    let outcome = execute(parts, inner, &mut self.session, &mut self.wbuf);
+                    let outcome = execute(cmd, parts, inner, &mut self.session, &mut self.wbuf);
                     let exec_end = Instant::now();
                     let exec_ns = dur_ns(exec_end - started);
                     // End the span whatever the outcome, so the
@@ -546,7 +547,7 @@ impl Conn {
                             }
                         }
                     }
-                    inner.metrics.observe_command(parts, exec_end - started, self.worker, stages);
+                    inner.metrics.observe_command(cmd.family, parts, exec_ns, self.worker, stages);
                     match outcome {
                         Outcome::Replied => {
                             if let Some(s) = stages {
@@ -554,6 +555,7 @@ impl Conn {
                                 Self::push_pending_trace(
                                     &mut self.pending_traces,
                                     inner,
+                                    cmd.family,
                                     parts,
                                     self.worker,
                                     span_id,
@@ -659,6 +661,7 @@ impl Conn {
     fn push_pending_trace(
         pending_traces: &mut VecDeque<PendingTrace>,
         inner: &Inner,
+        family: CmdFamily,
         parts: &[&[u8]],
         worker: u64,
         span_id: u64,
@@ -686,14 +689,7 @@ impl Conn {
             pre_total_ns,
             reason,
         ));
-        let name = parts.first().copied().unwrap_or(b"");
-        pending_traces.push_back(PendingTrace {
-            id,
-            family: CmdFamily::classify(name),
-            stages_ns,
-            exec_end,
-            end_off,
-        });
+        pending_traces.push_back(PendingTrace { id, family, stages_ns, exec_end, end_off });
     }
 
     /// Complete every pending span whose reply bytes have fully reached
@@ -727,13 +723,12 @@ impl Conn {
         }
     }
 
-    /// The last command this connection started executing (command name
-    /// prefix, key prefix, active trace id) — the worker-panic log line.
-    pub(crate) fn panic_context(&self) -> (String, String, u64) {
+    /// The last command this connection started executing (table name,
+    /// key prefix, active trace id) — the worker-panic log line.
+    pub(crate) fn panic_context(&self) -> (&'static str, String, u64) {
         let p = &self.panic;
-        let cmd = String::from_utf8_lossy(&p.cmd[..p.cmd_len as usize]).into_owned();
         let key = String::from_utf8_lossy(&p.key[..p.key_len as usize]).into_owned();
-        (cmd, key, p.span)
+        (p.cmd, key, p.span)
     }
 }
 

@@ -14,8 +14,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::command::{lookup, Cmd};
 use crate::repl::ReplOp;
-use crate::resp::{decode_command, decode_value, encode_command, Decode, Value};
+use crate::resp::{decode_args, decode_value, encode_command, Decode, Value};
 use crate::server::{Inner, Role};
 use crate::snapshot;
 
@@ -275,74 +276,60 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
         if stopping(inner) {
             return Ok(());
         }
-        ops.clear();
         loop {
-            match decode_command(&conn.rbuf[conn.pos..]) {
-                Ok(Decode::Complete(mut parts, used)) => {
+            match decode_args(&conn.rbuf[conn.pos..]) {
+                // Borrowed from the read buffer, resolved through the server's
+                // own table; only an op's key and value are copied out.
+                Ok(Decode::Complete(parts, used)) => {
                     conn.pos += used;
-                    let name = parts[0].to_ascii_uppercase();
-                    match (name.as_slice(), parts.len()) {
-                        (b"SET", 3) => {
-                            let value = parts.pop().expect("len checked");
-                            let key = parts.pop().expect("len checked");
-                            queue_op(inner, &mut ops, &mut pending_trace, ReplOp::Set { key, value })?;
+                    let cmd = lookup(parts[0]);
+                    let op = match (cmd.id, &parts[1..]) {
+                        (Cmd::Set, [key, value]) => {
+                            ReplOp::Set { key: key.to_vec(), value: value.to_vec() }
                         }
                         // TTL write: `SET key value PXAT <deadline-ms>` —
                         // the absolute-deadline form is the only one the
                         // stream carries (determinism: the primary is the
                         // single clock).
-                        (b"SET", 5) => {
-                            let ms = parts.pop().expect("len checked");
-                            let px = parts.pop().expect("len checked");
-                            let value = parts.pop().expect("len checked");
-                            let key = parts.pop().expect("len checked");
+                        (Cmd::Set, [key, value, px, ms]) => {
                             if !px.eq_ignore_ascii_case(b"PXAT") {
                                 return Err(bad_stream(format!(
                                     "unexpected SET modifier {:?} in replication stream",
-                                    String::from_utf8_lossy(&px)
+                                    String::from_utf8_lossy(px)
                                 )));
                             }
-                            let expire_at_ms = std::str::from_utf8(&ms)
+                            let expire_at_ms = std::str::from_utf8(ms)
                                 .ok()
                                 .and_then(|s| s.parse::<u64>().ok())
                                 .ok_or_else(|| bad_stream("bad PXAT deadline in stream"))?;
-                            queue_op(
-                                inner,
-                                &mut ops,
-                                &mut pending_trace,
-                                ReplOp::SetEx { key, value, expire_at_ms },
-                            )?;
+                            ReplOp::SetEx { key: key.to_vec(), value: value.to_vec(), expire_at_ms }
                         }
-                        (b"DEL", 2) => {
-                            let key = parts.pop().expect("len checked");
-                            queue_op(inner, &mut ops, &mut pending_trace, ReplOp::Del { key })?;
-                        }
+                        (Cmd::Del, [key]) => ReplOp::Del { key: key.to_vec() },
                         // Liveness only; does not advance the offset.
-                        (b"PING", 1) => {}
+                        (Cmd::Ping, []) => continue,
                         // Trace propagation: the next op was traced on
                         // the primary. Not an op — the offset does not
                         // advance. The pending batch is applied first so
                         // the traced op's timing stands alone.
-                        (b"TRACEID", 3) => {
-                            let id = std::str::from_utf8(&parts[1])
+                        (Cmd::TraceId, [id, _]) => {
+                            let id = std::str::from_utf8(id)
                                 .ok()
                                 .and_then(|s| s.parse::<u64>().ok())
                                 .ok_or_else(|| bad_stream("bad TRACEID id in stream"))?;
-                            if !ops.is_empty() {
-                                inner.engine.apply_ops(&ops).map_err(engine_err)?;
-                                inner
-                                    .applied_offset
-                                    .fetch_add(ops.len() as u64, Ordering::SeqCst);
-                                ops.clear();
-                            }
+                            apply_batch(inner, &mut ops)?;
                             pending_trace = Some(id);
+                            continue;
                         }
                         _ => {
                             return Err(bad_stream(format!(
                                 "unexpected command {:?} in replication stream",
-                                String::from_utf8_lossy(&parts[0])
+                                String::from_utf8_lossy(parts[0])
                             )))
                         }
+                    };
+                    match pending_trace.take() {
+                        Some(id) => apply_traced(inner, cmd.name, op, id)?,
+                        None => ops.push(op),
                     }
                 }
                 Ok(Decode::Incomplete) => break,
@@ -350,29 +337,19 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
             }
         }
         conn.compact();
-        if !ops.is_empty() {
-            inner.engine.apply_ops(&ops).map_err(engine_err)?;
-            inner.applied_offset.fetch_add(ops.len() as u64, Ordering::SeqCst);
-        }
+        apply_batch(inner, &mut ops)?;
         conn.fill()?;
     }
 }
 
-/// Queue an op for the batch apply — unless a `TRACEID` marked it, in
-/// which case it applies alone, timed, under the propagated span id.
-fn queue_op(
-    inner: &Inner,
-    ops: &mut Vec<ReplOp>,
-    pending_trace: &mut Option<u64>,
-    op: ReplOp,
-) -> io::Result<()> {
-    match pending_trace.take() {
-        Some(id) => apply_traced(inner, op, id),
-        None => {
-            ops.push(op);
-            Ok(())
-        }
+/// Apply the queued ops as one batch and advance the applied offset.
+fn apply_batch(inner: &Inner, ops: &mut Vec<ReplOp>) -> io::Result<()> {
+    if !ops.is_empty() {
+        inner.engine.apply_ops(ops).map_err(engine_err)?;
+        inner.applied_offset.fetch_add(ops.len() as u64, Ordering::SeqCst);
+        ops.clear();
     }
+    Ok(())
 }
 
 /// Apply one replicated op under a trace span and record the result in
@@ -380,13 +357,8 @@ fn queue_op(
 /// correlates the two), worker [`trace::REPL_WORKER`], reason `repl`.
 /// Queue-wait/parse/reply-flush are zero by construction — a replica
 /// apply has no client-visible ingress or egress.
-fn apply_traced(inner: &Inner, op: ReplOp, trace_id: u64) -> io::Result<()> {
+fn apply_traced(inner: &Inner, cmd: &str, op: ReplOp, trace_id: u64) -> io::Result<()> {
     use crate::trace::{self, Stage};
-    let (cmd, key) = match &op {
-        ReplOp::Set { key, .. } | ReplOp::SetEx { key, .. } => ("SET", key),
-        ReplOp::Del { key } => ("DEL", key),
-    };
-    let key = String::from_utf8_lossy(&key[..key.len().min(32)]).into_owned();
     trace::begin_span(trace_id);
     let start = std::time::Instant::now();
     let res = inner.engine.apply_ops(std::slice::from_ref(&op));
@@ -397,18 +369,16 @@ fn apply_traced(inner: &Inner, op: ReplOp, trace_id: u64) -> io::Result<()> {
     stages_ns[Stage::LockWait.index()] = d.lock_wait_ns;
     stages_ns[Stage::Execute.index()] = d.execute_ns;
     stages_ns[Stage::Persist.index()] = d.persist_ns;
-    inner.tracer.record(trace::TraceRecord {
-        id: trace_id,
-        origin: trace_id,
-        hops: 0,
-        unix_ms: trace::unix_ms(),
-        cmd: cmd.into(),
-        key,
-        worker: trace::REPL_WORKER,
-        total_ns,
-        reason: trace::Reason::Repl,
+    let (ReplOp::Set { key, .. } | ReplOp::SetEx { key, .. } | ReplOp::Del { key }) = &op;
+    inner.tracer.record(trace::TraceRecord::new(
+        trace_id,
+        0,
+        &[cmd.as_bytes(), key],
+        trace::REPL_WORKER,
         stages_ns,
-    });
+        total_ns,
+        trace::Reason::Repl,
+    ));
     res.map_err(engine_err)?;
     inner.applied_offset.fetch_add(1, Ordering::SeqCst);
     Ok(())

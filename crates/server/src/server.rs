@@ -1,15 +1,6 @@
 //! The networked service: an **event-driven** TCP server speaking the
-//! RESP2 subset `GET` / `SET` (with `EX`/`PX`/`EXAT`/`PXAT`) / `MGET` /
-//! `MSET` / `DEL` / `UNLINK` / `EXISTS` / `EXPIRE` / `PEXPIRE` / `TTL`
-//! / `PTTL` / `PERSIST` / `SCAN` / `KEYS` / `SNAPSHOT` / `PING` /
-//! `INFO` / `DBSIZE` (plus `SHUTDOWN` for orderly teardown) over a
-//! [`ShardedDash`] engine.
-//!
-//! `SCAN cursor [COUNT n]` pages through the keyspace with the Redis
-//! cursor contract (every key present for the whole scan is returned at
-//! least once, even across concurrent segment splits); `SNAPSHOT <path>`
-//! streams an online, checksummed backup of the whole store to a file on
-//! the **server's** filesystem while writers keep running.
+//! RESP2 commands of the command table ([`crate::commands`], the one
+//! list of them) over a [`ShardedDash`] engine.
 //!
 //! Pipelining comes for free from the decode loop: every complete
 //! command sitting in the read buffer is executed and its reply appended
@@ -22,21 +13,22 @@
 //!
 //! Connections are served by a fixed pool of epoll event-loop workers
 //! ([`crate::net`]) — default one per CPU, `--event-workers` to
-//! override — assigned round-robin at accept time. Connection count no
-//! longer costs thread stacks or scheduler churn, and the idle *event
-//! core* makes zero periodic wakeups (the old model parked one thread
-//! per connection in a 50 ms read-timeout poll); the one periodic
-//! thread in the process is the ~100 ms expiry/reclamation tick, whose
-//! cost is independent of connection count. Shutdown is event-driven
-//! too: an eventfd wakes every loop, replacing the throwaway
-//! self-connect that used to unblock `accept`. The one place a
-//! connection still owns a blocking socket and a dedicated thread is
-//! the `PSYNC` replication stream ([`serve_replica_stream`]), which
-//! genuinely does.
+//! override — assigned round-robin at accept time, so connection count
+//! costs no thread stacks or scheduler churn, and the idle *event core*
+//! makes zero periodic wakeups; the one periodic thread in the process is
+//! the ~100 ms expiry/reclamation tick, whose cost is independent of
+//! connection count. Shutdown is event-driven too: an eventfd wakes every
+//! loop. The one place a connection owns a blocking socket and a
+//! dedicated thread is the `PSYNC` replication stream
+//! ([`serve_replica_stream`]), which genuinely needs both.
 //!
-//! This file owns the protocol surface (command dispatch, INFO,
+//! This file owns the protocol surface (the command executors, INFO,
 //! replication handshake) and the server lifecycle; the readiness
-//! machinery lives in [`crate::net`].
+//! machinery lives in [`crate::net`]. **Dispatch** is one lookup: the
+//! connection resolves a command's name against the table as it decodes
+//! it, and [`execute`] takes the entry through the gates in a fixed order
+//! — `ASKING` taken one-shot, replica `-READONLY` (the entry's `write`
+//! flag), cluster slot gate (its key spec), arity — into its `match` arm.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -46,6 +38,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::command::{Cmd, Command};
 use crate::engine::ShardedDash;
 use crate::metrics::{CmdFamily, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
 use crate::net::EventFd;
@@ -426,54 +419,6 @@ pub(crate) struct Session {
     pub(crate) trace_force: Option<(u64, u32)>,
 }
 
-/// Room for any command name (the longest, `REPLICAOF`, is 9 bytes): a
-/// longer first word cannot be a command.
-const MAX_NAME_LEN: usize = 16;
-
-/// Does this command mutate engine state? The replica write gate — keep
-/// in lockstep with the dispatch arms in [`execute`]: every command that
-/// reaches a mutating engine call MUST be listed here, or clients could
-/// write to a replica and silently diverge it from its primary.
-fn writes_engine_state(name: &[u8]) -> bool {
-    matches!(name, b"SET" | b"MSET" | b"DEL" | b"UNLINK" | b"EXPIRE" | b"PEXPIRE" | b"PERSIST")
-}
-
-/// The keys `name args…` addresses, in argument order — the one place
-/// that knows where a command's keys sit. The cluster slot gate routes
-/// by them and a connection's pipeline window hints them to the engine
-/// ([`ShardedDash::prefetch`]); both walk this iterator, nothing is
-/// collected. Empty for a command that addresses no key — node-local or
-/// administrative: `SCAN`/`KEYS`/`DBSIZE`/`SNAPSHOT` deliberately stay
-/// node-local under cluster mode — and for a keyed command sent without
-/// arguments (dispatch produces the arity error). `name` is matched
-/// case-insensitively.
-pub(crate) fn command_keys<'a, 'k>(
-    name: &[u8],
-    args: &'a [&'k [u8]],
-) -> impl Iterator<Item = &'k [u8]> + 'a {
-    /// `(name, step, limit)`: the keys are every `step`-th argument
-    /// from the first, at most `limit` of them.
-    const KEYED: [(&[u8], usize, usize); 12] = [
-        (b"GET", 1, 1),
-        (b"SET", 1, 1),
-        (b"MGET", 1, usize::MAX),
-        (b"MSET", 2, usize::MAX),
-        (b"DEL", 1, usize::MAX),
-        (b"UNLINK", 1, usize::MAX),
-        (b"EXISTS", 1, usize::MAX),
-        (b"EXPIRE", 1, 1),
-        (b"PEXPIRE", 1, 1),
-        (b"TTL", 1, 1),
-        (b"PTTL", 1, 1),
-        (b"PERSIST", 1, 1),
-    ];
-    let (step, limit) = KEYED
-        .iter()
-        .find(|(keyed, ..)| name.eq_ignore_ascii_case(keyed))
-        .map_or((1, 0), |&(_, step, limit)| (step, limit));
-    args.iter().copied().step_by(step).take(limit)
-}
-
 /// The one way a reply leaves [`execute`]: appended to the connection's
 /// write buffer. The hot replies have their own spellings below (static
 /// bytes, or an integer formatted on the stack); everything else is a
@@ -507,42 +452,45 @@ fn engine_err(out: &mut Vec<u8>, e: crate::engine::EngineError) -> Outcome {
     }
 }
 
+/// An engine call's count (keys removed, TTL left, records written…) as
+/// the integer reply, or its error.
+fn reply_count(out: &mut Vec<u8>, n: crate::engine::EngineResult<i64>) -> Outcome {
+    match n {
+        Ok(n) => reply_int(out, n),
+        Err(e) => engine_err(out, e),
+    }
+}
+
 fn parse_int(b: &[u8]) -> Option<i64> {
     std::str::from_utf8(b).ok().and_then(|s| s.parse::<i64>().ok())
 }
 
-fn wrong_args(out: &mut Vec<u8>, cmd: &str) -> Outcome {
-    err(out, format!("wrong number of arguments for '{cmd}' command"))
+const NOT_CLUSTER: &str = "this server was not started in cluster mode";
+
+fn wrong_args(out: &mut Vec<u8>, cmd: &Command) -> Outcome {
+    let name = cmd.name.to_ascii_lowercase();
+    err(out, format!("wrong number of arguments for '{name}' command"))
 }
 
-/// Execute one decoded command against the engine, appending its reply
-/// to `out`. `parts` borrows from the connection's read buffer: nothing
-/// here copies an argument unless the command must keep it.
+/// Execute one decoded command, already resolved to its table entry
+/// `cmd`, against the engine, appending its reply to `out`. `parts`
+/// borrows from the connection's read buffer: nothing here copies an
+/// argument unless the command must keep it.
 pub(crate) fn execute(
+    cmd: &Command,
     parts: &[&[u8]],
     inner: &Inner,
     session: &mut Session,
     out: &mut Vec<u8>,
 ) -> Outcome {
     let engine = &inner.engine;
-    // Case-insensitive lookup on bytes: the name is upper-cased into a
-    // stack buffer (a word too long to be a command matches nothing).
-    let mut upper = [0u8; MAX_NAME_LEN];
-    let name: &[u8] = match upper.get_mut(..parts[0].len()) {
-        Some(word) => {
-            word.copy_from_slice(parts[0]);
-            word.make_ascii_uppercase();
-            word
-        }
-        None => b"",
-    };
     let args = &parts[1..];
     // ASKING is one-shot: it covers exactly the next command.
     let asking = std::mem::take(&mut session.asking);
     // A replica owns no writes: its state is the primary's stream (the
     // sync thread applies that through the engine directly, not through
     // commands). Client writes bounce with the Redis error class.
-    if writes_engine_state(name) && inner.role() == Role::Replica {
+    if cmd.write && inner.role() == Role::Replica {
         return reply(
             out,
             Value::Error("READONLY You can't write against a read only replica.".into()),
@@ -550,57 +498,42 @@ pub(crate) fn execute(
     }
     // The cluster slot gate: every keyed command must hash to a slot
     // this node may serve, or the redirect (MOVED/ASK/TRYAGAIN/
-    // CROSSSLOT) is the reply. The returned guard marks the command
+    // CROSSSLOT) is the reply; a command without keys (ASKING and
+    // CLUSTER among them) passes. The returned guard marks the command
     // in-flight against a migrating slot until it finishes executing —
     // the migration flip's fence waits on those.
-    let mut _migrating_guard = None;
-    if let Some(cl) = &inner.cluster {
-        match name {
-            b"ASKING" => {
-                session.asking = true;
-                return reply_ok(out);
-            }
-            b"CLUSTER" => {
-                return reply(out, crate::cluster::cluster_command(cl, inner, args));
-            }
-            _ => {
-                match cl.check(command_keys(name, args), asking) {
-                    Ok(guard) => _migrating_guard = guard,
-                    Err(redirect) => return reply(out, redirect),
-                }
-            }
-        }
+    let _migrating_guard = match &inner.cluster {
+        Some(cl) => match cl.check(cmd.keys(args), asking) {
+            Ok(guard) => guard,
+            Err(redirect) => return reply(out, redirect),
+        },
+        None => None,
+    };
+    // The one arity check; the arms below index `args` on its word.
+    if !cmd.arity.contains(&args.len()) {
+        return wrong_args(out, cmd);
     }
-    match name {
-        b"PING" => match args {
-            [] => reply(out, Value::Simple("PONG".into())),
+    match cmd.id {
+        Cmd::Ping => match args {
             [msg] => {
                 resp::encode_bulk(msg, out);
                 Outcome::Replied
             }
-            _ => wrong_args(out, "ping"),
+            _ => reply(out, Value::Simple("PONG".into())),
         },
-        b"GET" => match args {
-            [key] => match engine.get_into(key, out) {
-                Ok(()) => Outcome::Replied,
-                Err(e) => err(out, e.to_string()),
-            },
-            _ => wrong_args(out, "get"),
+        Cmd::Get => match engine.get_into(args[0], out) {
+            Ok(()) => Outcome::Replied,
+            Err(e) => err(out, e.to_string()),
         },
         // `SET key value [EX s | PX ms | EXAT s | PXAT ms]`. The
         // relative forms resolve to an absolute Unix-ms deadline *here*,
         // on the primary — everything downstream (redo log, replica
         // stream, snapshots, migration) carries the absolute deadline
         // and never re-derives time. Plain SET clears any existing TTL.
-        b"SET" => {
-            let (key, value, ttl) = match args {
-                [key, value] => (key, value, None),
-                [key, value, unit, n] => (key, value, Some((unit, n))),
-                _ => return wrong_args(out, "set"),
-            };
-            let expire_at_ms = match ttl {
-                None => 0,
-                Some((unit, n)) => {
+        Cmd::Set => {
+            let expire_at_ms = match args {
+                [_, _] => 0,
+                [_, _, unit, n] => {
                     let Some(n) = parse_int(n).filter(|n| *n >= 1) else {
                         return err(out, "invalid expire time in 'set' command");
                     };
@@ -618,125 +551,74 @@ pub(crate) fn execute(
                         return err(out, "syntax error");
                     }
                 }
+                _ => return wrong_args(out, cmd),
             };
-            match engine.set_with_expiry(key, value, expire_at_ms) {
+            match engine.set_with_expiry(args[0], args[1], expire_at_ms) {
                 Ok(()) => reply_ok(out),
                 Err(e) => engine_err(out, e),
             }
         }
-        b"MGET" => {
-            if args.is_empty() {
-                return wrong_args(out, "mget");
-            }
-            match engine.mget(args) {
-                Ok(values) => reply(
-                    out,
-                    Value::Array(
-                        values.into_iter().map(|v| v.map_or(Value::Nil, Value::Bulk)).collect(),
-                    ),
+        Cmd::Mget => match engine.mget(args) {
+            Ok(values) => reply(
+                out,
+                Value::Array(
+                    values.into_iter().map(|v| v.map_or(Value::Nil, Value::Bulk)).collect(),
                 ),
-                Err(e) => err(out, e.to_string()),
+            ),
+            Err(e) => err(out, e.to_string()),
+        },
+        Cmd::Mset => {
+            if !args.len().is_multiple_of(2) {
+                return wrong_args(out, cmd);
             }
-        }
-        b"MSET" => {
-            if args.is_empty() || !args.len().is_multiple_of(2) {
-                return wrong_args(out, "mset");
-            }
-            let pairs: Vec<(&[u8], &[u8])> =
-                args.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+            let pairs: Vec<(&[u8], &[u8])> = args.chunks_exact(2).map(|c| (c[0], c[1])).collect();
             match engine.mset(&pairs) {
                 Ok(()) => reply_ok(out),
                 Err(e) => engine_err(out, e),
             }
         }
-        b"DEL" => match args {
-            [] => wrong_args(out, "del"),
+        Cmd::Del => match args {
             // Single key (the common case): skip the batch path's
             // grouping allocations.
-            [key] => match engine.del(key) {
-                Ok(removed) => reply_int(out, i64::from(removed)),
-                Err(e) => err(out, e.to_string()),
-            },
-            _ => match engine.mdel(args) {
-                Ok(removed) => reply_int(out, removed as i64),
-                Err(e) => err(out, e.to_string()),
-            },
-        },
-        // UNLINK: DEL's contract through the batch path unconditionally
-        // — one write-lock acquisition per shard for the whole key set.
-        // (Frees are epoch-deferred here as everywhere, so the "async
-        // reclaim" half of Redis UNLINK is the engine's normal mode.)
-        b"UNLINK" => match args {
-            [] => wrong_args(out, "unlink"),
-            _ => match engine.mdel(args) {
-                Ok(removed) => reply_int(out, removed as i64),
-                Err(e) => err(out, e.to_string()),
-            },
+            [key] => reply_count(out, engine.del(key).map(i64::from)),
+            _ => reply_count(out, engine.mdel(args).map(|removed| removed as i64)),
         },
         // `EXPIRE key s` / `PEXPIRE key ms`: resolved to an absolute
         // deadline here on the primary (the one clock); a non-positive
         // TTL deletes the key now, exactly like Redis.
-        b"EXPIRE" | b"PEXPIRE" => match args {
-            [key, n] => {
-                let Some(n) = parse_int(n) else {
-                    return err(out, "value is not an integer or out of range");
-                };
-                let now = crate::expire::now_ms();
-                let deadline = if n <= 0 {
-                    now // already due: expire_at deletes outright
-                } else if name == b"EXPIRE" {
-                    now.saturating_add((n as u64).saturating_mul(1000))
-                } else {
-                    now.saturating_add(n as u64)
-                };
-                match engine.expire_at(key, deadline) {
-                    Ok(set) => reply_int(out, i64::from(set)),
-                    Err(e) => engine_err(out, e),
-                }
-            }
-            _ => wrong_args(out, if name == b"EXPIRE" { "expire" } else { "pexpire" }),
+        Cmd::Expire(unit_ms) => {
+            let Some(n) = parse_int(args[1]) else {
+                return err(out, "value is not an integer or out of range");
+            };
+            let now = crate::expire::now_ms();
+            // Already due (`n <= 0`): expire_at deletes outright.
+            let ttl_ms = if n <= 0 { 0 } else { (n as u64).saturating_mul(unit_ms) };
+            reply_count(out, engine.expire_at(args[0], now.saturating_add(ttl_ms)).map(i64::from))
+        }
+        // TTL rounds the remaining time *up*: a key with 1 ms left reports
+        // 1 s, never the "no expiry" -0. Negative: no expiry, or no key.
+        Cmd::Ttl(unit_ms) => {
+            let round_up = |ms| if ms >= 0 { (ms + unit_ms - 1) / unit_ms } else { ms };
+            reply_count(out, engine.ttl_ms(args[0]).map(round_up))
+        }
+        Cmd::Persist => reply_count(out, engine.persist(args[0]).map(i64::from)),
+        Cmd::Exists => match args {
+            [key] => reply_count(out, engine.exists(key).map(i64::from)),
+            _ => reply_count(out, engine.mexists(args).map(|present| present as i64)),
         },
-        b"TTL" | b"PTTL" => match args {
-            [key] => match engine.ttl_ms(key) {
-                // TTL rounds the remaining time *up*: a key with 1 ms
-                // left reports 1 s, never the "no expiry" -0.
-                Ok(ms) if ms >= 0 && name == b"TTL" => reply_int(out, (ms + 999) / 1000),
-                Ok(ms) => reply_int(out, ms),
-                Err(e) => err(out, e.to_string()),
-            },
-            _ => wrong_args(out, if name == b"TTL" { "ttl" } else { "pttl" }),
-        },
-        b"PERSIST" => match args {
-            [key] => match engine.persist(key) {
-                Ok(cleared) => reply_int(out, i64::from(cleared)),
-                Err(e) => engine_err(out, e),
-            },
-            _ => wrong_args(out, "persist"),
-        },
-        b"EXISTS" => match args {
-            [] => wrong_args(out, "exists"),
-            [key] => match engine.exists(key) {
-                Ok(present) => reply_int(out, i64::from(present)),
-                Err(e) => err(out, e.to_string()),
-            },
-            _ => match engine.mexists(args) {
-                Ok(present) => reply_int(out, present as i64),
-                Err(e) => err(out, e.to_string()),
-            },
-        },
-        b"SCAN" => {
-            let (cursor, count) = match args {
-                [cur] => (cur, DEFAULT_SCAN_COUNT),
-                [cur, word, n] if word.eq_ignore_ascii_case(b"COUNT") => {
+        Cmd::Scan => {
+            let count = match args {
+                [_] => DEFAULT_SCAN_COUNT,
+                [_, word, n] if word.eq_ignore_ascii_case(b"COUNT") => {
                     match std::str::from_utf8(n).ok().and_then(|s| s.parse::<usize>().ok()) {
-                        Some(n) if n >= 1 => (cur, n.min(MAX_SCAN_COUNT)),
+                        Some(n) if n >= 1 => n.min(MAX_SCAN_COUNT),
                         _ => return err(out, "COUNT must be a positive integer"),
                     }
                 }
-                _ => return wrong_args(out, "scan"),
+                _ => return wrong_args(out, cmd),
             };
             let Some(cursor) =
-                std::str::from_utf8(cursor).ok().and_then(|s| s.parse::<u64>().ok())
+                std::str::from_utf8(args[0]).ok().and_then(|s| s.parse::<u64>().ok())
             else {
                 return err(out, "invalid cursor");
             };
@@ -753,43 +635,32 @@ pub(crate) fn execute(
         }
         // Test-only: enumerates the whole store in one reply. Only the
         // match-everything pattern is supported; use SCAN in production.
-        b"KEYS" => match args {
-            [pat] if *pat == b"*" => match engine.keys() {
-                Ok(keys) => reply(out, Value::Array(keys.into_iter().map(Value::Bulk).collect())),
-                Err(e) => err(out, e.to_string()),
-            },
-            [_] => err(out, "only the '*' pattern is supported"),
-            _ => wrong_args(out, "keys"),
+        Cmd::Keys if args[0] == b"*" => match engine.keys() {
+            Ok(keys) => reply(out, Value::Array(keys.into_iter().map(Value::Bulk).collect())),
+            Err(e) => err(out, e.to_string()),
         },
-        b"SNAPSHOT" => match args {
-            [path] => match std::str::from_utf8(path) {
-                Ok(path) => match engine.snapshot_to(std::path::Path::new(path)) {
-                    Ok(count) => reply_int(out, count as i64),
-                    Err(e) => err(out, e.to_string()),
-                },
-                Err(_) => err(out, "snapshot path must be valid UTF-8"),
-            },
-            _ => wrong_args(out, "snapshot"),
-        },
-        b"DBSIZE" => match args {
-            [] => {
-                // Collapse due timers first so the count never includes
-                // an expired-but-unreclaimed key. Only a primary may do
-                // this (it publishes the DELs); a replica's count
-                // converges through the primary's stream.
-                if inner.role() == Role::Primary {
-                    engine.expire_now();
-                }
-                reply_int(out, engine.len() as i64)
+        Cmd::Keys => err(out, "only the '*' pattern is supported"),
+        Cmd::Snapshot => match std::str::from_utf8(args[0]) {
+            Ok(path) => {
+                reply_count(out, engine.snapshot_to(std::path::Path::new(path)).map(|n| n as i64))
             }
-            _ => wrong_args(out, "dbsize"),
+            Err(_) => err(out, "snapshot path must be valid UTF-8"),
         },
+        Cmd::Dbsize => {
+            // Collapse due timers first so the count never includes
+            // an expired-but-unreclaimed key. Only a primary may do
+            // this (it publishes the DELs); a replica's count
+            // converges through the primary's stream.
+            if inner.role() == Role::Primary {
+                engine.expire_now();
+            }
+            reply_int(out, engine.len() as i64)
+        }
         // Every INFO form is O(shards) except `INFO keyspace`, which
         // pays an O(total keys) ground-truth scan — deliberately opt-in
         // so monitoring polls never scale with the data they watch.
-        b"INFO" => {
+        Cmd::Info => {
             let text = match args {
-                [] => info_text(inner),
                 [s] if s.eq_ignore_ascii_case(b"replication") => replication_info_text(inner),
                 [s] if s.eq_ignore_ascii_case(b"stats") => stats_info_text(inner),
                 [s] if s.eq_ignore_ascii_case(b"latency") => latency_info_text(inner),
@@ -799,7 +670,7 @@ pub(crate) fn execute(
                     out,
                     "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
                 ),
-                _ => return wrong_args(out, "info"),
+                _ => info_text(inner),
             };
             resp::encode_bulk(text.as_bytes(), out);
             Outcome::Replied
@@ -808,7 +679,7 @@ pub(crate) fn execute(
         // `SLOWLOG LEN`, `SLOWLOG RESET`. Entries are arrays shaped like
         // Redis's: id, unix time, duration µs, [command, key prefix],
         // plus the serving worker id.
-        b"SLOWLOG" => match args {
+        Cmd::Slowlog => match args {
             [sub] if sub.eq_ignore_ascii_case(b"LEN") => {
                 reply_int(out, inner.metrics.slowlog.len() as i64)
             }
@@ -818,8 +689,7 @@ pub(crate) fn execute(
             }
             [sub] | [sub, _] if sub.eq_ignore_ascii_case(b"GET") => {
                 let n = match args {
-                    [_, n] => match std::str::from_utf8(n).ok().and_then(|s| s.parse::<i64>().ok())
-                    {
+                    [_, n] => match parse_int(n) {
                         Some(-1) => usize::MAX,
                         Some(n) if n >= 0 => n as usize,
                         _ => return err(out, "SLOWLOG GET count must be an integer >= -1"),
@@ -861,57 +731,57 @@ pub(crate) fn execute(
         // `TRACE OFF` gate the sampler; DUMP/GET read the flight
         // recorder; THRESHOLD tunes always-on slow capture; STATUS
         // reports the knobs; RESET clears the rings.
-        b"TRACE" => trace_command(inner, args, out),
+        Cmd::Trace => trace_command(inner, args, out),
         // One-shot trace propagation: capture the NEXT command under
         // this identity. `TRACEID 0 0` asks the server to assign a
         // fresh id (the reply), which is how a client starts a trace it
         // can later look up; nonzero ids arrive from cluster clients
         // re-sending after a redirect and from the PSYNC tail.
-        b"TRACEID" => match args {
-            [id, hops] => {
-                let (Some(id), Some(hops)) = (parse_int(id), parse_int(hops)) else {
-                    return err(out, "TRACEID arguments must be integers");
-                };
-                if id < 0 || hops < 0 {
-                    return err(out, "TRACEID arguments must be non-negative");
-                }
-                let id = if id == 0 { inner.tracer.alloc_id() } else { id as u64 };
-                session.trace_force = Some((id, hops as u32));
-                reply_int(out, id as i64)
+        Cmd::TraceId => {
+            let (Some(id), Some(hops)) = (parse_int(args[0]), parse_int(args[1])) else {
+                return err(out, "TRACEID arguments must be integers");
+            };
+            if id < 0 || hops < 0 {
+                return err(out, "TRACEID arguments must be non-negative");
             }
-            _ => wrong_args(out, "traceid"),
-        },
+            let id = if id == 0 { inner.tracer.alloc_id() } else { id as u64 };
+            session.trace_force = Some((id, hops as u32));
+            reply_int(out, id as i64)
+        }
         // Replication handshake: REPLCONF carries replica metadata
         // (accepted and ignored — `listening-port` etc. are advisory);
         // PSYNC turns the connection into a replication stream.
-        b"REPLCONF" => reply_ok(out),
-        b"PSYNC" => {
-            if inner.role() == Role::Replica {
-                err(out, "PSYNC on a replica (chained replication) is not supported")
-            } else {
-                Outcome::StartReplication
-            }
+        Cmd::Replconf => reply_ok(out),
+        Cmd::Psync if inner.role() == Role::Replica => {
+            err(out, "PSYNC on a replica (chained replication) is not supported")
         }
-        b"REPLICAOF" => match args {
-            [host, port]
-                if host.eq_ignore_ascii_case(b"NO") && port.eq_ignore_ascii_case(b"ONE") =>
-            {
+        Cmd::Psync => Outcome::StartReplication,
+        Cmd::Replicaof => {
+            if args[0].eq_ignore_ascii_case(b"NO") && args[1].eq_ignore_ascii_case(b"ONE") {
                 // Promote: stop and join the sync loop, then accept
                 // writes. +OK is sent only once the fence is complete.
                 inner.promote();
                 reply_ok(out)
+            } else {
+                err(
+                    out,
+                    "attaching to a primary at runtime is not supported; start with --replica-of",
+                )
             }
-            [_, _] => err(
-                out,
-                "attaching to a primary at runtime is not supported; start with --replica-of",
-            ),
-            _ => wrong_args(out, "replicaof"),
-        },
+        }
         // Cluster commands exist (as errors) outside cluster mode too,
         // so misdirected clients get a clear diagnosis instead of
         // "unknown command".
-        b"CLUSTER" | b"ASKING" => err(out, "this server was not started in cluster mode"),
-        b"SHUTDOWN" => {
+        Cmd::Cluster => match &inner.cluster {
+            Some(cl) => reply(out, crate::cluster::cluster_command(cl, inner, args)),
+            None => err(out, NOT_CLUSTER),
+        },
+        Cmd::Asking if inner.cluster.is_some() => {
+            session.asking = true;
+            reply_ok(out)
+        }
+        Cmd::Asking => err(out, NOT_CLUSTER),
+        Cmd::Shutdown => {
             out.extend_from_slice(resp::OK);
             Outcome::Shutdown
         }
@@ -919,8 +789,10 @@ pub(crate) fn execute(
         // connection panic is caught, counted, and costs only that
         // connection (not the worker or its other connections).
         #[cfg(test)]
-        b"PANICTEST" => panic!("PANICTEST: injected command-handler panic"),
-        _ => err(out, format!("unknown command '{}'", String::from_utf8_lossy(parts[0]))),
+        Cmd::PanicTest => panic!("PANICTEST: injected command-handler panic"),
+        Cmd::Unknown => {
+            err(out, format!("unknown command '{}'", String::from_utf8_lossy(parts[0])))
+        }
     }
 }
 
@@ -1410,32 +1282,6 @@ mod tests {
             assert_eq!(c.read_reply().unwrap(), Value::bulk(format!("v{i}").into_bytes()));
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn command_keys_extracts_the_right_keys() {
-        fn keys(name: &[u8], args: &[&'static str]) -> Vec<&'static [u8]> {
-            let args: Vec<&[u8]> = args.iter().map(|s| s.as_bytes()).collect();
-            command_keys(name, &args).collect()
-        }
-        assert_eq!(keys(b"GET", &["k"]), [b"k"]);
-        assert_eq!(keys(b"get", &["k"]), [b"k"], "names match case-insensitively");
-        assert_eq!(keys(b"SET", &["k", "v"]), [b"k"]);
-        assert_eq!(keys(b"SET", &["k", "v", "EX", "10"]), [b"k"]);
-        assert_eq!(keys(b"MGET", &["a", "b"]), [b"a", b"b"]);
-        assert_eq!(
-            keys(b"MSET", &["a", "1", "b", "2"]),
-            [b"a", b"b"],
-            "MSET keys are every other argument"
-        );
-        assert_eq!(keys(b"DEL", &["a", "b", "c"]).len(), 3);
-        for single in ["EXPIRE", "PEXPIRE", "TTL", "PTTL", "PERSIST"] {
-            assert_eq!(keys(single.as_bytes(), &["k", "7"]), [b"k"], "{single}");
-        }
-        assert!(keys(b"PING", &[]).is_empty());
-        assert!(keys(b"INFO", &["replication"]).is_empty());
-        assert!(keys(b"SCAN", &["0"]).is_empty(), "SCAN stays node-local");
-        assert!(keys(b"GET", &[]).is_empty(), "bad arity bypasses the gate");
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! field) still parse; their records load with no expiry.
 //!
 //! [`SnapshotStream`] writes that layout to any `Write` sink — a `Vec`
-//! for the replication bootstrap payload, a buffered temp file for disk
-//! backups. [`SnapshotWriter`] is the disk flavor: it streams to
-//! `<path>.tmp`, fsyncs, and renames over `<path>` only in
-//! [`SnapshotWriter::finish`] — a crash mid-snapshot can never leave a
-//! half-written file under the real name.
+//! for the replication bootstrap payload, a [`DurableFile`] for disk
+//! backups. `DurableFile` is the crate's one crash-safe publish — unique
+//! tmp sibling, write, fsync the file, rename, fsync the directory —
+//! shared with the cluster slot map: a crash mid-write can never leave a
+//! half-written file under the real name, and a returned `Ok` means the
+//! new file survives power loss.
 //!
 //! The readers ([`read_all`] / [`parse_all`]) verify structure, bounds,
 //! record count and checksum **before** returning a single record, so a
@@ -39,8 +40,9 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dash_common::MAX_KEY_LEN;
 
@@ -141,59 +143,47 @@ impl<W: Write> SnapshotStream<W> {
     }
 }
 
-/// Streams `(key, value)` records into `<path>.tmp` and publishes the
-/// finished, checksummed file as `<path>` on [`finish`](Self::finish).
-pub struct SnapshotWriter {
-    stream: Option<SnapshotStream<BufWriter<File>>>,
+/// A file that appears under its real name whole and durable, or not at
+/// all: bytes written to `out` go to a tmp sibling, and
+/// [`commit`](Self::commit) publishes them. Dropped uncommitted (or
+/// failing to commit) it removes the tmp.
+pub(crate) struct DurableFile {
+    pub(crate) out: BufWriter<File>,
     tmp: PathBuf,
     path: PathBuf,
 }
 
-impl SnapshotWriter {
-    /// Start a snapshot destined for `path`. `shards` is recorded in the
-    /// header for diagnostics.
-    pub fn create(path: &Path, shards: u32) -> SnapshotResult<Self> {
-        // A unique tmp name per writer (pid + in-process sequence), so
-        // two concurrent snapshots to the same path cannot interleave
-        // bytes into a shared tmp file and publish a corrupt backup —
-        // the last rename wins with a complete, self-consistent file.
-        static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+impl DurableFile {
+    pub(crate) fn create(path: &Path) -> io::Result<Self> {
+        // A unique tmp name per writer (pid + in-process sequence): two
+        // concurrent writers to one path cannot interleave bytes in a
+        // shared tmp file — the last rename wins with a complete file.
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let mut name = path
             .file_name()
-            .ok_or_else(|| corrupt("snapshot path has no file name"))?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
             .to_os_string();
-        name.push(format!(
-            ".tmp.{}.{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".tmp.{}.{seq}", std::process::id()));
         let tmp = path.with_file_name(name);
-        let file = File::create(&tmp)?;
-        let stream = SnapshotStream::new(BufWriter::new(file), shards)?;
-        Ok(SnapshotWriter { stream: Some(stream), tmp, path: path.to_path_buf() })
+        Ok(DurableFile { out: BufWriter::new(File::create(&tmp)?), tmp, path: path.to_path_buf() })
     }
 
-    /// Append one record (`expire_at_ms` 0 = no expiry).
-    pub fn append(&mut self, key: &[u8], value: &[u8], expire_at_ms: u64) -> SnapshotResult<()> {
-        self.stream.as_mut().expect("append after finish").append(key, value, expire_at_ms)
-    }
-
-    /// Write the trailer, fsync, and atomically publish the file under
-    /// its real name. Returns the record count.
-    pub fn finish(mut self) -> SnapshotResult<u64> {
-        let (mut out, count) = self.stream.take().expect("finish called twice").finish()?;
-        out.flush()?;
-        out.get_ref().sync_all()?;
+    /// Flush, fsync the file, rename it over the real name, fsync the
+    /// directory (a rename is only as durable as its directory entry);
+    /// every error is returned.
+    pub(crate) fn commit(mut self) -> io::Result<()> {
+        self.out.flush()?;
+        self.out.get_ref().sync_all()?;
         std::fs::rename(&self.tmp, &self.path)?;
-        Ok(count)
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
     }
 }
 
-impl Drop for SnapshotWriter {
+impl Drop for DurableFile {
     fn drop(&mut self) {
-        // An unfinished snapshot leaves no debris under the real name;
-        // clean up the tmp file too (best effort). After a successful
-        // finish the tmp was renamed away and this is a no-op.
+        // Best effort; after a successful rename there is nothing here.
         let _ = std::fs::remove_file(&self.tmp);
     }
 }
@@ -292,7 +282,8 @@ mod tests {
     }
 
     fn write_sample(path: &Path, n: u32) -> u64 {
-        let mut w = SnapshotWriter::create(path, 4).unwrap();
+        let mut file = DurableFile::create(path).unwrap();
+        let mut w = SnapshotStream::new(&mut file.out, 4).unwrap();
         for i in 0..n {
             // Every third record carries a deadline, exercising both
             // record shapes in one stream.
@@ -300,7 +291,9 @@ mod tests {
             w.append(format!("key-{i}").as_bytes(), format!("value-{i}").as_bytes(), expire)
                 .unwrap();
         }
-        w.finish().unwrap()
+        let count = w.finish().unwrap().1;
+        file.commit().unwrap();
+        count
     }
 
     #[test]
@@ -373,9 +366,11 @@ mod tests {
         let p = TempPath::new("binary");
         let key: Vec<u8> = (0..=255u8).collect();
         let value = vec![0u8; 10_000];
-        let mut w = SnapshotWriter::create(&p.0, 1).unwrap();
+        let mut file = DurableFile::create(&p.0).unwrap();
+        let mut w = SnapshotStream::new(&mut file.out, 1).unwrap();
         w.append(&key, &value, 0).unwrap();
         w.finish().unwrap();
+        file.commit().unwrap();
         assert_eq!(read_all(&p.0).unwrap(), vec![(key, value, 0)]);
     }
 
@@ -410,30 +405,35 @@ mod tests {
     fn unfinished_writer_leaves_no_file() {
         let p = TempPath::new("drop");
         {
-            let mut w = SnapshotWriter::create(&p.0, 1).unwrap();
-            w.append(b"k", b"v", 0).unwrap();
-            // Dropped without finish(): simulated crash mid-snapshot.
+            let mut f = DurableFile::create(&p.0).unwrap();
+            f.out.write_all(b"half a file").unwrap();
+            assert!(tmp_debris(&p.0), "bytes go to a tmp sibling");
+            // Dropped without commit(): simulated crash mid-write.
         }
-        assert!(!p.0.exists(), "unfinished snapshot must not appear under the real name");
+        assert!(!p.0.exists(), "an uncommitted file must not appear under the real name");
         assert!(!tmp_debris(&p.0), "tmp file must be cleaned up");
+        // A failed commit (the real name is a directory) is returned, not
+        // swallowed, and cleans up after itself too.
+        std::fs::create_dir(&p.0).unwrap();
+        assert!(DurableFile::create(&p.0).unwrap().commit().is_err());
+        assert!(!tmp_debris(&p.0));
+        std::fs::remove_dir(&p.0).unwrap();
     }
 
     #[test]
     fn concurrent_writers_to_one_path_publish_a_valid_file() {
         let p = TempPath::new("concurrent");
         // Interleaved writers with distinct tmp files: whichever rename
-        // lands last, the published file must be complete and verify.
-        let mut a = SnapshotWriter::create(&p.0, 1).unwrap();
-        let mut b = SnapshotWriter::create(&p.0, 1).unwrap();
-        for i in 0..50u32 {
-            a.append(format!("a-{i}").as_bytes(), b"va", 0).unwrap();
-            b.append(format!("b-{i}").as_bytes(), b"vb", 0).unwrap();
+        // lands last, the published file must be one writer's, whole.
+        let mut a = DurableFile::create(&p.0).unwrap();
+        let mut b = DurableFile::create(&p.0).unwrap();
+        for _ in 0..50 {
+            a.out.write_all(b"aaaa").unwrap();
+            b.out.write_all(b"bbbb").unwrap();
         }
-        a.finish().unwrap();
-        b.finish().unwrap();
-        let records = read_all(&p.0).unwrap();
-        assert_eq!(records.len(), 50, "the survivor must be one writer's complete stream");
-        assert!(records.iter().all(|(k, _, _)| k.starts_with(b"b-")), "last rename wins");
+        a.commit().unwrap();
+        b.commit().unwrap();
+        assert_eq!(std::fs::read(&p.0).unwrap(), b"bbbb".repeat(50), "last rename wins");
         assert!(!tmp_debris(&p.0));
     }
 }

@@ -62,8 +62,6 @@ pub const DEFAULT_SAMPLE: u64 = 64;
 pub const DEFAULT_THRESHOLD_US: u64 = 10_000;
 /// Worker id recorded for spans captured on the replica sync thread.
 pub const REPL_WORKER: u64 = u64::MAX;
-/// Bytes of key kept in a span (same truncation as the SLOWLOG).
-const KEY_PREFIX_LEN: usize = 32;
 
 /// The seven stages of a request's timeline, in wall-clock order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,17 +172,7 @@ impl TraceRecord {
         total_ns: u64,
         reason: Reason,
     ) -> TraceRecord {
-        let cmd = parts
-            .first()
-            .map(|c| String::from_utf8_lossy(c.as_ref()).to_ascii_uppercase())
-            .unwrap_or_default();
-        let key = parts
-            .get(1)
-            .map(|k| {
-                let k = k.as_ref();
-                String::from_utf8_lossy(&k[..k.len().min(KEY_PREFIX_LEN)]).into_owned()
-            })
-            .unwrap_or_default();
+        let (cmd, key) = crate::command::describe(parts);
         TraceRecord {
             id,
             origin: id,
