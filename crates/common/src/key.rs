@@ -261,7 +261,7 @@ mod tests {
         let stored = k.encode(&p).unwrap();
         VarKey::release(&p, stored);
         p.epoch_collect();
-        // 4+40 rounds to the 64-byte class; next 64-byte alloc reuses it.
+        // 4+40 rounds to the 48-byte class; the next 48-byte alloc reuses it.
         let again = p.alloc(48).unwrap();
         assert_eq!(again.get(), stored);
     }

@@ -266,7 +266,8 @@ impl Bucket {
         ((RECORDS_OFFSET + i * 16) / 64) as u32
     }
 
-    /// Search for `key`.
+    /// Search for `key`: the slot that holds it, with the key word that
+    /// matched and the slot's value word.
     ///
     /// PM metering is line-granular (§2.1, §4.2): the probe always reads the
     /// 64-byte metadata line; each candidate slot it must compare adds that
@@ -281,7 +282,7 @@ impl Bucket {
         fp: u8,
         key: &K,
         use_fp: bool,
-    ) -> Option<(usize, u64)> {
+    ) -> Option<(usize, u64, u64)> {
         let mut m = self.fp_candidates(fp, use_fp);
         let mut lines: u32 = 0b0001; // metadata line, always touched
         let mut hit = None;
@@ -291,7 +292,7 @@ impl Bucket {
             lines |= 1 << Self::line_of_slot(i);
             let stored = self.records[i].key.load(Ordering::Acquire);
             if key.matches(pool, stored) {
-                hit = Some((i, self.records[i].value.load(Ordering::Acquire)));
+                hit = Some((i, stored, self.records[i].value.load(Ordering::Acquire)));
                 break;
             }
         }
@@ -417,6 +418,14 @@ impl Bucket {
     pub fn update_value(&self, pool: &PmemPool, self_off: PmOffset, slot: usize, value: u64) {
         self.records[slot].value.store(value, Ordering::Release);
         pool.persist(self_off.add((RECORDS_OFFSET + slot * 16 + 8) as u64), 8);
+    }
+
+    /// Replace a slot's key word in place with another representation of
+    /// the same key: like [`Self::update_value`], one 8-byte atomic,
+    /// crash-consistent store — the fingerprint and the value word stand.
+    pub fn update_key(&self, pool: &PmemPool, self_off: PmOffset, slot: usize, key_repr: u64) {
+        self.records[slot].key.store(key_repr, Ordering::Release);
+        pool.persist(self_off.add((RECORDS_OFFSET + slot * 16) as u64), 8);
     }
 
     /// Pick a record to displace (§4.3): `member_set` selects records whose
@@ -633,7 +642,7 @@ mod tests {
         let fp = 0x99;
         let slot = b.insert_record(&pool, off, key, 4242, fp, false, true).unwrap();
         assert_eq!(b.count(), 1);
-        let (s, v) = b.search_key(&pool, fp, &key, true).unwrap();
+        let (s, _, v) = b.search_key(&pool, fp, &key, true).unwrap();
         assert_eq!((s, v), (slot, 4242));
         assert!(b.search_key(&pool, fp, &43u64, true).is_none());
         b.delete_slot(&pool, off, slot);
@@ -646,7 +655,7 @@ mod tests {
         let (pool, off) = pool_with_bucket();
         let b = bucket(&pool, off);
         b.insert_record(&pool, off, 7, 70, 0xAA, false, false).unwrap();
-        assert_eq!(b.search_key(&pool, 0xAA, &7u64, false).unwrap().1, 70);
+        assert_eq!(b.search_key(&pool, 0xAA, &7u64, false).unwrap().2, 70);
     }
 
     #[test]
@@ -666,7 +675,11 @@ mod tests {
         let b = bucket(&pool, off);
         let slot = b.insert_record(&pool, off, 1, 10, 0x01, false, true).unwrap();
         b.update_value(&pool, off, slot, 20);
-        assert_eq!(b.search_key(&pool, 0x01, &1u64, true).unwrap().1, 20);
+        assert_eq!(b.search_key(&pool, 0x01, &1u64, true).unwrap().2, 20);
+        // The key word too: the slot, its fingerprint and its value stand.
+        b.update_key(&pool, off, slot, 2);
+        assert!(b.search_key(&pool, 0x01, &1u64, true).is_none());
+        assert_eq!(b.search_key(&pool, 0x01, &2u64, true), Some((slot, 2, 20)));
     }
 
     #[test]
@@ -728,7 +741,7 @@ mod tests {
         assert_eq!(b.ovf_count(), 0);
         assert_eq!(b.ovf_matches(0x11), 0);
         // Slot fingerprints survive.
-        assert_eq!(b.search_key(&pool, 0x55, &5u64, true).unwrap().1, 50);
+        assert_eq!(b.search_key(&pool, 0x55, &5u64, true).unwrap().2, 50);
     }
 
     #[test]
@@ -817,7 +830,7 @@ mod tests {
                 for (i, k) in keys.iter().enumerate() {
                     let fp = (i % 2) as u8;
                     let got = b.search_key(&pool, fp, k, true);
-                    prop_assert_eq!(got.map(|(_, v)| v), Some(k.wrapping_mul(3)));
+                    prop_assert_eq!(got.map(|(_, _, v)| v), Some(k.wrapping_mul(3)));
                 }
                 // A key not present must miss even when its fp collides.
                 let absent = keys.iter().max().unwrap().wrapping_add(1);
@@ -859,11 +872,11 @@ mod tests {
             b.insert_record(&pool, off, i, i * 10, 0xA0 | i as u8, false, true).unwrap();
         }
         let before = pool.stats();
-        assert_eq!(b.search_key(&pool, 0xA0, &0u64, true).unwrap().1, 0);
+        assert_eq!(b.search_key(&pool, 0xA0, &0u64, true).unwrap().2, 0);
         let d = pool.stats().since(&before);
         assert_eq!(d.pm_read_bytes, 64, "slot 0 shares the metadata line");
         let before = pool.stats();
-        assert_eq!(b.search_key(&pool, 0xAD, &13u64, true).unwrap().1, 130);
+        assert_eq!(b.search_key(&pool, 0xAD, &13u64, true).unwrap().2, 130);
         let d = pool.stats().since(&before);
         assert_eq!(d.pm_read_bytes, 128, "slot 13 adds exactly one more line");
     }

@@ -257,18 +257,31 @@ impl<K: Key> DashEh<K> {
         K: Borrow<Q>,
         Q: KeyProbe + ?Sized,
     {
-        let _g = self.pool.epoch().pin();
-        self.get_pinned(key)
+        self.find(key).map(|(_, value)| value)
     }
 
-    /// `get` body without the epoch entry — the caller holds the pin
+    /// [`get`](Self::get) that also hands back the matched slot's key
+    /// word: `(key word, value word)`. For a table whose key word points
+    /// at storage the caller owns — the word is the one `matches` was
+    /// true of, so it is safe to follow under the caller's epoch pin
+    /// whatever happens to the slot afterwards.
+    pub fn find<Q>(&self, key: &Q) -> Option<(u64, u64)>
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
+        let _g = self.pool.epoch().pin();
+        self.find_pinned(key)
+    }
+
+    /// `find` body without the epoch entry — the caller holds the pin
     /// (single ops pin per call; [`DashEh::get_many`] pins per batch).
-    fn get_pinned<Q: KeyProbe + ?Sized>(&self, key: &Q) -> Option<u64> {
+    fn find_pinned<Q: KeyProbe + ?Sized>(&self, key: &Q) -> Option<(u64, u64)> {
         let h = key.hash64();
         loop {
             let seg = self.resolve(h);
             match self.view(seg).search(&self.cfg, h, key, || self.locate(h) == seg) {
-                SegFind::Found(v) => return Some(v),
+                SegFind::Found(key_word, value) => return Some((key_word, value)),
                 SegFind::NotFound => return None,
                 SegFind::Retry => std::hint::spin_loop(),
             }
@@ -285,8 +298,35 @@ impl<K: Key> DashEh<K> {
     }
 
     fn insert_pinned<Q: KeyProbe + ?Sized>(&self, key: &Q, value: u64) -> TableResult<()> {
-        let h = key.hash64();
         let key_repr = key.encode(&self.pool)?;
+        let r = self.insert_encoded_pinned(key, key_repr, value);
+        // Whatever failed, the representation was never published.
+        if r.is_err() && !K::INLINE {
+            K::release(&self.pool, key_repr);
+        }
+        r
+    }
+
+    /// [`insert`](Self::insert) of a key the caller has already encoded:
+    /// `key_repr` is stored as the slot's key word as is, and must be a
+    /// representation `key` matches. On any error nothing was published
+    /// and `key_repr` is still the caller's to release.
+    pub fn insert_encoded<Q>(&self, key: &Q, key_repr: u64, value: u64) -> TableResult<()>
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
+        let _g = self.pool.epoch().pin();
+        self.insert_encoded_pinned(key, key_repr, value)
+    }
+
+    fn insert_encoded_pinned<Q: KeyProbe + ?Sized>(
+        &self,
+        key: &Q,
+        key_repr: u64,
+        value: u64,
+    ) -> TableResult<()> {
+        let h = key.hash64();
         loop {
             let seg = self.resolve(h);
             let r = self.view(seg).insert(&self.cfg, h, key, key_repr, value, false, || {
@@ -294,12 +334,7 @@ impl<K: Key> DashEh<K> {
             })?;
             match r {
                 SegInsert::Inserted { .. } => return Ok(()),
-                SegInsert::Duplicate => {
-                    if !K::INLINE {
-                        K::release(&self.pool, key_repr);
-                    }
-                    return Err(TableError::Duplicate);
-                }
+                SegInsert::Duplicate => return Err(TableError::Duplicate),
                 SegInsert::Retry => continue,
                 SegInsert::NeedSplit => self.split(h)?,
             }
@@ -333,6 +368,30 @@ impl<K: Key> DashEh<K> {
         Q: KeyProbe + ?Sized,
     {
         self.swap(key, value).is_some()
+    }
+
+    /// [`swap`](Self::swap) for the other word of the slot: replace the
+    /// key word stored under `key` with `key_repr` — another
+    /// representation `key` matches — and return the one it replaced,
+    /// which is now the caller's to release; `None`, with nothing
+    /// written, when the key is absent. One locked probe and one
+    /// persisted 8-byte store: readers see the old representation or the
+    /// new one, and so does a crash.
+    pub fn rekey<Q>(&self, key: &Q, key_repr: u64) -> Option<u64>
+    where
+        K: Borrow<Q>,
+        Q: KeyProbe + ?Sized,
+    {
+        let h = key.hash64();
+        let _g = self.pool.epoch().pin();
+        loop {
+            let seg = self.resolve(h);
+            match self.view(seg).rekey(&self.cfg, h, key, key_repr, || self.locate(h) == seg) {
+                SegMutate::Done(old) => return Some(old),
+                SegMutate::NotFound => return None,
+                SegMutate::Retry => std::hint::spin_loop(),
+            }
+        }
     }
 
     pub fn remove<Q>(&self, key: &Q) -> bool
@@ -411,17 +470,17 @@ impl<K: Key> DashEh<K> {
 
     /// Stage 2, once stage 1's lines are on their way: for every
     /// fingerprint candidate of `h`, start loading the line its key word
-    /// points at (out-of-line keys) and pass its value word to `value` —
-    /// unvalidated: the caller owns what a value word means, and must
-    /// check it before use.
-    pub fn hint_records(&self, h: u64, mut value: impl FnMut(u64)) {
+    /// points at (out-of-line keys) and pass `(key word, value word)` to
+    /// `record` — unvalidated: the caller owns what the words mean, and
+    /// must check them before use.
+    pub fn hint_records(&self, h: u64, mut record: impl FnMut(u64, u64)) {
         let Some(seg) = self.hint_segment(h) else { return };
         let size = self.pool.size() as u64;
         seg.hint_records(&self.cfg, h, |key_word, value_word| {
             if !K::INLINE && key_word < size {
                 pmem::prefetch(self.pool.base().wrapping_add(key_word as usize));
             }
-            value(value_word);
+            record(key_word, value_word);
         });
     }
 
@@ -431,7 +490,7 @@ impl<K: Key> DashEh<K> {
     /// fingerprint-probe loop per key. Results are in key order.
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<u64>> {
         let _g = self.pool.epoch().pin();
-        keys.iter().map(|k| self.get_pinned(k)).collect()
+        keys.iter().map(|k| self.find_pinned(k).map(|(_, value)| value)).collect()
     }
 
     /// Batched insert under one epoch entry; one result per item, in
@@ -1102,6 +1161,45 @@ mod tests {
         assert!((1_000..3_000u64).all(|k| t.get(&k) == Some(k + 1)));
     }
 
+    /// The three operations of a caller that owns its key storage: insert
+    /// an already-encoded word, read it back, swap it for another
+    /// encoding of the same key — in normal buckets and in the stash.
+    #[test]
+    fn insert_encoded_find_and_rekey_move_the_key_word_only() {
+        let pool = PmemPool::create(PoolConfig::with_size(32 << 20)).unwrap();
+        let t: DashEh<VarKey> = DashEh::create(pool.clone(), small_cfg()).unwrap();
+        let key = |i: u64| format!("owned-{i:05}").into_bytes();
+        assert_eq!(t.rekey(key(0).as_slice(), 64), None, "absent: nothing to replace");
+        assert_eq!(t.find(key(0).as_slice()), None, "and nothing written");
+        // Far past the normal buckets of two 4-bucket segments.
+        let mut words = Vec::new();
+        for i in 0..3_000u64 {
+            let word = key(i).as_slice().encode(&pool).unwrap();
+            let (allocs, splits) = (pool.stats().allocs, t.split_count());
+            t.insert_encoded(key(i).as_slice(), word, i).unwrap();
+            if t.split_count() == splits {
+                assert_eq!(pool.stats().allocs, allocs, "an encoded insert allocates nothing");
+            }
+            words.push(word);
+        }
+        assert!(matches!(
+            t.insert_encoded(key(7).as_slice(), words[7], 0),
+            Err(TableError::Duplicate)
+        ));
+        for i in 0..3_000u64 {
+            let k = key(i);
+            assert_eq!(t.find(k.as_slice()), Some((words[i as usize], i)), "key {i}");
+            let again = k.as_slice().encode(&pool).unwrap();
+            let (flushes, allocs) = (pool.stats().flushes, pool.stats().allocs);
+            assert_eq!(t.rekey(k.as_slice(), again), Some(words[i as usize]), "key {i}");
+            let after = pool.stats();
+            assert_eq!((after.flushes, after.allocs), (flushes + 1, allocs), "one 8-byte persist");
+            assert_eq!(t.find(k.as_slice()), Some((again, i)), "value word untouched, key {i}");
+            VarKey::release(&pool, words[i as usize]);
+        }
+        assert_eq!(t.len_scan(), 3_000);
+    }
+
     /// Hinting present and absent keys of a table grown through many
     /// splits changes no counter of the pool, and every present key
     /// outside the stash has its value word handed over.
@@ -1122,7 +1220,7 @@ mod tests {
                 let h = key(i).as_slice().hash64();
                 t.hint_buckets(h);
                 let mut hit = false;
-                t.hint_records(h, |value| hit |= value == i + 1);
+                t.hint_records(h, |_, value| hit |= value == i + 1);
                 assert!(i < 10_000 || !hit, "absent key {i} cannot yield its value");
                 found += u64::from(hit);
             }
@@ -1165,7 +1263,7 @@ mod tests {
                 for i in 0..4_000u64 {
                     let h = key(i).as_slice().hash64();
                     t.hint_buckets(h);
-                    t.hint_records(h, |value| seen += u64::from(value != 0));
+                    t.hint_records(h, |_, value| seen += u64::from(value != 0));
                 }
             }
             assert!(seen > 0, "the hinting thread ran against a live table");

@@ -593,7 +593,7 @@ impl<K: Key> DashLh<K> {
                 self.seg_index(h, l2, n2) == idx
             };
             match self.view(seg).search(&self.cfg, h, key, verify) {
-                SegFind::Found(v) => return Some(v),
+                SegFind::Found(_, v) => return Some(v),
                 SegFind::NotFound => return None,
                 // A writer descheduled while it holds the bucket lock
                 // needs this CPU more than the reader does: spinning on

@@ -136,7 +136,8 @@ pub(crate) enum SegInsert {
 }
 
 pub(crate) enum SegFind {
-    Found(u64),
+    /// The matched slot's `(key word, value word)`.
+    Found(u64, u64),
     NotFound,
     Retry,
 }
@@ -538,7 +539,7 @@ impl<'a> SegView<'a> {
     }
 
     /// Probe the stash area, consulting overflow metadata to skip it when
-    /// possible (§4.3). Returns the record's location and value.
+    /// possible (§4.3). Returns the record's location, slot and words.
     fn stash_lookup<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
@@ -546,7 +547,7 @@ impl<'a> SegView<'a> {
         key: &K,
         y: usize,
         p: usize,
-    ) -> Option<(RecLoc, usize, u64)> {
+    ) -> Option<(RecLoc, usize, u64, u64)> {
         if self.geom.stash == 0 && self.header().stash_chain.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -568,8 +569,8 @@ impl<'a> SegView<'a> {
                     hinted = true;
                     let idx = tb.ovf_slot_stash_idx(j);
                     if idx < self.geom.stash as usize {
-                        if let Some((slot, v)) = self.stash(idx).search_key(self.pool, fp, key, use_fp) {
-                            return Some((RecLoc::Stash(idx), slot, v));
+                        if let Some((slot, k, v)) = self.stash(idx).search_key(self.pool, fp, key, use_fp) {
+                            return Some((RecLoc::Stash(idx), slot, k, v));
                         }
                     }
                 }
@@ -583,8 +584,8 @@ impl<'a> SegView<'a> {
                     hinted = true;
                     let idx = pb.ovf_slot_stash_idx(j);
                     if idx < self.geom.stash as usize {
-                        if let Some((slot, v)) = self.stash(idx).search_key(self.pool, fp, key, use_fp) {
-                            return Some((RecLoc::Stash(idx), slot, v));
+                        if let Some((slot, k, v)) = self.stash(idx).search_key(self.pool, fp, key, use_fp) {
+                            return Some((RecLoc::Stash(idx), slot, k, v));
                         }
                     }
                 }
@@ -602,18 +603,23 @@ impl<'a> SegView<'a> {
     }
 
     /// Exhaustive scan of fixed stash buckets and the chain.
-    fn stash_scan<K: KeyProbe + ?Sized>(&self, cfg: &DashConfig, fp: u8, key: &K) -> Option<(RecLoc, usize, u64)> {
+    fn stash_scan<K: KeyProbe + ?Sized>(
+        &self,
+        cfg: &DashConfig,
+        fp: u8,
+        key: &K,
+    ) -> Option<(RecLoc, usize, u64, u64)> {
         let use_fp = cfg.fingerprints;
         for j in 0..self.geom.stash as usize {
-            if let Some((slot, v)) = self.stash(j).search_key(self.pool, fp, key, use_fp) {
-                return Some((RecLoc::Stash(j), slot, v));
+            if let Some((slot, k, v)) = self.stash(j).search_key(self.pool, fp, key, use_fp) {
+                return Some((RecLoc::Stash(j), slot, k, v));
             }
         }
         let mut cur = PmOffset::new(self.header().stash_chain.load(Ordering::Acquire));
         while !cur.is_null() {
             let node = self.node(cur);
-            if let Some((slot, v)) = node.bucket.search_key(self.pool, fp, key, use_fp) {
-                return Some((RecLoc::Chain(cur), slot, v));
+            if let Some((slot, k, v)) = node.bucket.search_key(self.pool, fp, key, use_fp) {
+                return Some((RecLoc::Chain(cur), slot, k, v));
             }
             cur = PmOffset::new(node.next.load(Ordering::Acquire));
         }
@@ -660,21 +666,21 @@ impl<'a> SegView<'a> {
             return SegFind::Retry;
         }
 
-        if let Some((_, v)) = tb.search_key(self.pool, fp, key, use_fp) {
+        if let Some((_, k, v)) = tb.search_key(self.pool, fp, key, use_fp) {
             if tb.version() != vt {
                 return SegFind::Retry;
             }
-            return SegFind::Found(v);
+            return SegFind::Found(k, v);
         }
         if tb.version() != vt {
             return SegFind::Retry;
         }
         if p != y {
-            if let Some((_, v)) = pb.search_key(self.pool, fp, key, use_fp) {
+            if let Some((_, k, v)) = pb.search_key(self.pool, fp, key, use_fp) {
                 if pb.version() != vp {
                     return SegFind::Retry;
                 }
-                return SegFind::Found(v);
+                return SegFind::Found(k, v);
             }
             if pb.version() != vp {
                 return SegFind::Retry;
@@ -682,7 +688,7 @@ impl<'a> SegView<'a> {
         }
 
         match self.stash_lookup(cfg, h, key, y, p) {
-            Some((_, _, v)) => SegFind::Found(v),
+            Some((_, _, k, v)) => SegFind::Found(k, v),
             None => {
                 // The paper omits version checks on the stash path; we add
                 // one cheap re-validation so a concurrent SMO (which locks
@@ -727,11 +733,11 @@ impl<'a> SegView<'a> {
         let found = tb
             .search_key(self.pool, fp, key, use_fp)
             .or_else(|| if p != y { pb.search_key(self.pool, fp, key, use_fp) } else { None })
-            .map(|(_, v)| v)
-            .or_else(|| self.stash_lookup(cfg, h, key, y, p).map(|(_, _, v)| v));
+            .map(|(_, k, v)| (k, v))
+            .or_else(|| self.stash_lookup(cfg, h, key, y, p).map(|(_, _, k, v)| (k, v)));
         unlock(self);
         match found {
-            Some(v) => SegFind::Found(v),
+            Some((k, v)) => SegFind::Found(k, v),
             None => SegFind::NotFound,
         }
     }
@@ -775,6 +781,15 @@ impl<'a> SegView<'a> {
 
     // ---- delete / update -------------------------------------------------
 
+    /// The bucket a record location names, with its pool offset.
+    fn home(&self, loc: RecLoc) -> (&'a Bucket, PmOffset) {
+        match loc {
+            RecLoc::Normal(i) => (self.bucket(i), self.bucket_off(i)),
+            RecLoc::Stash(j) => (self.stash(j), self.stash_off(j)),
+            RecLoc::Chain(n) => (&self.node(n).bucket, n.add(64)),
+        }
+    }
+
     /// Remove a record. Returns the removed key representation so callers
     /// can release out-of-line key storage.
     pub fn remove<K: KeyProbe + ?Sized>(
@@ -785,11 +800,7 @@ impl<'a> SegView<'a> {
         verify: impl Fn() -> bool,
     ) -> SegMutate {
         self.mutate(cfg, h, key, verify, |view, loc, slot| {
-            let (bucket, off): (&Bucket, PmOffset) = match loc {
-                RecLoc::Normal(i) => (view.bucket(i), view.bucket_off(i)),
-                RecLoc::Stash(j) => (view.stash(j), view.stash_off(j)),
-                RecLoc::Chain(n) => (&view.node(n).bucket, n.add(64)),
-            };
+            let (bucket, off) = view.home(loc);
             let (key_repr, _) = bucket.record(slot);
             bucket.delete_slot(view.pool, off, slot);
             key_repr
@@ -807,21 +818,36 @@ impl<'a> SegView<'a> {
         verify: impl Fn() -> bool,
     ) -> SegMutate {
         self.mutate(cfg, h, key, verify, |view, loc, slot| {
-            let (bucket, off): (&Bucket, PmOffset) = match loc {
-                RecLoc::Normal(i) => (view.bucket(i), view.bucket_off(i)),
-                RecLoc::Stash(j) => (view.stash(j), view.stash_off(j)),
-                RecLoc::Chain(n) => (&view.node(n).bucket, n.add(64)),
-            };
+            let (bucket, off) = view.home(loc);
             let (_, old) = bucket.record(slot);
             bucket.update_value(view.pool, off, slot, value);
             old
         })
     }
 
-    /// Shared locked-mutation skeleton for remove/update: locks target and
-    /// probing buckets, verifies, locates the record anywhere in the
-    /// segment, applies `apply`, and maintains overflow metadata for
-    /// stash-resident deletions.
+    /// Overwrite a record's key word in place (8-byte atomic) with
+    /// `key_repr`, another stored representation of the same `key`.
+    /// `Done` carries the key word it replaced.
+    pub fn rekey<K: KeyProbe + ?Sized>(
+        &self,
+        cfg: &DashConfig,
+        h: u64,
+        key: &K,
+        key_repr: u64,
+        verify: impl Fn() -> bool,
+    ) -> SegMutate {
+        self.mutate(cfg, h, key, verify, |view, loc, slot| {
+            let (bucket, off) = view.home(loc);
+            let (old, _) = bucket.record(slot);
+            bucket.update_key(view.pool, off, slot, key_repr);
+            old
+        })
+    }
+
+    /// Shared locked-mutation skeleton for remove/update/rekey: locks
+    /// target and probing buckets, verifies, locates the record anywhere
+    /// in the segment, applies `apply`, and maintains overflow metadata
+    /// for stash-resident deletions.
     fn mutate<K: KeyProbe + ?Sized>(
         &self,
         cfg: &DashConfig,
@@ -864,7 +890,7 @@ impl<'a> SegView<'a> {
             if loc == RecLoc::Normal(p) && p == y {
                 continue;
             }
-            if let Some((slot, _)) = self.bucket(idx).search_key(self.pool, fp, key, use_fp) {
+            if let Some((slot, _, _)) = self.bucket(idx).search_key(self.pool, fp, key, use_fp) {
                 let repr = apply(self, loc, slot);
                 unlock(self);
                 return SegMutate::Done(repr);
@@ -872,18 +898,13 @@ impl<'a> SegView<'a> {
         }
 
         // Stash area: lock the owning stash bucket for the mutation.
-        if let Some((loc, slot, _)) = self.stash_lookup(cfg, h, key, y, p) {
-            let bucket: &Bucket = match loc {
-                RecLoc::Stash(j) => self.stash(j),
-                RecLoc::Chain(node) => &self.node(node).bucket,
-                RecLoc::Normal(_) => unreachable!("stash_lookup only returns stash locations"),
-            };
-            let _ = slot;
+        if let Some((loc, ..)) = self.stash_lookup(cfg, h, key, y, p) {
+            let (bucket, _) = self.home(loc);
             self.writer_lock(bucket, mode);
             // Re-locate under the lock (it may have moved/been deleted).
             let result = bucket
                 .search_key(self.pool, fp, key, use_fp)
-                .map(|(slot2, _)| apply(self, loc, slot2));
+                .map(|(slot, ..)| apply(self, loc, slot));
             self.writer_unlock(bucket, mode);
             match result {
                 Some(repr) => {
@@ -1119,11 +1140,8 @@ impl<'a> SegView<'a> {
 
     /// Delete a record found by `for_each_record` (SMO context).
     pub fn delete_at(&self, loc: RecLoc, slot: usize) {
-        match loc {
-            RecLoc::Normal(i) => self.bucket(i).delete_slot(self.pool, self.bucket_off(i), slot),
-            RecLoc::Stash(j) => self.stash(j).delete_slot(self.pool, self.stash_off(j), slot),
-            RecLoc::Chain(n) => self.node(n).bucket.delete_slot(self.pool, n.add(64), slot),
-        }
+        let (bucket, off) = self.home(loc);
+        bucket.delete_slot(self.pool, off, slot);
     }
 
     pub fn count_records(&self) -> u64 {
@@ -1336,7 +1354,7 @@ mod tests {
         let r = view.insert(&cfg, h, &key, key, 770, false, always()).unwrap();
         assert!(matches!(r, SegInsert::Inserted { chained: false }));
         match view.search(&cfg, h, &key, always()) {
-            SegFind::Found(v) => assert_eq!(v, 770),
+            SegFind::Found(_, v) => assert_eq!(v, 770),
             _ => panic!("must find"),
         }
         let absent = 78u64;
@@ -1366,7 +1384,7 @@ mod tests {
         view.insert(&cfg, h, &key, key, 90, false, always()).unwrap();
         assert!(matches!(view.update(&cfg, h, &key, 91, always()), SegMutate::Done(_)));
         match view.search(&cfg, h, &key, always()) {
-            SegFind::Found(v) => assert_eq!(v, 91),
+            SegFind::Found(_, v) => assert_eq!(v, 91),
             _ => panic!(),
         }
         assert!(matches!(view.remove(&cfg, h, &key, always()), SegMutate::Done(_)));
@@ -1397,7 +1415,7 @@ mod tests {
         for i in 0..inserted {
             let h = dash_common::hash_u64(i);
             assert!(
-                matches!(view.search(&cfg, h, &i, always()), SegFind::Found(v) if v == i),
+                matches!(view.search(&cfg, h, &i, always()), SegFind::Found(_, v) if v == i),
                 "lost key {i}"
             );
         }
@@ -1472,7 +1490,7 @@ mod tests {
         for i in 0..count + 50 {
             let h = dash_common::hash_u64(i);
             assert!(
-                matches!(view.search(&cfg, h, &i, always()), SegFind::Found(v) if v == i * 2),
+                matches!(view.search(&cfg, h, &i, always()), SegFind::Found(_, v) if v == i * 2),
                 "key {i} lost"
             );
         }
@@ -1538,7 +1556,7 @@ mod tests {
         // All inserted keys still findable (some via overflow fps).
         for k in 0..i {
             let h = dash_common::hash_u64(k);
-            assert!(matches!(view.search(&cfg, h, &k, always()), SegFind::Found(_)));
+            assert!(matches!(view.search(&cfg, h, &k, always()), SegFind::Found(..)));
         }
     }
 
@@ -1598,7 +1616,7 @@ mod tests {
         assert_eq!(view.count_records(), 2);
         view.dedup_displaced();
         assert_eq!(view.count_records(), 1, "one copy must be removed");
-        assert!(matches!(view.search(&cfg, h, &key, always()), SegFind::Found(1)));
+        assert!(matches!(view.search(&cfg, h, &key, always()), SegFind::Found(_, 1)));
     }
 
     #[test]
@@ -1627,7 +1645,7 @@ mod tests {
         for k in 0..n {
             let h = dash_common::hash_u64(k);
             assert!(
-                matches!(view.search(&cfg, h, &k, always()), SegFind::Found(v) if v == k),
+                matches!(view.search(&cfg, h, &k, always()), SegFind::Found(_, v) if v == k),
                 "key {k} lost after metadata rebuild"
             );
         }
@@ -1675,7 +1693,7 @@ mod tests {
         let before = pool.stats();
         for i in 0..100u64 {
             let h = dash_common::hash_u64(i);
-            assert!(matches!(view.search(&cfg, h, &i, always()), SegFind::Found(v) if v == i + 1));
+            assert!(matches!(view.search(&cfg, h, &i, always()), SegFind::Found(_, v) if v == i + 1));
         }
         let d = pool.stats().since(&before);
         assert!(d.pm_writes >= 200, "read locks must generate PM writes, got {}", d.pm_writes);

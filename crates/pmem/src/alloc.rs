@@ -1,13 +1,43 @@
+//! The pool's allocator: size-class free lists over a bump pointer.
+//!
+//! **The class rule.** Block sizes come four to a doubling — 32, 48, then
+//! `2^k · {1, 1¼, 1½, 1¾}` for every `2^k` from 64 B up to the single
+//! 64 MiB class that ends the table: 64, 80, 96, 112, 128, 160, 192, 224,
+//! 256, 320 … Every class is a multiple of 16, and of 64 from 256 up. A
+//! request is rounded up to the next class, so a block wastes under a
+//! quarter of the request above 64 B (about a tenth on average) where
+//! power-of-two classes waste up to all of it again. The table is
+//! persistent state — `PoolHeader::free_heads` is indexed by class and
+//! `InflightEntry::class` stores one — so changing it changes the pool
+//! format (`pool::MAGIC` carries the stamp).
+//!
+//! **The alignment rule.** A fresh block is aligned to the largest power
+//! of two dividing its class size, capped at 64. 64 is enough because it
+//! is the most anything stored in a pool asks for: segments, buckets and
+//! stash nodes are `#[repr(align(64))]` and their sizes are multiples of
+//! 64, so their classes are too; everything else (directories, roots, key
+//! blobs, the server's 16-aligned record header) needs 8 or 16, which
+//! every class gives. Aligning a block to its own size instead — what a
+//! buddy allocator needs and this one never did — skips up to a block's
+//! worth of pool before every block larger than its predecessor, space
+//! that is on no free list and can never be handed out.
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{PmError, Result};
-use crate::layout::{align_up, PmOffset};
+use crate::layout::{align_up, PmOffset, CACHELINE};
 use crate::pool::{PmemPool, MAX_INFLIGHT};
 
-/// Smallest size class: 32 bytes (2^5).
-pub(crate) const MIN_CLASS_SHIFT: u32 = 5;
-/// 22 classes: 32 B .. 64 MB.
-pub(crate) const NUM_CLASSES: usize = 22;
+/// The two classes below the first four-to-a-doubling group: 32 and 48.
+const SMALL_CLASSES: usize = 2;
+/// `log2` of the first class with quarter steps (64 B) and of the last
+/// class (64 MiB).
+const MIN_QUARTERED_SHIFT: u32 = 6;
+const MAX_CLASS_SHIFT: u32 = 26;
+/// 32, 48, four classes for each of the 20 doublings 64 B .. 32 MiB, and
+/// 64 MiB: 83 classes.
+pub(crate) const NUM_CLASSES: usize =
+    SMALL_CLASSES + 4 * (MAX_CLASS_SHIFT - MIN_QUARTERED_SHIFT) as usize + 1;
 
 /// Allocator behaviour, for the fig. 15 PM-software-infrastructure study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,12 +49,17 @@ pub enum AllocMode {
     Prefault,
 }
 
-/// Size class for an allocation of `size` bytes.
+/// Size class for an allocation of `size` bytes: the smallest class that
+/// holds it.
 #[inline]
 pub(crate) fn size_class(size: usize) -> Result<usize> {
-    let size = size.max(1);
-    let shift = usize::BITS - (size - 1).leading_zeros();
-    let class = shift.saturating_sub(MIN_CLASS_SHIFT) as usize;
+    if size <= 64 {
+        return Ok(if size <= 32 { 0 } else { size.div_ceil(16) - 2 });
+    }
+    // 2^e < size <= 2^(e+1), e >= 6: the class is 2^e plus 1..=4 quarters.
+    let e = usize::BITS - 1 - (size - 1).leading_zeros();
+    let quarters = (size - (1 << e)).div_ceil(1 << (e - 2));
+    let class = SMALL_CLASSES + 4 * (e - MIN_QUARTERED_SHIFT) as usize + quarters;
     if class >= NUM_CLASSES {
         return Err(PmError::OutOfMemory { requested: size });
     }
@@ -34,12 +69,18 @@ pub(crate) fn size_class(size: usize) -> Result<usize> {
 /// Block size of a class.
 #[inline]
 pub(crate) fn class_size(class: usize) -> usize {
-    1usize << (class as u32 + MIN_CLASS_SHIFT)
+    if class < SMALL_CLASSES {
+        return 32 + 16 * class;
+    }
+    let c = class - SMALL_CLASSES;
+    (4 + c % 4) << (MIN_QUARTERED_SHIFT as usize - 2 + c / 4)
 }
 
-/// Full block bytes an allocation of `size` occupies (0 if unclassable).
+/// The bytes of pool an allocation of `size` occupies — its class's whole
+/// block, which is what [`PmemPool::mem_used`] is charged and a free
+/// returns (0 if `size` is beyond the largest class).
 #[inline]
-pub(crate) fn block_bytes(size: usize) -> u64 {
+pub fn block_bytes(size: usize) -> u64 {
     size_class(size).map(|c| class_size(c) as u64).unwrap_or(0)
 }
 
@@ -56,7 +97,7 @@ pub struct AllocTicket {
 }
 
 impl PmemPool {
-    /// Allocate `size` bytes (rounded up to a power-of-two class).
+    /// Allocate `size` bytes (rounded up to its size class).
     /// The returned block may contain stale data from a previous life;
     /// callers initialize and persist it before publishing.
     pub fn alloc(&self, size: usize) -> Result<PmOffset> {
@@ -78,7 +119,7 @@ impl PmemPool {
     fn bump_alloc(&self, class: usize) -> Result<PmOffset> {
         let block = class_size(class);
         self.note_fresh_alloc(block);
-        let align = block.min(4096) as u64;
+        let align = (1u64 << block.trailing_zeros()).min(CACHELINE as u64);
         let h = self.header();
         let mut cur = h.bump.load(Ordering::Relaxed);
         loop {
@@ -252,16 +293,67 @@ mod tests {
         PmemPool::create(PoolConfig { size: 1 << 20, ..Default::default() }).unwrap()
     }
 
+    /// The class table's contract, over every size to 64 KiB and a
+    /// sample of the sizes up to the 64 MiB limit.
     #[test]
     fn size_classes() {
-        assert_eq!(size_class(1).unwrap(), 0);
-        assert_eq!(size_class(32).unwrap(), 0);
-        assert_eq!(size_class(33).unwrap(), 1);
-        assert_eq!(size_class(64).unwrap(), 1);
-        assert_eq!(size_class(16 * 1024).unwrap(), 9);
+        let sampled = (16..=26u32).flat_map(|k| {
+            let p = 1usize << k;
+            [p - 1, p, p + 1, p + p / 4, p + p / 4 + 1, p + p / 2 - 1, p + p / 3]
+        });
+        for s in (1..=64usize << 10).chain(sampled).filter(|&s| s <= 64 << 20) {
+            let block = class_size(size_class(s).unwrap());
+            assert!(block >= s, "{s} B does not fit its {block} B class");
+            assert_eq!(block_bytes(s), block as u64);
+            if s > 64 {
+                assert!((block - s) * 4 <= s, "{s} B wastes over 25 % of itself in {block} B");
+            }
+        }
         assert_eq!(class_size(0), 32);
-        assert_eq!(class_size(9), 16 * 1024);
+        assert_eq!(class_size(NUM_CLASSES - 1), 64 << 20);
+        for c in 0..NUM_CLASSES {
+            let block = class_size(c);
+            assert_eq!(size_class(block).unwrap(), c, "class {c} ({block} B) is its own class");
+            assert_eq!(block % 16, 0, "class {c} ({block} B)");
+            assert!(block < 256 || block.is_multiple_of(64), "class {c} ({block} B)");
+            assert!(c == 0 || class_size(c - 1) < block, "class {c} ({block} B) must grow");
+        }
+        assert!(size_class((64 << 20) + 1).is_err());
         assert!(size_class(1 << 30).is_err());
+        assert_eq!(block_bytes(1 << 30), 0);
+    }
+
+    /// Every block is 16-aligned, and 64-aligned when its class is a
+    /// multiple of 64 — whatever was allocated before it.
+    #[test]
+    fn blocks_are_aligned_to_what_their_class_divides() {
+        let p = PmemPool::create(PoolConfig { size: 4 << 20, ..Default::default() }).unwrap();
+        // A Dash segment, a stash node, a bucket, a cacheline; and sizes
+        // whose classes (48, 80, 112, 160, 224) are not multiples of 64.
+        for size in [16_960, 40, 320, 72, 256, 100, 64, 150, 16_960, 200, 320, 24] {
+            let off = p.alloc(size).unwrap().get();
+            let block = block_bytes(size);
+            assert_eq!(off % 16, 0, "{size} B at {off:#x}");
+            if block.is_multiple_of(64) {
+                assert_eq!(off % 64, 0, "{size} B ({block} B class) at {off:#x}");
+            }
+        }
+    }
+
+    /// A small block followed by a large one costs the two blocks and at
+    /// most one alignment pad below 64 — not the large block's size again
+    /// (24 B + 528 B took 32 + 992 + 1024 when blocks aligned to their
+    /// own power-of-two size).
+    #[test]
+    fn interleaved_small_and_large_blocks_pack() {
+        let p = pool();
+        for _ in 0..100 {
+            let before = p.bump_used();
+            let (small, large) = (p.alloc(24).unwrap(), p.alloc(528).unwrap());
+            assert!(small.get() + 32 <= large.get());
+            let took = p.bump_used() - before;
+            assert!(took <= 32 + 640 + 63, "a 24 B + 528 B pair took {took} B of pool");
+        }
     }
 
     #[test]
@@ -270,17 +362,21 @@ mod tests {
         let a = p.alloc(256).unwrap();
         let b = p.alloc(256).unwrap();
         assert_ne!(a, b);
-        assert_eq!(a.get() % 256, 0);
-        assert_eq!(b.get() % 256, 0);
+        assert_eq!(a.get() % 64, 0);
+        assert_eq!(b.get() % 64, 0);
     }
 
+    /// A freed block serves any later request of its class, and no
+    /// request of a neighbouring class.
     #[test]
     fn free_list_reuse() {
         let p = pool();
-        let a = p.alloc(256).unwrap();
-        p.free_now(a, 256);
-        let b = p.alloc(256).unwrap();
-        assert_eq!(a, b, "freed block should be recycled");
+        for (freed, same_class, next_class) in [(256, 225, 257), (81, 96, 97), (640, 513, 512)] {
+            let a = p.alloc(freed).unwrap();
+            p.free_now(a, freed);
+            assert_ne!(p.alloc(next_class).unwrap(), a, "{next_class} B is another class");
+            assert_eq!(p.alloc(same_class).unwrap(), a, "{same_class} B recycles a {freed} B block");
+        }
     }
 
     #[test]

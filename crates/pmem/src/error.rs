@@ -8,6 +8,10 @@ pub enum PmError {
     OutOfMemory { requested: usize },
     /// An image passed to [`crate::PmemPool::open`] failed validation.
     PoolCorrupt(&'static str),
+    /// The image is a pool, but of another format generation: its header
+    /// carries stamp `found` where this build writes (and only reads)
+    /// `expected`. Nothing was modified.
+    PoolFormat { found: u16, expected: u16 },
     /// A configuration parameter is out of its supported range.
     InvalidConfig(&'static str),
     /// A redo-log transaction exceeded [`crate::MAX_TX_WRITES`] writes.
@@ -26,6 +30,10 @@ impl fmt::Display for PmError {
                 write!(f, "persistent pool out of memory (requested {requested} bytes)")
             }
             PmError::PoolCorrupt(why) => write!(f, "pool image corrupt: {why}"),
+            PmError::PoolFormat { found, expected } => write!(
+                f,
+                "pool image has format stamp {found:04x}, this build reads only {expected:04x}"
+            ),
             PmError::InvalidConfig(why) => write!(f, "invalid pool configuration: {why}"),
             PmError::TxTooLarge => write!(f, "redo-log transaction exceeds capacity"),
             PmError::TooManyInflightAllocs => {

@@ -49,7 +49,7 @@ mod proptests;
 mod stats;
 mod tx;
 
-pub use alloc::{AllocMode, AllocTicket};
+pub use alloc::{block_bytes, AllocMode, AllocTicket};
 pub use cost::CostModel;
 pub use epoch::{EpochGuard, EpochManager};
 pub use error::{PmError, Result};

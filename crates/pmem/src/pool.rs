@@ -11,7 +11,15 @@ use crate::layout::{align_up, PmOffset, CACHELINE};
 use crate::stats::{PmStats, StatsSnapshot};
 use crate::tx::{RedoArea, MAX_TX_WRITES};
 
-pub(crate) const MAGIC: u64 = 0xDA54_0001_B07E_CAFE;
+/// Format stamp: bits 32..48 of [`MAGIC`]. Bumped whenever persistent
+/// allocator state changes meaning — 0002: the size-class table went from
+/// one class per doubling to four, so `free_heads` and the in-flight
+/// table's `class` index differently. Stores built on this substrate ride
+/// on the same stamp for their own block layouts.
+const FORMAT: u16 = 0x0002;
+const FORMAT_SHIFT: u32 = 32;
+const FORMAT_MASK: u64 = 0xFFFF << FORMAT_SHIFT;
+pub(crate) const MAGIC: u64 = 0xDA54_0000_B07E_CAFE | (FORMAT as u64) << FORMAT_SHIFT;
 pub(crate) const MAX_INFLIGHT: usize = 64;
 /// First byte of the allocatable heap; everything below is the pool header.
 pub(crate) const HEAP_START: u64 = 4096;
@@ -304,7 +312,15 @@ impl PmemPool {
         };
         {
             let h = pool.header();
-            if h.magic.load(Ordering::Relaxed) != MAGIC {
+            let magic = h.magic.load(Ordering::Relaxed);
+            if magic != MAGIC {
+                // A pool of another format generation is refused before
+                // anything is written: its free lists and block layouts
+                // would be misread, not recovered.
+                if magic & !FORMAT_MASK == MAGIC & !FORMAT_MASK {
+                    let found = (magic >> FORMAT_SHIFT) as u16;
+                    return Err(PmError::PoolFormat { found, expected: FORMAT });
+                }
                 return Err(PmError::PoolCorrupt("bad magic"));
             }
             if h.pool_size.load(Ordering::Relaxed) != pool.size as u64 {
@@ -912,6 +928,32 @@ mod tests {
                 Err(e) => assert_eq!(e, PmError::PoolCorrupt("bad magic")),
                 Ok(_) => panic!("garbage file must not open"),
             }
+            std::fs::remove_file(&path).unwrap();
+        }
+
+        /// A pool written by the build before the class table changed
+        /// (stamp 0001) is named and refused, and not a byte of it moves.
+        #[test]
+        fn open_file_refuses_another_format_stamp_untouched() {
+            let path = tmp("old-stamp");
+            let cfg = PoolConfig::with_size(1 << 20);
+            {
+                let pool = PmemPool::create_file(&path, cfg).unwrap();
+                let off = pool.alloc(64).unwrap();
+                pool.set_root(off);
+                pool.header().magic.store(MAGIC & !FORMAT_MASK | 1 << FORMAT_SHIFT, Ordering::SeqCst);
+                pool.close().unwrap();
+            }
+            let before = std::fs::read(&path).unwrap();
+            match PmemPool::open_file(&path, cfg) {
+                Err(e) => {
+                    assert_eq!(e, PmError::PoolFormat { found: 1, expected: FORMAT });
+                    let text = e.to_string();
+                    assert!(text.contains("0001") && text.contains("0002"), "{text}");
+                }
+                Ok(_) => panic!("a pool of another format must not open"),
+            }
+            assert!(std::fs::read(&path).unwrap() == before, "a refused pool must be left as found");
             std::fs::remove_file(&path).unwrap();
         }
 

@@ -22,7 +22,7 @@ proptest! {
         let mut live: Vec<(u64, u64)> = Vec::new();
         for size in sizes {
             let off = pool.alloc(size).unwrap().get();
-            let class = size.next_power_of_two().max(32) as u64;
+            let class = crate::block_bytes(size);
             for (o, c) in &live {
                 let disjoint = off + class <= *o || *o + *c <= off;
                 prop_assert!(disjoint, "block {off:#x}+{class} overlaps {o:#x}+{c}");

@@ -42,8 +42,9 @@ OPTIONS:
                        incremental backup: old snapshot + log replay
                        reconstructs the final state
     --max-memory BYTES
-                       memory budget over value-log bytes, enforced per
-                       shard as BYTES/shards at the write path: pending
+                       memory budget over pool bytes (table, records and
+                       pending frees), enforced per shard as
+                       BYTES/shards at the write path: pending
                        garbage is reclaimed, then keys are evicted under
                        --maxmemory-policy; a write that still cannot fit
                        is rejected with -OOM (default: unlimited)

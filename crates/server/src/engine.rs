@@ -10,21 +10,17 @@
 //! threads across one table, while the pool files together form the
 //! persistent image of the whole store.
 //!
-//! Values are arbitrary byte strings, stored out of line in the owning
-//! shard's pool behind a 16-byte header:
-//!
-//! ```text
-//! u32 len | u32 access | u64 expire_at_ms | payload…
-//! ```
-//!
-//! The table's 8-byte value field holds the blob's pool offset. `len`
-//! and `expire_at_ms` are immutable per blob (`EXPIRE`/`PERSIST`
-//! *rewrite* the blob, so a lock-free reader can never observe a torn
-//! deadline); `access` is the only mutable field — the advisory LRU/LFU
-//! word the sampled evictor scores by, updated with relaxed atomics and
-//! never persisted. Readers run lock-free under an epoch pin;
-//! overwrites and deletes retire the old blob through the pool's epoch
-//! manager so a concurrent reader never dereferences recycled memory.
+//! A key and its value — arbitrary byte strings — live together in one
+//! **record**, one block of the owning shard's pool, and the table slot's
+//! key word is that record's offset: the single pointer a lookup follows
+//! out of the table ([`crate::record`] owns the layout and every check
+//! on it). Records are immutable but for their advisory access word:
+//! overwrites, `EXPIRE` and `PERSIST` write a new record and swap the
+//! slot to it with one persisted 8-byte store, so a lock-free reader can
+//! never observe a torn value or deadline. Readers run lock-free under
+//! an epoch pin; overwrites and deletes retire the old record through
+//! the pool's epoch manager so a concurrent reader never dereferences
+//! recycled memory.
 //!
 //! Expiry and eviction obey one rule: **the primary is the only clock**
 //! (see [`crate::expire`]). Reads *hide* an expired key everywhere, but
@@ -34,26 +30,26 @@
 //! consulting time.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use dash_common::{
-    hash64_seed, KeyProbe, PmHashTable, ScanCursor, TableError, VarKey, MAX_KEY_LEN,
-};
+use dash_common::{hash64_seed, KeyProbe, PmHashTable, ScanCursor, TableError, MAX_KEY_LEN};
 use dash_core::{DashConfig, DashEh};
 use parking_lot::Mutex;
-use pmem::{PmError, PmOffset, PmemPool, PoolConfig, CACHELINE};
+use pmem::{PmError, PmemPool, PoolConfig};
 
 use crate::cluster::slots::{key_slot, NUM_SLOTS};
 use crate::expire::{is_expired, now_ms, policy, EvictionPolicy, TimerWheel};
 use crate::metrics::Counter;
+use crate::record::{self, Rec, RecKey, RecProbe};
 use crate::repl::hub::{ReplHub, ReplSubscription};
 use crate::repl::log::LogWriter;
 use crate::repl::{OpRef, ReplOp};
 use crate::snapshot::{DurableFile, SnapshotError, SnapshotResult, SnapshotStream};
 
-/// Upper bound on one value. Bounded (like keys) so a stale blob pointer
-/// scanned by an optimistic reader can never walk far out of a block.
+/// Upper bound on one value. Bounded (like keys) so a stale record
+/// pointer followed by an optimistic reader can never walk far out of a
+/// block.
 pub const MAX_VALUE_LEN: usize = 1 << 20;
 
 /// Routing hash seed. Deliberately distinct from the tables' own key
@@ -130,8 +126,10 @@ pub struct EngineConfig {
     /// Directory holding one `shard-N.pool` file per shard. `None` runs
     /// the store on volatile heap pools (tests, throwaway caches).
     pub dir: Option<PathBuf>,
-    /// Memory budget over live value bytes (`--max-memory`). Enforced
-    /// per shard as `max_memory / shards` at the client write path:
+    /// Memory budget over pool bytes — table, records and pending frees
+    /// (`--max-memory`). Enforced per shard as `max_memory / shards` at
+    /// the client write path, charging each write the whole block its
+    /// record takes:
     /// pending garbage is reclaimed first, then keys are evicted under
     /// the configured policy, and a write that still cannot fit is
     /// rejected with [`EngineError::Oom`]. `None` = unlimited.
@@ -191,10 +189,10 @@ pub struct ShardTelemetry {
     pub keys: u64,
     /// Table slot capacity (grows with segment splits).
     pub capacity_slots: u64,
-    /// Value-blob bytes allocated since open (headers included).
+    /// Record bytes (header, key and value) written since open.
     pub blob_bytes_written: u64,
-    /// Value-blob bytes retired since open. The net `written - released`
-    /// can go negative after recovery (pre-existing blobs retired).
+    /// Record bytes retired since open. The net `written - released`
+    /// can go negative after recovery (pre-existing records retired).
     pub blob_bytes_released: u64,
     /// Dash-EH segment splits completed.
     pub eh_splits: u64,
@@ -209,7 +207,7 @@ pub struct ShardTelemetry {
     /// Bytes the shard's allocator considers in use (bump minus free
     /// lists) — what the memory budget is enforced against.
     pub mem_used_bytes: u64,
-    /// Dead bytes: retired blobs awaiting epoch reclamation. The
+    /// Dead bytes: retired records awaiting epoch reclamation. The
     /// numerator of the shard's fragmentation ratio.
     pub dead_bytes: u64,
 }
@@ -238,9 +236,10 @@ struct Shard {
     /// This shard's position in [`ShardedDash::shards`].
     index: usize,
     pool: Arc<PmemPool>,
-    table: DashEh<VarKey>,
+    /// Key word = offset of the key's record; value word 0, reserved.
+    table: DashEh<RecKey>,
     /// Serializes read-modify-write sequences (overwrite, delete) so two
-    /// writers can never double-free a value blob. Plain reads do not
+    /// writers can never double-free a record. Plain reads do not
     /// take it — they go through the table's optimistic path.
     write_lock: Mutex<()>,
     /// Key count at open, computed **lazily** on the first `DBSIZE` /
@@ -259,11 +258,11 @@ struct Shard {
     log: Option<Mutex<LogWriter>>,
     /// Store-wide replication fan-out (shared by all shards).
     hub: Arc<ReplHub>,
-    /// Value-blob bytes allocated (header included) since open.
+    /// Record bytes written since open.
     blob_written: AtomicU64,
-    /// Value-blob bytes retired since open. `written - released` is the
-    /// net live-blob footprint *of this incarnation* — negative after
-    /// recovery when more pre-existing blobs die than new ones are born.
+    /// Record bytes retired since open. `written - released` is the net
+    /// live-record footprint *of this incarnation* — negative after
+    /// recovery when more pre-existing records die than new ones are born.
     blob_released: AtomicU64,
     /// Write-lock acquisitions that found the lock held (contention).
     lock_waits: AtomicU64,
@@ -321,54 +320,29 @@ impl Shard {
         self.pins.fetch_add(1, Ordering::Relaxed);
         self.pool.epoch().pin()
     }
-    /// Decode the header at `off`: payload length, access word, expiry
-    /// deadline. See the free function [`blob_meta`].
-    fn blob_meta(&self, off: u64) -> Option<BlobMeta> {
-        blob_meta(&self.pool, off)
+
+    /// Probe for `key` and decode the record its slot points at. The
+    /// caller holds an epoch pin for as long as it uses the record.
+    fn lookup(&self, key: &[u8]) -> Option<Rec<'_>> {
+        self.table.find(RecProbe::new(key)).and_then(|(off, _)| Rec::at(&self.pool, off))
     }
 
-    /// The payload of the blob whose header `meta` already decoded, in
-    /// place. Valid for as long as the caller's epoch pin: payload bytes
-    /// are immutable per blob, and a retired blob is not recycled while
-    /// a pin that could have seen it is held.
-    fn payload(&self, off: u64, meta: &BlobMeta) -> &[u8] {
-        self.pool.note_pm_read(BLOB_HDR + meta.len);
-        // SAFETY: bounds checked by blob_meta.
-        unsafe {
-            std::slice::from_raw_parts(self.pool.base().add(off as usize + BLOB_HDR), meta.len)
-        }
-    }
-
-    /// Allocate, fill and persist a value blob; returns its offset.
-    fn write_blob(&self, value: &[u8], expire_at_ms: u64, access: u32) -> EngineResult<u64> {
-        let total = BLOB_HDR + value.len();
-        let off = self.pool.alloc(total)?;
-        // SAFETY: freshly allocated block of at least `total` bytes.
-        unsafe {
-            let p = self.pool.base().add(off.get() as usize);
-            (p as *mut u32).write(value.len() as u32);
-            (p.add(4) as *mut u32).write(access);
-            (p.add(8) as *mut u64).write(expire_at_ms);
-            std::ptr::copy_nonoverlapping(value.as_ptr(), p.add(BLOB_HDR), value.len());
-        }
-        self.pool.persist(off, total);
-        self.blob_written.fetch_add(total as u64, Ordering::Relaxed);
-        Ok(off.get())
-    }
-
-    /// Retire a value blob once no epoch-pinned reader can still see it.
-    fn release_blob(&self, off: u64) {
-        if let Some(meta) = self.blob_meta(off) {
-            self.pool.defer_free(PmOffset::new(off), BLOB_HDR + meta.len);
-            self.blob_released.fetch_add((BLOB_HDR + meta.len) as u64, Ordering::Relaxed);
+    /// Retire a record no table slot points at (any more).
+    fn retire(&self, off: u64) {
+        if let Some(rec) = Rec::at(&self.pool, off) {
+            self.blob_released.fetch_add(rec.retire() as u64, Ordering::Relaxed);
         }
     }
 
     /// Insert or overwrite one key with an optional expiry deadline (0 =
     /// none). The caller holds this shard's write lock (and, for
     /// batches, one epoch pin for the whole group) — the shared body of
-    /// every engine write path. Records `SetEx` when a deadline is set,
-    /// plain `Set` otherwise, and queues the deadline on the wheel.
+    /// every engine write path. The record is persisted whole before the
+    /// slot word that publishes it: a fresh key is one allocation, one
+    /// record persist and the table insert; an overwrite swaps the slot's
+    /// key word (one persisted 8-byte store) and retires the old record
+    /// after it. Records `SetEx` when a deadline is set, plain `Set`
+    /// otherwise, and queues the deadline on the wheel.
     fn set_locked(
         &self,
         key: &[u8],
@@ -376,12 +350,14 @@ impl Shard {
         expire_at_ms: u64,
         access: u32,
     ) -> EngineResult<()> {
-        let new_off = self.write_blob(value, expire_at_ms, access)?;
-        match self.table.swap(key, new_off) {
-            Some(old_off) => self.release_blob(old_off),
+        let probe = RecProbe::new(key);
+        let rec = record::write(&self.pool, key, value, expire_at_ms, access)?;
+        self.blob_written.fetch_add(record::len_of(key, value) as u64, Ordering::Relaxed);
+        match self.table.rekey(probe, rec) {
+            Some(old) => self.retire(old),
             None => {
-                if let Err(e) = self.table.insert(key, new_off) {
-                    self.release_blob(new_off);
+                if let Err(e) = self.table.insert_encoded(probe, rec, 0) {
+                    self.retire(rec);
                     return Err(e.into());
                 }
                 self.keys_delta.fetch_add(1, Ordering::Relaxed);
@@ -399,20 +375,17 @@ impl Shard {
 
     /// Delete one key; true when it existed. The caller holds this
     /// shard's write lock — the shared body of [`ShardedDash::del`] and
-    /// [`ShardedDash::mdel`].
+    /// [`ShardedDash::mdel`]. The table retires the removed slot's record
+    /// itself (`RecKey::release`).
     fn del_locked(&self, key: &[u8]) -> bool {
-        match self.table.get(key) {
-            None => false,
-            Some(off) => {
-                let removed = self.table.remove(key);
-                debug_assert!(removed, "key disappeared under the shard write lock");
-                self.release_blob(off);
-                self.keys_delta.fetch_sub(1, Ordering::Relaxed);
-                self.slots.delta[key_slot(key) as usize].fetch_sub(1, Ordering::SeqCst);
-                self.record(OpRef::Del { key });
-                true
-            }
-        }
+        let Some(rec) = self.lookup(key) else { return false };
+        let removed = self.table.remove(RecProbe::new(key));
+        debug_assert!(removed, "key disappeared under the shard write lock");
+        self.blob_released.fetch_add(rec.len() as u64, Ordering::Relaxed);
+        self.keys_delta.fetch_sub(1, Ordering::Relaxed);
+        self.slots.delta[key_slot(key) as usize].fetch_sub(1, Ordering::SeqCst);
+        self.record(OpRef::Del { key });
+        true
     }
 
     /// Is `key` present with a deadline that has passed? (The caller
@@ -420,10 +393,7 @@ impl Shard {
     /// this again under the lock before deleting: what it saw lock-free
     /// may have been overwritten since.
     fn is_due(&self, key: &[u8], now: u64) -> bool {
-        self.table
-            .get(key)
-            .and_then(|off| self.blob_meta(off))
-            .is_some_and(|m| is_expired(m.expire_at_ms, now))
+        self.lookup(key).is_some_and(|rec| is_expired(rec.expire_at_ms, now))
     }
 
     /// Record one applied mutation: buffer it for the shard's redo log
@@ -540,21 +510,14 @@ impl Drop for LogBatch<'_> {
 /// `(key, value, expire_at_ms)`.
 type SnapshotEmit<'a> = dyn FnMut(&[u8], &[u8], u64) -> SnapshotResult<()> + 'a;
 
-/// Value-blob header size: `u32 len | u32 access | u64 expire_at_ms`.
-const BLOB_HDR: usize = 16;
-
 /// Keys hinted together by [`ShardedDash::prefetch`], and so the most
 /// commands a connection decodes into one window. Sized to what an L1d
 /// holds, not tuned: per key a hint asks for 9 lines of segment header
-/// and buckets, 1 of key and at most 1 + [`PREFETCH_VALUE_LINES`] of
-/// value, so 16 keys are ≈ 27 KiB of 64 B lines at the cap and ≈ 12 KiB
-/// for values under 128 B — nothing hinted is evicted again before its
-/// command runs. More keys are hinted as consecutive groups of this size.
+/// and buckets and at most 17 of record, so 16 keys are ≈ 26 KiB of 64 B
+/// lines at the cap and ≈ 11 KiB for records under 128 B — nothing
+/// hinted is evicted again before its command runs. More keys are
+/// hinted as consecutive groups of this size.
 pub(crate) const PREFETCH_WINDOW: usize = 16;
-/// Payload lines the hint asks for beyond a value's first: 1 KiB, past
-/// which the copy is sequential for long enough that the hardware
-/// streamer has taken it over.
-const PREFETCH_VALUE_LINES: usize = 16;
 
 /// Keys sampled per eviction decision (Redis's `maxmemory-samples`).
 const EVICT_SAMPLES: usize = 5;
@@ -569,53 +532,6 @@ const RECLAIM_MIN_BYTES: u64 = 256 << 10;
 /// error)? The evict-and-retry path only retries these.
 fn is_pool_oom(e: &EngineError) -> bool {
     matches!(e, EngineError::Table(TableError::Pm(PmError::OutOfMemory { .. })))
-}
-
-/// A decoded value-blob header.
-#[derive(Debug, Clone, Copy)]
-struct BlobMeta {
-    /// Payload length.
-    len: usize,
-    /// The advisory LRU/LFU access word (see [`crate::expire::policy`]).
-    access: u32,
-    /// Absolute expiry deadline in Unix ms; 0 = no expiry.
-    expire_at_ms: u64,
-}
-
-/// Could a blob header start at `off`: non-null, 16-aligned, and wholly
-/// inside the pool?
-fn blob_header_in_pool(pool: &PmemPool, off: u64) -> bool {
-    off != 0
-        && off.is_multiple_of(16)
-        && off.checked_add(BLOB_HDR as u64).is_some_and(|end| end <= pool.size() as u64)
-}
-
-/// Decode and bounds-check the blob header at `off`. `None` means the
-/// offset cannot be a valid blob in this pool (corrupt table / stale
-/// pointer) — the single gate every read and release of a value blob
-/// goes through. Blob offsets are ≥ 32-aligned (the allocator's minimum
-/// size class), so the 16-alignment check is strict for any corrupt
-/// offset that isn't.
-fn blob_meta(pool: &PmemPool, off: u64) -> Option<BlobMeta> {
-    if !blob_header_in_pool(pool, off) {
-        return None;
-    }
-    // SAFETY: bounds checked above; off is 16-aligned so every field is
-    // naturally aligned. `expire_at_ms` is immutable per blob and the
-    // access word is read through its atomic home below, so plain reads
-    // here cannot tear.
-    let (len, access, expire_at_ms) = unsafe {
-        let p = pool.base().add(off as usize);
-        (
-            (p as *const u32).read() as usize,
-            (*(p.add(4) as *const AtomicU32)).load(Ordering::Relaxed),
-            (p.add(8) as *const u64).read(),
-        )
-    };
-    if len > MAX_VALUE_LEN || off + (BLOB_HDR + len) as u64 > pool.size() as u64 {
-        return None;
-    }
-    Some(BlobMeta { len, access, expire_at_ms })
 }
 
 /// The sharded, persistent KV engine. All operations are safe under full
@@ -655,7 +571,7 @@ pub struct ShardedDash {
     evicted_keys: AtomicU64,
     /// Writes rejected with `-OOM`.
     oom_rejections: AtomicU64,
-    /// Value-log reclamation passes that freed anything.
+    /// Record reclamation passes that freed anything.
     compactions: AtomicU64,
     /// Bytes returned to the allocators by reclamation.
     reclaimed_bytes: AtomicU64,
@@ -775,7 +691,18 @@ impl ShardedDash {
                     let path = shard_file(dir, i);
                     shard_paths.push(path.clone());
                     let pool_cfg = PoolConfig::with_size(cfg.shard_bytes);
-                    let (pool, recovered) = PmemPool::open_or_create_file(&path, pool_cfg)?;
+                    let (pool, recovered) = PmemPool::open_or_create_file(&path, pool_cfg)
+                        .map_err(|e| match e {
+                            // Another build's pool: its free lists and
+                            // records would be misread. Say how to cross.
+                            PmError::PoolFormat { .. } => EngineError::Layout(format!(
+                                "{}: {e}. To carry the store over, take a SNAPSHOT with the \
+                                 build that wrote it and start this build with --restore on \
+                                 an empty directory (the snapshot format is unchanged)",
+                                path.display()
+                            )),
+                            e => e.into(),
+                        })?;
                     let table = if recovered {
                         DashEh::open(pool.clone())?
                     } else {
@@ -861,6 +788,13 @@ impl ShardedDash {
         &self.shards[self.shard_index(key)]
     }
 
+    /// The pool of the shard that owns `key` (what `record`'s tests count
+    /// allocations and flushes on).
+    #[cfg(test)]
+    pub(crate) fn pool_of(&self, key: &[u8]) -> &PmemPool {
+        &self.shard(key).pool
+    }
+
     fn check_key(key: &[u8]) -> EngineResult<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(EngineError::KeyTooLong(key.len()));
@@ -900,24 +834,21 @@ impl ShardedDash {
         let now;
         {
             let _pin = shard.pin();
-            let Some(off) = shard.table.get(key) else {
+            let Some(rec) = shard.lookup(key) else {
                 return Ok(None);
             };
-            let Some(meta) = shard.blob_meta(off) else {
-                return Ok(None);
-            };
-            // The clock is read only for a blob that can use it: one
+            // The clock is read only for a record that can use it: one
             // with a deadline to compare (so an expired one, below, has
             // a real `now`), or an access word that `touch` will stamp
             // (a store with a memory budget).
-            now = if meta.expire_at_ms != 0 || self.max_memory.is_some() { now_ms() } else { 0 };
-            if !is_expired(meta.expire_at_ms, now) {
-                self.touch(shard, off, &meta, now);
-                return Ok(Some(f(shard.payload(off, &meta), meta.expire_at_ms)));
+            now = if rec.expire_at_ms != 0 || self.max_memory.is_some() { now_ms() } else { 0 };
+            if !is_expired(rec.expire_at_ms, now) {
+                self.touch(&rec, now);
+                return Ok(Some(f(rec.value(), rec.expire_at_ms)));
             }
         }
         // Deadline passed: hidden everywhere, deleted on a primary (the
-        // pin is dropped first — the delete defers the blob free, which
+        // pin is dropped first — the delete defers the record free, which
         // a pin held by this thread would keep pending forever).
         self.lazy_expire_key(shard, key, now);
         Ok(None)
@@ -951,9 +882,9 @@ impl ShardedDash {
         let shard = self.shard(key);
         let deadline = {
             let _pin = shard.pin();
-            match shard.table.get(key).and_then(|off| shard.blob_meta(off)) {
+            match shard.lookup(key) {
                 None => return Ok(false),
-                Some(meta) => meta.expire_at_ms,
+                Some(rec) => rec.expire_at_ms,
             }
         };
         if deadline == 0 {
@@ -972,8 +903,8 @@ impl ShardedDash {
     ///
     /// The durability contract of every mutating call, in two halves.
     /// The **pool** — the ground truth — is persisted per operation: the
-    /// value blob and the table update are flushed and fenced by the
-    /// time the call returns. The **redo log** — the derived replication
+    /// record and the table update are flushed and fenced by the time
+    /// the call returns. The **redo log** — the derived replication
     /// and backup feed — is in the kernel before the mutation can be
     /// acknowledged: a direct call like this one is write-through (its
     /// record is written before it returns), and a connection, which
@@ -1022,7 +953,7 @@ impl ShardedDash {
         let shard = self.shard(key);
         let deadline = {
             let _pin = shard.pin();
-            shard.table.get(key).and_then(|off| shard.blob_meta(off)).map(|m| m.expire_at_ms)
+            shard.lookup(key).map(|rec| rec.expire_at_ms)
         };
         match deadline {
             None => Ok(-2),
@@ -1040,8 +971,8 @@ impl ShardedDash {
     }
 
     /// Set `key`'s expiry to an absolute deadline (`EXPIRE`/`PEXPIRE`);
-    /// true when the key exists. Deadlines are immutable per blob, so
-    /// the value is rewritten and the op replicates as a full `SetEx` —
+    /// true when the key exists. Deadlines are immutable per record, so
+    /// the record is rewritten and the op replicates as a full `SetEx` —
     /// the deterministic form (replicas never re-derive time). A
     /// deadline already in the past deletes the key outright (Redis
     /// semantics), replicated as `DEL`.
@@ -1053,10 +984,9 @@ impl ShardedDash {
         let _w = shard.lock_write();
         let current = {
             let _pin = shard.pin();
-            match shard.table.get(key).and_then(|off| shard.blob_meta(off).map(|m| (off, m))) {
+            match shard.lookup(key) {
                 None => return Ok(false),
-                Some((off, meta)) => (!is_expired(meta.expire_at_ms, now))
-                    .then(|| shard.payload(off, &meta).to_vec()),
+                Some(rec) => (!is_expired(rec.expire_at_ms, now)).then(|| rec.value().to_vec()),
             }
         };
         match current {
@@ -1089,11 +1019,10 @@ impl ShardedDash {
         let _w = shard.lock_write();
         let current = {
             let _pin = shard.pin();
-            match shard.table.get(key).and_then(|off| shard.blob_meta(off).map(|m| (off, m))) {
+            match shard.lookup(key) {
                 None => return Ok(false),
-                Some((_, meta)) if meta.expire_at_ms == 0 => return Ok(false),
-                Some((off, meta)) => (!is_expired(meta.expire_at_ms, now))
-                    .then(|| shard.payload(off, &meta).to_vec()),
+                Some(rec) if rec.expire_at_ms == 0 => return Ok(false),
+                Some(rec) => (!is_expired(rec.expire_at_ms, now)).then(|| rec.value().to_vec()),
             }
         };
         match current {
@@ -1110,19 +1039,16 @@ impl ShardedDash {
         }
     }
 
-    /// Update a blob's access word on read. Only when a budget exists —
+    /// Update a record's access word on read. Only when a budget exists —
     /// the word is advisory, and without eviction it is dead weight.
-    fn touch(&self, shard: &Shard, off: u64, meta: &BlobMeta, now: u64) {
+    fn touch(&self, rec: &Rec<'_>, now: u64) {
         if self.max_memory.is_none() {
             return;
         }
-        let word = match self.policy {
-            EvictionPolicy::AllKeysLfu => policy::lfu_touch(meta.access, now, off),
+        rec.set_access(match self.policy {
+            EvictionPolicy::AllKeysLfu => policy::lfu_touch(rec.access, now, rec.off()),
             _ => policy::lru_stamp(now),
-        };
-        // SAFETY: blob_meta bounds-checked `off`; off+4 is 4-aligned.
-        let cell = unsafe { &*(shard.pool.base().add(off as usize + 4) as *const AtomicU32) };
-        cell.store(word, Ordering::Relaxed);
+        });
     }
 
     /// Delete `key` if its deadline is (still) past, under the shard
@@ -1144,17 +1070,19 @@ impl ShardedDash {
     /// Hint that `keys` are about to be looked up, so that the cache
     /// misses of their lookups overlap instead of being taken one key at
     /// a time. A lookup walks a chain of dependent lines — bucket
-    /// metadata, then the record's key and value blobs, then the value's
-    /// payload — and the hint walks it for all keys at once, one stage per
-    /// pass, each pass issuing the loads the next one reads:
+    /// metadata, then the head of the record the matching slot points at,
+    /// then the rest of that record — and the hint walks it for all keys
+    /// at once, one stage per pass, each pass issuing the loads the next
+    /// one reads:
     ///
     /// 1. **buckets** — hash, shard, directory → segment; prefetch the
     ///    segment header and the target and probing buckets;
-    /// 2. **records** — for every fingerprint candidate in those buckets,
-    ///    prefetch its key blob and the first line of its value blob;
-    /// 3. **values** — decode each candidate's blob header and prefetch
-    ///    the payload lines its length says a copy will touch, at most
-    ///    `PREFETCH_VALUE_LINES` (16) of them.
+    /// 2. **record heads** — for every fingerprint candidate in those
+    ///    buckets, prefetch the first line of its record: the header and
+    ///    the key a probe compares;
+    /// 3. **record tails** — decode each candidate's header and prefetch
+    ///    the lines after the first that its lengths say the key compare
+    ///    and the value copy will touch, at most 16 of them.
     ///
     /// **The contract: a hint changes nothing.** It writes nothing, takes
     /// no lock, is not metered as a PM read (`pool.stats()` is identical
@@ -1185,7 +1113,7 @@ impl ShardedDash {
         let mut pins = [const { None }; PREFETCH_WINDOW];
         for i in 0..probes.len() {
             let si = self.shard_index(keys[i]);
-            probes[i] = (si, keys[i].hash64());
+            probes[i] = (si, RecProbe::new(keys[i]).hash64());
             if !probes[..i].iter().any(|&(earlier, _)| earlier == si) {
                 let shard = &self.shards[si];
                 shard.pins.fetch_add(1, Ordering::Relaxed);
@@ -1196,26 +1124,22 @@ impl ShardedDash {
             self.shards[si].table.hint_buckets(h);
         }
         // A fingerprint false positive adds a candidate; past twice the
-        // keys the extra ones go unhinted.
-        let mut blobs = [(0usize, 0u64); 2 * PREFETCH_WINDOW]; // (shard, blob offset)
+        // keys the extra ones go unhinted. The table has already asked
+        // for the line each candidate's key word points at.
+        let mut recs = [(0usize, 0u64); 2 * PREFETCH_WINDOW]; // (shard, record offset)
         let mut found = 0;
         for &(si, h) in probes.iter() {
             let shard = &self.shards[si];
-            shard.table.hint_records(h, |off| {
-                if found < blobs.len() && blob_header_in_pool(&shard.pool, off) {
-                    pmem::prefetch(shard.pool.base().wrapping_add(off as usize));
-                    blobs[found] = (si, off);
+            shard.table.hint_records(h, |off, _| {
+                if found < recs.len() && record::header_in_pool(&shard.pool, off) {
+                    recs[found] = (si, off);
                     found += 1;
                 }
             });
         }
-        for &(si, off) in &blobs[..found] {
-            let pool = &self.shards[si].pool;
-            let Some(meta) = blob_meta(pool, off) else { continue };
-            let first = off as usize & !(CACHELINE - 1);
-            let last = (off as usize + BLOB_HDR + meta.len - 1) & !(CACHELINE - 1);
-            for line in (first + CACHELINE..=last).step_by(CACHELINE).take(PREFETCH_VALUE_LINES) {
-                pmem::prefetch(pool.base().wrapping_add(line));
+        for &(si, off) in &recs[..found] {
+            if let Some(rec) = Rec::at(&self.shards[si].pool, off) {
+                rec.prefetch_tail();
             }
         }
         drop(pins); // held across all three passes, released before returning
@@ -1270,13 +1194,12 @@ impl ShardedDash {
             }
             let _pin = shard.pin();
             for &i in group {
-                let Some(off) = shard.table.get(keys[i]) else { continue };
-                let Some(meta) = shard.blob_meta(off) else { continue };
-                if is_expired(meta.expire_at_ms, now) {
+                let Some(rec) = shard.lookup(keys[i]) else { continue };
+                if is_expired(rec.expire_at_ms, now) {
                     expired.push((si, i));
                 } else {
-                    self.touch(shard, off, &meta, now);
-                    out[i] = Some(shard.payload(off, &meta).to_vec());
+                    self.touch(&rec, now);
+                    out[i] = Some(rec.value().to_vec());
                 }
             }
         }
@@ -1371,8 +1294,8 @@ impl ShardedDash {
             }
             let _pin = shard.pin();
             for &i in group {
-                match shard.table.get(keys[i]).and_then(|off| shard.blob_meta(off)) {
-                    Some(meta) if is_expired(meta.expire_at_ms, now) => expired.push((si, i)),
+                match shard.lookup(keys[i]) {
+                    Some(rec) if is_expired(rec.expire_at_ms, now) => expired.push((si, i)),
                     Some(_) => present += 1,
                     None => {}
                 }
@@ -1448,19 +1371,16 @@ impl ShardedDash {
             // `keys.len() < count` here: the loop breaks as soon as the
             // budget is met, so the remaining budget is always positive.
             let page = shard.table.scan(ScanCursor::resume(pos), count - keys.len());
-            for (k, off) in page.items {
+            for (k, _) in page.items {
                 // `SCAN` never surfaces a key whose deadline has passed,
-                // even before any expiry path reclaims it. (A blob the
-                // defensive decode rejects is kept visible: deleting it
-                // is still meaningful.)
+                // even before any expiry path reclaims it.
                 if hide_expired
-                    && shard
-                        .blob_meta(off)
-                        .is_some_and(|m| is_expired(m.expire_at_ms, now))
+                    && Rec::at(&shard.pool, k.rec)
+                        .is_some_and(|rec| is_expired(rec.expire_at_ms, now))
                 {
                     continue;
                 }
-                keys.push(k.0);
+                keys.push(k.bytes.into_vec());
             }
             if page.cursor.is_done() {
                 shard_idx += 1;
@@ -1595,7 +1515,7 @@ impl ShardedDash {
     // budget/shards): reclaim pending garbage first, then evict sampled-
     // worst keys under the policy, then reject with `-OOM`. The
     // background tick drives active expiry (timer wheel + physical
-    // sweep) and threshold-based value-log reclamation. Every deletion
+    // sweep) and threshold-based record reclamation. Every deletion
     // these paths make goes through `del_locked` — logged and published
     // as a `DEL` like any client delete, which is what keeps expiry and
     // eviction deterministic on replicas and in log replay.
@@ -1614,7 +1534,9 @@ impl ShardedDash {
         let shard = &self.shards[si];
         let access = policy::initial_access(self.policy, now);
         if let Some(budget) = self.shard_budget {
-            let incoming = (BLOB_HDR + value.len()) as u64;
+            // What the allocator will take for the record: its whole
+            // class block, not the bytes asked for.
+            let incoming = pmem::block_bytes(record::len_of(key, value));
             let mut rounds = 0;
             while shard.pool.mem_used().saturating_add(incoming) > budget {
                 rounds += 1;
@@ -1670,7 +1592,7 @@ impl ShardedDash {
     /// exactly. True when a key was removed.
     fn evict_one(&self, si: usize, now: u64) -> bool {
         let shard = &self.shards[si];
-        let mut victim: Option<(VarKey, u64, bool)> = None; // (key, score, expired)
+        let mut victim: Option<(RecKey, u64, bool)> = None; // (key, score, expired)
         {
             let _pin = shard.pin();
             let mut pos = shard.sample_pos.load(Ordering::Relaxed);
@@ -1680,17 +1602,17 @@ impl ShardedDash {
             // sees the head next round.
             for _ in 0..4 {
                 let page = shard.table.scan(ScanCursor::resume(pos), EVICT_SAMPLES);
-                for (k, off) in page.items {
-                    let Some(meta) = shard.blob_meta(off) else { continue };
+                for (k, _) in page.items {
+                    let Some(rec) = Rec::at(&shard.pool, k.rec) else { continue };
                     sampled += 1;
-                    let (score, expired) = if is_expired(meta.expire_at_ms, now) {
+                    let (score, expired) = if is_expired(rec.expire_at_ms, now) {
                         (0u64, true)
                     } else {
                         let s = match self.policy {
                             EvictionPolicy::AllKeysLfu => {
-                                u64::from(policy::lfu_score(meta.access, now))
+                                u64::from(policy::lfu_score(rec.access, now))
                             }
-                            _ => u64::from(meta.access),
+                            _ => u64::from(rec.access),
                         };
                         (s + 1, false)
                     };
@@ -1706,7 +1628,7 @@ impl ShardedDash {
             shard.sample_pos.store(pos, Ordering::Relaxed);
         }
         match victim {
-            Some((k, _, expired)) if shard.del_locked(k.as_bytes()) => {
+            Some((k, _, expired)) if shard.del_locked(&k.bytes) => {
                 let counter = if expired { &self.expired_keys } else { &self.evicted_keys };
                 counter.fetch_add(1, Ordering::Relaxed);
                 true
@@ -1765,13 +1687,13 @@ impl ShardedDash {
         let (si, pos) = *cur;
         let si = if si >= self.shards.len() { 0 } else { si };
         let shard = &self.shards[si];
-        let mut stale: Vec<VarKey> = Vec::new();
+        let mut stale: Vec<Box<[u8]>> = Vec::new();
         {
             let _pin = shard.pin();
             let page = shard.table.scan(ScanCursor::resume(pos), budget.max(1));
-            for (k, off) in page.items {
-                if shard.blob_meta(off).is_some_and(|m| is_expired(m.expire_at_ms, now)) {
-                    stale.push(k);
+            for (k, _) in page.items {
+                if Rec::at(&shard.pool, k.rec).is_some_and(|r| is_expired(r.expire_at_ms, now)) {
+                    stale.push(k.bytes);
                 }
             }
             *cur = if page.cursor.is_done() {
@@ -1788,7 +1710,7 @@ impl ShardedDash {
         let _w = shard.lock_write();
         let _pin = shard.pin();
         for k in &stale {
-            if shard.is_due(k.as_bytes(), now) && shard.del_locked(k.as_bytes()) {
+            if shard.is_due(k, now) && shard.del_locked(k) {
                 n += 1;
             }
         }
@@ -1796,9 +1718,9 @@ impl ShardedDash {
         n
     }
 
-    /// One value-log reclamation pass: a shard whose dead bytes clear
+    /// One record reclamation pass: a shard whose dead bytes clear
     /// the floor AND whose garbage ratio (dead / used) crosses one half
-    /// gets an epoch collection, returning retired blobs to the
+    /// gets an epoch collection, returning retired records to the
     /// allocator free lists — space reuse without moving live data.
     /// Returns bytes reclaimed.
     pub fn reclaim_tick(&self) -> u64 {
@@ -1836,12 +1758,12 @@ impl ShardedDash {
     }
 
     /// Bytes the shard allocators consider in use (bump minus free
-    /// lists; retired-but-unreclaimed blobs still count).
+    /// lists; retired-but-unreclaimed records still count).
     pub fn mem_used(&self) -> u64 {
         self.shards.iter().map(|s| s.pool.mem_used()).sum()
     }
 
-    /// Dead bytes: retired value blobs awaiting epoch reclamation.
+    /// Dead bytes: retired records awaiting epoch reclamation.
     pub fn dead_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.pool.pending_reclaim_bytes()).sum()
     }
@@ -1870,7 +1792,7 @@ impl ShardedDash {
         self.oom_rejections.load(Ordering::Relaxed)
     }
 
-    /// Value-log reclamation passes that freed anything.
+    /// Record reclamation passes that freed anything.
     pub fn compactions_total(&self) -> u64 {
         self.compactions.load(Ordering::Relaxed)
     }
@@ -1890,8 +1812,8 @@ impl ShardedDash {
 
     /// Walk every `(key, value)` record the way a snapshot sees them:
     /// per shard, the epoch is pinned once and held across **all** of
-    /// that shard's scan pages and value-blob reads, so an offset
-    /// captured in a page can never be reclaimed before its blob is
+    /// that shard's scan pages and record reads, so an offset
+    /// captured in a page can never be reclaimed before its record is
     /// copied out; concurrent writers keep running (reads take no
     /// locks) and an overwritten key lands with either its old or new
     /// value. The shared body of [`snapshot_to`](Self::snapshot_to) and
@@ -1904,16 +1826,14 @@ impl ShardedDash {
             let mut cursor = ScanCursor::START;
             loop {
                 let page = shard.table.scan(cursor, SNAPSHOT_PAGE);
-                for (key, off) in &page.items {
-                    // A blob the defensive decode rejects is a corrupt
-                    // record; skip it rather than abort the backup. An
-                    // expired record is dead weight the restore target
-                    // would only have to re-expire — skipped too.
-                    let Some(meta) = shard.blob_meta(*off) else { continue };
-                    if is_expired(meta.expire_at_ms, now) {
+                for (key, _) in &page.items {
+                    // An expired record is dead weight the restore target
+                    // would only have to re-expire — skipped.
+                    let Some(rec) = Rec::at(&shard.pool, key.rec) else { continue };
+                    if is_expired(rec.expire_at_ms, now) {
                         continue;
                     }
-                    emit(key.as_bytes(), shard.payload(*off, &meta), meta.expire_at_ms)
+                    emit(&key.bytes, rec.value(), rec.expire_at_ms)
                         .map_err(|e| EngineError::Snapshot(e.to_string()))?;
                 }
                 if page.cursor.is_done() {
@@ -2499,8 +2419,8 @@ mod tests {
     }
 
     /// The hint contract: `prefetch` over present keys (values from
-    /// empty to past the payload-line cap), absent keys, malformed keys
-    /// and records whose value word is garbage or a freed blob leaves
+    /// empty to past the record-line cap), absent keys, malformed keys
+    /// and slots whose key word is garbage or a freed record leaves
     /// every pool counter where it was and every key readable as before.
     #[test]
     fn prefetch_is_inert_over_present_absent_and_garbage() {
@@ -2510,13 +2430,13 @@ mod tests {
         for i in 0..10_000 {
             e.set(&key(i), &value(i)).unwrap();
         }
-        // Records no engine call would write: value words that point
-        // nowhere, past the pool, off alignment, or at a blob that has
+        // Slots no engine call would write: key words that point
+        // nowhere, past the pool, off alignment, or at a record that has
         // been freed and handed back to the allocator.
         let freed = {
             let shard = e.shard(b"victim");
             e.set(b"victim", &[1u8; 300]).unwrap();
-            let off = shard.table.get(b"victim".as_slice()).unwrap();
+            let (off, _) = shard.table.find(RecProbe::new(b"victim")).unwrap();
             assert!(e.del(b"victim").unwrap());
             shard.pool.epoch_collect();
             off
@@ -2525,7 +2445,7 @@ mod tests {
         let garbage = [0, 8, 24, u64::MAX, u64::MAX - 15, size, size - 16, size + 64, freed];
         for (i, word) in garbage.iter().enumerate() {
             let k = format!("garbage:{i}").into_bytes();
-            e.shard(&k).table.insert(k.as_slice(), *word).unwrap();
+            e.shard(&k).table.insert_encoded(RecProbe::new(&k), *word, 0).unwrap();
         }
 
         let mut keys: Vec<Vec<u8>> = (0..20_000).map(key).collect(); // half of them absent
@@ -2567,7 +2487,7 @@ mod tests {
         shard.pool.epoch_collect();
         assert!(
             shard.pool.stats().frees > frees_before,
-            "old value blobs must return to the allocator"
+            "old records must return to the allocator"
         );
     }
 

@@ -12,10 +12,10 @@
 //! the primary's `DEL` ever removes it, which is what keeps replicas
 //! byte-exact convergent under expiring churn.
 //!
-//! Expiry metadata lives in the value blob's header (see
-//! `engine::blob_meta`): a u64 absolute deadline in Unix milliseconds
-//! (0 = no expiry) that is immutable per blob — `EXPIRE`/`PERSIST`
-//! rewrite the blob, so lock-free readers never observe a torn
+//! Expiry metadata lives in the key's record header (see
+//! `crate::record`): a u64 absolute deadline in Unix milliseconds
+//! (0 = no expiry) that is immutable per record — `EXPIRE`/`PERSIST`
+//! write a new record, so lock-free readers never observe a torn
 //! deadline — plus a u32 access word the sampled LRU/LFU eviction
 //! scores candidates by ([`policy`]).
 

@@ -1,6 +1,6 @@
 //! Eviction policy and the per-key access metadata it scores by.
 //!
-//! Each value blob carries one u32 access word, updated on read (and
+//! Each record carries one u32 access word, updated on read (and
 //! initialized on write) only when a memory budget is configured:
 //!
 //! * **LRU** — the word is the key's last-access time in seconds. The
@@ -81,7 +81,7 @@ pub(crate) fn lfu_score(access: u32, now_ms: u64) -> u32 {
 }
 
 /// Decay, then probabilistically bump, the LFU word on an access. The
-/// coin is a deterministic mix of the blob offset and the clock — cheap,
+/// coin is a deterministic mix of the record offset and the clock — cheap,
 /// and unbiased enough for a logarithmic counter.
 pub(crate) fn lfu_touch(access: u32, now_ms: u64, salt: u64) -> u32 {
     let counter = lfu_score(access, now_ms);

@@ -5,12 +5,13 @@
 //! pieces over the reproduction:
 //!
 //! * [`ShardedDash`] ([`engine`]) — the storage engine: the keyspace
-//!   partitioned by hash over N independent `DashEh<VarKey>` tables,
-//!   each on its own file-backed [`pmem::PmemPool`] (`MAP_SHARED`), so
-//!   the store survives real process restarts and reopens in constant
-//!   time per shard (Dash §4.8). Values are byte strings stored out of
-//!   line in the owning shard's pool; reads are lock-free under an
-//!   epoch pin, writes serialize per shard.
+//!   partitioned by hash over N independent Dash-EH tables, each on
+//!   its own file-backed [`pmem::PmemPool`] (`MAP_SHARED`), so the
+//!   store survives real process restarts and reopens in constant time
+//!   per shard (Dash §4.8). A key and its value are byte strings stored
+//!   together in one record — one right-sized block of the owning
+//!   shard's pool, which the table slot points at; reads are lock-free
+//!   under an epoch pin, writes serialize per shard.
 //! * [`serve`] ([`server`], [`net`]) — an event-driven TCP server
 //!   speaking RESP2 with full pipelining. Its commands are the rows of
 //!   one table ([`commands`]: name, arity, write flag, key positions),
@@ -61,6 +62,7 @@ pub mod engine;
 pub mod expire;
 pub(crate) mod metrics;
 pub mod net;
+pub(crate) mod record;
 pub mod repl;
 pub mod resp;
 pub mod server;

@@ -58,8 +58,8 @@ pub(crate) fn render(inner: &Inner) -> String {
     help_type(&mut out, "dash_shard_keys", "Keys per shard (O(shards) counters, no scan).", "gauge");
     help_type(&mut out, "dash_shard_capacity_slots", "Table slot capacity per shard.", "gauge");
     help_type(&mut out, "dash_shard_load_factor", "keys / capacity_slots per shard.", "gauge");
-    help_type(&mut out, "dash_shard_blob_bytes", "Net value-blob bytes written minus released since open.", "gauge");
-    help_type(&mut out, "dash_blob_dead_bytes", "Dead (released, unreclaimed) value-log bytes per shard.", "gauge");
+    help_type(&mut out, "dash_shard_blob_bytes", "Net record bytes (header, key and value) written minus retired since open.", "gauge");
+    help_type(&mut out, "dash_blob_dead_bytes", "Dead (retired, unreclaimed) record bytes per shard.", "gauge");
     help_type(&mut out, "dash_eh_splits_total", "Dash-EH segment splits since open.", "counter");
     help_type(&mut out, "dash_eh_doublings_total", "Dash-EH directory doublings since open.", "counter");
     help_type(&mut out, "dash_eh_merges_total", "Dash-EH segment merges since open.", "counter");
@@ -87,13 +87,13 @@ pub(crate) fn render(inner: &Inner) -> String {
     // and the four ways a key leaves without a client DEL.
     let engine = &inner.engine;
     gauge_i(&mut out, "dash_maxmemory_bytes", "Configured memory budget (0 = unlimited).", engine.max_memory().unwrap_or(0) as i64);
-    gauge_i(&mut out, "dash_mem_used_bytes", "Value-log bytes counted against the budget (live + pending frees).", engine.mem_used() as i64);
+    gauge_i(&mut out, "dash_mem_used_bytes", "Pool bytes counted against the budget: table, records and pending frees.", engine.mem_used() as i64);
     gauge_i(&mut out, "dash_expire_wheel_entries", "Timer-wheel entries queued for active expiry.", engine.wheel_entries() as i64);
     counter(&mut out, "dash_expired_keys_total", "Keys removed because their TTL deadline passed (lazy + active + sweep).", engine.expired_keys_total());
     counter(&mut out, "dash_evicted_keys_total", "Keys evicted by the maxmemory policy.", engine.evicted_keys_total());
     counter(&mut out, "dash_oom_rejections_total", "Writes rejected with -OOM (eviction could not make room).", engine.oom_rejections_total());
-    counter(&mut out, "dash_compactions_total", "Value-log reclamation passes that freed space.", engine.compactions_total());
-    counter(&mut out, "dash_reclaimed_bytes_total", "Value-log bytes returned to the free lists by reclamation.", engine.reclaimed_bytes_total());
+    counter(&mut out, "dash_compactions_total", "Record reclamation passes that freed space.", engine.compactions_total());
+    counter(&mut out, "dash_reclaimed_bytes_total", "Bytes returned to the free lists by reclamation.", engine.reclaimed_bytes_total());
 
     // The lookup hint: keys ÷ windows is how many lookups a pipelined
     // tick or a multi-key call overlapped.

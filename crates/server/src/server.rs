@@ -369,7 +369,7 @@ pub fn serve_with(
     }
     // The expiry/reclamation tick: active TTL expiry from the timer
     // wheel, one incremental sweep page (catches deadlines set before
-    // the last open, which the volatile wheel never saw), and value-log
+    // the last open, which the volatile wheel never saw), and record
     // reclamation when a shard's garbage crosses the threshold. This is
     // the one deliberate periodic wakeup in the process — the *event
     // core* still makes none while idle.
@@ -1099,7 +1099,7 @@ fn latency_info_text(inner: &Inner) -> String {
 }
 
 /// The memory section (`INFO memory`): the eviction budget and policy,
-/// live vs dead value-log bytes (the fragmentation signal reclamation
+/// live vs dead pool bytes (the fragmentation signal reclamation
 /// acts on), and the per-shard breakdown. O(shards), no scans.
 fn memory_info_text(inner: &Inner) -> String {
     let engine = &inner.engine;

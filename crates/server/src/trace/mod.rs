@@ -14,7 +14,7 @@
 //! | `dispatch`    | execute entry → first engine touch (cluster gate,   |
 //! |               | role check, argument parsing)                       |
 //! | `lock_wait`   | blocked time acquiring contended shard write locks  |
-//! | `execute`     | engine work proper (table probe, blob copy, …)      |
+//! | `execute`     | engine work proper (table probe, value copy, …)     |
 //! | `persist`     | PM flush + fence wall time ([`pmem::persist_timer`])|
 //! | `reply_flush` | execute end → last reply byte accepted by the socket|
 //!

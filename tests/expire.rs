@@ -1,7 +1,7 @@
 //! Expiration & eviction end to end: lazy vs active expiry, TTL
 //! durability across crash/reopen and snapshot/restore, deterministic
 //! replication (the primary is the only clock), sampled eviction under
-//! a memory budget, value-log reclamation, and redo-log rotation with
+//! a memory budget, record reclamation, and redo-log rotation with
 //! snapshot-covered truncation.
 #![cfg(unix)]
 
@@ -96,7 +96,7 @@ fn active_expiry_reaps_untouched_keys() {
     store.close().unwrap();
 }
 
-/// TTLs live in the value blobs: they survive a crash-style teardown,
+/// TTLs live in the records: they survive a crash-style teardown,
 /// and deadlines that passed while the process was down are invisible on
 /// reopen and reaped by the sweep (the wheel is volatile and never
 /// rescans on open).
@@ -284,44 +284,57 @@ fn eviction_keeps_memory_under_budget_with_zipf_churn() {
 
 /// noeviction: the budget still holds, but by rejecting writes with OOM
 /// once reclamation alone cannot make room — and rejected writes change
-/// nothing.
+/// nothing. Admission charges what the allocator takes (the record's
+/// whole class block), so a write that grows no table structure never
+/// passes the budget; 65 B and 513 B values sit one byte past a class
+/// boundary, where the block is furthest from the bytes asked for.
 #[test]
 fn noeviction_rejects_with_oom_and_loses_nothing() {
     const MAX_MEM: u64 = 512 << 10;
-    let store = ShardedDash::open(&EngineConfig {
-        max_memory: Some(MAX_MEM),
-        eviction: EvictionPolicy::NoEviction,
-        ..mem_cfg(1)
-    })
-    .unwrap();
-    let val = vec![b'v'; 4096];
-    let mut written = 0u32;
-    let mut oom = false;
-    for i in 0..1_000u32 {
-        match store.set(format!("f{i:04}").as_bytes(), &val) {
-            Ok(()) => written += 1,
-            Err(EngineError::Oom) => {
-                oom = true;
-                break;
+    // A split adds one segment (a 20 KiB block) and at most a doubled
+    // directory after the write was admitted: the documented slack.
+    const SPLIT_SLACK: u64 = 21 << 10;
+    for value_len in [4096, 65, 513] {
+        let store = ShardedDash::open(&EngineConfig {
+            max_memory: Some(MAX_MEM),
+            eviction: EvictionPolicy::NoEviction,
+            ..mem_cfg(1)
+        })
+        .unwrap();
+        let val = vec![b'v'; value_len];
+        let mut written = 0u32;
+        let mut oom = false;
+        for i in 0..20_000u32 {
+            let slots = store.shard_telemetry()[0].capacity_slots;
+            match store.set(format!("f{i:05}").as_bytes(), &val) {
+                Ok(()) => written += 1,
+                Err(EngineError::Oom) => {
+                    oom = true;
+                    break;
+                }
+                Err(e) => panic!("unexpected error: {e}"),
             }
-            Err(e) => panic!("unexpected error: {e}"),
+            let grew = store.shard_telemetry()[0].capacity_slots != slots;
+            let cap = MAX_MEM + if grew { SPLIT_SLACK } else { 0 };
+            assert!(
+                store.mem_used() <= cap,
+                "{value_len} B write {i} (table grew: {grew}) left mem_used {} over {cap}",
+                store.mem_used()
+            );
         }
+        assert!(oom, "a 512 KiB budget must reject {value_len} B writes eventually");
+        assert!(written > 0, "the budget must admit writes before it fills");
+        assert!(store.oom_rejections_total() > 0);
+        // Nothing admitted was harmed by the rejection.
+        assert_eq!(store.len(), u64::from(written));
+        for i in 0..written {
+            assert_eq!(store.get(format!("f{i:05}").as_bytes()).unwrap(), Some(val.clone()));
+        }
+        store.close().unwrap();
     }
-    assert!(oom, "a 512 KiB budget must reject 4 KiB writes eventually");
-    assert!(written > 0, "the budget must admit writes before it fills");
-    assert!(store.oom_rejections_total() > 0);
-    // The budget gates value-blob admission; table structure growth
-    // (segment splits) can overshoot it by a few blocks at most.
-    assert!(store.mem_used() <= MAX_MEM + (64 << 10), "mem {}", store.mem_used());
-    // Nothing admitted was harmed by the rejection.
-    assert_eq!(store.len(), u64::from(written));
-    for i in 0..written {
-        assert_eq!(store.get(format!("f{i:04}").as_bytes()).unwrap(), Some(val.clone()));
-    }
-    store.close().unwrap();
 }
 
-/// Value-log fragmentation is observable and reclaimable: deletes grow
+/// Fragmentation is observable and reclaimable: deletes grow
 /// `dead_bytes` monotonically, reclamation returns the space to the
 /// allocator (counted), and rewrites reuse it instead of growing the
 /// pool.
@@ -335,14 +348,14 @@ fn fragmentation_rises_then_reclamation_drops_it() {
     }
     // Drain the epoch queue of insert-time structural defers so the
     // deletes below are the only garbage in flight (the queue
-    // auto-collects every 128 items — each delete defers two, key blob
-    // plus value blob — which would hide the rise).
+    // auto-collects every 128 items — each delete defers its record —
+    // which would hide the rise).
     store.reclaim_all();
     let full = store.mem_used();
     let base_compactions = store.compactions_total();
     assert_eq!(store.dead_bytes(), 0, "no deletes yet, no garbage");
     // Delete in two halves: dead bytes must rise monotonically while
-    // mem_used stands still — retired blobs count until reclaimed.
+    // mem_used stands still — retired records count until reclaimed.
     for i in 0..N / 2 {
         assert!(store.del(format!("frag{i:04}").as_bytes()).unwrap());
     }
@@ -353,7 +366,7 @@ fn fragmentation_rises_then_reclamation_drops_it() {
     }
     let all_dead = store.dead_bytes();
     assert!(all_dead > half_dead, "dead bytes must grow with deletes");
-    assert_eq!(store.mem_used(), full, "retired blobs still count until reclaimed");
+    assert_eq!(store.mem_used(), full, "retired records still count until reclaimed");
     // The threshold pass fires (garbage ratio is 100%), space returns.
     let freed = store.reclaim_tick();
     assert!(freed >= all_dead, "reclamation freed {freed} of {all_dead} dead bytes");

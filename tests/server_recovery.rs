@@ -6,7 +6,7 @@
 #![cfg(unix)]
 
 use dash_repro::dash_server::Value;
-use dash_repro::{serve, EngineConfig, RespClient, ShardedDash};
+use dash_repro::{serve, EngineConfig, EngineError, RespClient, ShardedDash};
 
 mod common;
 use common::TempDir;
@@ -91,6 +91,104 @@ fn engine_survives_crash_style_teardown() {
         assert_eq!(store.get(&k).unwrap(), Some(v), "acknowledged write {i} lost in crash");
     }
     assert_eq!(store.len(), N as u64);
+}
+
+/// A kill with no `close()` over everything a record can have been
+/// through: overwritten across size classes, written with a deadline,
+/// given one later (`EXPIRE` rewrites the record), deleted. Each key
+/// comes back with its last value and its deadline, the deleted one stays
+/// gone, and the reopened store holds no more pool than the killed one.
+#[test]
+fn crash_keeps_overwrites_deadlines_and_deletes() {
+    let dir = TempDir::new("engine-crash-records");
+    const N: u32 = 1_500;
+    let far = dash_repro::dash_server::expire::now_ms() + 3_600_000;
+    // What key `i` must read as after the kill: (value, deadline).
+    let expected = |i: u32| -> Option<(Vec<u8>, u64)> {
+        let (_, v) = kv(i);
+        match i {
+            1 => None,
+            _ if i.is_multiple_of(3) => Some((format!("rewritten-{i}").into_bytes(), 0)),
+            _ if i.is_multiple_of(5) => Some((v, far + u64::from(i))),
+            _ if i.is_multiple_of(7) => Some((v, far + 7 * u64::from(i))),
+            _ => Some((v, 0)),
+        }
+    };
+    let mem_before = {
+        let store = ShardedDash::open(&dir_cfg(&dir, 2)).unwrap();
+        for i in 0..N {
+            let (k, v) = kv(i);
+            match i % 5 {
+                0 => store.set_with_expiry(&k, &v, far + u64::from(i)).unwrap(),
+                _ => store.set(&k, &v).unwrap(),
+            }
+        }
+        for i in (0..N).step_by(3) {
+            // Up three size classes and back down; a plain SET drops the TTL.
+            store.set(&kv(i).0, &[b'x'; 300]).unwrap();
+            store.set(&kv(i).0, format!("rewritten-{i}").as_bytes()).unwrap();
+        }
+        for i in (0..N).step_by(7).filter(|i| !i.is_multiple_of(3) && !i.is_multiple_of(5)) {
+            assert!(store.expire_at(&kv(i).0, far + 7 * u64::from(i)).unwrap());
+        }
+        assert!(store.del(&kv(1).0).unwrap());
+        store.mem_used()
+        // Dropped WITHOUT close(): a process crash.
+    };
+    let store = ShardedDash::open(&dir_cfg(&dir, 2)).unwrap();
+    assert_eq!(store.recovered_shards(), 2);
+    assert!(store.shard_infos().iter().all(|s| s.recovered && !s.clean));
+    for i in 0..N {
+        assert_eq!(store.get_with_expiry(&kv(i).0).unwrap(), expected(i), "key {i} after the kill");
+    }
+    assert_eq!(store.len(), u64::from(N) - 1);
+    store.reclaim_all();
+    assert!(
+        store.mem_used() <= mem_before,
+        "reopen grew the store: {} > {mem_before}",
+        store.mem_used()
+    );
+    // The recovered records take overwrites and deletes like fresh ones.
+    store.set(&kv(2).0, b"second-life").unwrap();
+    assert!(store.del(&kv(3).0).unwrap());
+    assert_eq!(store.get(&kv(2).0).unwrap(), Some(b"second-life".to_vec()));
+    assert_eq!(store.get(&kv(3).0).unwrap(), None);
+}
+
+/// A store whose pools carry another build's format stamp is refused
+/// whole — nothing opened, nothing written — with the way across it in
+/// the error text.
+#[test]
+fn store_of_another_pool_format_is_refused_with_the_way_across() {
+    let dir = TempDir::new("engine-old-format");
+    {
+        let store = ShardedDash::open(&dir_cfg(&dir, 2)).unwrap();
+        store.set(b"k", b"v").unwrap();
+        store.close().unwrap();
+    }
+    // The stamp is bits 32..48 of the little-endian magic at offset 0.
+    let restamped: Vec<_> = (0..2)
+        .map(|i| {
+            let pool_file = dir.path.join(format!("shard-{i}.pool"));
+            let mut bytes = std::fs::read(&pool_file).unwrap();
+            assert_eq!(&bytes[4..6], &[2, 0], "this build's stamp");
+            bytes[4] = 1;
+            std::fs::write(&pool_file, &bytes).unwrap();
+            (pool_file, bytes)
+        })
+        .collect();
+    let err = match ShardedDash::open(&dir_cfg(&dir, 2)) {
+        Err(e) => e,
+        Ok(_) => panic!("a store of stamp-0001 pools must not open"),
+    };
+    assert!(matches!(err, EngineError::Layout(_)), "{err:?}");
+    let text = err.to_string();
+    for needle in ["shard-0.pool", "0001", "0002", "SNAPSHOT", "--restore"] {
+        assert!(text.contains(needle), "{needle:?} missing from: {text}");
+    }
+    for (pool_file, bytes) in &restamped {
+        assert!(&std::fs::read(pool_file).unwrap() == bytes, "a refused pool is left as found");
+    }
 }
 
 #[test]
