@@ -1467,8 +1467,8 @@ fn main() {
             }
             Some(n) => {
                 // Same op count both ways: N-deep pipelined single-key
-                // commands, then N-key MGET/MSET commands — the batch API
-                // must win or it has no reason to exist.
+                // commands, then N-key MGET/MSET commands — what one
+                // command instead of N saves, side by side.
                 let mut singles_cfg = cfg.clone();
                 singles_cfg.pipeline = n;
                 let (singles, f1) = timed_phase(

@@ -123,8 +123,8 @@ impl RespClient {
 
     // ---- typed multi-key conveniences -------------------------------------
     //
-    // One wire command per call (the server executes the whole key set
-    // through the engine's shard-grouped batch paths), with the reply
+    // One wire command per call (the server runs its single-key engine
+    // calls over the whole key set in one tick), with the reply
     // decoded into the natural Rust shape. Server `-ERR` replies and
     // shape mismatches surface as `InvalidData` errors.
 

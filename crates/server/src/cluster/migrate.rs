@@ -482,38 +482,10 @@ fn flush_acks(conn: &mut RespClient, pending: &mut Vec<bool>) -> Result<(), Stri
     Ok(())
 }
 
-/// Delete every key in `start..=end` through the engine's normal delete
-/// path. Multi-passes until a pass removes nothing, because deletions
-/// can compact buckets under an in-flight scan cursor (same idiom as
-/// the engine's `clear`).
+/// Delete every key in `start..=end` through the engine's apply path
+/// ([`ShardedDash::purge`]: multi-pass, each delete logged and published).
 pub(crate) fn purge_range(engine: &ShardedDash, start: u16, end: u16) -> Result<u64, String> {
-    let in_range = |key: &[u8]| (start..=end).contains(&key_slot(key));
-    let mut removed = 0u64;
-    loop {
-        let mut pass_removed = 0u64;
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        let mut cursor = 0u64;
-        loop {
-            let (next, keys) = engine
-                .scan_keys(cursor, 1024)
-                .map_err(|e| format!("purge scan: {e}"))?;
-            batch.extend(keys.into_iter().filter(|k| in_range(k)));
-            if batch.len() >= 1024 || next == 0 {
-                let refs: Vec<&[u8]> = batch.iter().map(|k| k.as_slice()).collect();
-                if !refs.is_empty() {
-                    pass_removed +=
-                        engine.mdel(&refs).map_err(|e| format!("purge delete: {e}"))?;
-                }
-                batch.clear();
-            }
-            if next == 0 {
-                break;
-            }
-            cursor = next;
-        }
-        removed += pass_removed;
-        if pass_removed == 0 {
-            return Ok(removed);
-        }
-    }
+    engine
+        .purge(|key| (start..=end).contains(&key_slot(key)))
+        .map_err(|e| format!("purge: {e}"))
 }

@@ -44,7 +44,7 @@ use crate::metrics::Counter;
 use crate::record::{self, Rec, RecKey, RecProbe};
 use crate::repl::hub::{ReplHub, ReplSubscription};
 use crate::repl::log::LogWriter;
-use crate::repl::{OpRef, ReplOp};
+use crate::repl::OpRef;
 use crate::snapshot::{DurableFile, SnapshotError, SnapshotResult, SnapshotStream};
 
 /// Upper bound on one value. Bounded (like keys) so a stale record
@@ -202,7 +202,8 @@ pub struct ShardTelemetry {
     pub eh_merges: u64,
     /// Write-lock acquisitions that found the lock held.
     pub write_lock_waits: u64,
-    /// Epoch pins taken by engine operations.
+    /// Epoch pins taken by engine operations: one per key, one per shard
+    /// per scan or hint window.
     pub epoch_pins: u64,
     /// Bytes the shard's allocator considers in use (bump minus free
     /// lists) — what the memory budget is enforced against.
@@ -266,8 +267,8 @@ struct Shard {
     blob_released: AtomicU64,
     /// Write-lock acquisitions that found the lock held (contention).
     lock_waits: AtomicU64,
-    /// Epoch pins taken by engine operations (one per single op, one per
-    /// shard group for batches/scans — the §4.5 amortization, visible).
+    /// Epoch pins taken by engine operations (one per key, one per shard
+    /// per scan or hint window).
     pins: AtomicU64,
     /// Store-wide per-slot key counters (shared by all shards).
     slots: Arc<SlotCounters>,
@@ -335,14 +336,14 @@ impl Shard {
     }
 
     /// Insert or overwrite one key with an optional expiry deadline (0 =
-    /// none). The caller holds this shard's write lock (and, for
-    /// batches, one epoch pin for the whole group) — the shared body of
-    /// every engine write path. The record is persisted whole before the
-    /// slot word that publishes it: a fresh key is one allocation, one
-    /// record persist and the table insert; an overwrite swaps the slot's
-    /// key word (one persisted 8-byte store) and retires the old record
-    /// after it. Records `SetEx` when a deadline is set, plain `Set`
-    /// otherwise, and queues the deadline on the wheel.
+    /// none). The caller holds this shard's write lock — the shared body
+    /// of every engine write path, client or apply, one key at a time;
+    /// nothing pins for a group of keys. The record is persisted whole
+    /// before the slot word that publishes it: a fresh key is one
+    /// allocation, one record persist and the table insert; an overwrite
+    /// swaps the slot's key word (one persisted 8-byte store) and retires
+    /// the old record after it. Records `SetEx` when a deadline is set,
+    /// plain `Set` otherwise, and queues the deadline on the wheel.
     fn set_locked(
         &self,
         key: &[u8],
@@ -366,17 +367,14 @@ impl Shard {
         }
         if expire_at_ms != 0 {
             self.wheel.insert(key.to_vec(), expire_at_ms);
-            self.record(OpRef::SetEx { key, value, expire_at_ms });
-        } else {
-            self.record(OpRef::Set { key, value });
         }
+        self.record(OpRef::set(key, value, expire_at_ms));
         Ok(())
     }
 
     /// Delete one key; true when it existed. The caller holds this
-    /// shard's write lock — the shared body of [`ShardedDash::del`] and
-    /// [`ShardedDash::mdel`]. The table retires the removed slot's record
-    /// itself (`RecKey::release`).
+    /// shard's write lock — the shared body of every delete. The table
+    /// retires the removed slot's record itself (`RecKey::release`).
     fn del_locked(&self, key: &[u8]) -> bool {
         let Some(rec) = self.lookup(key) else { return false };
         let removed = self.table.remove(RecProbe::new(key));
@@ -404,14 +402,14 @@ impl Shard {
     /// the log's record order the apply order.
     ///
     /// The record is encoded straight from the caller's `key`/`value`;
-    /// an owned [`ReplOp`] exists only if a replica sink wants one. The
-    /// buffer reaches the file at the end of the [`LogBatch`] scope open
-    /// on this thread, or — none open — here, before returning
-    /// (write-through). A failed log write never fails the op (it is
-    /// applied and durable in the pool): it poisons the [`LogWriter`],
-    /// which keeps the file a clean prefix and counts what it drops
-    /// (`INFO log_append_errors`). Live replica streams feed from the
-    /// hub and are unaffected.
+    /// an owned [`ReplOp`](crate::repl::ReplOp) exists only if a replica
+    /// sink wants one. The buffer reaches the file at the end of the
+    /// [`LogBatch`] scope open on this thread, or — none open — here,
+    /// before returning (write-through). A failed log write never fails
+    /// the op (it is applied and durable in the pool): it poisons the
+    /// [`LogWriter`], which keeps the file a clean prefix and counts what
+    /// it drops (`INFO log_append_errors`). Live replica streams feed from
+    /// the hub and are unaffected.
     fn record(&self, op: OpRef<'_>) {
         if let Some(log) = &self.log {
             let deferred = LogBatch::defers(self);
@@ -451,9 +449,11 @@ struct BatchScope {
 /// no record of an earlier, successful mutation of the scope.
 ///
 /// A connection opens one per readiness tick around its pipelined
-/// commands; the engine's own batch calls open one around each batch.
-/// There is nothing to configure: the scope is as long as the work
-/// whose acknowledgements leave together.
+/// commands (a multi-key command included), the replica one per drained
+/// read of the primary's stream, and restore, log replay and
+/// [`ShardedDash::purge`] one around their whole run. There is nothing
+/// to configure: the scope is as long as the work whose
+/// acknowledgements leave together.
 pub(crate) struct LogBatch<'a> {
     engine: &'a ShardedDash,
     /// False when another engine's scope was already open on this
@@ -651,104 +651,89 @@ impl ShardedDash {
         let hub = Arc::new(ReplHub::new());
         let slots = Arc::new(SlotCounters::new());
         let now = now_ms();
-        let mut shards = Vec::new();
-        let mut shard_paths = Vec::new();
-        let mut log_open = LogOpenCost::default();
-        match &cfg.dir {
-            None => {
-                for _ in 0..cfg.shards {
-                    let pool = PmemPool::create(PoolConfig::with_size(cfg.shard_bytes))?;
-                    let table = DashEh::create(pool.clone(), DashConfig::default())?;
-                    shards.push(Shard {
-                        index: shards.len(),
-                        pool,
-                        table,
-                        write_lock: Mutex::new(()),
-                        base_keys: OnceLock::from(0),
-                        keys_delta: AtomicI64::new(0),
-                        info: ShardInfo { recovered: false, clean: true, version: 1 },
-                        log: None,
-                        hub: hub.clone(),
-                        blob_written: AtomicU64::new(0),
-                        blob_released: AtomicU64::new(0),
-                        lock_waits: AtomicU64::new(0),
-                        pins: AtomicU64::new(0),
-                        slots: slots.clone(),
-                        wheel: TimerWheel::new(now),
-                        sample_pos: AtomicU64::new(0),
-                    });
-                }
-            }
+        let n = match &cfg.dir {
+            None => cfg.shards,
             Some(dir) => {
                 std::fs::create_dir_all(dir)
                     .map_err(|e| EngineError::Layout(format!("cannot create {}: {e}", dir.display())))?;
                 // An existing store dictates its own shard count: the
                 // partition function baked into the data must not change.
-                let existing = discover_shards(dir)?;
-                let n = if existing > 0 { existing } else { cfg.shards };
-                let mut log_records = 0u64;
-                for i in 0..n {
-                    let path = shard_file(dir, i);
+                match discover_shards(dir)? {
+                    0 => cfg.shards,
+                    existing => existing,
+                }
+            }
+        };
+        let mut shards = Vec::with_capacity(n);
+        let mut shard_paths = Vec::new();
+        let mut log_open = LogOpenCost::default();
+        let mut log_records = 0u64;
+        for index in 0..n {
+            let pool_cfg = PoolConfig::with_size(cfg.shard_bytes);
+            let (pool, recovered) = match &cfg.dir {
+                None => (PmemPool::create(pool_cfg)?, false),
+                Some(dir) => {
+                    let path = shard_file(dir, index);
                     shard_paths.push(path.clone());
-                    let pool_cfg = PoolConfig::with_size(cfg.shard_bytes);
-                    let (pool, recovered) = PmemPool::open_or_create_file(&path, pool_cfg)
-                        .map_err(|e| match e {
-                            // Another build's pool: its free lists and
-                            // records would be misread. Say how to cross.
-                            PmError::PoolFormat { .. } => EngineError::Layout(format!(
-                                "{}: {e}. To carry the store over, take a SNAPSHOT with the \
-                                 build that wrote it and start this build with --restore on \
-                                 an empty directory (the snapshot format is unchanged)",
-                                path.display()
-                            )),
-                            e => e.into(),
-                        })?;
-                    let table = if recovered {
-                        DashEh::open(pool.clone())?
-                    } else {
-                        DashEh::create(pool.clone(), DashConfig::default())?
-                    };
-                    let out = pool.recovery_outcome();
-                    // The shard's redo log opens alongside its pool:
-                    // torn tails truncate here, and the recovered record
-                    // count seeds the store-wide replication offset.
+                    PmemPool::open_or_create_file(&path, pool_cfg).map_err(|e| match e {
+                        // Another build's pool: its free lists and
+                        // records would be misread. Say how to cross.
+                        PmError::PoolFormat { .. } => EngineError::Layout(format!(
+                            "{}: {e}. To carry the store over, take a SNAPSHOT with the \
+                             build that wrote it and start this build with --restore on \
+                             an empty directory (the snapshot format is unchanged)",
+                            path.display()
+                        )),
+                        e => e.into(),
+                    })?
+                }
+            };
+            let table = if recovered {
+                DashEh::open(pool.clone())?
+            } else {
+                DashEh::create(pool.clone(), DashConfig::default())?
+            };
+            // A file-backed shard's redo log opens alongside its pool:
+            // torn tails truncate here, and the recovered record count
+            // seeds the store-wide replication offset.
+            let log = match &cfg.dir {
+                None => None,
+                Some(dir) => {
+                    let path = log_file(dir, index);
                     let log_open_start = std::time::Instant::now();
                     let (log, log_rec) =
-                        LogWriter::open(&log_file(dir, i), i as u32, cfg.repl_log_max_bytes)
-                            .map_err(|e| {
-                                EngineError::ReplLog(format!(
-                                    "{}: {e}",
-                                    log_file(dir, i).display()
-                                ))
-                            })?;
+                        LogWriter::open(&path, index as u32, cfg.repl_log_max_bytes).map_err(
+                            |e| EngineError::ReplLog(format!("{}: {e}", path.display())),
+                        )?;
                     log_open.micros += log_open_start.elapsed().as_micros() as u64;
                     log_open.scanned_bytes += log_rec.scanned_bytes;
                     log_records += log_rec.records;
-                    // Recovered shards defer their base count to the
-                    // first DBSIZE/INFO; fresh ones are known empty.
-                    let base_keys = if recovered { OnceLock::new() } else { OnceLock::from(0) };
-                    shards.push(Shard {
-                        index: i,
-                        pool,
-                        table,
-                        write_lock: Mutex::new(()),
-                        base_keys,
-                        keys_delta: AtomicI64::new(0),
-                        info: ShardInfo { recovered, clean: out.clean, version: out.version },
-                        log: Some(Mutex::new(log)),
-                        hub: hub.clone(),
-                        blob_written: AtomicU64::new(0),
-                        blob_released: AtomicU64::new(0),
-                        lock_waits: AtomicU64::new(0),
-                        pins: AtomicU64::new(0),
-                        slots: slots.clone(),
-                        wheel: TimerWheel::new(now),
-                        sample_pos: AtomicU64::new(0),
-                    });
+                    Some(Mutex::new(log))
                 }
-                hub.set_offset(log_records);
-            }
+            };
+            let out = pool.recovery_outcome();
+            shards.push(Shard {
+                index,
+                pool,
+                table,
+                write_lock: Mutex::new(()),
+                // Recovered shards defer their base count to the first
+                // DBSIZE/INFO; fresh ones are known empty.
+                base_keys: if recovered { OnceLock::new() } else { OnceLock::from(0) },
+                keys_delta: AtomicI64::new(0),
+                info: ShardInfo { recovered, clean: out.clean, version: out.version },
+                log,
+                hub: hub.clone(),
+                blob_written: AtomicU64::new(0),
+                blob_released: AtomicU64::new(0),
+                lock_waits: AtomicU64::new(0),
+                pins: AtomicU64::new(0),
+                slots: slots.clone(),
+                wheel: TimerWheel::new(now),
+                sample_pos: AtomicU64::new(0),
+            });
         }
+        hub.set_offset(log_records);
         // A store with no recovered shard is known empty: seed the slot
         // base eagerly so the first COUNTKEYSINSLOT never pays a scan.
         if shards.iter().all(|s| !s.info.recovered) {
@@ -795,9 +780,21 @@ impl ShardedDash {
         &self.shard(key).pool
     }
 
-    fn check_key(key: &[u8]) -> EngineResult<()> {
+    /// The one key check: what every key operation refuses first, and
+    /// what a multi-key write runs over all its keys before executing any.
+    pub(crate) fn check_key(key: &[u8]) -> EngineResult<()> {
         if key.len() > MAX_KEY_LEN {
             return Err(EngineError::KeyTooLong(key.len()));
+        }
+        Ok(())
+    }
+
+    /// [`check_key`](Self::check_key) plus the value bound: what a write
+    /// of `key` = `value` is refused for.
+    pub(crate) fn check_write(key: &[u8], value: &[u8]) -> EngineResult<()> {
+        Self::check_key(key)?;
+        if value.len() > MAX_VALUE_LEN {
+            return Err(EngineError::ValueTooLong(value.len()));
         }
         Ok(())
     }
@@ -927,14 +924,32 @@ impl ShardedDash {
         value: &[u8],
         expire_at_ms: u64,
     ) -> EngineResult<()> {
-        Self::check_key(key)?;
-        if value.len() > MAX_VALUE_LEN {
-            return Err(EngineError::ValueTooLong(value.len()));
-        }
+        Self::check_write(key, value)?;
         let si = self.shard_index(key);
-        let shard = &self.shards[si];
-        let _w = shard.lock_write();
+        let _w = self.shards[si].lock_write();
         self.set_under_budget(si, key, value, expire_at_ms, now_ms())
+    }
+
+    /// Apply one op as the primary decided it — the one body under replica
+    /// bootstrap and tail, [`restore`](Self::restore),
+    /// [`replay_log_dir`](Self::replay_log_dir) and
+    /// [`purge`](Self::purge). Unlike the client write path it enforces no
+    /// memory budget (a replica executes the primary's decisions, it does
+    /// not make its own) and a deadline lands verbatim, never re-derived.
+    /// True when the op changed a key: always for a set, for a delete when
+    /// the key existed.
+    pub fn apply(&self, op: OpRef<'_>) -> EngineResult<bool> {
+        let (key, value, expire_at_ms) = match op {
+            OpRef::Del { key } => return self.del(key),
+            OpRef::Set { key, value } => (key, value, 0),
+            OpRef::SetEx { key, value, expire_at_ms } => (key, value, expire_at_ms),
+        };
+        Self::check_write(key, value)?;
+        let shard = self.shard(key);
+        let _w = shard.lock_write();
+        let access = policy::initial_access(self.policy, now_ms());
+        shard.set_locked(key, value, expire_at_ms, access)?;
+        Ok(true)
     }
 
     /// Delete a key; true when it existed.
@@ -971,72 +986,51 @@ impl ShardedDash {
     }
 
     /// Set `key`'s expiry to an absolute deadline (`EXPIRE`/`PEXPIRE`);
-    /// true when the key exists. Deadlines are immutable per record, so
-    /// the record is rewritten and the op replicates as a full `SetEx` —
-    /// the deterministic form (replicas never re-derive time). A
-    /// deadline already in the past deletes the key outright (Redis
-    /// semantics), replicated as `DEL`.
+    /// true when the key exists. A deadline already in the past deletes
+    /// the key outright (Redis semantics), replicated as `DEL`.
     pub fn expire_at(&self, key: &[u8], expire_at_ms: u64) -> EngineResult<bool> {
-        Self::check_key(key)?;
-        let si = self.shard_index(key);
-        let shard = &self.shards[si];
-        let now = now_ms();
-        let _w = shard.lock_write();
-        let current = {
-            let _pin = shard.pin();
-            match shard.lookup(key) {
-                None => return Ok(false),
-                Some(rec) => (!is_expired(rec.expire_at_ms, now)).then(|| rec.value().to_vec()),
-            }
-        };
-        match current {
-            None => {
-                // It was already past its *old* deadline: it is gone.
-                if shard.del_locked(key) {
-                    self.expired_keys.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(false)
-            }
-            Some(value) => {
-                if is_expired(expire_at_ms, now) {
-                    let _ = shard.del_locked(key);
-                    self.expired_keys.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.set_under_budget(si, key, &value, expire_at_ms, now)?;
-                }
-                Ok(true)
-            }
-        }
+        self.rewrite_deadline(key, expire_at_ms)
     }
 
     /// Remove `key`'s expiry (`PERSIST`); true when the key existed and
-    /// had one. Replicates as a plain `Set` (full value, no deadline).
+    /// had one.
     pub fn persist(&self, key: &[u8]) -> EngineResult<bool> {
+        self.rewrite_deadline(key, 0)
+    }
+
+    /// The body of [`expire_at`](Self::expire_at) and
+    /// [`persist`](Self::persist): give a live key the deadline
+    /// `expire_at_ms`, where 0 means none. Deadlines are immutable per
+    /// record, so the record is rewritten and replicates as a full
+    /// `SetEx` (or `Set`) — the deterministic form: replicas never
+    /// re-derive time. A key already past its *old* deadline is gone:
+    /// deleted, and false. Removing the deadline of a key that has none
+    /// changes nothing, and is false.
+    fn rewrite_deadline(&self, key: &[u8], expire_at_ms: u64) -> EngineResult<bool> {
         Self::check_key(key)?;
         let si = self.shard_index(key);
         let shard = &self.shards[si];
         let now = now_ms();
         let _w = shard.lock_write();
-        let current = {
+        let live_value = {
             let _pin = shard.pin();
             match shard.lookup(key) {
                 None => return Ok(false),
-                Some(rec) if rec.expire_at_ms == 0 => return Ok(false),
+                Some(rec) if expire_at_ms == 0 && rec.expire_at_ms == 0 => return Ok(false),
                 Some(rec) => (!is_expired(rec.expire_at_ms, now)).then(|| rec.value().to_vec()),
             }
         };
-        match current {
-            None => {
+        match &live_value {
+            Some(value) if !is_expired(expire_at_ms, now) => {
+                self.set_under_budget(si, key, value, expire_at_ms, now)?;
+            }
+            _ => {
                 if shard.del_locked(key) {
                     self.expired_keys.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok(false)
-            }
-            Some(value) => {
-                self.set_under_budget(si, key, &value, 0, now)?;
-                Ok(true)
             }
         }
+        Ok(live_value.is_some())
     }
 
     /// Update a record's access word on read. Only when a budget exists —
@@ -1093,15 +1087,25 @@ impl ShardedDash {
     /// costs a useless prefetch. It holds one epoch pin per shard touched
     /// per group of `PREFETCH_WINDOW` (16) keys, all released on return — the
     /// caller may go on to free memory. Fewer than two keys have nothing
-    /// to overlap with: such a call returns at once.
-    pub fn prefetch(&self, keys: &[&[u8]]) {
-        if keys.len() < 2 {
-            return;
+    /// to overlap with: such a call returns at once. The keys are taken
+    /// uncollected (a command's key spec, a window's keys), a group at a
+    /// time into stack scratch.
+    pub fn prefetch<'k>(&self, keys: impl IntoIterator<Item = &'k [u8]>) {
+        let mut keys = keys.into_iter();
+        let mut group: [&[u8]; PREFETCH_WINDOW] = [&[]; PREFETCH_WINDOW];
+        let mut hinted = 0;
+        loop {
+            let n = group.iter_mut().zip(&mut keys).map(|(slot, key)| *slot = key).count();
+            // Nothing left, or a lone key: nothing to overlap with.
+            if n == 0 || hinted + n < 2 {
+                break;
+            }
+            hinted += n;
+            self.prefetch_group(&group[..n]);
         }
-        self.prefetch_windows.incr();
-        self.prefetch_keys.add(keys.len() as u64);
-        for group in keys.chunks(PREFETCH_WINDOW) {
-            self.prefetch_group(group);
+        if hinted > 0 {
+            self.prefetch_windows.incr();
+            self.prefetch_keys.add(hinted as u64);
         }
     }
 
@@ -1153,158 +1157,6 @@ impl ShardedDash {
     /// Keys those calls hinted.
     pub fn prefetch_keys_total(&self) -> u64 {
         self.prefetch_keys.get()
-    }
-
-    // ---- batched operations ----------------------------------------------
-    //
-    // The batch entry points group keys by owning shard, then execute
-    // each shard's whole group under ONE epoch pin (reads) plus ONE
-    // write-lock acquisition (mutations) — the service-layer analogue of
-    // Dash §4.5's epoch amortization. Keys are validated up front, so a
-    // `KeyTooLong`/`ValueTooLong` error means nothing was executed; a
-    // mid-batch pool error (`mset` only) can leave earlier keys written,
-    // exactly like the equivalent sequence of single-key calls. Each
-    // entry point hints its whole key set first (`prefetch`), so the
-    // probes that follow find their lines already on the way.
-
-    /// Validate `keys` and group them by shard: per shard, the indices
-    /// of the keys it owns (in input order).
-    fn group_keys(&self, keys: &[&[u8]]) -> EngineResult<Vec<Vec<usize>>> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, key) in keys.iter().enumerate() {
-            Self::check_key(key)?;
-            groups[self.shard_index(key)].push(i);
-        }
-        Ok(groups)
-    }
-
-    /// Batched read: values in key order, `None` for absent (or
-    /// expired) keys. Each shard's keys resolve under one epoch pin; no
-    /// locks taken. Expired keys found along the way are lazily deleted
-    /// after the pins drop (primary only).
-    pub fn mget(&self, keys: &[&[u8]]) -> EngineResult<Vec<Option<Vec<u8>>>> {
-        let groups = self.group_keys(keys)?;
-        self.prefetch(keys);
-        let now = now_ms();
-        let mut out = vec![None; keys.len()];
-        let mut expired: Vec<(usize, usize)> = Vec::new(); // (shard, key index)
-        for (si, (shard, group)) in self.shards.iter().zip(&groups).enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let _pin = shard.pin();
-            for &i in group {
-                let Some(rec) = shard.lookup(keys[i]) else { continue };
-                if is_expired(rec.expire_at_ms, now) {
-                    expired.push((si, i));
-                } else {
-                    self.touch(&rec, now);
-                    out[i] = Some(rec.value().to_vec());
-                }
-            }
-        }
-        for (si, i) in expired {
-            self.lazy_expire_key(&self.shards[si], keys[i], now);
-        }
-        Ok(out)
-    }
-
-    /// Batched insert-or-overwrite, with `set`'s durability contract.
-    /// Each shard's pairs execute under one write-lock acquisition and
-    /// leave in one redo-log write.
-    pub fn mset(&self, pairs: &[(&[u8], &[u8])]) -> EngineResult<()> {
-        let triples: Vec<(&[u8], &[u8], u64)> =
-            pairs.iter().map(|(k, v)| (*k, *v, 0)).collect();
-        self.mset_impl(&triples, true)
-    }
-
-    /// Shared body of [`mset`](Self::mset), snapshot restore, and the
-    /// replication apply path: batched insert-or-overwrite of
-    /// `(key, value, expire_at_ms)` triples. `enforce` turns on memory
-    /// budget enforcement — client writes enforce; the apply/restore
-    /// paths do not (a replica executes the primary's decisions, it
-    /// does not make its own).
-    fn mset_impl(&self, triples: &[(&[u8], &[u8], u64)], enforce: bool) -> EngineResult<()> {
-        for (_, value, _) in triples {
-            if value.len() > MAX_VALUE_LEN {
-                return Err(EngineError::ValueTooLong(value.len()));
-            }
-        }
-        let keys: Vec<&[u8]> = triples.iter().map(|(k, _, _)| *k).collect();
-        let groups = self.group_keys(&keys)?;
-        self.prefetch(&keys);
-        let now = now_ms();
-        let enforce = enforce && self.shard_budget.is_some();
-        let _batch = self.log_batch();
-        for (si, (shard, group)) in self.shards.iter().zip(&groups).enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let _w = shard.lock_write();
-            if enforce {
-                // No group pin here: making room may need to reclaim
-                // deferred frees, and a pin held by this thread would
-                // keep them pending forever.
-                for &i in group {
-                    self.set_under_budget(si, keys[i], triples[i].1, triples[i].2, now)?;
-                }
-            } else {
-                let _pin = shard.pin();
-                let access = policy::initial_access(self.policy, now);
-                for &i in group {
-                    shard.set_locked(keys[i], triples[i].1, triples[i].2, access)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Batched delete; returns how many of the keys existed. Each shard's
-    /// keys execute under one write-lock acquisition and one epoch pin.
-    pub fn mdel(&self, keys: &[&[u8]]) -> EngineResult<u64> {
-        let groups = self.group_keys(keys)?;
-        self.prefetch(keys);
-        let mut removed = 0u64;
-        let _batch = self.log_batch();
-        for (shard, group) in self.shards.iter().zip(&groups) {
-            if group.is_empty() {
-                continue;
-            }
-            let _w = shard.lock_write();
-            let _pin = shard.pin();
-            for &i in group {
-                removed += u64::from(shard.del_locked(keys[i]));
-            }
-        }
-        Ok(removed)
-    }
-
-    /// Batched existence check; returns how many of the keys are present
-    /// (a key listed twice counts twice, RESP `EXISTS` semantics).
-    /// Lock-free: one epoch pin per shard group.
-    pub fn mexists(&self, keys: &[&[u8]]) -> EngineResult<u64> {
-        let groups = self.group_keys(keys)?;
-        self.prefetch(keys);
-        let now = now_ms();
-        let mut present = 0u64;
-        let mut expired: Vec<(usize, usize)> = Vec::new();
-        for (si, (shard, group)) in self.shards.iter().zip(&groups).enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let _pin = shard.pin();
-            for &i in group {
-                match shard.lookup(keys[i]) {
-                    Some(rec) if is_expired(rec.expire_at_ms, now) => expired.push((si, i)),
-                    Some(_) => present += 1,
-                    None => {}
-                }
-            }
-        }
-        for (si, i) in expired {
-            self.lazy_expire_key(&self.shards[si], keys[i], now);
-        }
-        Ok(present)
     }
 
     // ---- cursor scans ------------------------------------------------------
@@ -1926,16 +1778,14 @@ impl ShardedDash {
         }
         let open_and_load = || -> EngineResult<Self> {
             let store = Self::open(cfg)?;
-            // Load through the batch path: one write-lock + epoch entry
-            // per shard group per chunk. No budget enforcement — the
-            // snapshot is already-accepted state, and deadlines are
-            // restored verbatim (a restore never re-derives time).
-            for chunk in records.chunks(256) {
-                let triples: Vec<(&[u8], &[u8], u64)> = chunk
-                    .iter()
-                    .map(|(k, v, e)| (k.as_slice(), v.as_slice(), *e))
-                    .collect();
-                store.mset_impl(&triples, false)?;
+            // Through the apply path: the snapshot is already-accepted
+            // state, so no budget is enforced, and deadlines are restored
+            // verbatim (a restore never re-derives time).
+            {
+                let _batch = store.log_batch();
+                for (key, value, expire_at_ms) in &records {
+                    store.apply(OpRef::set(key, value, *expire_at_ms))?;
+                }
             }
             Ok(store)
         };
@@ -1973,9 +1823,9 @@ impl ShardedDash {
     // The engine's side of the replication subsystem: every applied
     // mutation is appended to the owning shard's redo log and published
     // through the hub (see `Shard::record`); what lives here is the
-    // consumer surface — subscribing a replica stream, applying a
-    // replicated op sequence through the batch paths, and replaying
-    // redo logs as an incremental backup.
+    // consumer surface — subscribing a replica stream, clearing a store
+    // or a slot range through the apply path, and replaying redo logs as
+    // an incremental backup.
 
     /// Ops published since store creation (recovered from the redo logs
     /// on open). On a caught-up replica, `INFO repl_offset` of primary
@@ -2012,63 +1862,29 @@ impl ShardedDash {
         self.hub.subscribe()
     }
 
-    /// Apply a replicated op sequence through the batch write paths:
-    /// consecutive runs of `Set`s become one `mset` (one write-lock
-    /// acquisition + one epoch pin per shard group), runs of `Del`s one
-    /// `mdel` — order between runs is preserved, so per-key op order is
-    /// too. Returns how many ops were applied.
-    pub fn apply_ops(&self, ops: &[ReplOp]) -> EngineResult<u64> {
-        const CHUNK: usize = 256;
-        let is_set = |op: &ReplOp| !matches!(op, ReplOp::Del { .. });
-        let mut i = 0;
-        while i < ops.len() {
-            let set_run = is_set(&ops[i]);
-            let mut j = i;
-            while j < ops.len() && j - i < CHUNK && is_set(&ops[j]) == set_run {
-                j += 1;
-            }
-            if set_run {
-                let triples: Vec<(&[u8], &[u8], u64)> = ops[i..j]
-                    .iter()
-                    .map(|op| match op {
-                        ReplOp::Set { key, value } => (key.as_slice(), value.as_slice(), 0),
-                        ReplOp::SetEx { key, value, expire_at_ms } => {
-                            (key.as_slice(), value.as_slice(), *expire_at_ms)
-                        }
-                        ReplOp::Del { .. } => unreachable!("run split by kind"),
-                    })
-                    .collect();
-                self.mset_impl(&triples, false)?;
-            } else {
-                let keys: Vec<&[u8]> = ops[i..j].iter().map(|op| op.key()).collect();
-                self.mdel(&keys)?;
-            }
-            i = j;
-        }
-        Ok(ops.len() as u64)
-    }
-
-    /// Delete every key (the replica's full-resync reset). Quiescent
-    /// callers only — concurrent writers could race the scan.
+    /// Delete every key `doomed` picks, each through
+    /// [`apply`](Self::apply) — logged and published as a `DEL` like any
+    /// other, so logs, replicas and slot counters stay exact. Returns the
+    /// keys removed. The replica's full-resync reset purges everything;
+    /// the cluster purges a slot range it no longer serves. Writers racing
+    /// the scan on a picked key may survive it.
     ///
-    /// Each pass resumes its cursor (the EH cursor is a keyspace
-    /// boundary, unaffected by deleting already-visited records), so a
-    /// quiescent clear is one linear walk; the outer loop only repeats
-    /// until a whole pass finds nothing, catching records a structural
-    /// op moved mid-pass.
-    pub fn clear(&self) -> EngineResult<u64> {
+    /// The scan is physical: skipping expired-but-unreclaimed records
+    /// would leave them behind (a replica diverging from the snapshot
+    /// applied on top). Each pass resumes its cursor (the EH cursor is a
+    /// keyspace boundary, unaffected by deleting already-visited
+    /// records), so a quiescent purge is one linear walk; the outer loop
+    /// only repeats until a whole pass finds nothing, catching records a
+    /// structural op moved mid-pass.
+    pub fn purge(&self, doomed: impl Fn(&[u8]) -> bool) -> EngineResult<u64> {
+        let _batch = self.log_batch();
         let mut removed = 0u64;
         loop {
-            let mut cursor = 0u64;
-            let mut pass_removed = 0u64;
+            let (mut cursor, mut pass_removed) = (0u64, 0u64);
             loop {
-                // Physical: a clear that skipped expired-but-unreclaimed
-                // records would leave a replica diverging from the
-                // snapshot applied on top.
                 let (next, keys) = self.scan_keys_physical(cursor, 4096)?;
-                if !keys.is_empty() {
-                    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                    pass_removed += self.mdel(&refs)?;
+                for key in keys.iter().filter(|key| doomed(key)) {
+                    pass_removed += u64::from(self.apply(OpRef::Del { key })?);
                 }
                 if next == 0 {
                     break;
@@ -2109,6 +1925,7 @@ impl ShardedDash {
                 dir.display()
             )));
         }
+        let _batch = self.log_batch();
         let mut applied = 0u64;
         for i in 0.. {
             let path = log_file(dir, i);
@@ -2122,7 +1939,10 @@ impl ShardedDash {
             let log_err = |e| EngineError::ReplLog(format!("{}: {e}", path.display()));
             for file in crate::repl::log::read_log_chain(&path).map_err(log_err)? {
                 let (ops, _recovery) = file.map_err(log_err)?;
-                applied += self.apply_ops(&ops)?;
+                for op in &ops {
+                    self.apply(op.as_ref())?;
+                }
+                applied += ops.len() as u64;
             }
         }
         Ok(applied)
@@ -2283,91 +2103,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_ops_roundtrip_across_shards() {
-        let e = mem_engine(4);
-        let keys: Vec<Vec<u8>> = (0..400u32).map(|i| format!("bk-{i}").into_bytes()).collect();
-        let pairs: Vec<(&[u8], &[u8])> =
-            keys.iter().map(|k| (k.as_slice(), k.as_slice())).collect();
-        e.mset(&pairs).unwrap();
-        assert_eq!(e.len(), 400);
-        assert!(
-            e.shard_keys().iter().all(|&n| n > 0),
-            "mset must have touched every shard: {:?}",
-            e.shard_keys()
-        );
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let got = e.mget(&refs).unwrap();
-        for (k, g) in keys.iter().zip(&got) {
-            assert_eq!(g.as_deref(), Some(k.as_slice()), "mget must preserve key order");
-        }
-        // Absent keys come back None in position; EXISTS counts repeats.
-        let probe: Vec<&[u8]> = vec![b"bk-0", b"nope", b"bk-1", b"bk-0"];
-        assert_eq!(
-            e.mget(&probe).unwrap(),
-            vec![Some(b"bk-0".to_vec()), None, Some(b"bk-1".to_vec()), Some(b"bk-0".to_vec())]
-        );
-        assert_eq!(e.mexists(&probe).unwrap(), 3);
-        // mset overwrites like set.
-        e.mset(&[(b"bk-0".as_slice(), b"rewritten".as_slice())]).unwrap();
-        assert_eq!(e.get(b"bk-0").unwrap(), Some(b"rewritten".to_vec()));
-        assert_eq!(e.len(), 400, "overwrite must not grow the key count");
-        assert_eq!(e.mdel(&refs[..150]).unwrap(), 150);
-        assert_eq!(e.mdel(&refs[..150]).unwrap(), 0, "second delete finds nothing");
-        assert_eq!(e.len(), 250);
-    }
-
-    #[test]
-    fn batch_validation_happens_before_any_write() {
-        let e = mem_engine(2);
-        let long_key = vec![b'k'; MAX_KEY_LEN + 1];
-        let r = e.mset(&[(b"good".as_slice(), b"v".as_slice()), (long_key.as_slice(), b"v")]);
-        assert!(matches!(r, Err(EngineError::KeyTooLong(_))));
-        assert_eq!(e.get(b"good").unwrap(), None, "up-front validation must write nothing");
-        let long_val = vec![0u8; MAX_VALUE_LEN + 1];
-        let r = e.mset(&[(b"good".as_slice(), b"v".as_slice()), (b"k2".as_slice(), &long_val)]);
-        assert!(matches!(r, Err(EngineError::ValueTooLong(_))));
-        assert_eq!(e.get(b"good").unwrap(), None);
-        assert!(matches!(e.mget(&[b"ok".as_slice(), &long_key]), Err(EngineError::KeyTooLong(_))));
-        assert!(matches!(e.mdel(&[long_key.as_slice()]), Err(EngineError::KeyTooLong(_))));
-        assert!(matches!(e.mexists(&[long_key.as_slice()]), Err(EngineError::KeyTooLong(_))));
-    }
-
-    #[test]
-    fn concurrent_batch_and_single_ops_stay_consistent() {
-        let e = Arc::new(mem_engine(4));
-        std::thread::scope(|s| {
-            for t in 0..6usize {
-                let e = e.clone();
-                s.spawn(move || {
-                    for round in 0..60usize {
-                        let keys: Vec<Vec<u8>> = (0..16u32)
-                            .map(|i| format!("cb{}-{}", t % 3, (round as u32 + i) % 40).into_bytes())
-                            .collect();
-                        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                        match round % 3 {
-                            0 => {
-                                let pairs: Vec<(&[u8], &[u8])> =
-                                    keys.iter().map(|k| (k.as_slice(), k.as_slice())).collect();
-                                e.mset(&pairs).unwrap();
-                            }
-                            1 => {
-                                for (k, got) in keys.iter().zip(e.mget(&refs).unwrap()) {
-                                    if let Some(v) = got {
-                                        assert_eq!(&v, k, "value must match its key");
-                                    }
-                                }
-                            }
-                            _ => {
-                                let _ = e.mdel(&refs).unwrap();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
     fn scan_pages_cover_all_shards_without_duplicates() {
         let e = mem_engine(4);
         for i in 0..1_000u32 {
@@ -2461,10 +2196,10 @@ mod tests {
         // call does (everything at once), and the lone key that is no
         // window at all.
         for window in refs.chunks(PREFETCH_WINDOW) {
-            e.prefetch(window);
+            e.prefetch(window.iter().copied());
         }
-        e.prefetch(&refs);
-        e.prefetch(&refs[..1]);
+        e.prefetch(refs.iter().copied());
+        e.prefetch(refs[..1].iter().copied());
         assert_eq!(stats(&e), before, "a hint must not move a pool counter");
         assert_eq!(e.mem_used(), mem_before);
         let windows = refs.len().div_ceil(PREFETCH_WINDOW) as u64 + 1;

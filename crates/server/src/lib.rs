@@ -18,9 +18,9 @@
 //!   which is also what the server dispatches from — there is no second
 //!   list to fall behind. A fixed pool of epoll event-loop workers
 //!   (default: one per CPU) drives nonblocking connections, so thousands
-//!   of connections cost no threads; the multi-key commands run through
-//!   the engine's batch paths (keys grouped by shard, one epoch entry and
-//!   one write-lock acquisition per shard per command).
+//!   of connections cost no threads; a multi-key command is the engine's
+//!   single-key calls, one per key, under the connection tick's hint and
+//!   group commit.
 //! * [`repl`] — replication: a per-shard redo log (torn-tail-safe,
 //!   doubling as incremental backup via `--replay-logs`), primary-side
 //!   streaming (`REPLCONF`/`PSYNC` → `+FULLRESYNC` snapshot + tail),

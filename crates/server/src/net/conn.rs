@@ -284,14 +284,7 @@ fn decode_window<'a>(buf: &'a [u8], from: usize, window: &mut Window<'a>) -> Win
 /// first [`WINDOW`] of them: a multi-key command hints its own key list
 /// again when it runs), so their lookups start loading together.
 fn hint_window(engine: &ShardedDash, window: &[Decoded<'_>]) {
-    let mut keys: [&[u8]; WINDOW] = [&[]; WINDOW];
-    let mut n = 0;
-    let keyed = window.iter().flat_map(|(parts, cmd, _)| cmd.keys(&parts[1..]));
-    for key in keyed.take(WINDOW) {
-        keys[n] = key;
-        n += 1;
-    }
-    engine.prefetch(&keys[..n]);
+    engine.prefetch(window.iter().flat_map(|(parts, cmd, _)| cmd.keys(&parts[1..])).take(WINDOW));
 }
 
 fn dur_ns(d: Duration) -> u64 {

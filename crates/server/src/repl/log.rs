@@ -32,16 +32,18 @@
 //! rewind the count. No sealed segment's contents are read, and that
 //! skips no safety check: nothing is replayed into state at open. Sealed
 //! segments are validated where they are consumed ([`read_log_chain`]),
-//! record by record. Two exceptions, both bounded or one-off:
+//! record by record. One exception, bounded too: the active file is
+//! missing, empty or has no intact base record — a fresh log, a crash
+//! inside [`rotate`](LogWriter::rotate) between the rename and the new
+//! file's first write, or a header reset. The base is then recovered
+//! from the newest sealed segment (its base + its records; one more
+//! bounded scan) and the active file starts over.
 //!
-//! * the active file is missing, empty or has no intact base record — a
-//!   fresh log, a crash inside [`rotate`](LogWriter::rotate) between the
-//!   rename and the new file's first write, or a header reset. The base
-//!   is then recovered from the newest sealed segment (its base + its
-//!   records; one more bounded scan) and the active file starts over;
-//! * the active file is version 1 (written before base records existed):
-//!   the v1 files are counted one by one, once. The next append seals
-//!   that file, and from then on the chain ends in a v2 file.
+//! Only this version is read. A version-1 file (the layout before base
+//! records) can only sit next to a pool that the pool format stamp
+//! `0002` already refuses: the readers refuse it with an error naming
+//! the version, and [`LogWriter::open`] starts it over like any other
+//! unusable header.
 //!
 //! There is no trailer: each record carries its own checksum and the
 //! valid prefix is whatever parses. The scan applies every check the
@@ -102,10 +104,8 @@ use crate::repl::{OpRef, ReplOp};
 
 /// `b"DASHLOG1"` as a little-endian u64.
 pub const LOG_MAGIC: u64 = u64::from_le_bytes(*b"DASHLOG1");
-/// Current format version.
+/// Current format version, and the only one read.
 pub const LOG_VERSION: u32 = 2;
-/// The format without base records; still read, never written.
-const LOG_VERSION_V1: u32 = 1;
 /// Size at which the active file is sealed unless the caller overrides
 /// it: the bound on what a reopen scans.
 pub const SEGMENT_BYTES: u64 = 4 << 20;
@@ -147,7 +147,7 @@ fn encode_op(op: OpRef<'_>, out: &mut Vec<u8>) {
     out.extend_from_slice(&checksum.to_le_bytes());
 }
 
-/// What every v2 file starts with: the header and the base record.
+/// What every file starts with: the header and the base record.
 fn encode_prelude(shard: u32, records_before: u64) -> Vec<u8> {
     let mut out =
         FileHeader { magic: LOG_MAGIC, version: LOG_VERSION, meta: shard }.encode().to_vec();
@@ -211,11 +211,10 @@ fn decode_record<'a>(p: &mut Parser<'a>) -> Option<Record<'a>> {
 
 /// What one log file's bytes hold.
 struct Scan {
-    version: u32,
     shard: u32,
-    /// Records before this file, from its base record. `None`: a v1
-    /// file (which has none), or a v2 file whose base record is missing
-    /// or damaged — nothing after that header is trusted.
+    /// Records before this file, from its base record. `None`: the base
+    /// record is missing or damaged — nothing after the header is
+    /// trusted.
     base: Option<u64>,
     /// Intact op records in this file.
     records: u64,
@@ -227,21 +226,13 @@ struct Scan {
 /// prefix to `on_op`. `Err` only when the header itself is unusable.
 fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(OpRef<'a>)) -> Result<Scan, String> {
     let mut p = Parser::new(buf);
-    let header = FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION_V1..=LOG_VERSION, "repl log")?;
-    let mut scan = Scan {
-        version: header.version,
-        shard: header.meta,
-        base: None,
-        records: 0,
-        valid_len: p.pos(),
+    let header = FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION..=LOG_VERSION, "repl log")?;
+    let mut scan = Scan { shard: header.meta, base: None, records: 0, valid_len: p.pos() };
+    let Some(Record::Base(records_before)) = decode_record(&mut p) else {
+        return Ok(scan);
     };
-    if header.version >= LOG_VERSION {
-        let Some(Record::Base(records_before)) = decode_record(&mut p) else {
-            return Ok(scan);
-        };
-        scan.base = Some(records_before);
-        scan.valid_len = p.pos();
-    }
+    scan.base = Some(records_before);
+    scan.valid_len = p.pos();
     while p.remaining() > 0 {
         match decode_record(&mut p) {
             // A base record anywhere but first is not something the
@@ -339,9 +330,8 @@ pub fn segment_files(path: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 
 /// Records through the end of the newest sealed segment, for an active
 /// file that cannot say so itself: walk back from the newest segment,
-/// adding up records, until one supplies a base. A v2 chain stops at its
-/// first file; v1 segments have no base and are each counted. A segment
-/// that cannot be read contributes nothing.
+/// adding up records, until one supplies a base — the first intact one
+/// does. A segment that cannot be read contributes nothing.
 fn records_in_segments(segs: &[(u64, PathBuf)], scanned_bytes: &mut u64) -> u64 {
     let mut records = 0u64;
     for (_, seg) in segs.iter().rev() {
@@ -371,9 +361,6 @@ pub struct LogWriter {
     records: u64,
     /// Records in the active file only (a rotation seals only these).
     active_records: u64,
-    /// The active file is version 1: seal it at the next append, whatever
-    /// its size, so that the chain ends in a file with a base record.
-    active_is_v1: bool,
     /// Sealed segments on disk, and their bytes (for size reporting).
     segments: u64,
     segment_bytes: u64,
@@ -400,7 +387,7 @@ impl LogWriter {
     /// file is scanned, its torn tail truncated, and appends continue
     /// from the end of the valid prefix; the record count continues from
     /// its base record. Sealed segments are listed, not read (the module
-    /// doc names the two exceptions).
+    /// doc names the exception).
     pub fn open(
         path: &Path,
         shard: u32,
@@ -419,10 +406,8 @@ impl LogWriter {
         // mismatch (corruption, or a file moved between shard slots)
         // makes the whole file as untrustworthy as an unusable header.
         let found = scan(&buf, |_| {}).ok().filter(|found| found.shard == shard);
-        // A file worth keeping states its base (v2) or holds v1 records.
-        let keep = found.as_ref().filter(|found| {
-            found.base.is_some() || (found.version == LOG_VERSION_V1 && found.records > 0)
-        });
+        // A file worth keeping states its base.
+        let keep = found.as_ref().filter(|found| found.base.is_some());
         let before = match keep.and_then(|found| found.base) {
             Some(before) => before,
             None => records_in_segments(&segs, &mut scanned_bytes),
@@ -464,7 +449,6 @@ impl LogWriter {
             next_seq: segs.last().map_or(0, |(seq, _)| seq + 1),
             records: recovery.records,
             active_records,
-            active_is_v1: keep.is_some_and(|found| found.base.is_none()),
             segments: segs.len() as u64,
             segment_bytes,
             bytes: bytes as u64,
@@ -508,7 +492,6 @@ impl LogWriter {
         self.segment_bytes += self.bytes;
         self.bytes = prelude.len() as u64;
         self.active_records = 0;
-        self.active_is_v1 = false;
         Ok(())
     }
 
@@ -530,7 +513,7 @@ impl LogWriter {
     /// growing, to be retried on the next record). Never fails: a
     /// poisoned writer counts the record in [`dropped`](Self::dropped).
     pub fn buffer(&mut self, op: OpRef<'_>) {
-        let seal_due = self.active_records > 0 && (self.bytes >= self.cap || self.active_is_v1);
+        let seal_due = self.active_records > 0 && self.bytes >= self.cap;
         if seal_due && self.dropped == 0 {
             let _ = self.rotate();
         }
@@ -1004,65 +987,24 @@ mod tests {
         }
     }
 
-    /// A store written before base records existed: v1 headers, no base
-    /// records, one scan of everything — once.
+    /// A v1 file (the layout before base records) could only come from a
+    /// store the pool format stamp already refuses: the reader refuses it
+    /// naming the version, and the writer starts it over, the path a
+    /// corrupt header takes.
     #[test]
-    fn parent_format_log_opens_counts_appends_and_replays() {
+    fn a_v1_log_is_refused_naming_its_version() {
         let p = TempPath::new("v1");
-        let ops = sample_ops(30);
-        let v1_file = |ops: &[ReplOp], torn: usize| {
-            let mut bytes =
-                FileHeader { magic: LOG_MAGIC, version: 1, meta: 5 }.encode().to_vec();
-            for op in ops {
-                encode_record(op, &mut bytes);
-            }
-            bytes.truncate(bytes.len() - torn);
-            bytes
-        };
-        std::fs::write(segment_path(&p.0, 0), v1_file(&ops[..10], 0)).unwrap();
-        std::fs::write(segment_path(&p.0, 1), v1_file(&ops[10..20], 0)).unwrap();
-        // The active file lost its last record to a crash mid-append.
-        std::fs::write(&p.0, v1_file(&ops[20..], 4)).unwrap();
-        let on_disk: u64 = segment_files(&p.0)
-            .unwrap()
-            .iter()
-            .map(|(_, seg)| seg.clone())
-            .chain([p.0.clone()])
-            .map(|f| std::fs::metadata(f).unwrap().len())
-            .sum();
-
-        let (mut w, rec) = LogWriter::open(&p.0, 5, None).unwrap();
-        assert_eq!(rec.records, 29);
-        assert!(rec.truncated_bytes > 0 && !rec.reset);
-        assert_eq!(rec.scanned_bytes, on_disk, "a v1 chain is counted file by file");
-        assert_eq!(read_chain(&p.0), ops[..29]);
-        // The first append seals the v1 file, however small it is.
-        w.append(&ops[29]).unwrap();
-        assert_eq!(w.records(), 30);
-        drop(w);
-        assert_eq!(segment_files(&p.0).unwrap().len(), 3);
-        assert_eq!(base_of(&p.0), Some(29));
-        assert_eq!(read_chain(&p.0), ops);
-
-        // From here on reopen is the bounded kind.
-        let active_len = std::fs::metadata(&p.0).unwrap().len();
-        let (_, rec) = LogWriter::open(&p.0, 5, None).unwrap();
-        assert_eq!((rec.records, rec.scanned_bytes), (30, active_len));
-    }
-
-    /// A v1 active file with nothing in it is not worth a segment.
-    #[test]
-    fn an_empty_parent_format_file_is_upgraded_in_place() {
-        let p = TempPath::new("v1-empty");
-        let header = FileHeader { magic: LOG_MAGIC, version: 1, meta: 0 }.encode();
-        std::fs::write(&p.0, header).unwrap();
-        let (mut w, rec) = LogWriter::open(&p.0, 0, None).unwrap();
-        assert_eq!((rec.records, rec.truncated_bytes, rec.reset), (0, 0, false));
-        w.append(&ReplOp::Del { key: b"k".to_vec() }).unwrap();
-        drop(w);
-        assert!(segment_files(&p.0).unwrap().is_empty());
-        assert_eq!(base_of(&p.0), Some(0));
-        assert_eq!(read_chain(&p.0).len(), 1);
+        let mut v1 = FileHeader { magic: LOG_MAGIC, version: 1, meta: 0 }.encode().to_vec();
+        for op in &sample_ops(3) {
+            encode_record(op, &mut v1);
+        }
+        std::fs::write(&p.0, &v1).unwrap();
+        let err = read_log(&p.0).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        let (w, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+        assert!(rec.reset, "{rec:?}");
+        assert_eq!((rec.records, rec.truncated_bytes, w.records()), (0, v1.len() as u64, 0));
+        assert_eq!(base_of(&p.0), Some(0), "started over as a current-format file");
     }
 
     /// Buffered records are in the writer's counts but not in the file

@@ -20,7 +20,10 @@
 //! * [`replica`] — the follower: connects to the primary, bootstraps
 //!   from an epoch-pinned `SNAPSHOT`-format stream pinned at a log
 //!   offset (`PSYNC` → `+FULLRESYNC <offset>`), then applies the tail
-//!   through the engine's batch write API until promoted.
+//!   in order, one op at a time, straight from its read buffer through
+//!   the engine's single-key apply ([`OpRef`] →
+//!   [`ShardedDash::apply`](crate::engine::ShardedDash::apply)) until
+//!   promoted.
 //!
 //! Replication is asynchronous (a write is acknowledged once durable on
 //! the primary); convergence is observable — `INFO` exposes
@@ -79,9 +82,11 @@ impl ReplOp {
 
 /// A [`ReplOp`] with its key and value borrowed: what the engine's write
 /// path hands to the redo log (encoded straight from the caller's
-/// buffers) and what the log's decoder hands out (borrowed from the file
-/// buffer). An owned [`ReplOp`] is only built where one must outlive the
-/// borrow — a live replica sink, a copying log read.
+/// buffers), what the log's decoder hands out (borrowed from the file
+/// buffer) and what every apply path — replica, restore, replay, purge —
+/// hands to the engine (the replica's borrowed from its read buffer). An
+/// owned [`ReplOp`] is only built where one must outlive the borrow — a
+/// live replica sink, a copying log read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpRef<'a> {
     Set { key: &'a [u8], value: &'a [u8] },
@@ -89,7 +94,16 @@ pub enum OpRef<'a> {
     Del { key: &'a [u8] },
 }
 
-impl OpRef<'_> {
+impl<'a> OpRef<'a> {
+    /// The op that writing `value` under `key` with the deadline
+    /// `expire_at_ms` (0 = none) records.
+    pub fn set(key: &'a [u8], value: &'a [u8], expire_at_ms: u64) -> Self {
+        match expire_at_ms {
+            0 => OpRef::Set { key, value },
+            expire_at_ms => OpRef::SetEx { key, value, expire_at_ms },
+        }
+    }
+
     pub fn to_owned(self) -> ReplOp {
         match self {
             OpRef::Set { key, value } => ReplOp::Set { key: key.to_vec(), value: value.to_vec() },

@@ -1,7 +1,8 @@
 //! The replica-side sync loop: connect to the primary, bootstrap from
-//! the `PSYNC` snapshot+tail stream, apply the tail through the engine's
-//! batch write API, reconnect (with a fresh full sync) whenever the link
-//! drops, and stop the moment the server is promoted or shut down.
+//! the `PSYNC` snapshot+tail stream, apply the tail in order, one op at
+//! a time, through the engine's single-key apply, reconnect (with a
+//! fresh full sync) whenever the link drops, and stop the moment the
+//! server is promoted or shut down.
 //!
 //! Runs on one background thread owned by the server
 //! ([`crate::serve_with`] spawns it, shutdown joins it). All reads are
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::command::{lookup, Cmd};
-use crate::repl::ReplOp;
+use crate::repl::OpRef;
 use crate::resp::{decode_args, decode_value, encode_command, Decode, Value};
 use crate::server::{Inner, Role};
 use crate::snapshot;
@@ -241,57 +242,53 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
         .map_err(|e| bad_stream(format!("bootstrap snapshot: {e}")))?;
     drop(snap);
     // Full-resync semantics: local state is replaced wholesale. On the
-    // first sync of a fresh replica the clear is a no-op; after a link
+    // first sync of a fresh replica the purge is a no-op; after a link
     // loss it removes keys the primary may have deleted meanwhile.
-    inner.engine.clear().map_err(engine_err)?;
+    inner.engine.purge(|_| true).map_err(engine_err)?;
     let loaded = records.len();
     // Deadlines load verbatim from the snapshot — a replica never
     // derives time (the primary's clock decided them once).
-    let ops: Vec<ReplOp> = records
-        .into_iter()
-        .map(|(key, value, expire_at_ms)| {
-            if expire_at_ms == 0 {
-                ReplOp::Set { key, value }
-            } else {
-                ReplOp::SetEx { key, value, expire_at_ms }
-            }
-        })
-        .collect();
-    inner.engine.apply_ops(&ops).map_err(engine_err)?;
-    drop(ops);
+    {
+        let _batch = inner.engine.log_batch();
+        for (key, value, expire_at_ms) in &records {
+            inner.engine.apply(OpRef::set(key, value, *expire_at_ms)).map_err(engine_err)?;
+        }
+    }
+    drop(records);
     inner.applied_offset.store(base_offset, Ordering::SeqCst);
     inner.link_up.store(true, Ordering::SeqCst);
     crate::log_info!(
         "repl",
         "replica of {master}: full sync loaded {loaded} records at offset {base_offset}"
     );
-    // Tail: decode every complete command in the buffer, apply them as
-    // one batch through the engine's batch paths, repeat.
-    let mut ops: Vec<ReplOp> = Vec::new();
+    // Tail: the primary's ordered stream, applied in order one op at a
+    // time, straight from the read buffer. Each drained read is one
+    // group commit, and the applied offset moves only once that read's
+    // records are in the log.
     // A `TRACEID <id> 0` in the stream marks the NEXT op as traced on
-    // the primary: its apply here is timed individually under the same
-    // id so `TRACE GET <id>` works on either end.
+    // the primary: its apply here is timed under the same id so
+    // `TRACE GET <id>` works on either end.
     let mut pending_trace: Option<u64> = None;
     loop {
         if stopping(inner) {
             return Ok(());
         }
+        let mut applied = 0u64;
+        let batch = inner.engine.log_batch();
         loop {
             match decode_args(&conn.rbuf[conn.pos..]) {
-                // Borrowed from the read buffer, resolved through the server's
-                // own table; only an op's key and value are copied out.
+                // Borrowed from the read buffer, resolved through the
+                // server's own table; nothing is copied out.
                 Ok(Decode::Complete(parts, used)) => {
                     conn.pos += used;
                     let cmd = lookup(parts[0]);
                     let op = match (cmd.id, &parts[1..]) {
-                        (Cmd::Set, [key, value]) => {
-                            ReplOp::Set { key: key.to_vec(), value: value.to_vec() }
-                        }
+                        (Cmd::Set, &[key, value]) => OpRef::Set { key, value },
                         // TTL write: `SET key value PXAT <deadline-ms>` —
                         // the absolute-deadline form is the only one the
                         // stream carries (determinism: the primary is the
                         // single clock).
-                        (Cmd::Set, [key, value, px, ms]) => {
+                        (Cmd::Set, &[key, value, px, ms]) => {
                             if !px.eq_ignore_ascii_case(b"PXAT") {
                                 return Err(bad_stream(format!(
                                     "unexpected SET modifier {:?} in replication stream",
@@ -302,21 +299,19 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
                                 .ok()
                                 .and_then(|s| s.parse::<u64>().ok())
                                 .ok_or_else(|| bad_stream("bad PXAT deadline in stream"))?;
-                            ReplOp::SetEx { key: key.to_vec(), value: value.to_vec(), expire_at_ms }
+                            OpRef::SetEx { key, value, expire_at_ms }
                         }
-                        (Cmd::Del, [key]) => ReplOp::Del { key: key.to_vec() },
+                        (Cmd::Del, &[key]) => OpRef::Del { key },
                         // Liveness only; does not advance the offset.
                         (Cmd::Ping, []) => continue,
                         // Trace propagation: the next op was traced on
                         // the primary. Not an op — the offset does not
-                        // advance. The pending batch is applied first so
-                        // the traced op's timing stands alone.
+                        // advance.
                         (Cmd::TraceId, [id, _]) => {
                             let id = std::str::from_utf8(id)
                                 .ok()
                                 .and_then(|s| s.parse::<u64>().ok())
                                 .ok_or_else(|| bad_stream("bad TRACEID id in stream"))?;
-                            apply_batch(inner, &mut ops)?;
                             pending_trace = Some(id);
                             continue;
                         }
@@ -329,27 +324,21 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
                     };
                     match pending_trace.take() {
                         Some(id) => apply_traced(inner, cmd.name, op, id)?,
-                        None => ops.push(op),
+                        None => {
+                            inner.engine.apply(op).map_err(engine_err)?;
+                        }
                     }
+                    applied += 1;
                 }
                 Ok(Decode::Incomplete) => break,
                 Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e.to_string())),
             }
         }
+        drop(batch);
+        inner.applied_offset.fetch_add(applied, Ordering::SeqCst);
         conn.compact();
-        apply_batch(inner, &mut ops)?;
         conn.fill()?;
     }
-}
-
-/// Apply the queued ops as one batch and advance the applied offset.
-fn apply_batch(inner: &Inner, ops: &mut Vec<ReplOp>) -> io::Result<()> {
-    if !ops.is_empty() {
-        inner.engine.apply_ops(ops).map_err(engine_err)?;
-        inner.applied_offset.fetch_add(ops.len() as u64, Ordering::SeqCst);
-        ops.clear();
-    }
-    Ok(())
 }
 
 /// Apply one replicated op under a trace span and record the result in
@@ -357,11 +346,11 @@ fn apply_batch(inner: &Inner, ops: &mut Vec<ReplOp>) -> io::Result<()> {
 /// correlates the two), worker [`trace::REPL_WORKER`], reason `repl`.
 /// Queue-wait/parse/reply-flush are zero by construction — a replica
 /// apply has no client-visible ingress or egress.
-fn apply_traced(inner: &Inner, cmd: &str, op: ReplOp, trace_id: u64) -> io::Result<()> {
+fn apply_traced(inner: &Inner, cmd: &str, op: OpRef<'_>, trace_id: u64) -> io::Result<()> {
     use crate::trace::{self, Stage};
     trace::begin_span(trace_id);
     let start = std::time::Instant::now();
-    let res = inner.engine.apply_ops(std::slice::from_ref(&op));
+    let res = inner.engine.apply(op);
     let total_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let d = trace::end_span(start, total_ns);
     let mut stages_ns = [0u64; Stage::COUNT];
@@ -369,7 +358,7 @@ fn apply_traced(inner: &Inner, cmd: &str, op: ReplOp, trace_id: u64) -> io::Resu
     stages_ns[Stage::LockWait.index()] = d.lock_wait_ns;
     stages_ns[Stage::Execute.index()] = d.execute_ns;
     stages_ns[Stage::Persist.index()] = d.persist_ns;
-    let (ReplOp::Set { key, .. } | ReplOp::SetEx { key, .. } | ReplOp::Del { key }) = &op;
+    let (OpRef::Set { key, .. } | OpRef::SetEx { key, .. } | OpRef::Del { key }) = op;
     inner.tracer.record(trace::TraceRecord::new(
         trace_id,
         0,
@@ -379,7 +368,5 @@ fn apply_traced(inner: &Inner, cmd: &str, op: ReplOp, trace_id: u64) -> io::Resu
         total_ns,
         trace::Reason::Repl,
     ));
-    res.map_err(engine_err)?;
-    inner.applied_offset.fetch_add(1, Ordering::SeqCst);
-    Ok(())
+    res.map(drop).map_err(engine_err)
 }

@@ -127,6 +127,11 @@ pub fn encode_bulk(bytes: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(b"\r\n");
 }
 
+/// Append `*n\r\n`, the header of an array of `n` elements.
+pub fn encode_array_len(n: usize, out: &mut Vec<u8>) {
+    encode_int_line(b'*', n as i64, out);
+}
+
 /// Append the wire form of `v` to `out`.
 pub fn encode(v: &Value, out: &mut Vec<u8>) {
     match v {
@@ -144,7 +149,7 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
         Value::Bulk(b) => encode_bulk(b, out),
         Value::Nil => out.extend_from_slice(NIL),
         Value::Array(items) => {
-            encode_int_line(b'*', items.len() as i64, out);
+            encode_array_len(items.len(), out);
             for item in items {
                 encode(item, out);
             }
@@ -154,7 +159,7 @@ pub fn encode(v: &Value, out: &mut Vec<u8>) {
 
 /// Encode a command (array of bulk strings) — what clients send.
 pub fn encode_command(parts: &[&[u8]], out: &mut Vec<u8>) {
-    encode_int_line(b'*', parts.len() as i64, out);
+    encode_array_len(parts.len(), out);
     for p in parts {
         encode_bulk(p, out);
     }
@@ -240,8 +245,8 @@ fn decode_bulk(buf: &[u8], pos: usize) -> Result<Bulk<'_>, ProtocolError> {
 
 /// Arguments an [`Args`] holds without spilling to the heap: every
 /// single-key command with all its options, and multi-key commands up to
-/// this many words.
-const INLINE_ARGS: usize = 8;
+/// this many words — an `MSET` of four pairs, an `MGET` of eight keys.
+const INLINE_ARGS: usize = 9;
 
 /// One decoded command: its words (name first), each a slice of the
 /// buffer it was decoded from. Dereferences to `[&[u8]]`. Up to

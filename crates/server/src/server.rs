@@ -6,10 +6,11 @@
 //! command sitting in the read buffer is executed and its reply appended
 //! to one write buffer, which is flushed in a single burst — a client
 //! that sends N requests back-to-back pays one round trip, not N.
-//! The multi-key commands (`MGET`, `MSET`, variadic `DEL`/`EXISTS`) go
-//! further: one command executes its whole key set through the engine's
-//! batch paths, which group keys by shard and pay one epoch entry and
-//! one write-lock acquisition per shard instead of one per key.
+//! The multi-key commands (`MGET`, `MSET`, variadic `DEL`/`EXISTS`) are
+//! the same single-key engine calls, one per key in argument order: a
+//! multi-key command saves the round trips, the decode and the reply
+//! framing of its keys, and its keys are hinted and group-committed by
+//! the same tick-scoped machinery as a pipeline of singles.
 //!
 //! Connections are served by a fixed pool of epoll event-loop workers
 //! ([`crate::net`]) — default one per CPU, `--event-workers` to
@@ -558,31 +559,45 @@ pub(crate) fn execute(
                 Err(e) => engine_err(out, e),
             }
         }
-        Cmd::Mget => match engine.mget(args) {
-            Ok(values) => reply(
-                out,
-                Value::Array(
-                    values.into_iter().map(|v| v.map_or(Value::Nil, Value::Bulk)).collect(),
-                ),
-            ),
-            Err(e) => err(out, e.to_string()),
-        },
+        // The multi-key commands are their single-key calls, a key at a
+        // time in argument order, under the tick's group commit; their
+        // keys are hinted together first (inert, and harmless repeated
+        // after the window's own hint). A write checks every key (and
+        // value) before it executes any: a bad one writes nothing.
+        Cmd::Mget => {
+            engine.prefetch(cmd.keys(args));
+            let start = out.len();
+            resp::encode_array_len(args.len(), out);
+            match args.iter().try_for_each(|key| engine.get_into(key, out)) {
+                Ok(()) => Outcome::Replied,
+                Err(e) => {
+                    out.truncate(start);
+                    err(out, e.to_string())
+                }
+            }
+        }
         Cmd::Mset => {
             if !args.len().is_multiple_of(2) {
                 return wrong_args(out, cmd);
             }
-            let pairs: Vec<(&[u8], &[u8])> = args.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-            match engine.mset(&pairs) {
+            let pairs = || args.chunks_exact(2);
+            let written =
+                pairs().try_for_each(|kv| ShardedDash::check_write(kv[0], kv[1])).and_then(|()| {
+                    engine.prefetch(cmd.keys(args));
+                    pairs().try_for_each(|kv| engine.set(kv[0], kv[1]))
+                });
+            match written {
                 Ok(()) => reply_ok(out),
                 Err(e) => engine_err(out, e),
             }
         }
-        Cmd::Del => match args {
-            // Single key (the common case): skip the batch path's
-            // grouping allocations.
-            [key] => reply_count(out, engine.del(key).map(i64::from)),
-            _ => reply_count(out, engine.mdel(args).map(|removed| removed as i64)),
-        },
+        Cmd::Del => {
+            let removed = args.iter().try_for_each(|key| ShardedDash::check_key(key)).and_then(|()| {
+                engine.prefetch(cmd.keys(args));
+                args.iter().try_fold(0, |n, key| Ok(n + i64::from(engine.del(key)?)))
+            });
+            reply_count(out, removed)
+        }
         // `EXPIRE key s` / `PEXPIRE key ms`: resolved to an absolute
         // deadline here on the primary (the one clock); a non-positive
         // TTL deletes the key now, exactly like Redis.
@@ -602,10 +617,12 @@ pub(crate) fn execute(
             reply_count(out, engine.ttl_ms(args[0]).map(round_up))
         }
         Cmd::Persist => reply_count(out, engine.persist(args[0]).map(i64::from)),
-        Cmd::Exists => match args {
-            [key] => reply_count(out, engine.exists(key).map(i64::from)),
-            _ => reply_count(out, engine.mexists(args).map(|present| present as i64)),
-        },
+        // A key listed twice counts twice.
+        Cmd::Exists => {
+            engine.prefetch(cmd.keys(args));
+            let present = args.iter().try_fold(0, |n, key| Ok(n + i64::from(engine.exists(key)?)));
+            reply_count(out, present)
+        }
         Cmd::Scan => {
             let count = match args {
                 [_] => DEFAULT_SCAN_COUNT,
@@ -1243,8 +1260,7 @@ mod tests {
             "MGET must preserve key order and report absences as Nil"
         );
         assert_eq!(c.exists(&[b"a", b"b", b"missing", b"a"]).unwrap(), 3);
-        // Single-key DEL/EXISTS take the non-batch fast path — same
-        // observable semantics.
+        // One key or several: the same arm, the same semantics.
         assert_eq!(c.exists(&[b"b"]).unwrap(), 1);
         assert_eq!(c.del(&[b"b"]).unwrap(), 1);
         assert_eq!(c.exists(&[b"b"]).unwrap(), 0);

@@ -18,8 +18,10 @@
 //!
 //! `expire_at_ms` is the record's **absolute** expiry deadline in Unix
 //! milliseconds (0 = none) — deadlines survive snapshot/restore verbatim
-//! and are never re-derived from a clock. Version-1 streams (no expiry
-//! field) still parse; their records load with no expiry.
+//! and are never re-derived from a clock. Only this version is read: a
+//! version-1 stream (no expiry field) can only come from a store the
+//! pool format stamp `0002` already refuses, and is refused with an
+//! error naming the version.
 //!
 //! [`SnapshotStream`] writes that layout to any `Write` sink — a `Vec`
 //! for the replication bootstrap payload, a [`DurableFile`] for disk
@@ -51,10 +53,9 @@ use crate::repl::wire::{FileHeader, Fnv, Parser};
 
 /// `b"DASHSNP1"` as a little-endian u64.
 pub const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"DASHSNP1");
-/// Current format version: v2 added the per-record expiry deadline.
+/// Current format version (v2 added the per-record expiry deadline),
+/// and the only one read.
 pub const SNAP_VERSION: u32 = 2;
-/// Oldest version the readers still accept.
-const SNAP_VERSION_MIN: u32 = 1;
 /// `key_len` sentinel terminating the record stream.
 const END_MARK: u32 = u32::MAX;
 
@@ -197,10 +198,8 @@ pub fn parse_all(buf: &[u8]) -> SnapshotResult<Vec<SnapshotEntry>> {
         return Err(corrupt(format!("stream of {} bytes is smaller than an empty snapshot", buf.len())));
     }
     let mut p = Parser::new(buf);
-    let version =
-        FileHeader::read(&mut p, SNAP_MAGIC, SNAP_VERSION_MIN..=SNAP_VERSION, "snapshot")
-            .map_err(corrupt)?
-            .version;
+    FileHeader::read(&mut p, SNAP_MAGIC, SNAP_VERSION..=SNAP_VERSION, "snapshot")
+        .map_err(corrupt)?;
     let mut records = Vec::new();
     loop {
         let klen = p.u32("key length").map_err(corrupt)?;
@@ -208,9 +207,7 @@ pub fn parse_all(buf: &[u8]) -> SnapshotResult<Vec<SnapshotEntry>> {
             break;
         }
         let vlen = p.u32("value length").map_err(corrupt)?;
-        // v1 records carried no deadline: everything loads as "no expiry".
-        let expire_at_ms =
-            if version >= 2 { p.u64("expiry deadline").map_err(corrupt)? } else { 0 };
+        let expire_at_ms = p.u64("expiry deadline").map_err(corrupt)?;
         if klen as usize > MAX_KEY_LEN {
             return Err(corrupt(format!("key length {klen} exceeds limit")));
         }
@@ -311,31 +308,16 @@ mod tests {
         assert!(!tmp_debris(&p.0), "tmp must be renamed away");
     }
 
+    /// A version-1 stream could only come from a store the pool format
+    /// stamp already refuses: it is refused at its header, naming the
+    /// version, whatever follows.
     #[test]
-    fn v1_streams_still_parse_with_no_expiry() {
-        // Hand-build a version-1 stream: records without the deadline
-        // field. Old backups must keep restoring.
-        let mut buf = Vec::new();
-        let mut fnv = Fnv::new();
-        let mut put = |bytes: &[u8], buf: &mut Vec<u8>| {
-            fnv.update(bytes);
-            buf.extend_from_slice(bytes);
-        };
-        put(&FileHeader { magic: SNAP_MAGIC, version: 1, meta: 4 }.encode(), &mut buf);
-        for i in 0..5u32 {
-            let (k, v) = (format!("key-{i}"), format!("value-{i}"));
-            put(&(k.len() as u32).to_le_bytes(), &mut buf);
-            put(&(v.len() as u32).to_le_bytes(), &mut buf);
-            put(k.as_bytes(), &mut buf);
-            put(v.as_bytes(), &mut buf);
-        }
-        put(&END_MARK.to_le_bytes(), &mut buf);
-        put(&5u64.to_le_bytes(), &mut buf);
-        let checksum = fnv.value();
-        buf.extend_from_slice(&checksum.to_le_bytes());
-        let records = parse_all(&buf).unwrap();
-        assert_eq!(records.len(), 5);
-        assert!(records.iter().all(|(_, _, e)| *e == 0), "v1 records load with no expiry");
+    fn a_v1_stream_is_refused_naming_its_version() {
+        let mut buf = SnapshotStream::new(Vec::new(), 4).unwrap().finish().unwrap().0;
+        buf[..FileHeader::LEN]
+            .copy_from_slice(&FileHeader { magic: SNAP_MAGIC, version: 1, meta: 4 }.encode());
+        let err = parse_all(&buf).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The request path's allocation budget, as a tripwire: on a warmed,
 //! file-backed store with no replicas attached, the engine's hot calls
-//! make **zero** heap allocations, and so does a `GET`/`SET` served over
-//! a connection. A counting `#[global_allocator]` (this test binary
-//! only) tallies allocation calls per thread; anything that puts a
-//! `Vec`, a `String` or a `Box` back on the per-request path fails here
-//! long before it shows as `server.allocs_per_op` in the perf ledger.
+//! make **zero** heap allocations, and so does a `GET`/`SET` — or a
+//! multi-key command — served over a connection. A counting
+//! `#[global_allocator]` (this test binary only) tallies allocation calls
+//! per thread; anything that puts a `Vec`, a `String` or a `Box` back on
+//! the per-request path fails here long before it shows as
+//! `server.allocs_per_op` in the perf ledger.
 #![cfg(unix)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -167,12 +168,14 @@ fn engine_hot_calls_allocate_nothing() {
 
 /// `GET` and `SET` through a real connection, one per round trip and in
 /// depth-16 pipelines (whole windows: decoded into inline storage, their
-/// keys hinted from stack scratch): the serving threads' allocation count
-/// does not move while a warmed connection's requests are decoded,
-/// executed and answered. The only other thread that ever allocates is
-/// the 100 ms expiry tick, so the quietest of several short windows is
-/// the worker's own count — and a per-request allocation would put at
-/// least `REQUESTS` into every one of them.
+/// keys hinted from stack scratch), and depth-16 windows of the
+/// multi-key commands — `MSET`, `MGET`, `EXISTS` and `DEL` of four keys
+/// each, which are those same single-key calls: the serving threads'
+/// allocation count does not move while a warmed connection's requests
+/// are decoded, executed and answered. The only other thread that ever
+/// allocates is the 100 ms expiry tick, so the quietest of several short
+/// windows is the worker's own count — and a per-request allocation
+/// would put at least `REQUESTS` into every one of them.
 #[test]
 fn a_served_get_or_set_allocates_nothing() {
     const REQUESTS: usize = 400;
@@ -189,34 +192,65 @@ fn a_served_get_or_set_allocates_nothing() {
     .unwrap();
     let mut c = RespClient::connect(server.addr()).unwrap();
     let value = [9u8; 64];
-    let window = |c: &mut RespClient, depth: usize| {
+    // Request `i` of a run, enqueued; returns the reply it must get.
+    type Request<'a> = &'a dyn Fn(&mut RespClient, usize) -> Value;
+    let get_or_set = |c: &mut RespClient, i: usize| {
+        if i.is_multiple_of(2) {
+            c.enqueue(&[b"SET", &key(i % KEYS), &value]);
+            Value::Simple("OK".into())
+        } else {
+            // Written one request ago — inside the same window.
+            c.enqueue(&[b"GET", &key((i - 1) % KEYS)]);
+            Value::bulk(value)
+        }
+    };
+    // Four requests to a group of four keys: written, read, counted and
+    // deleted again.
+    let multi_key = |c: &mut RespClient, i: usize| {
+        let keys: [[u8; 12]; 4] = std::array::from_fn(|j| key((i / 4 * 4 + j) % KEYS));
+        let [k0, k1, k2, k3] = &keys;
+        match i % 4 {
+            0 => {
+                c.enqueue(&[b"MSET", k0, &value, k1, &value, k2, &value, k3, &value]);
+                Value::Simple("OK".into())
+            }
+            1 => {
+                c.enqueue(&[b"MGET", k0, k1, k2, k3]);
+                Value::Array(vec![Value::bulk(value); 4])
+            }
+            2 => {
+                c.enqueue(&[b"EXISTS", k0, k1, k2, k3]);
+                Value::Integer(4)
+            }
+            _ => {
+                c.enqueue(&[b"DEL", k0, k1, k2, k3]);
+                Value::Integer(4)
+            }
+        }
+    };
+    let run = |c: &mut RespClient, depth: usize, request: Request<'_>| {
         let before = others();
         for first in (0..REQUESTS).step_by(depth) {
-            for i in first..first + depth {
-                if i % 2 == 0 {
-                    c.enqueue(&[b"SET", &key(i % KEYS), &value]);
-                } else {
-                    // Written one request ago — inside the same window.
-                    c.enqueue(&[b"GET", &key((i - 1) % KEYS)]);
-                }
-            }
+            let want: Vec<Value> = (first..first + depth).map(|i| request(c, i)).collect();
             c.flush().unwrap();
-            for i in first..first + depth {
-                let want = if i % 2 == 0 { Value::Simple("OK".into()) } else { Value::bulk(value) };
+            for want in want {
                 assert_eq!(c.read_reply().unwrap(), want);
             }
         }
         others() - before
     };
-    for depth in [1, 16] {
+    let runs: [(&str, usize, Request<'_>); 3] =
+        [("GET/SET", 1, &get_or_set), ("GET/SET", 16, &get_or_set), ("multi-key", 16, &multi_key)];
+    for (name, depth, request) in runs {
         // Warm-up: buffers, the log's encode buffer, every key present.
         for _ in 0..4 {
-            window(&mut c, depth);
+            run(&mut c, depth, request);
         }
-        let quietest = (0..WINDOWS).map(|_| window(&mut c, depth)).min().unwrap();
+        let quietest = (0..WINDOWS).map(|_| run(&mut c, depth, request)).min().unwrap();
         assert_eq!(
             quietest, 0,
-            "depth {depth}: the serving threads allocated in every window of {REQUESTS} requests"
+            "{name} at depth {depth}: the serving threads allocated in every window of \
+             {REQUESTS} requests"
         );
     }
     assert!(c.stat_u64("prefetch_keys").unwrap() > 0, "the depth-16 windows were hinted");

@@ -320,10 +320,12 @@ fn reopening_a_log_ten_times_the_cap_scans_one_segment() {
 }
 
 /// A store whose logs were written before base records existed (v1
-/// headers, one file of any size, no base record): it opens with the
-/// offset it closed with, keeps counting, and still replays in full.
+/// headers) could only sit next to pools the format stamp already
+/// refuses. Replay refuses such a log, naming the version, and applies
+/// nothing; opening the store starts each log over, and the pools — the
+/// authoritative state — are untouched.
 #[test]
-fn parent_format_store_keeps_its_offset_and_replays() {
+fn a_parent_format_log_is_refused_by_replay_and_started_over_by_open() {
     let src = TempDir::new("repl-v1-src");
     let dst = TempDir::new("repl-v1-dst");
     {
@@ -334,7 +336,7 @@ fn parent_format_store_keeps_its_offset_and_replays() {
         }
         store.close().unwrap();
     }
-    // Rewrite each shard's log the way the parent commit wrote it.
+    // Rewrite each shard's log the way the v1 format wrote it.
     for shard in 0..2u32 {
         let path = src.path.join(format!("repl-{shard}.log"));
         let (ops, _) = read_log(&path).unwrap();
@@ -344,31 +346,17 @@ fn parent_format_store_keeps_its_offset_and_replays() {
         }
         std::fs::write(&path, v1).unwrap();
     }
-    {
-        let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
-        assert_eq!(store.repl_offset(), 300, "a v1 log is counted record by record, once");
-        assert_eq!(store.len(), 300);
-        // The next append per shard seals the v1 file into the new scheme.
-        for i in 300..320 {
-            let (k, v) = kv(i);
-            store.set(&k, &v).unwrap();
-        }
-        assert_eq!(store.repl_log_segments(), 2);
-    }
-    let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
-    assert_eq!(store.repl_offset(), 320);
-    assert!(
-        store.repl_log_open_cost().scanned_bytes < 2048,
-        "sealed v1 segments are not read again: {:?}",
-        store.repl_log_open_cost()
-    );
     let restored = ShardedDash::open(&dir_cfg(&dst, 3)).unwrap();
-    assert_eq!(restored.replay_log_dir(&src.path).unwrap(), 320);
-    for i in 0..320 {
-        let (k, v) = kv(i);
-        assert_eq!(restored.get(&k).unwrap(), Some(v), "key {i}");
-    }
+    let err = restored.replay_log_dir(&src.path).unwrap_err();
+    assert!(err.to_string().contains("version 1"), "{err}");
+    assert_eq!(restored.len(), 0, "nothing of a refused log is applied");
     restored.close().unwrap();
+    let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
+    assert_eq!(store.len(), 300, "the pools are untouched");
+    assert_eq!(store.repl_offset(), 0, "each log started over");
+    let (k, v) = kv(300);
+    store.set(&k, &v).unwrap();
+    assert_eq!(store.repl_offset(), 1);
     store.close().unwrap();
 }
 

@@ -6,7 +6,8 @@
 //! and reopen takes the crash-recovery path).
 #![cfg(unix)]
 
-use dash_repro::dash_server::Value;
+use dash_repro::dash_common::MAX_KEY_LEN;
+use dash_repro::dash_server::{Value, MAX_VALUE_LEN};
 use dash_repro::{serve, EngineConfig, RespClient, ShardedDash};
 
 mod common;
@@ -91,34 +92,26 @@ fn mset_written_keys_survive_crash_teardown() {
     const N: u32 = 2_000;
     {
         let store = ShardedDash::open(&dir_cfg(&dir, 3)).unwrap();
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..N).map(kv).collect();
-        // Write the whole keyspace in MSET batches of 64, then drop the
-        // store WITHOUT close(): a process kill. Every mset() that
-        // returned is an acknowledged, durable batch.
-        for chunk in pairs.chunks(64) {
-            let refs: Vec<(&[u8], &[u8])> =
-                chunk.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-            store.mset(&refs).unwrap();
+        // Write the whole keyspace the way an `MSET` does — each pair
+        // through the engine's single-key set — then drop the store
+        // WITHOUT close(): a process kill. Every call that returned is an
+        // acknowledged, durable write.
+        for i in 0..N {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
         }
-        // A batch delete is acknowledged the same way.
-        let (k_gone, _) = kv(7);
-        assert_eq!(store.mdel(&[k_gone.as_slice()]).unwrap(), 1);
+        // A delete is acknowledged the same way.
+        assert!(store.del(&kv(7).0).unwrap());
     }
     let store = ShardedDash::open(&dir_cfg(&dir, 3)).unwrap();
     assert_eq!(store.recovered_shards(), 3);
     for info in store.shard_infos() {
         assert!(!info.clean, "missing close() must look like a crash: {info:?}");
     }
-    let keys: Vec<Vec<u8>> = (0..N).map(|i| kv(i).0).collect();
-    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-    let got = store.mget(&refs).unwrap();
-    for (i, g) in got.into_iter().enumerate() {
-        let (_, v) = kv(i as u32);
-        if i == 7 {
-            assert_eq!(g, None, "batch-deleted key must stay deleted after crash");
-        } else {
-            assert_eq!(g, Some(v), "MSET-written key {i} lost in crash");
-        }
+    for i in 0..N {
+        let (k, v) = kv(i);
+        let want = (i != 7).then_some(v);
+        assert_eq!(store.get(&k).unwrap(), want, "key {i} after the crash");
     }
     assert_eq!(store.len(), (N - 1) as u64);
 }
@@ -195,5 +188,49 @@ fn concurrent_batch_and_single_commands() {
             });
         }
     });
+    server.shutdown();
+}
+
+/// A multi-key write checks every key (and value) before it executes
+/// any: an over-long one anywhere in an `MSET` or a `DEL` writes nothing.
+/// An `MGET` refused for one key replies with the error alone, and the
+/// connection stays in step.
+#[test]
+fn mset_with_an_over_long_key_or_value_writes_nothing() {
+    let server = serve(ShardedDash::open(&mem_cfg(2)).unwrap(), "127.0.0.1:0").unwrap();
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    let long_key = vec![b'k'; MAX_KEY_LEN + 1];
+    let long_value = vec![0u8; MAX_VALUE_LEN + 1];
+    let refused: [&[&[u8]]; 3] = [
+        &[b"MSET", b"good", b"v", &long_key, b"v"],
+        &[b"MSET", b"good", b"v", b"k2", &long_value],
+        &[b"MGET", b"good", &long_key],
+    ];
+    for cmd in refused {
+        let Value::Error(e) = c.command(cmd).unwrap() else {
+            panic!("an over-long argument must be refused");
+        };
+        assert!(e.contains("exceeds"), "{e}");
+        assert_eq!(c.command(&[b"DBSIZE"]).unwrap(), Value::Integer(0), "nothing written");
+    }
+    assert_eq!(c.command(&[b"SET", b"good", b"v"]).unwrap(), Value::Simple("OK".into()));
+    let Value::Error(_) = c.command(&[b"DEL", b"good", &long_key]).unwrap() else {
+        panic!("an over-long key must be refused");
+    };
+    assert_eq!(c.command(&[b"GET", b"good"]).unwrap(), Value::bulk(*b"v"), "nothing deleted");
+    server.shutdown();
+}
+
+/// Variadic `EXISTS` counts a key each time it is listed; variadic `DEL`
+/// counts only the keys it found (a repeat is already gone).
+#[test]
+fn variadic_exists_counts_repeats_and_del_counts_existing_keys_only() {
+    let server = serve(ShardedDash::open(&mem_cfg(2)).unwrap(), "127.0.0.1:0").unwrap();
+    let mut c = RespClient::connect(server.addr()).unwrap();
+    c.mset(&[(b"k", b"1"), (b"other", b"2")]).unwrap();
+    assert_eq!(c.exists(&[b"k", b"k", b"missing"]).unwrap(), 2);
+    assert_eq!(c.del(&[b"k", b"missing", b"k", b"other"]).unwrap(), 2);
+    assert_eq!(c.del(&[b"k", b"other"]).unwrap(), 0, "a second delete finds nothing");
+    assert_eq!(c.command(&[b"DBSIZE"]).unwrap(), Value::Integer(0));
     server.shutdown();
 }
