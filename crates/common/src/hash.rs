@@ -1,6 +1,19 @@
 //! MurmurHash64A — the same algorithm behind GCC's `std::_Hash_bytes`,
 //! which the paper uses for all tables (§6.2): fast, high quality, and
 //! uniform enough that the workloads' keys spread evenly.
+//!
+//! Its second use is the server's redo-log record checksum
+//! (`repl::log::record_checksum`), where it consumes eight bytes per
+//! step instead of FNV-1a's one. For inputs of one length it also
+//! catches **any corruption confined to one 8-byte word**, not merely
+//! most. Every step is a bijection: multiplying by the odd `M` is
+//! invertible mod 2⁶⁴, and `x ^ (x >> 47)` is its own inverse (applied
+//! twice, the `x >> 94` term is zero). So a changed word changes its
+//! mixed `k`, which changes the running state `h ^ k`; every later step
+//! (`h ↦ (h ^ k)·M` per word, the zero-padded tail, the final avalanche)
+//! is a bijection of that state, so the difference reaches the output.
+//! A corruption that changes the length — a record's length prefix —
+//! reframes the input and is caught with the usual odds, 1 − 2⁻⁶⁴.
 
 const M: u64 = 0xc6a4_a793_5bd1_e995;
 const R: u32 = 47;

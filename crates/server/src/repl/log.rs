@@ -2,7 +2,7 @@
 //! mutation records, written under the shard's existing write
 //! serialization.
 //!
-//! Layout, version 2 (all integers little-endian):
+//! Layout, version 3 (all integers little-endian):
 //!
 //! ```text
 //! header    16 B  LOG_MAGIC, LOG_VERSION, shard index (wire::FileHeader)
@@ -11,8 +11,12 @@
 //! record    *     u32 body_len
 //!                 body: u8 op (1=SET, 2=DEL, 3=SETEX), u32 key_len, key,
 //!                       [u64 expire_at_ms when SETEX], value…
-//!                 u64 FNV-1a over (body_len ‖ body)
+//!                 u64 record_checksum(body_len ‖ body): MurmurHash64A
 //! ```
+//!
+//! The checksum is the table's own hash ([`dash_common::hash64`]), which
+//! consumes the framed record eight bytes per step; version 2 had the
+//! same layout under byte-serial FNV-1a, several times slower to validate.
 //!
 //! **Always segmented.** The active file `repl-N.log` is sealed —
 //! renamed to `repl-N.seg{K}.log` with a monotonically increasing K —
@@ -39,11 +43,14 @@
 //! from the newest sealed segment (its base + its records; one more
 //! bounded scan) and the active file starts over.
 //!
-//! Only this version is read. A version-1 file (the layout before base
-//! records) can only sit next to a pool that the pool format stamp
-//! `0002` already refuses: the readers refuse it with an error naming
-//! the version, and [`LogWriter::open`] starts it over like any other
-//! unusable header.
+//! Only this version is read. An older file — version 1 (before base
+//! records) or version 2 (FNV-1a checksums) — is refused by the readers
+//! with an error naming its version, and [`LogWriter::open`] starts the
+//! active file over like any other unusable header (`reset`). A version-2
+//! log can sit next to pools this build opens; those pools are the
+//! store, so they serve every key as before and only the log's history —
+//! the record count that seeds `repl_offset`, and what `--replay-logs`
+//! could read from that directory — starts again.
 //!
 //! There is no trailer: each record carries its own checksum and the
 //! valid prefix is whatever parses. The scan applies every check the
@@ -96,16 +103,16 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use dash_common::MAX_KEY_LEN;
+use dash_common::{hash64, MAX_KEY_LEN};
 
 use crate::engine::MAX_VALUE_LEN;
-use crate::repl::wire::{fnv64, FileHeader, Fnv, Parser};
+use crate::repl::wire::{FileHeader, Parser};
 use crate::repl::{OpRef, ReplOp};
 
 /// `b"DASHLOG1"` as a little-endian u64.
 pub const LOG_MAGIC: u64 = u64::from_le_bytes(*b"DASHLOG1");
 /// Current format version, and the only one read.
-pub const LOG_VERSION: u32 = 2;
+pub const LOG_VERSION: u32 = 3;
 /// Size at which the active file is sealed unless the caller overrides
 /// it: the bound on what a reopen scans.
 pub const SEGMENT_BYTES: u64 = 4 << 20;
@@ -120,6 +127,13 @@ const TAG_BASE: u8 = 4;
 /// Largest legal record body: tag + key_len field + max key + expiry
 /// deadline + max value.
 const MAX_BODY: usize = 1 + 4 + MAX_KEY_LEN + 8 + MAX_VALUE_LEN;
+
+/// The checksum a record's trailer carries, over its framed bytes
+/// (`body_len ‖ body`). Covering the length prefix too means a corrupted
+/// length cannot masquerade as a differently-framed valid record.
+pub fn record_checksum(framed: &[u8]) -> u64 {
+    hash64(framed)
+}
 
 /// Append the wire form of `op` to `out`.
 pub fn encode_record(op: &ReplOp, out: &mut Vec<u8>) {
@@ -143,7 +157,7 @@ fn encode_op(op: OpRef<'_>, out: &mut Vec<u8>) {
         out.extend_from_slice(&expire.to_le_bytes());
     }
     out.extend_from_slice(value);
-    let checksum = fnv64(&out[start..]);
+    let checksum = record_checksum(&out[start..]);
     out.extend_from_slice(&checksum.to_le_bytes());
 }
 
@@ -155,7 +169,7 @@ fn encode_prelude(shard: u32, records_before: u64) -> Vec<u8> {
     out.extend_from_slice(&(1 + 8u32).to_le_bytes());
     out.push(TAG_BASE);
     out.extend_from_slice(&records_before.to_le_bytes());
-    let checksum = fnv64(&out[start..]);
+    let checksum = record_checksum(&out[start..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -171,18 +185,14 @@ enum Record<'a> {
 /// from here on are not a valid record (torn tail / corruption) — the
 /// caller must treat everything from `p.pos()` as garbage.
 fn decode_record<'a>(p: &mut Parser<'a>) -> Option<Record<'a>> {
+    let start = p.pos();
     let body_len = p.u32("record length").ok()? as usize;
     if !(1 + 4..=MAX_BODY).contains(&body_len) {
         return None;
     }
     let body = p.take(body_len, "record body").ok()?;
-    let checksum = p.u64("record checksum").ok()?;
-    // The checksum covers the length prefix too, so a corrupted length
-    // cannot masquerade as a differently-framed valid record.
-    let mut fnv = Fnv::new();
-    fnv.update(&(body_len as u32).to_le_bytes());
-    fnv.update(body);
-    if fnv.value() != checksum {
+    let framed = p.since(start);
+    if record_checksum(framed) != p.u64("record checksum").ok()? {
         return None;
     }
     let mut b = Parser::new(body);
@@ -987,10 +997,10 @@ mod tests {
         }
     }
 
-    /// A v1 file (the layout before base records) could only come from a
-    /// store the pool format stamp already refuses: the reader refuses it
+    /// A v1 file (the layout before base records): the reader refuses it
     /// naming the version, and the writer starts it over, the path a
-    /// corrupt header takes.
+    /// corrupt header takes. A v2 file takes the same path
+    /// (`tests/repl_log.rs` drives it through a whole store).
     #[test]
     fn a_v1_log_is_refused_naming_its_version() {
         let p = TempPath::new("v1");
@@ -1006,6 +1016,42 @@ mod tests {
         assert_eq!((rec.records, rec.truncated_bytes, w.records()), (0, v1.len() as u64, 0));
         assert_eq!(base_of(&p.0), Some(0), "started over as a current-format file");
     }
+
+    /// The v3 encoding, byte for byte: a prelude and one record of each
+    /// op kind. A change to the layout or the checksum that does not bump
+    /// `LOG_VERSION` fails here instead of silently misreading old logs.
+    #[test]
+    fn the_v3_encoding_is_pinned() {
+        let ops = [
+            ReplOp::Set { key: b"k1".to_vec(), value: b"val".to_vec() },
+            ReplOp::SetEx {
+                key: b"k2".to_vec(),
+                value: b"v".to_vec(),
+                expire_at_ms: 1_700_000_000_000,
+            },
+            ReplOp::Del { key: b"k3".to_vec() },
+        ];
+        let mut buf = encode_prelude(5, 0x0102_0304);
+        for op in &ops {
+            encode_record(op, &mut buf);
+        }
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_V3);
+        let (read, found) = parse(&buf).unwrap();
+        assert_eq!((found.shard, found.base, found.valid_len), (5, Some(0x0102_0304), buf.len()));
+        assert_eq!(read, ops);
+    }
+
+    /// One line per piece: header, then each record as length ‖ body ‖
+    /// checksum, the last being MurmurHash64A (default seed) of the two
+    /// pieces before it.
+    const GOLDEN_V3: &str = concat!(
+        "444153484c4f47310300000005000000",
+        "09000000", "040403020100000000", "cbfc8364934b38c4",
+        "0a000000", "01020000006b3176616c", "469632bb11508ad8",
+        "10000000", "03020000006b320068e5cf8b01000076", "f4e3f4ae44e407d1",
+        "07000000", "02020000006b33", "13852aab2ee4357e",
+    );
 
     /// Buffered records are in the writer's counts but not in the file
     /// until `flush`, which writes them all, in order, in one call.

@@ -3,9 +3,10 @@
 //!
 //! The moving parts:
 //!
-//! * [`wire`] — the versioned-header + FNV-checksummed framing shared by
+//! * [`wire`] — the versioned header and bounds-checked parser shared by
 //!   the snapshot format and the redo log (one reader/writer helper
-//!   instead of two hand-rolled copies).
+//!   instead of two hand-rolled copies), plus the snapshot's FNV-1a; the
+//!   log checksums each record with the table's MurmurHash64A.
 //! * [`log`] — the redo log: per shard, an append-only `repl-N.log`
 //!   behind a chain of sealed segments, buffered under the shard's
 //!   existing write serialization and written out before any of its

@@ -1,11 +1,14 @@
 //! The on-disk framing shared by `dash-server`'s checksummed file
 //! formats (the snapshot format and the replication redo log): a 16-byte
-//! versioned header, FNV-1a integrity checksums, and a bounds-checked
-//! little-endian parser. Each format keeps its own record layout; what
-//! lives here is everything they would otherwise duplicate.
+//! versioned header and a bounds-checked little-endian parser. Each
+//! format keeps its own record layout and its own checksum — the
+//! snapshot a running [`Fnv`] over its whole stream, the redo log one
+//! word-at-a-time hash per record (`repl::log::record_checksum`) — and
+//! what lives here is everything they would otherwise duplicate.
 
-/// Running FNV-1a 64 (not cryptographic — an integrity check against
-/// torn writes and bit rot, not an authenticity check).
+/// Running FNV-1a 64, the snapshot stream's checksum (not cryptographic
+/// — an integrity check against torn writes and bit rot, not an
+/// authenticity check).
 #[derive(Clone, Copy, Default)]
 pub struct Fnv(u64);
 
@@ -27,13 +30,6 @@ impl Fnv {
     pub fn value(&self) -> u64 {
         self.0
     }
-}
-
-/// One-shot FNV-1a of `bytes`.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut f = Fnv::new();
-    f.update(bytes);
-    f.value()
 }
 
 /// The 16-byte file header every checksummed format starts with: a
@@ -98,6 +94,12 @@ impl<'a> Parser<'a> {
         self.buf.len() - self.pos
     }
 
+    /// The bytes consumed since position `start`, as one contiguous
+    /// slice of the buffer.
+    pub fn since(&self, start: usize) -> &'a [u8] {
+        &self.buf[start..self.pos]
+    }
+
     pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!("truncated file: {what} at offset {}", self.pos));
@@ -127,12 +129,16 @@ mod tests {
     #[test]
     fn fnv_matches_known_vector() {
         // FNV-1a 64 of "a" is a published test vector.
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b""), FNV_OFFSET);
+        let mut a = Fnv::new();
+        a.update(b"a");
+        assert_eq!(a.value(), 0xaf63dc4c8601ec8c);
+        assert_eq!(Fnv::new().value(), FNV_OFFSET);
         let mut split = Fnv::new();
         split.update(b"hello ");
         split.update(b"world");
-        assert_eq!(split.value(), fnv64(b"hello world"), "incremental == one-shot");
+        let mut whole = Fnv::new();
+        whole.update(b"hello world");
+        assert_eq!(split.value(), whole.value(), "split updates == one update");
     }
 
     #[test]
@@ -156,6 +162,7 @@ mod tests {
         assert_eq!(p.u32("x").unwrap(), 1);
         assert_eq!(p.u8("y").unwrap(), 2);
         assert_eq!(p.remaining(), 0);
+        assert_eq!(p.since(1), [0, 0, 0, 2]);
         let e = p.u8("z").unwrap_err();
         assert!(e.contains("z at offset 5"), "{e}");
     }

@@ -5,9 +5,10 @@
 #![cfg(unix)]
 
 use dash_repro::dash_server::repl::log::{
-    encode_record, read_log, segment_files, LogWriter, LOG_MAGIC, SEGMENT_BYTES,
+    encode_record, read_log, record_checksum, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION,
+    SEGMENT_BYTES,
 };
-use dash_repro::dash_server::repl::wire::{fnv64, FileHeader};
+use dash_repro::dash_server::repl::wire::FileHeader;
 use dash_repro::dash_server::{ReplOp, MAX_VALUE_LEN};
 use dash_repro::{EngineConfig, ShardedDash};
 use proptest::prelude::*;
@@ -320,8 +321,7 @@ fn reopening_a_log_ten_times_the_cap_scans_one_segment() {
 }
 
 /// A store whose logs were written before base records existed (v1
-/// headers) could only sit next to pools the format stamp already
-/// refuses. Replay refuses such a log, naming the version, and applies
+/// headers). Replay refuses such a log, naming the version, and applies
 /// nothing; opening the store starts each log over, and the pools — the
 /// authoritative state — are untouched.
 #[test]
@@ -358,6 +358,67 @@ fn a_parent_format_log_is_refused_by_replay_and_started_over_by_open() {
     store.set(&k, &v).unwrap();
     assert_eq!(store.repl_offset(), 1);
     store.close().unwrap();
+}
+
+/// A store whose logs are version 2 (FNV-1a record checksums) has pools
+/// this build opens, so the upgrade is live: every key is served, each
+/// shard's active log starts over as a v3 file (`repl_offset` restarts),
+/// and replay refuses the old files — sealed segments included — naming
+/// the version, applying nothing. The version word is outside every
+/// record checksum, so patching it makes files that differ from intact
+/// v3 ones only in their header: the refusal shown is the header's.
+#[test]
+fn a_v2_log_is_started_over_by_open_and_refused_by_replay() {
+    let src = TempDir::new("repl-v2-src");
+    let dst = TempDir::new("repl-v2-dst");
+    let cfg = EngineConfig { repl_log_max_bytes: Some(2048), ..dir_cfg(&src, 2) };
+    {
+        let store = ShardedDash::open(&cfg).unwrap();
+        for i in 0..300 {
+            let (k, v) = kv(i);
+            store.set(&k, &v).unwrap();
+        }
+        assert!(store.repl_log_segments() >= 4, "a 2 KiB cap over 300 SETs must seal segments");
+        store.close().unwrap();
+    }
+    let mut patched = 0;
+    for entry in std::fs::read_dir(&src.path).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("repl-") && name.ends_with(".log") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+            std::fs::write(&path, bytes).unwrap();
+            patched += 1;
+        }
+    }
+    assert!(patched >= 6, "two active files and their sealed segments: {patched}");
+
+    let restored = ShardedDash::open(&dir_cfg(&dst, 3)).unwrap();
+    let err = restored.replay_log_dir(&src.path).unwrap_err();
+    assert!(err.to_string().contains("version 2"), "{err}");
+    assert_eq!(restored.len(), 0, "nothing of a refused log is applied");
+    restored.close().unwrap();
+
+    let store = ShardedDash::open(&cfg).unwrap();
+    assert_eq!(store.len(), 300, "the pools are untouched");
+    for i in 0..300 {
+        let (k, v) = kv(i);
+        assert_eq!(store.get(&k).unwrap(), Some(v), "key {i}");
+    }
+    assert_eq!(store.repl_offset(), 0, "each log started over");
+    let (k, v) = kv(300);
+    store.set(&k, &v).unwrap();
+    assert_eq!(store.repl_offset(), 1);
+    store.close().unwrap();
+    let mut logged = Vec::new();
+    for shard in 0..2 {
+        let path = src.path.join(format!("repl-{shard}.log"));
+        let version = u32::from_le_bytes(std::fs::read(&path).unwrap()[8..12].try_into().unwrap());
+        assert_eq!(version, LOG_VERSION, "shard {shard}'s active file is current-format");
+        logged.append(&mut read_log(&path).unwrap().0);
+    }
+    assert_eq!(logged, [ReplOp::Set { key: k, value: v }], "the new write, and only it");
 }
 
 /// What the format allows in a record body that follows a file's base
@@ -422,7 +483,7 @@ proptest! {
         for body in bodies {
             let mut frame = (body.len() as u32).to_le_bytes().to_vec();
             frame.extend_from_slice(&body);
-            let checksum = fnv64(&frame);
+            let checksum = record_checksum(&frame);
             frame.extend_from_slice(&checksum.to_le_bytes());
             file.extend_from_slice(&frame);
             frames.push((body, frame));
