@@ -993,19 +993,27 @@ fn verify_scan(cfg: &Config, stems: &[u64]) -> Result<(), String> {
     Ok(())
 }
 
-/// Read a snapshot file (written by `SNAPSHOT`) locally and verify it:
-/// the checksum must hold (read_all rejects corruption) and every
-/// preloaded key must be present with its exact deterministic value —
-/// byte-exact even for a snapshot taken under live 90/10 load, because
-/// every writer stores the same pure function of the key.
+/// Read a snapshot file (written by `SNAPSHOT`, by this build or one
+/// writing the older format) locally and verify it: its checksums must
+/// hold (the reader rejects corruption) and every preloaded key must be
+/// present with its exact deterministic value — byte-exact even for a
+/// snapshot taken under live 90/10 load, because every writer stores the
+/// same pure function of the key.
 fn verify_snapshot_file(cfg: &Config, stems: &[u64], path: &str) -> Result<(), String> {
-    let records = dash_server::snapshot::read_all(std::path::Path::new(path))
-        .map_err(|e| e.to_string())?;
+    use dash_server::{repl::OpRef, snapshot::Snapshot, SnapshotError};
+    let records = Snapshot::read(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     // A key may appear twice when a segment split raced the scan (the
     // cursor contract is at-least-once under mutation); the restore
     // applies in order, so keeping the last occurrence mirrors it.
-    let map: std::collections::HashMap<&[u8], &[u8]> =
-        records.iter().map(|(k, v, _expire)| (k.as_slice(), v.as_slice())).collect();
+    let mut map = std::collections::HashMap::<&[u8], &[u8]>::new();
+    records
+        .try_for_each(|op| {
+            if let OpRef::Set { key, value } | OpRef::SetEx { key, value, .. } = op {
+                map.insert(key, value);
+            }
+            Ok::<_, SnapshotError>(())
+        })
+        .map_err(|e| e.to_string())?;
     let (mut missing, mut wrong) = (0u64, 0u64);
     for stem in stems {
         match map.get(key_bytes(*stem).as_slice()) {

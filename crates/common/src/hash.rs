@@ -3,7 +3,7 @@
 //! uniform enough that the workloads' keys spread evenly.
 //!
 //! Its second use is the server's redo-log record checksum
-//! (`repl::log::record_checksum`), where it consumes eight bytes per
+//! (`repl::wire::record_checksum`), where it consumes eight bytes per
 //! step instead of FNV-1a's one. For inputs of one length it also
 //! catches **any corruption confined to one 8-byte word**, not merely
 //! most. Every step is a bijection: multiplying by the odd `M` is

@@ -44,8 +44,9 @@ use crate::metrics::Counter;
 use crate::record::{self, Rec, RecKey, RecProbe};
 use crate::repl::hub::{ReplHub, ReplSubscription};
 use crate::repl::log::LogWriter;
+use crate::repl::wire::{encode, encode_op, Digest, FileHeader, Record};
 use crate::repl::OpRef;
-use crate::snapshot::{DurableFile, SnapshotError, SnapshotResult, SnapshotStream};
+use crate::snapshot::{DurableFile, Snapshot, SnapshotError, SNAP_MAGIC, SNAP_VERSION};
 
 /// Upper bound on one value. Bounded (like keys) so a stale record
 /// pointer followed by an optimistic reader can never walk far out of a
@@ -103,6 +104,12 @@ impl std::error::Error for EngineError {}
 impl From<TableError> for EngineError {
     fn from(e: TableError) -> Self {
         EngineError::Table(e)
+    }
+}
+
+impl From<SnapshotError> for EngineError {
+    fn from(e: SnapshotError) -> Self {
+        EngineError::Snapshot(e.to_string())
     }
 }
 
@@ -506,10 +513,6 @@ impl Drop for LogBatch<'_> {
     }
 }
 
-/// What [`ShardedDash::snapshot_each`] feeds each record to:
-/// `(key, value, expire_at_ms)`.
-type SnapshotEmit<'a> = dyn FnMut(&[u8], &[u8], u64) -> SnapshotResult<()> + 'a;
-
 /// Keys hinted together by [`ShardedDash::prefetch`], and so the most
 /// commands a connection decodes into one window. Sized to what an L1d
 /// holds, not tuned: per key a hint asks for 9 lines of segment header
@@ -681,7 +684,7 @@ impl ShardedDash {
                         PmError::PoolFormat { .. } => EngineError::Layout(format!(
                             "{}: {e}. To carry the store over, take a SNAPSHOT with the \
                              build that wrote it and start this build with --restore on \
-                             an empty directory (the snapshot format is unchanged)",
+                             an empty directory (this build restores the older snapshot format too)",
                             path.display()
                         )),
                         e => e.into(),
@@ -1662,21 +1665,25 @@ impl ShardedDash {
 
     // ---- snapshot / restore ------------------------------------------------
 
-    /// Walk every `(key, value)` record the way a snapshot sees them:
-    /// per shard, the epoch is pinned once and held across **all** of
-    /// that shard's scan pages and record reads, so an offset
-    /// captured in a page can never be reclaimed before its record is
-    /// copied out; concurrent writers keep running (reads take no
-    /// locks) and an overwritten key lands with either its old or new
-    /// value. The shared body of [`snapshot_to`](Self::snapshot_to) and
-    /// [`snapshot_bytes`](Self::snapshot_bytes).
-    fn snapshot_each(&self, emit: &mut SnapshotEmit<'_>) -> EngineResult<()> {
+    /// The one snapshot writer ([`crate::snapshot`]), behind `SNAPSHOT`
+    /// (into a file) and `PSYNC` (into a replica's socket); returns the
+    /// record count. Each scan page's records are copied out under its
+    /// own epoch pin and written after it is dropped, so a slow disk or a
+    /// stalled replica holds up this writer, never reclamation. Writers
+    /// keep running; an overwritten key lands with its old or new value.
+    pub(crate) fn snapshot_into(&self, out: &mut dyn std::io::Write) -> std::io::Result<u64> {
         const SNAPSHOT_PAGE: usize = 1024;
+        let shards = self.shards.len() as u32;
+        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: shards }.encode();
+        out.write_all(&header)?;
+        let mut digest = Digest::new(&header);
+        let mut page_bytes = Vec::new();
         let now = now_ms();
         for shard in &self.shards {
-            let _pin = shard.pin();
             let mut cursor = ScanCursor::START;
-            loop {
+            while !cursor.is_done() {
+                page_bytes.clear();
+                let pin = shard.pin();
                 let page = shard.table.scan(cursor, SNAPSHOT_PAGE);
                 for (key, _) in &page.items {
                     // An expired record is dead weight the restore target
@@ -1685,21 +1692,23 @@ impl ShardedDash {
                     if is_expired(rec.expire_at_ms, now) {
                         continue;
                     }
-                    emit(&key.bytes, rec.value(), rec.expire_at_ms)
-                        .map_err(|e| EngineError::Snapshot(e.to_string()))?;
-                }
-                if page.cursor.is_done() {
-                    break;
+                    let op = OpRef::set(&key.bytes, rec.value(), rec.expire_at_ms);
+                    digest.add(encode_op(op, &mut page_bytes));
                 }
                 cursor = page.cursor;
+                drop(pin);
+                out.write_all(&page_bytes)?;
             }
         }
-        Ok(())
+        page_bytes.clear();
+        encode(Record::End(digest), &mut page_bytes);
+        out.write_all(&page_bytes)?;
+        Ok(digest.records)
     }
 
-    /// Online snapshot: stream every `(key, value)` record to a
-    /// checksummed file at `path` (published whole and durably, never
-    /// half-present). Returns the record count.
+    /// Online snapshot: stream every live record to a file at `path`
+    /// (published whole and durably, never half-present). Returns the
+    /// record count.
     pub fn snapshot_to(&self, path: &Path) -> EngineResult<u64> {
         // A snapshot renamed over a live shard pool file would destroy
         // that shard's data at the next restart (the running server keeps
@@ -1730,14 +1739,11 @@ impl ShardedDash {
                 }
             }
         }
-        let failed = |e: SnapshotError| EngineError::Snapshot(e.to_string());
-        let mut file = DurableFile::create(path).map_err(|e| failed(e.into()))?;
-        let mut stream =
-            SnapshotStream::new(&mut file.out, self.shards.len() as u32).map_err(failed)?;
-        self.snapshot_each(&mut |key, value, expire| stream.append(key, value, expire))?;
-        let n = stream.finish().map_err(failed)?.1;
-        file.commit().map_err(|e| failed(e.into()))?;
-        // `finish` returned: the snapshot is durable (file and directory
+        let failed = |e: std::io::Error| EngineError::from(SnapshotError::from(e));
+        let mut file = DurableFile::create(path).map_err(failed)?;
+        let n = self.snapshot_into(&mut file.out).map_err(failed)?;
+        file.commit().map_err(failed)?;
+        // `commit` returned: the snapshot is durable (file and directory
         // fsynced), so the covered segments may go. Best-effort — a
         // failure only leaves extra log.
         for (si, segs) in covered {
@@ -1748,26 +1754,15 @@ impl ShardedDash {
         Ok(n)
     }
 
-    /// Online snapshot into memory — the replica-bootstrap payload
-    /// (`PSYNC` streams these bytes as one bulk string). Same format and
-    /// same epoch-pinned consistency as [`snapshot_to`](Self::snapshot_to).
-    /// Returns the bytes and the record count.
-    pub fn snapshot_bytes(&self) -> EngineResult<(Vec<u8>, u64)> {
-        let mut stream = SnapshotStream::new(Vec::new(), self.shards.len() as u32)
-            .map_err(|e| EngineError::Snapshot(e.to_string()))?;
-        self.snapshot_each(&mut |key, value, expire| stream.append(key, value, expire))?;
-        stream.finish().map_err(|e| EngineError::Snapshot(e.to_string()))
-    }
-
-    /// Restore a snapshot into a **fresh** store opened with `cfg` (the
-    /// open-from-backup path). The file is fully verified — structure,
-    /// record count, checksum — *before* any store state is created, so
+    /// Restore a snapshot (version 3, or 2 from an older build) into a
+    /// **fresh** store opened with `cfg` (the open-from-backup path). The
+    /// file is fully verified — every record, the count and the digest
+    /// (or v2 checksum) — *before* any store state is created, so
     /// a corrupted snapshot is rejected with a clean error and no
     /// half-restored directory. Records re-partition under `cfg.shards`;
     /// the snapshot's source shard count does not constrain the target.
     pub fn restore(cfg: &EngineConfig, snapshot: &Path) -> EngineResult<Self> {
-        let records =
-            crate::snapshot::read_all(snapshot).map_err(|e| EngineError::Snapshot(e.to_string()))?;
+        let snapshot = Snapshot::read(snapshot)?;
         if let Some(dir) = &cfg.dir {
             if dir.exists() && discover_shards(dir).map_or(true, |n| n > 0) {
                 return Err(EngineError::Layout(format!(
@@ -1783,9 +1778,7 @@ impl ShardedDash {
             // verbatim (a restore never re-derives time).
             {
                 let _batch = store.log_batch();
-                for (key, value, expire_at_ms) in &records {
-                    store.apply(OpRef::set(key, value, *expire_at_ms))?;
-                }
+                snapshot.try_for_each(|op| store.apply(op).map(drop))?;
             }
             Ok(store)
         };

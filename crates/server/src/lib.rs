@@ -23,8 +23,10 @@
 //!   group commit.
 //! * [`repl`] — replication: a per-shard redo log (torn-tail-safe,
 //!   doubling as incremental backup via `--replay-logs`), primary-side
-//!   streaming (`REPLCONF`/`PSYNC` → `+FULLRESYNC` snapshot + tail),
-//!   and replica mode ([`serve_with`] + [`ServeOptions::replica_of`]):
+//!   streaming (`REPLCONF`/`PSYNC` → `+FULLRESYNC`, then the snapshot and
+//!   the tail as one stream of the log's own records, the encoding
+//!   [`snapshot`] files use too), and replica mode ([`serve_with`] +
+//!   [`ServeOptions::replica_of`]):
 //!   reads served, writes bounced with `-READONLY`, promotion via
 //!   `REPLICAOF NO ONE`.
 //! * [`cluster`] — horizontal partitioning, Redis cluster-style: 16384

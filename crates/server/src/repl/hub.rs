@@ -34,8 +34,8 @@ use crate::repl::ReplOp;
 /// that produced it (0 = untraced). The id rides *alongside* the op —
 /// the `ReplOp` itself, and therefore the redo-log record format, is
 /// unchanged; only the live fan-out learns trace identity. The stream
-/// thread turns a nonzero id into a `TRACEID` command ahead of the op
-/// so the replica records its apply under the primary's span id.
+/// thread turns a nonzero id into a `MARK` record ahead of the op so the
+/// replica records its apply under the primary's span id.
 #[derive(Debug, Clone)]
 pub struct TracedOp {
     pub op: Arc<ReplOp>,

@@ -6,15 +6,13 @@
 //!
 //! ```text
 //! header    16 B  LOG_MAGIC, LOG_VERSION, shard index (wire::FileHeader)
-//! base      21 B  a record whose body is u8 tag 4, u64 records before
-//!                 this file — framed and checksummed like any other
-//! record    *     u32 body_len
-//!                 body: u8 op (1=SET, 2=DEL, 3=SETEX), u32 key_len, key,
-//!                       [u64 expire_at_ms when SETEX], value…
-//!                 u64 record_checksum(body_len ‖ body): MurmurHash64A
+//! base      21 B  a BASE record: u64 records before this file
+//! record    *     SET, DEL and SETEX records
 //! ```
 //!
-//! The checksum is the table's own hash ([`dash_common::hash64`]), which
+//! Records are [`crate::repl::wire`]'s, the one encoding of a key
+//! mutation, which snapshots and the replication stream use too. The
+//! checksum is the table's own hash ([`dash_common::hash64`]), which
 //! consumes the framed record eight bytes per step; version 2 had the
 //! same layout under byte-serial FNV-1a, several times slower to validate.
 //!
@@ -56,7 +54,8 @@
 //! valid prefix is whatever parses. The scan applies every check the
 //! readers apply — it is the same decoder, borrowing from the file
 //! buffer instead of copying out — and the first record that is
-//! truncated, oversized, structurally invalid or checksum-mismatched
+//! truncated, oversized, structurally invalid or checksum-mismatched, or
+//! is any record but an op (a stream-only `END` or `MARK` included),
 //! ends the valid prefix; the file is **truncated back to it**. A torn
 //! tail from a crash mid-append disappears instead of poisoning later
 //! appends, and a corrupt record can never be replayed into state. A
@@ -103,10 +102,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use dash_common::{hash64, MAX_KEY_LEN};
-
-use crate::engine::MAX_VALUE_LEN;
-use crate::repl::wire::{FileHeader, Parser};
+use crate::repl::wire::{decode, encode, encode_op, Decoded, FileHeader, Parser, Record};
 use crate::repl::{OpRef, ReplOp};
 
 /// `b"DASHLOG1"` as a little-endian u64.
@@ -120,103 +116,12 @@ pub const SEGMENT_BYTES: u64 = 4 << 20;
 /// bound on what a writer holds however long its caller defers.
 pub const BUFFER_BYTES: usize = 64 << 10;
 
-const OP_SET: u8 = 1;
-const OP_DEL: u8 = 2;
-const OP_SET_EX: u8 = 3;
-const TAG_BASE: u8 = 4;
-/// Largest legal record body: tag + key_len field + max key + expiry
-/// deadline + max value.
-const MAX_BODY: usize = 1 + 4 + MAX_KEY_LEN + 8 + MAX_VALUE_LEN;
-
-/// The checksum a record's trailer carries, over its framed bytes
-/// (`body_len ‖ body`). Covering the length prefix too means a corrupted
-/// length cannot masquerade as a differently-framed valid record.
-pub fn record_checksum(framed: &[u8]) -> u64 {
-    hash64(framed)
-}
-
-/// Append the wire form of `op` to `out`.
-pub fn encode_record(op: &ReplOp, out: &mut Vec<u8>) {
-    encode_op(op.as_ref(), out);
-}
-
-fn encode_op(op: OpRef<'_>, out: &mut Vec<u8>) {
-    let (tag, key, value, expire): (u8, &[u8], &[u8], u64) = match op {
-        OpRef::Set { key, value } => (OP_SET, key, value, 0),
-        OpRef::SetEx { key, value, expire_at_ms } => (OP_SET_EX, key, value, expire_at_ms),
-        OpRef::Del { key } => (OP_DEL, key, &[], 0),
-    };
-    let body_len =
-        1 + 4 + key.len() + value.len() + if tag == OP_SET_EX { 8 } else { 0 };
-    let start = out.len();
-    out.extend_from_slice(&(body_len as u32).to_le_bytes());
-    out.push(tag);
-    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    out.extend_from_slice(key);
-    if tag == OP_SET_EX {
-        out.extend_from_slice(&expire.to_le_bytes());
-    }
-    out.extend_from_slice(value);
-    let checksum = record_checksum(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
-}
-
 /// What every file starts with: the header and the base record.
 fn encode_prelude(shard: u32, records_before: u64) -> Vec<u8> {
     let mut out =
         FileHeader { magic: LOG_MAGIC, version: LOG_VERSION, meta: shard }.encode().to_vec();
-    let start = out.len();
-    out.extend_from_slice(&(1 + 8u32).to_le_bytes());
-    out.push(TAG_BASE);
-    out.extend_from_slice(&records_before.to_le_bytes());
-    let checksum = record_checksum(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    encode(Record::Base(records_before), &mut out);
     out
-}
-
-/// One decoded record, an op's key and value borrowed from the file
-/// buffer.
-enum Record<'a> {
-    Base(u64),
-    Op(OpRef<'a>),
-}
-
-/// Decode the record starting at `p`'s position. `None` means the bytes
-/// from here on are not a valid record (torn tail / corruption) — the
-/// caller must treat everything from `p.pos()` as garbage.
-fn decode_record<'a>(p: &mut Parser<'a>) -> Option<Record<'a>> {
-    let start = p.pos();
-    let body_len = p.u32("record length").ok()? as usize;
-    if !(1 + 4..=MAX_BODY).contains(&body_len) {
-        return None;
-    }
-    let body = p.take(body_len, "record body").ok()?;
-    let framed = p.since(start);
-    if record_checksum(framed) != p.u64("record checksum").ok()? {
-        return None;
-    }
-    let mut b = Parser::new(body);
-    let tag = b.u8("op tag").ok()?;
-    if tag == TAG_BASE {
-        let records_before = b.u64("base count").ok()?;
-        return (b.remaining() == 0).then_some(Record::Base(records_before));
-    }
-    let key_len = b.u32("key length").ok()? as usize;
-    if key_len > MAX_KEY_LEN {
-        return None;
-    }
-    let key = b.take(key_len, "key bytes").ok()?;
-    let expire_at_ms = if tag == OP_SET_EX { b.u64("expire deadline").ok()? } else { 0 };
-    let value = b.take(b.remaining(), "value bytes").ok()?;
-    if value.len() > MAX_VALUE_LEN {
-        return None;
-    }
-    match tag {
-        OP_SET => Some(Record::Op(OpRef::Set { key, value })),
-        OP_SET_EX => Some(Record::Op(OpRef::SetEx { key, value, expire_at_ms })),
-        OP_DEL if value.is_empty() => Some(Record::Op(OpRef::Del { key })),
-        _ => None,
-    }
 }
 
 /// What one log file's bytes hold.
@@ -235,25 +140,21 @@ struct Scan {
 /// Validate one log file's bytes, handing each op record of the valid
 /// prefix to `on_op`. `Err` only when the header itself is unusable.
 fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(OpRef<'a>)) -> Result<Scan, String> {
-    let mut p = Parser::new(buf);
-    let header = FileHeader::read(&mut p, LOG_MAGIC, LOG_VERSION..=LOG_VERSION, "repl log")?;
-    let mut scan = Scan { shard: header.meta, base: None, records: 0, valid_len: p.pos() };
-    let Some(Record::Base(records_before)) = decode_record(&mut p) else {
+    let header =
+        FileHeader::read(&mut Parser::new(buf), LOG_MAGIC, LOG_VERSION..=LOG_VERSION, "repl log")?;
+    let mut scan = Scan { shard: header.meta, base: None, records: 0, valid_len: FileHeader::LEN };
+    let Decoded::Record(Record::Base(records_before), _, used) = decode(&buf[scan.valid_len..])
+    else {
         return Ok(scan);
     };
     scan.base = Some(records_before);
-    scan.valid_len = p.pos();
-    while p.remaining() > 0 {
-        match decode_record(&mut p) {
-            // A base record anywhere but first is not something the
-            // writer produces.
-            None | Some(Record::Base(_)) => break,
-            Some(Record::Op(op)) => {
-                on_op(op);
-                scan.records += 1;
-                scan.valid_len = p.pos();
-            }
-        }
+    scan.valid_len += used;
+    // Only op records follow: a second base record, or a stream-only
+    // END or MARK, is not something the writer produces.
+    while let Decoded::Record(Record::Op(op), _, used) = decode(&buf[scan.valid_len..]) {
+        on_op(op);
+        scan.records += 1;
+        scan.valid_len += used;
     }
     Ok(scan)
 }
@@ -643,6 +544,7 @@ impl Drop for LogWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repl::wire::encode_record;
     use std::path::PathBuf;
 
     struct TempPath(PathBuf);
@@ -1186,6 +1088,27 @@ mod tests {
                 }
                 assert_eq!(again, buf[..counted.valid_len], "cut {cut}");
             }
+        }
+    }
+
+    /// The stream-only records share the codec but never belong in a log
+    /// file: an intact `END` or `MARK` ends the valid prefix like damage.
+    #[test]
+    fn end_and_mark_records_end_a_log_files_valid_prefix() {
+        let ops = sample_ops(4);
+        let mut head = encode_prelude(0, 0);
+        for op in &ops[..2] {
+            encode_record(op, &mut head);
+        }
+        let end = Record::End(crate::repl::wire::Digest::new(&[0; FileHeader::LEN]));
+        for stray in [end, Record::Mark(0)] {
+            let mut buf = head.clone();
+            encode(stray, &mut buf);
+            for op in &ops[2..] {
+                encode_record(op, &mut buf);
+            }
+            let (read, found) = parse(&buf).unwrap();
+            assert_eq!((read.as_slice(), found.valid_len), (&ops[..2], head.len()), "{stray:?}");
         }
     }
 }

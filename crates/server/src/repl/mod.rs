@@ -3,10 +3,10 @@
 //!
 //! The moving parts:
 //!
-//! * [`wire`] — the versioned header and bounds-checked parser shared by
-//!   the snapshot format and the redo log (one reader/writer helper
-//!   instead of two hand-rolled copies), plus the snapshot's FNV-1a; the
-//!   log checksums each record with the table's MurmurHash64A.
+//! * [`wire`] — the one encoding of a key mutation: a length-prefixed,
+//!   MurmurHash64A-checksummed record that the redo log stores, a
+//!   snapshot holds one of per live key, and the replication stream
+//!   carries; plus the versioned file header and a bounds-checked parser.
 //! * [`log`] — the redo log: per shard, an append-only `repl-N.log`
 //!   behind a chain of sealed segments, buffered under the shard's
 //!   existing write serialization and written out before any of its
@@ -18,11 +18,11 @@
 //! * [`hub`] — the in-memory fan-out: every applied mutation is
 //!   published as a [`ReplOp`] with a store-wide monotonic offset;
 //!   replica-serving connections subscribe and stream the tail.
-//! * [`replica`] — the follower: connects to the primary, bootstraps
-//!   from an epoch-pinned `SNAPSHOT`-format stream pinned at a log
-//!   offset (`PSYNC` → `+FULLRESYNC <offset>`), then applies the tail
-//!   in order, one op at a time, straight from its read buffer through
-//!   the engine's single-key apply ([`OpRef`] →
+//! * [`replica`] — the follower: connects to the primary, sends `PSYNC`
+//!   and reads `+FULLRESYNC <offset>` followed by one stream of records —
+//!   an epoch-pinned snapshot closed by its verified `END`, then the
+//!   tail — decoding each as it arrives and applying it straight from its
+//!   read buffer through the engine's single-key apply ([`OpRef`] →
 //!   [`ShardedDash::apply`](crate::engine::ShardedDash::apply)) until
 //!   promoted.
 //!
@@ -42,10 +42,10 @@ pub use hub::{ReplHub, ReplSubscription, TracedOp};
 pub use log::{read_log, LogRecovery, LogWriter};
 
 /// One replicated mutation: the unit the redo log stores, the hub fans
-/// out, and the replication stream carries (as a RESP `SET`/`DEL`
-/// command). Ops are idempotent — applying a prefix twice converges to
-/// the same state — which is what lets the snapshot+tail bootstrap
-/// overlap the two sources without coordination.
+/// out, and the replication stream carries, all as one [`wire`] record.
+/// Ops are idempotent — applying a prefix twice converges to the same
+/// state — which is what lets the snapshot+tail bootstrap overlap the two
+/// sources without coordination.
 ///
 /// Time never appears as a duration here: a TTL write carries the
 /// **absolute** deadline the primary computed, and an expiry travels as
@@ -56,7 +56,7 @@ pub enum ReplOp {
     /// Insert or overwrite `key` with `value`, clearing any expiry.
     Set { key: Vec<u8>, value: Vec<u8> },
     /// Insert or overwrite `key` with `value` expiring at the given
-    /// Unix-millisecond deadline (wire form `SET key value PXAT ms`).
+    /// Unix-millisecond deadline (a `SETEX` record).
     SetEx { key: Vec<u8>, value: Vec<u8>, expire_at_ms: u64 },
     /// Remove `key` (only logged when the key existed — expiries and
     /// evictions travel as this, decided solely by the primary).
@@ -83,9 +83,9 @@ impl ReplOp {
 
 /// A [`ReplOp`] with its key and value borrowed: what the engine's write
 /// path hands to the redo log (encoded straight from the caller's
-/// buffers), what the log's decoder hands out (borrowed from the file
-/// buffer) and what every apply path — replica, restore, replay, purge —
-/// hands to the engine (the replica's borrowed from its read buffer). An
+/// buffers), what the record decoder hands out (borrowed from a file
+/// buffer or a replica's read buffer) and what every apply path —
+/// replica, restore, replay, purge — hands to the engine. An
 /// owned [`ReplOp`] is only built where one must outlive the borrow — a
 /// live replica sink, a copying log read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,8 +1,9 @@
-//! The replica-side sync loop: connect to the primary, bootstrap from
-//! the `PSYNC` snapshot+tail stream, apply the tail in order, one op at
-//! a time, through the engine's single-key apply, reconnect (with a
-//! fresh full sync) whenever the link drops, and stop the moment the
-//! server is promoted or shut down.
+//! The replica-side sync loop: connect to the primary, read the `PSYNC`
+//! stream — a snapshot, then the tail, all in the redo log's record
+//! codec — applying each op as it arrives through the engine's
+//! single-key apply, reconnect (with a fresh full sync) whenever the link
+//! drops or the stream is damaged, and stop the moment the server is
+//! promoted or shut down.
 //!
 //! Runs on one background thread owned by the server
 //! ([`crate::serve_with`] spawns it, shutdown joins it). All reads are
@@ -15,19 +16,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::command::{lookup, Cmd};
 use crate::repl::OpRef;
-use crate::resp::{decode_args, decode_value, encode_command, Decode, Value};
+use crate::resp::{decode_value, encode_command, Decode, Value};
 use crate::server::{Inner, Role};
-use crate::snapshot;
+use crate::snapshot::{Item, Reader};
 
 /// How long one blocking read may sit before the loop re-checks
 /// shutdown/promotion.
 const READ_POLL: Duration = Duration::from_millis(100);
-/// Ceiling on the `$len` a FULLRESYNC bulk may claim (a corrupt length
-/// prefix must not make the replica reserve gigabytes). Generous: a
-/// snapshot is bounded by the primary's pools.
-const MAX_SNAPSHOT_BYTES: usize = 4 << 30;
 
 /// Should the sync loop stop (promotion or server shutdown)?
 /// Promotion raises `sync_stop` *before* flipping the role and joins
@@ -115,15 +111,10 @@ impl Conn {
         }
     }
 
-    /// Drop consumed bytes once the buffer is fully drained.
+    /// Drop the consumed bytes.
     fn compact(&mut self) {
-        if self.pos == self.rbuf.len() {
-            self.rbuf.clear();
-            self.pos = 0;
-        } else if self.pos > 0 {
-            self.rbuf.drain(..self.pos);
-            self.pos = 0;
-        }
+        self.rbuf.drain(..self.pos);
+        self.pos = 0;
     }
 
     /// Read one RESP value (handshake replies), polling for stop.
@@ -144,60 +135,6 @@ impl Conn {
                 Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e.to_string())),
             }
         }
-    }
-
-    /// Read the FULLRESYNC payload: `$<len>\r\n` + `len` raw bytes +
-    /// `\r\n`. Read manually (not via `decode_value`) because a
-    /// snapshot may legitimately exceed the codec's per-bulk cap.
-    fn read_snapshot_bulk(&mut self, inner: &Inner) -> io::Result<Option<Vec<u8>>> {
-        let len = loop {
-            let head = &self.rbuf[self.pos..];
-            if let Some(nl) = head.windows(2).position(|w| w == b"\r\n") {
-                if head[0] != b'$' {
-                    return Err(io::Error::new(
-                        ErrorKind::InvalidData,
-                        "FULLRESYNC payload is not a bulk string",
-                    ));
-                }
-                let len: usize = std::str::from_utf8(&head[1..nl])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n <= MAX_SNAPSHOT_BYTES)
-                    .ok_or_else(|| {
-                        io::Error::new(ErrorKind::InvalidData, "bad FULLRESYNC bulk length")
-                    })?;
-                self.pos += nl + 2;
-                break len;
-            }
-            if stopping(inner) {
-                return Ok(None);
-            }
-            self.fill()?;
-        };
-        // Shift the consumed prefix away so the bulk starts at 0, then
-        // carve the body out of rbuf in place — duplicating it with a
-        // copy would hold ~2x the snapshot in memory at once, on
-        // exactly the path the primary side kept single-copy.
-        if self.pos > 0 {
-            self.rbuf.drain(..self.pos);
-            self.pos = 0;
-        }
-        while self.rbuf.len() < len + 2 {
-            if stopping(inner) {
-                return Ok(None);
-            }
-            self.fill()?;
-        }
-        if &self.rbuf[len..len + 2] != b"\r\n" {
-            return Err(io::Error::new(
-                ErrorKind::InvalidData,
-                "FULLRESYNC bulk not terminated by CRLF",
-            ));
-        }
-        let rest = self.rbuf.split_off(len + 2);
-        let mut body = std::mem::replace(&mut self.rbuf, rest);
-        body.truncate(len);
-        Ok(Some(body))
     }
 }
 
@@ -235,107 +172,62 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
         Some(Value::Error(e)) => return Err(bad_stream(format!("PSYNC refused: {e}"))),
         Some(other) => return Err(bad_stream(format!("PSYNC got {other:?}"))),
     };
-    let Some(snap) = conn.read_snapshot_bulk(inner)? else {
-        return Ok(());
-    };
-    let records = snapshot::parse_all(&snap)
-        .map_err(|e| bad_stream(format!("bootstrap snapshot: {e}")))?;
-    drop(snap);
-    // Full-resync semantics: local state is replaced wholesale. On the
-    // first sync of a fresh replica the purge is a no-op; after a link
-    // loss it removes keys the primary may have deleted meanwhile.
+    // Full-resync semantics: the records that follow replace local state
+    // wholesale, including what a session that died mid-snapshot loaded.
     inner.engine.purge(|_| true).map_err(engine_err)?;
-    let loaded = records.len();
-    // Deadlines load verbatim from the snapshot — a replica never
-    // derives time (the primary's clock decided them once).
-    {
-        let _batch = inner.engine.log_batch();
-        for (key, value, expire_at_ms) in &records {
-            inner.engine.apply(OpRef::set(key, value, *expire_at_ms)).map_err(engine_err)?;
-        }
-    }
-    drop(records);
-    inner.applied_offset.store(base_offset, Ordering::SeqCst);
-    inner.link_up.store(true, Ordering::SeqCst);
-    crate::log_info!(
-        "repl",
-        "replica of {master}: full sync loaded {loaded} records at offset {base_offset}"
-    );
-    // Tail: the primary's ordered stream, applied in order one op at a
-    // time, straight from the read buffer. Each drained read is one
-    // group commit, and the applied offset moves only once that read's
-    // records are in the log.
-    // A `TRACEID <id> 0` in the stream marks the NEXT op as traced on
-    // the primary: its apply here is timed under the same id so
-    // `TRACE GET <id>` works on either end.
+    // Each drained read is one group commit, and the applied offset moves
+    // only once its records are in the log: to the base once the END
+    // verifies, then one per tail op. A `MARK <id>` says the NEXT op was
+    // traced on the primary: its apply is timed under the same id, so
+    // `TRACE GET <id>` works on either end. Deadlines apply verbatim — a
+    // replica never derives time.
+    let (mut reader, mut synced) = (Reader::default(), false);
     let mut pending_trace: Option<u64> = None;
     loop {
         if stopping(inner) {
             return Ok(());
         }
-        let mut applied = 0u64;
-        let batch = inner.engine.log_batch();
-        loop {
-            match decode_args(&conn.rbuf[conn.pos..]) {
-                // Borrowed from the read buffer, resolved through the
-                // server's own table; nothing is copied out.
-                Ok(Decode::Complete(parts, used)) => {
-                    conn.pos += used;
-                    let cmd = lookup(parts[0]);
-                    let op = match (cmd.id, &parts[1..]) {
-                        (Cmd::Set, &[key, value]) => OpRef::Set { key, value },
-                        // TTL write: `SET key value PXAT <deadline-ms>` —
-                        // the absolute-deadline form is the only one the
-                        // stream carries (determinism: the primary is the
-                        // single clock).
-                        (Cmd::Set, &[key, value, px, ms]) => {
-                            if !px.eq_ignore_ascii_case(b"PXAT") {
-                                return Err(bad_stream(format!(
-                                    "unexpected SET modifier {:?} in replication stream",
-                                    String::from_utf8_lossy(px)
-                                )));
+        let (mut applied, mut loaded) = (0u64, None);
+        {
+            let _batch = inner.engine.log_batch();
+            while let Some((item, used)) = reader
+                .next(&conn.rbuf[conn.pos..])
+                .map_err(|e| bad_stream(format!("replication stream: {e}")))?
+            {
+                conn.pos += used;
+                match item {
+                    Item::Op(op) => {
+                        match pending_trace.take() {
+                            Some(id) => apply_traced(inner, op, id)?,
+                            None => {
+                                inner.engine.apply(op).map_err(engine_err)?;
                             }
-                            let expire_at_ms = std::str::from_utf8(ms)
-                                .ok()
-                                .and_then(|s| s.parse::<u64>().ok())
-                                .ok_or_else(|| bad_stream("bad PXAT deadline in stream"))?;
-                            OpRef::SetEx { key, value, expire_at_ms }
                         }
-                        (Cmd::Del, &[key]) => OpRef::Del { key },
-                        // Liveness only; does not advance the offset.
-                        (Cmd::Ping, []) => continue,
-                        // Trace propagation: the next op was traced on
-                        // the primary. Not an op — the offset does not
-                        // advance.
-                        (Cmd::TraceId, [id, _]) => {
-                            let id = std::str::from_utf8(id)
-                                .ok()
-                                .and_then(|s| s.parse::<u64>().ok())
-                                .ok_or_else(|| bad_stream("bad TRACEID id in stream"))?;
-                            pending_trace = Some(id);
-                            continue;
-                        }
-                        _ => {
-                            return Err(bad_stream(format!(
-                                "unexpected command {:?} in replication stream",
-                                String::from_utf8_lossy(parts[0])
-                            )))
-                        }
-                    };
-                    match pending_trace.take() {
-                        Some(id) => apply_traced(inner, cmd.name, op, id)?,
-                        None => {
-                            inner.engine.apply(op).map_err(engine_err)?;
-                        }
+                        applied += 1;
                     }
-                    applied += 1;
+                    // Not an op — the offset does not advance.
+                    Item::Mark(id) => pending_trace = (id != 0).then_some(id),
+                    Item::End { records } => {
+                        loaded = Some(records);
+                        break;
+                    }
                 }
-                Ok(Decode::Incomplete) => break,
-                Err(e) => return Err(io::Error::new(ErrorKind::InvalidData, e.to_string())),
             }
         }
-        drop(batch);
-        inner.applied_offset.fetch_add(applied, Ordering::SeqCst);
+        if let Some(records) = loaded {
+            synced = true;
+            inner.applied_offset.store(base_offset, Ordering::SeqCst);
+            inner.link_up.store(true, Ordering::SeqCst);
+            crate::log_info!(
+                "repl",
+                "replica of {master}: full sync loaded {records} records at offset {base_offset}"
+            );
+            // The same read may already hold tail records.
+            continue;
+        }
+        if synced {
+            inner.applied_offset.fetch_add(applied, Ordering::SeqCst);
+        }
         conn.compact();
         conn.fill()?;
     }
@@ -346,7 +238,7 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
 /// correlates the two), worker [`trace::REPL_WORKER`], reason `repl`.
 /// Queue-wait/parse/reply-flush are zero by construction — a replica
 /// apply has no client-visible ingress or egress.
-fn apply_traced(inner: &Inner, cmd: &str, op: OpRef<'_>, trace_id: u64) -> io::Result<()> {
+fn apply_traced(inner: &Inner, op: OpRef<'_>, trace_id: u64) -> io::Result<()> {
     use crate::trace::{self, Stage};
     trace::begin_span(trace_id);
     let start = std::time::Instant::now();
@@ -358,11 +250,14 @@ fn apply_traced(inner: &Inner, cmd: &str, op: OpRef<'_>, trace_id: u64) -> io::R
     stages_ns[Stage::LockWait.index()] = d.lock_wait_ns;
     stages_ns[Stage::Execute.index()] = d.execute_ns;
     stages_ns[Stage::Persist.index()] = d.persist_ns;
-    let (OpRef::Set { key, .. } | OpRef::SetEx { key, .. } | OpRef::Del { key }) = op;
+    let (cmd, key): (&[u8], _) = match op {
+        OpRef::Set { key, .. } | OpRef::SetEx { key, .. } => (b"SET", key),
+        OpRef::Del { key } => (b"DEL", key),
+    };
     inner.tracer.record(trace::TraceRecord::new(
         trace_id,
         0,
-        &[cmd.as_bytes(), key],
+        &[cmd, key],
         trace::REPL_WORKER,
         stages_ns,
         total_ns,

@@ -43,8 +43,8 @@ use crate::command::{Cmd, Command};
 use crate::engine::ShardedDash;
 use crate::metrics::{CmdFamily, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
 use crate::net::EventFd;
-use crate::repl::ReplOp;
-use crate::resp::{self, encode, encode_command, Value};
+use crate::repl::wire::{self, Record};
+use crate::resp::{self, encode, Value};
 
 /// How long a blocking reply write (SHUTDOWN ack, replication stream)
 /// may stall before the connection is dropped.
@@ -921,43 +921,38 @@ fn trace_record_value(r: &crate::trace::TraceRecord) -> Value {
 
 /// Serve one replica over an accepted connection (the `PSYNC` handoff):
 /// subscribe to the op stream *first* (pinning the offset cut), then
-/// stream an online snapshot as `+FULLRESYNC <offset>` plus one bulk
-/// string, then forward the live tail as `SET`/`DEL` commands, with a
-/// `PING` every ~2 s of idleness as a liveness signal.
+/// send `+FULLRESYNC <offset>` and, straight after it, one stream of
+/// [`crate::repl::wire`] records: an online snapshot written page by
+/// page ([`ShardedDash::snapshot_into`], which holds no epoch pin while
+/// the socket blocks), its `END`, then the live tail — each traced op
+/// preceded by a `MARK` of its trace id, and a `MARK 0` every ~2 s of
+/// idleness as a liveness signal.
 pub(crate) fn serve_replica_stream(mut stream: TcpStream, inner: &Inner) -> std::io::Result<()> {
     let sub = inner.engine.repl_subscribe();
-    let snap = match inner.engine.snapshot_bytes() {
-        Ok((bytes, _records)) => bytes,
-        Err(e) => {
-            let mut wbuf = Vec::new();
-            encode(&Value::Error(format!("ERR {e}")), &mut wbuf);
-            stream.write_all(&wbuf)?;
-            return Ok(());
+    stream.write_all(format!("+FULLRESYNC {}\r\n", sub.start_offset).as_bytes())?;
+    inner.engine.snapshot_into(&mut stream)?;
+    let mut wbuf = Vec::new();
+    let encode = |top: crate::repl::TracedOp, out: &mut Vec<u8>| {
+        if top.trace_id != 0 {
+            wire::encode(Record::Mark(top.trace_id), out);
         }
+        wire::encode_record(&top.op, out);
     };
-    // The snapshot is written directly — copying it into a reply
-    // buffer would double peak memory per attaching replica.
-    let mut wbuf =
-        format!("+FULLRESYNC {}\r\n${}\r\n", sub.start_offset, snap.len()).into_bytes();
-    stream.write_all(&wbuf)?;
-    stream.write_all(&snap)?;
-    stream.write_all(b"\r\n")?;
-    drop(snap);
     let mut idle_polls = 0u32;
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
+        wbuf.clear();
         match sub.recv_timeout(Duration::from_millis(100)) {
             Ok(op) => {
-                wbuf.clear();
-                encode_traced_op(&op, &mut wbuf);
+                encode(op, &mut wbuf);
                 // Drain whatever else is queued into the same write —
                 // the stream-side analogue of pipelining — but bound
                 // the burst so one write_all stays shippable.
                 while wbuf.len() < 4 << 20 {
                     match sub.try_recv() {
-                        Ok(more) => encode_traced_op(&more, &mut wbuf),
+                        Ok(more) => encode(more, &mut wbuf),
                         Err(_) => break,
                     }
                 }
@@ -967,10 +962,11 @@ pub(crate) fn serve_replica_stream(mut stream: TcpStream, inner: &Inner) -> std:
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
                 idle_polls += 1;
                 if idle_polls >= 20 {
-                    // Not an op (PINGs don't advance the offset on
-                    // either side) — just proof of life, and the way a
-                    // dead replica connection is detected while idle.
-                    stream.write_all(b"*1\r\n$4\r\nPING\r\n")?;
+                    // Not an op (the offset does not move on either
+                    // side) — just proof of life, and the way a dead
+                    // replica connection is detected while idle.
+                    wire::encode(Record::Mark(0), &mut wbuf);
+                    stream.write_all(&wbuf)?;
                     idle_polls = 0;
                 }
             }
@@ -978,32 +974,6 @@ pub(crate) fn serve_replica_stream(mut stream: TcpStream, inner: &Inner) -> std:
             // so the replica reconnects and runs a fresh full sync.
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
         }
-    }
-}
-
-/// One fan-out item on the wire. An op produced under a trace span is
-/// preceded by `TRACEID <id> 0` — the same one-shot propagation command
-/// clients use — so the replica captures its apply under the primary's
-/// span id and `TRACE GET <id>` on either server finds both halves.
-fn encode_traced_op(top: &crate::repl::hub::TracedOp, out: &mut Vec<u8>) {
-    if top.trace_id != 0 {
-        encode_command(&[b"TRACEID", top.trace_id.to_string().as_bytes(), b"0"], out);
-    }
-    encode_op(&top.op, out);
-}
-
-/// The wire form of one replicated op: exactly the client command that
-/// would have produced it, so the replica applies the stream with the
-/// same decoder the server uses for clients.
-fn encode_op(op: &ReplOp, out: &mut Vec<u8>) {
-    match op {
-        ReplOp::Set { key, value } => encode_command(&[b"SET", key, value], out),
-        // Always the absolute-deadline spelling: the replica applies the
-        // primary's clock, never its own.
-        ReplOp::SetEx { key, value, expire_at_ms } => {
-            encode_command(&[b"SET", key, value, b"PXAT", expire_at_ms.to_string().as_bytes()], out)
-        }
-        ReplOp::Del { key } => encode_command(&[b"DEL", key], out),
     }
 }
 
@@ -1209,6 +1179,8 @@ mod tests {
     use super::*;
     use crate::client::RespClient;
     use crate::engine::EngineConfig;
+    use crate::repl::ReplOp;
+    use crate::resp::encode_command;
     use std::io::Read;
 
     fn mem_server() -> ServerHandle {

@@ -1,63 +1,58 @@
-//! Snapshot streams: the length-prefixed, checksummed record format the
-//! engine's online `SNAPSHOT` export writes, the restore path loads, and
-//! replica bootstrap ships over the wire (`PSYNC` → `+FULLRESYNC`).
-//!
-//! Layout (all integers little-endian; header/checksum framing shared
-//! with the repl log via [`crate::repl::wire`]):
+//! Snapshots: a whole store as one stream of the redo log's own records
+//! ([`crate::repl::wire`]) — what `SNAPSHOT` writes to a file,
+//! `--restore` loads, and `PSYNC` sends a replica ahead of the live tail.
 //!
 //! ```text
 //! header    16 B  SNAP_MAGIC, SNAP_VERSION, source shard count
-//!                 (informational — a restore may target any shard
-//!                 count; records re-partition)
-//! records   *     u32 key_len, u32 value_len, u64 expire_at_ms,
-//!                 key bytes, value bytes
-//! end mark  u32   key_len = 0xFFFF_FFFF
-//! count     u64   number of records
-//! checksum  u64   FNV-1a over every preceding byte of the stream
+//!                 (informational — records re-partition on restore)
+//! records   *     one SET or SETEX record per live key
+//! end       29 B  an END record: the record count, and a digest folding
+//!                 the header bytes and every record's checksum in order
 //! ```
 //!
-//! `expire_at_ms` is the record's **absolute** expiry deadline in Unix
-//! milliseconds (0 = none) — deadlines survive snapshot/restore verbatim
-//! and are never re-derived from a clock. Only this version is read: a
-//! version-1 stream (no expiry field) can only come from a store the
-//! pool format stamp `0002` already refuses, and is refused with an
-//! error naming the version.
+//! A `SETEX` record carries the key's **absolute** deadline, so deadlines
+//! survive snapshot/restore verbatim. `END` catches what per-record
+//! checksums cannot: a record dropped, duplicated or reordered, and a
+//! damaged header. The engine's `snapshot_into` is the one writer.
 //!
-//! [`SnapshotStream`] writes that layout to any `Write` sink — a `Vec`
-//! for the replication bootstrap payload, a [`DurableFile`] for disk
-//! backups. `DurableFile` is the crate's one crash-safe publish — unique
-//! tmp sibling, write, fsync the file, rename, fsync the directory —
-//! shared with the cluster slot map: a crash mid-write can never leave a
+//! [`Reader`] is the one decoder, and it is incremental: a replica feeds
+//! it each socket read, and past `END` it reads on into the tail — ops,
+//! each traced one preceded by a `MARK` of its trace id (`MARK 0`: the
+//! idle heartbeat). A file is that stream stopped at `END`, and
+//! [`Snapshot`] makes two passes of the decoder over it, like the log's
+//! scan and parse: the first verifies everything, so a damaged file is
+//! refused before a single record is applied; the second applies.
+//!
+//! **Version 2** — `u32 key_len, u32 value_len, u64 expire_at_ms, key,
+//! value` records, an end mark, the count, and FNV-1a over the whole file
+//! — is still read, restore-only, so a store whose pool format a newer
+//! build refuses can cross over by `SNAPSHOT` with the old build and
+//! `--restore` with the new. That path and its FNV are transitional:
+//! kept for one ROADMAP round (direction 5), then deleted. Version 1 and
+//! unknown versions are refused, naming their version.
+//!
+//! [`DurableFile`] is the crate's one crash-safe publish — unique tmp
+//! sibling, write, fsync the file, rename, fsync the directory — shared
+//! with the cluster slot map: a crash mid-write can never leave a
 //! half-written file under the real name, and a returned `Ok` means the
 //! new file survives power loss.
-//!
-//! The readers ([`read_all`] / [`parse_all`]) verify structure, bounds,
-//! record count and checksum **before** returning a single record, so a
-//! corrupted snapshot is rejected with a clean error instead of
-//! partially restored. They hold the whole record set in memory, which
-//! is the right trade-off at the sizes this store targets per snapshot
-//! (values are capped at [`MAX_VALUE_LEN`](crate::MAX_VALUE_LEN) and the
-//! source pools are bounded); a streaming two-pass verify can replace it
-//! if pools grow.
 
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dash_common::MAX_KEY_LEN;
 
 use crate::engine::MAX_VALUE_LEN;
-use crate::repl::wire::{FileHeader, Fnv, Parser};
+use crate::repl::wire::{decode, Decoded, Digest, FileHeader, Parser, Record};
+use crate::repl::OpRef;
 
 /// `b"DASHSNP1"` as a little-endian u64.
 pub const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"DASHSNP1");
-/// Current format version (v2 added the per-record expiry deadline),
-/// and the only one read.
-pub const SNAP_VERSION: u32 = 2;
-/// `key_len` sentinel terminating the record stream.
-const END_MARK: u32 = u32::MAX;
+/// The version written; version 2 is still read, restore-only.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Why a snapshot could not be written or loaded.
 #[derive(Debug)]
@@ -90,58 +85,182 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
 
 pub type SnapshotResult<T> = Result<T, SnapshotError>;
 
-/// One decoded record: `(key, value, expire_at_ms)` — expiry 0 means none.
-pub type SnapshotEntry = (Vec<u8>, Vec<u8>, u64);
-
-/// Streams snapshot-format records (header, records, checksummed
-/// trailer) into any `Write` sink.
-pub struct SnapshotStream<W: Write> {
-    out: W,
-    fnv: Fnv,
-    count: u64,
+/// Where a [`Reader`] is: before the header, in the snapshot's records
+/// (folding the digest its `END` must match), or in the tail.
+#[derive(Debug, Clone, Copy, Default)]
+enum State {
+    #[default]
+    Header,
+    Records(Digest),
+    Tail,
 }
 
-impl<W: Write> SnapshotStream<W> {
-    /// Start a stream: writes the header. `shards` is recorded for
-    /// diagnostics.
-    pub fn new(out: W, shards: u32) -> SnapshotResult<Self> {
-        let mut s = SnapshotStream { out, fnv: Fnv::new(), count: 0 };
-        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: shards };
-        s.write_hashed(&header.encode())?;
-        Ok(s)
+/// The incremental decoder of a snapshot stream, and of the replication
+/// tail that follows it on a `PSYNC` connection.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Reader {
+    state: State,
+    /// Stream bytes consumed, for error messages.
+    consumed: u64,
+}
+
+/// One decoded item of a [`Reader`]'s stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Item<'a> {
+    /// A key mutation: a snapshot's `SET`/`SETEX`, or any op of the tail.
+    Op(OpRef<'a>),
+    /// The snapshot's `END`, verified against everything before it.
+    End { records: u64 },
+    /// A tail `MARK`: the next op was traced on the primary under this
+    /// id (0: none).
+    Mark(u64),
+}
+
+impl Reader {
+    /// Decode the next item from `buf`, the stream's unread bytes:
+    /// `Ok(Some((item, used)))` when `buf` starts with a whole item,
+    /// `Ok(None)` when it holds only part of one (call again once more
+    /// bytes have arrived), `Err` when the stream is damaged here.
+    pub fn next<'a>(&mut self, buf: &'a [u8]) -> SnapshotResult<Option<(Item<'a>, usize)>> {
+        // The header is taken with the first record, so a state change
+        // is only ever committed together with an item.
+        let (state, skip) = match self.state {
+            State::Header => {
+                let Some(header) = buf.first_chunk::<{ FileHeader::LEN }>() else {
+                    return Ok(None);
+                };
+                let versions = SNAP_VERSION..=SNAP_VERSION;
+                FileHeader::read(&mut Parser::new(header), SNAP_MAGIC, versions, "snapshot")
+                    .map_err(corrupt)?;
+                (State::Records(Digest::new(header)), FileHeader::LEN)
+            }
+            state => (state, 0),
+        };
+        let at = self.consumed + skip as u64;
+        let (record, checksum, used) = match decode(&buf[skip..]) {
+            Decoded::Record(record, checksum, used) => (record, checksum, used),
+            Decoded::Incomplete => return Ok(None),
+            Decoded::Invalid => return Err(corrupt(format!("damaged record at byte {at}"))),
+        };
+        let (item, state) = match (state, record) {
+            // A snapshot is SET/SETEX only: a DEL falls to the last arm.
+            (State::Records(mut digest), Record::Op(op)) if !matches!(op, OpRef::Del { .. }) => {
+                digest.add(checksum);
+                (Item::Op(op), State::Records(digest))
+            }
+            (State::Records(digest), Record::End(claimed)) if claimed == digest => {
+                (Item::End { records: digest.records }, State::Tail)
+            }
+            (State::Tail, Record::Op(op)) => (Item::Op(op), State::Tail),
+            (State::Tail, Record::Mark(id)) => (Item::Mark(id), State::Tail),
+            (State::Records(digest), Record::End(_)) => {
+                let n = digest.records;
+                return Err(corrupt(format!("END at byte {at} does not match the {n} records before")));
+            }
+            _ => return Err(corrupt(format!("misplaced record at byte {at}"))),
+        };
+        self.state = state;
+        self.consumed = at + used as u64;
+        Ok(Some((item, skip + used)))
+    }
+}
+
+/// A snapshot file, read whole and verified: [`read`](Snapshot::read)
+/// refuses a damaged file before [`try_for_each`](Snapshot::try_for_each)
+/// can hand out a single op.
+pub struct Snapshot {
+    buf: Vec<u8>,
+    version: u32,
+    records: usize,
+}
+
+impl Snapshot {
+    pub fn read(path: &Path) -> SnapshotResult<Snapshot> {
+        Snapshot::parse(std::fs::read(path)?)
     }
 
-    fn write_hashed(&mut self, bytes: &[u8]) -> SnapshotResult<()> {
-        self.fnv.update(bytes);
-        self.out.write_all(bytes)?;
-        Ok(())
+    /// Verify a snapshot's bytes: header, every record, the count and the
+    /// digest (or v2 checksum), and nothing after them.
+    pub fn parse(buf: Vec<u8>) -> SnapshotResult<Snapshot> {
+        let versions = 2..=SNAP_VERSION;
+        let version = FileHeader::read(&mut Parser::new(&buf), SNAP_MAGIC, versions, "snapshot")
+            .map_err(corrupt)?
+            .version;
+        let mut snapshot = Snapshot { buf, version, records: 0 };
+        snapshot.records = snapshot.try_for_each(|_| SnapshotResult::Ok(()))? as usize;
+        Ok(snapshot)
     }
 
-    /// Append one record. `expire_at_ms` is the absolute expiry deadline
-    /// (0 = none).
-    pub fn append(&mut self, key: &[u8], value: &[u8], expire_at_ms: u64) -> SnapshotResult<()> {
-        let mut head = [0u8; 16];
-        head[..4].copy_from_slice(&(key.len() as u32).to_le_bytes());
-        head[4..8].copy_from_slice(&(value.len() as u32).to_le_bytes());
-        head[8..].copy_from_slice(&expire_at_ms.to_le_bytes());
-        self.write_hashed(&head)?;
-        self.write_hashed(key)?;
-        self.write_hashed(value)?;
-        self.count += 1;
-        Ok(())
+    /// Records (live keys) in the snapshot.
+    pub fn len(&self) -> usize {
+        self.records
     }
 
-    /// Write the end mark, count and checksum; returns the sink and the
-    /// record count.
-    pub fn finish(mut self) -> SnapshotResult<(W, u64)> {
-        let mut trailer = Vec::with_capacity(12);
-        trailer.extend_from_slice(&END_MARK.to_le_bytes());
-        trailer.extend_from_slice(&self.count.to_le_bytes());
-        self.write_hashed(&trailer)?;
-        let checksum = self.fnv.value();
-        self.out.write_all(&checksum.to_le_bytes())?;
-        Ok((self.out, self.count))
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
     }
+
+    /// One pass of the decoder: hand every record, as the op that loads
+    /// it, to `f` in file order; returns how many.
+    pub fn try_for_each<'a, E: From<SnapshotError>>(
+        &'a self,
+        mut f: impl FnMut(OpRef<'a>) -> Result<(), E>,
+    ) -> Result<u64, E> {
+        let mut seen = 0;
+        if self.version == 2 {
+            let mut p = Parser::new(&self.buf);
+            p.take(FileHeader::LEN, "header").map_err(corrupt)?;
+            while let Some(op) = next_v2(&mut p, seen).map_err(corrupt)? {
+                f(op)?;
+                seen += 1;
+            }
+            return Ok(seen);
+        }
+        let (mut reader, mut pos) = (Reader::default(), 0);
+        loop {
+            let Some((item, used)) = reader.next(&self.buf[pos..])? else {
+                return Err(corrupt(format!("truncated: no END after byte {pos}")).into());
+            };
+            pos += used;
+            match item {
+                Item::Op(op) => f(op)?,
+                // Before the tail, the only other item is the END.
+                _ if pos == self.buf.len() => return Ok(seen),
+                _ => return Err(corrupt(format!("{} bytes after END", self.buf.len() - pos)).into()),
+            }
+            seen += 1;
+        }
+    }
+}
+
+/// The next record of a version-2 snapshot, `seen` records in; at its end
+/// mark, the count, checksum and length are verified and `None` returned.
+fn next_v2<'a>(p: &mut Parser<'a>, seen: u64) -> Result<Option<OpRef<'a>>, String> {
+    let key_len = p.u32("key length")?;
+    if key_len == u32::MAX {
+        let count = p.u64("record count")?;
+        let (hashed, checksum) = (fnv1a(p.since(0)), p.u64("checksum")?);
+        if (count, checksum, p.remaining()) != (seen, hashed, 0) {
+            return Err(format!("trailer: {count} records, checksum {checksum:#018x}, {} \
+                 bytes after it; stream: {seen} records, checksum {hashed:#018x}", p.remaining()));
+        }
+        return Ok(None);
+    }
+    let value_len = p.u32("value length")?;
+    let expire_at_ms = p.u64("expiry deadline")?;
+    if key_len as usize > MAX_KEY_LEN || value_len as usize > MAX_VALUE_LEN {
+        return Err(format!("record of {key_len} + {value_len} bytes exceeds the limits"));
+    }
+    let key = p.take(key_len as usize, "key bytes")?;
+    let value = p.take(value_len as usize, "value bytes")?;
+    Ok(Some(OpRef::set(key, value, expire_at_ms)))
+}
+
+/// FNV-1a 64, the version-2 checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A file that appears under its real name whole and durable, or not at
@@ -189,68 +308,11 @@ impl Drop for DurableFile {
     }
 }
 
-/// Fully verify and decode a snapshot byte stream. Every structural
-/// check — magic, version, per-record length bounds, end marker, record
-/// count, checksum, no trailing bytes — passes before any record is
-/// returned.
-pub fn parse_all(buf: &[u8]) -> SnapshotResult<Vec<SnapshotEntry>> {
-    if buf.len() < FileHeader::LEN + 4 + 8 + 8 {
-        return Err(corrupt(format!("stream of {} bytes is smaller than an empty snapshot", buf.len())));
-    }
-    let mut p = Parser::new(buf);
-    FileHeader::read(&mut p, SNAP_MAGIC, SNAP_VERSION..=SNAP_VERSION, "snapshot")
-        .map_err(corrupt)?;
-    let mut records = Vec::new();
-    loop {
-        let klen = p.u32("key length").map_err(corrupt)?;
-        if klen == END_MARK {
-            break;
-        }
-        let vlen = p.u32("value length").map_err(corrupt)?;
-        let expire_at_ms = p.u64("expiry deadline").map_err(corrupt)?;
-        if klen as usize > MAX_KEY_LEN {
-            return Err(corrupt(format!("key length {klen} exceeds limit")));
-        }
-        if vlen as usize > MAX_VALUE_LEN {
-            return Err(corrupt(format!("value length {vlen} exceeds limit")));
-        }
-        let key = p.take(klen as usize, "key bytes").map_err(corrupt)?.to_vec();
-        let value = p.take(vlen as usize, "value bytes").map_err(corrupt)?.to_vec();
-        records.push((key, value, expire_at_ms));
-    }
-    let count = p.u64("record count").map_err(corrupt)?;
-    if count != records.len() as u64 {
-        return Err(corrupt(format!(
-            "trailer claims {count} records, stream holds {}",
-            records.len()
-        )));
-    }
-    let hashed_end = p.pos();
-    let checksum = p.u64("checksum").map_err(corrupt)?;
-    if p.remaining() != 0 {
-        return Err(corrupt(format!("{} trailing bytes after checksum", p.remaining())));
-    }
-    let mut fnv = Fnv::new();
-    fnv.update(&buf[..hashed_end]);
-    if fnv.value() != checksum {
-        return Err(corrupt(format!(
-            "checksum mismatch: stream says {checksum:#018x}, computed {:#018x}",
-            fnv.value()
-        )));
-    }
-    Ok(records)
-}
-
-/// [`parse_all`] over a file on disk.
-pub fn read_all(path: &Path) -> SnapshotResult<Vec<SnapshotEntry>> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    parse_all(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repl::wire::{encode, encode_op};
+    use crate::{EngineConfig, ShardedDash};
 
     struct TempPath(PathBuf);
 
@@ -278,69 +340,115 @@ mod tests {
             .any(|e| e.file_name().to_str().is_some_and(|n| n.starts_with(&stem)))
     }
 
-    fn write_sample(path: &Path, n: u32) -> u64 {
-        let mut file = DurableFile::create(path).unwrap();
-        let mut w = SnapshotStream::new(&mut file.out, 4).unwrap();
-        for i in 0..n {
-            // Every third record carries a deadline, exercising both
-            // record shapes in one stream.
-            let expire = if i % 3 == 0 { 1_700_000_000_000 + u64::from(i) } else { 0 };
-            w.append(format!("key-{i}").as_bytes(), format!("value-{i}").as_bytes(), expire)
-                .unwrap();
+    /// The record of a key as `SNAPSHOT` writes it (expiry 0 = none).
+    fn set<'a>(key: &'a [u8], value: &'a [u8], expire_at_ms: u64) -> OpRef<'a> {
+        OpRef::set(key, value, expire_at_ms)
+    }
+
+    /// A v3 stream of `ops` under a header naming `shards`: what the
+    /// engine's writer produces for a store holding exactly them.
+    fn stream(shards: u32, ops: &[OpRef<'_>]) -> Vec<u8> {
+        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: shards }.encode();
+        let mut out = header.to_vec();
+        let mut digest = Digest::new(&header);
+        for &op in ops {
+            digest.add(encode_op(op, &mut out));
         }
-        let count = w.finish().unwrap().1;
+        encode(Record::End(digest), &mut out);
+        out
+    }
+
+    fn sample(n: u32) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
+        // Every third record carries a deadline, exercising both record
+        // shapes in one stream.
+        (0..n)
+            .map(|i| {
+                let expire = if i % 3 == 0 { 4_000_000_000_000 + u64::from(i) } else { 0 };
+                (format!("key-{i}").into_bytes(), format!("value-{i}").into_bytes(), expire)
+            })
+            .collect()
+    }
+
+    fn write_sample(path: &Path, n: u32) -> usize {
+        let records = sample(n);
+        let ops: Vec<OpRef<'_>> = records.iter().map(|(k, v, e)| set(k, v, *e)).collect();
+        let mut file = DurableFile::create(path).unwrap();
+        file.out.write_all(&stream(4, &ops)).unwrap();
         file.commit().unwrap();
-        count
+        ops.len()
+    }
+
+    /// The verified ops, in file order.
+    fn ops_of(snap: &Snapshot) -> Vec<OpRef<'_>> {
+        let mut ops = Vec::new();
+        snap.try_for_each(|op| {
+            ops.push(op);
+            SnapshotResult::Ok(())
+        })
+        .unwrap();
+        ops
+    }
+
+    fn owned(snap: &Snapshot) -> Vec<crate::ReplOp> {
+        ops_of(snap).into_iter().map(OpRef::to_owned).collect()
     }
 
     #[test]
     fn roundtrip() {
         let p = TempPath::new("roundtrip");
         assert_eq!(write_sample(&p.0, 100), 100);
-        let records = read_all(&p.0).unwrap();
-        assert_eq!(records.len(), 100);
-        for (i, (k, v, e)) in records.iter().enumerate() {
-            assert_eq!(k, format!("key-{i}").as_bytes());
-            assert_eq!(v, format!("value-{i}").as_bytes());
-            let expect = if i % 3 == 0 { 1_700_000_000_000 + i as u64 } else { 0 };
-            assert_eq!(*e, expect, "deadline must survive the roundtrip verbatim");
+        let snap = Snapshot::read(&p.0).unwrap();
+        assert_eq!(snap.len(), 100);
+        for (op, (k, v, e)) in ops_of(&snap).into_iter().zip(sample(100)) {
+            assert_eq!(op, set(&k, &v, e), "deadline must survive the roundtrip verbatim");
         }
         assert!(!tmp_debris(&p.0), "tmp must be renamed away");
     }
 
-    /// A version-1 stream could only come from a store the pool format
-    /// stamp already refuses: it is refused at its header, naming the
-    /// version, whatever follows.
+    /// Version 1 could only come from a store the pool format stamp
+    /// already refuses, and a version this build does not know from a
+    /// newer one: both are refused at the header, naming the version,
+    /// whatever follows.
     #[test]
     fn a_v1_stream_is_refused_naming_its_version() {
-        let mut buf = SnapshotStream::new(Vec::new(), 4).unwrap().finish().unwrap().0;
-        buf[..FileHeader::LEN]
-            .copy_from_slice(&FileHeader { magic: SNAP_MAGIC, version: 1, meta: 4 }.encode());
-        let err = parse_all(&buf).unwrap_err();
-        assert!(err.to_string().contains("version 1"), "{err}");
+        for version in [1, SNAP_VERSION + 1] {
+            let mut buf = stream(4, &[]);
+            buf[..FileHeader::LEN]
+                .copy_from_slice(&FileHeader { magic: SNAP_MAGIC, version, meta: 4 }.encode());
+            let err = Snapshot::parse(buf).err().unwrap();
+            assert!(err.to_string().contains(&format!("version {version}")), "{err}");
+        }
     }
 
+    /// The one writer serves both sinks: the engine's snapshot of a store
+    /// into memory (what `PSYNC` sends) is the file `SNAPSHOT` publishes.
     #[test]
     fn in_memory_stream_matches_file_format() {
         let p = TempPath::new("memstream");
-        write_sample(&p.0, 10);
-        let mut s = SnapshotStream::new(Vec::new(), 4).unwrap();
-        for i in 0..10u32 {
-            let expire = if i % 3 == 0 { 1_700_000_000_000 + u64::from(i) } else { 0 };
-            s.append(format!("key-{i}").as_bytes(), format!("value-{i}").as_bytes(), expire)
-                .unwrap();
+        let cfg = EngineConfig { shards: 2, shard_bytes: 4 << 20, ..EngineConfig::default() };
+        let store = ShardedDash::open(&cfg).unwrap();
+        for (k, v, e) in sample(10) {
+            store.apply(set(&k, &v, e)).unwrap();
         }
-        let (bytes, count) = s.finish().unwrap();
-        assert_eq!(count, 10);
+        let mut bytes = Vec::new();
+        assert_eq!(store.snapshot_into(&mut bytes).unwrap(), 10);
+        assert_eq!(store.snapshot_to(&p.0).unwrap(), 10);
         assert_eq!(bytes, std::fs::read(&p.0).unwrap(), "Vec sink and file must be byte-identical");
-        assert_eq!(parse_all(&bytes).unwrap().len(), 10);
+        let mut loaded = owned(&Snapshot::parse(bytes).unwrap());
+        loaded.sort_by(|a, b| a.key().cmp(b.key()));
+        let mut want: Vec<_> =
+            sample(10).iter().map(|(k, v, e)| set(k, v, *e).to_owned()).collect();
+        want.sort_by(|a, b| a.key().cmp(b.key()));
+        assert_eq!(loaded, want);
     }
 
     #[test]
     fn empty_snapshot_roundtrips() {
         let p = TempPath::new("empty");
         assert_eq!(write_sample(&p.0, 0), 0);
-        assert_eq!(read_all(&p.0).unwrap(), Vec::new());
+        let snap = Snapshot::read(&p.0).unwrap();
+        assert!(snap.is_empty());
+        assert_eq!(ops_of(&snap), []);
     }
 
     #[test]
@@ -349,26 +457,23 @@ mod tests {
         let key: Vec<u8> = (0..=255u8).collect();
         let value = vec![0u8; 10_000];
         let mut file = DurableFile::create(&p.0).unwrap();
-        let mut w = SnapshotStream::new(&mut file.out, 1).unwrap();
-        w.append(&key, &value, 0).unwrap();
-        w.finish().unwrap();
+        file.out.write_all(&stream(1, &[set(&key, &value, 0)])).unwrap();
         file.commit().unwrap();
-        assert_eq!(read_all(&p.0).unwrap(), vec![(key, value, 0)]);
+        assert_eq!(owned(&Snapshot::read(&p.0).unwrap()), [set(&key, &value, 0).to_owned()]);
     }
 
+    /// Every single-byte flip — header included: byte 14, the shard count
+    /// no record covers, falls to the digest — is refused by the
+    /// verifying pass, so nothing of a damaged file is ever applied.
     #[test]
     fn every_corrupted_byte_is_detected() {
         let p = TempPath::new("corrupt");
         write_sample(&p.0, 10);
         let original = std::fs::read(&p.0).unwrap();
-        // Flipping any single byte must fail verification (length fields
-        // may shift parsing, data bytes break the checksum — either way
-        // read_all must reject, never mis-restore).
-        for pos in (0..original.len()).step_by(7) {
+        for pos in 0..original.len() {
             let mut bad = original.clone();
             bad[pos] ^= 0x40;
-            std::fs::write(&p.0, &bad).unwrap();
-            assert!(read_all(&p.0).is_err(), "flip at byte {pos} went undetected");
+            assert!(Snapshot::parse(bad).is_err(), "flip at byte {pos} went undetected");
         }
     }
 
@@ -377,9 +482,168 @@ mod tests {
         let p = TempPath::new("trunc");
         write_sample(&p.0, 10);
         let original = std::fs::read(&p.0).unwrap();
-        for cut in [1, original.len() / 2, original.len() - 1] {
-            std::fs::write(&p.0, &original[..cut]).unwrap();
-            assert!(read_all(&p.0).is_err(), "truncation to {cut} bytes went undetected");
+        for cut in 0..original.len() {
+            assert!(
+                Snapshot::parse(original[..cut].to_vec()).is_err(),
+                "truncation to {cut} bytes went undetected"
+            );
+        }
+        let mut longer = original.clone();
+        longer.push(0);
+        assert!(Snapshot::parse(longer).is_err(), "a trailing byte went undetected");
+    }
+
+    /// What each record is intact on its own but the stream is not:
+    /// dropped, duplicated or swapped records are the digest's to catch.
+    #[test]
+    fn dropped_duplicated_and_swapped_records_are_detected() {
+        let records = sample(4);
+        let ops: Vec<OpRef<'_>> = records.iter().map(|(k, v, e)| set(k, v, *e)).collect();
+        let good = stream(4, &ops);
+        // Each record's byte range, from the decoder.
+        let mut spans = Vec::new();
+        let mut at = FileHeader::LEN;
+        while let Decoded::Record(Record::Op(_), _, used) = decode(&good[at..]) {
+            spans.push(at..at + used);
+            at += used;
+        }
+        assert_eq!(spans.len(), 4);
+        let end = &good[at..];
+        let rebuilt = |order: &[usize]| {
+            let mut out = good[..FileHeader::LEN].to_vec();
+            for &i in order {
+                out.extend_from_slice(&good[spans[i].clone()]);
+            }
+            out.extend_from_slice(end);
+            out
+        };
+        assert!(Snapshot::parse(rebuilt(&[0, 1, 2, 3])).is_ok());
+        // Dropped, duplicated (alone and in place of another), swapped.
+        let damaged: [&[usize]; 5] =
+            [&[0, 1, 3], &[0, 1, 2, 3, 3], &[0, 1, 1, 3], &[0, 2, 1, 3], &[3, 1, 2, 0]];
+        for order in damaged {
+            assert!(Snapshot::parse(rebuilt(order)).is_err(), "order {order:?} went undetected");
+        }
+    }
+
+    /// A snapshot holds one `SET`/`SETEX` per key and nothing else: a
+    /// `DEL`, a log's `BASE` or a tail's `MARK` — each intact and counted
+    /// in the digest, as a writer that produced it would have — is
+    /// refused, as is a second `END`.
+    #[test]
+    fn del_base_and_mark_records_are_refused_inside_a_snapshot() {
+        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: 1 }.encode();
+        for stray in [Record::Op(OpRef::Del { key: b"k" }), Record::Base(0), Record::Mark(7)] {
+            let mut buf = header.to_vec();
+            let mut digest = Digest::new(&header);
+            digest.add(encode_op(set(b"a", b"1", 0), &mut buf));
+            let at = buf.len();
+            digest.add(encode(stray, &mut buf));
+            encode(Record::End(digest), &mut buf);
+            let err = Snapshot::parse(buf).err().unwrap().to_string();
+            assert!(err.contains(&format!("misplaced record at byte {at}")), "{stray:?}: {err}");
+        }
+        let mut twice = stream(1, &[]);
+        twice.extend_from_within(FileHeader::LEN..);
+        assert!(Snapshot::parse(twice).is_err());
+    }
+
+    /// The v3 snapshot encoding, byte for byte: header, a `SET`, a
+    /// `SETEX` and the `END`. A change to the layout, a checksum or the
+    /// digest fails here instead of silently misreading old snapshots.
+    #[test]
+    fn the_v3_snapshot_encoding_is_pinned() {
+        let ops = [set(b"k1", b"val", 0), set(b"k2", b"v", 1_700_000_000_000)];
+        let buf = stream(3, &ops);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_V3);
+        let snap = Snapshot::parse(buf).unwrap();
+        assert_eq!(ops_of(&snap), ops);
+    }
+
+    /// One line per piece: the header, then each record as length ‖ body
+    /// ‖ MurmurHash64A of the two before it; END's body is its tag, the
+    /// count and the digest. The `SET` and `SETEX` records are the redo
+    /// log's, byte for byte (`repl::log`'s pinned v3 encoding).
+    const GOLDEN_V3: &str = concat!(
+        "44415348534e50310300000003000000",
+        "0a000000", "01020000006b3176616c", "469632bb11508ad8",
+        "10000000", "03020000006b320068e5cf8b01000076", "f4e3f4ae44e407d1",
+        "11000000", "0502000000000000009718f3662d05c015", "1ba54f4664c8dafa",
+    );
+
+    /// Written by the version-2 writer: a plain record, one with a
+    /// deadline, and one with a binary key, under a header naming 3
+    /// shards.
+    const GOLDEN_V2: &str = concat!(
+        "44415348534e50310200000003000000",
+        "05000000", "02000000", "0000000000000000", "706c61696e", "7631",
+        "03000000", "02000000", "00d8c32cbb030000", "74746c", "7632",
+        "04000000", "03000000", "0000000000000000", "000d0aff", "62696e",
+        "ffffffff", "0300000000000000", "9d917c550e908fcb",
+    );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// A snapshot from the build before the v3 format still restores,
+    /// byte-exact, deadlines verbatim; its checksum is still checked.
+    #[test]
+    fn a_v2_snapshot_restores_byte_exact() {
+        let v2 = unhex(GOLDEN_V2);
+        let snap = Snapshot::parse(v2.clone()).unwrap();
+        let want = [
+            (&b"plain"[..], &b"v1"[..], 0),
+            (b"ttl", b"v2", 4_102_444_800_000),
+            (&[0, 13, 10, 255], b"bin", 0),
+        ];
+        let ops: Vec<_> = want.iter().map(|&(k, v, e)| set(k, v, e)).collect();
+        assert_eq!((snap.len(), ops_of(&snap)), (3, ops));
+        for pos in 0..v2.len() {
+            let mut bad = v2.clone();
+            bad[pos] ^= 0x40;
+            assert!(Snapshot::parse(bad).is_err(), "v2 flip at byte {pos} went undetected");
+        }
+        let p = TempPath::new("v2-restore");
+        std::fs::write(&p.0, &v2).unwrap();
+        let cfg = EngineConfig { shards: 2, shard_bytes: 4 << 20, ..EngineConfig::default() };
+        let store = ShardedDash::restore(&cfg, &p.0).unwrap();
+        assert_eq!(store.len(), 3);
+        for (key, value, expire_at_ms) in want {
+            assert_eq!(store.get_with_expiry(key).unwrap(), Some((value.to_vec(), expire_at_ms)));
+        }
+    }
+
+    #[test]
+    fn fnv_matches_known_vector() {
+        // FNV-1a 64 of "a" is a published test vector.
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    /// The incremental reader over a stream cut anywhere: every prefix
+    /// yields the items of a whole feed up to its cut, and nothing else.
+    #[test]
+    fn the_reader_waits_on_a_prefix_and_reads_on_into_the_tail() {
+        let mut buf = stream(2, &[set(b"a", b"1", 0), set(b"b", b"2", 9)]);
+        encode(Record::Mark(5), &mut buf);
+        encode_op(OpRef::Del { key: b"a" }, &mut buf);
+        let items = |buf: &[u8]| {
+            let (mut reader, mut at, mut items) = (Reader::default(), 0, Vec::new());
+            while let Some((item, used)) = reader.next(&buf[at..]).unwrap() {
+                items.push(format!("{item:?}"));
+                at += used;
+            }
+            items
+        };
+        let whole = items(&buf);
+        assert_eq!(whole.len(), 5, "{whole:?}");
+        assert!(whole[2].starts_with("End") && whole[3] == "Mark(5)", "{whole:?}");
+        for cut in 0..buf.len() {
+            let got = items(&buf[..cut]);
+            assert_eq!(got, whole[..got.len()], "cut {cut}");
+            assert!(got.len() < whole.len(), "cut {cut}");
         }
     }
 

@@ -39,8 +39,8 @@
 //! crash always leaves a forensic record. Trace identity propagates:
 //! a cluster client re-sends its correlation id with an incremented
 //! hop count after every MOVED/ASK redirect, and a traced write on the
-//! primary emits `TRACEID` into the PSYNC tail so the replica records
-//! the apply under the same id.
+//! primary is preceded by a `MARK` record in the PSYNC tail so the
+//! replica records the apply under the same id.
 
 pub mod log;
 

@@ -5,10 +5,13 @@
 #![cfg(unix)]
 
 use dash_repro::dash_server::repl::log::{
-    encode_record, read_log, record_checksum, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION,
-    SEGMENT_BYTES,
+    read_log, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION, SEGMENT_BYTES,
 };
-use dash_repro::dash_server::repl::wire::FileHeader;
+use dash_repro::dash_server::repl::wire::{
+    encode, encode_op, encode_record, record_checksum, Digest, FileHeader, Record,
+};
+use dash_repro::dash_server::repl::OpRef;
+use dash_repro::dash_server::snapshot::{Reader, SNAP_MAGIC, SNAP_VERSION};
 use dash_repro::dash_server::{ReplOp, MAX_VALUE_LEN};
 use dash_repro::{EngineConfig, ShardedDash};
 use proptest::prelude::*;
@@ -505,5 +508,63 @@ proptest! {
             std::fs::metadata(&path).unwrap().len(),
             file.len() as u64 - rec.truncated_bytes
         );
+    }
+
+    /// The replica's decoder is incremental: a `PSYNC` stream — snapshot
+    /// records, their `END`, then tail ops and `MARK`s — fed in reads cut
+    /// at arbitrary points, down to one byte at a time, yields exactly the
+    /// items of one whole feed, and consumes every byte.
+    #[test]
+    fn the_stream_decoder_yields_the_same_items_at_any_split(
+        snapshot in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..10),
+        tail in proptest::collection::vec(
+            (0u8..5, 0u32..6, proptest::collection::vec(any::<u8>(), 0..24)),
+            0..16,
+        ),
+        reads in proptest::collection::vec(1usize..48, 1..32),
+    ) {
+        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: 2 }.encode();
+        let mut stream = header.to_vec();
+        let mut digest = Digest::new(&header);
+        let keys: Vec<Vec<u8>> = (0..16).map(|i| format!("key:{i}").into_bytes()).collect();
+        for (i, value) in snapshot.iter().enumerate() {
+            digest.add(encode_op(OpRef::set(&keys[i], value, 7 * (i as u64 % 2)), &mut stream));
+        }
+        encode(Record::End(digest), &mut stream);
+        for (kind, key, value) in &tail {
+            let key = &keys[*key as usize];
+            match kind {
+                0 => encode_op(OpRef::Set { key, value }, &mut stream),
+                1 => encode_op(OpRef::SetEx { key, value, expire_at_ms: 99 }, &mut stream),
+                2 => encode_op(OpRef::Del { key }, &mut stream),
+                3 => {
+                    encode(Record::Mark(value.len() as u64 + 1), &mut stream);
+                    encode_op(OpRef::Set { key, value }, &mut stream)
+                }
+                _ => encode(Record::Mark(0), &mut stream),
+            };
+        }
+        let feed = |reads: &mut dyn Iterator<Item = usize>| {
+            let (mut reader, mut buf, mut items) = (Reader::default(), Vec::new(), Vec::new());
+            let mut sent = 0;
+            while sent < stream.len() {
+                let n = reads.next().unwrap().min(stream.len() - sent);
+                buf.extend_from_slice(&stream[sent..sent + n]);
+                sent += n;
+                let mut pos = 0;
+                while let Some((item, used)) = reader.next(&buf[pos..]).unwrap() {
+                    items.push(format!("{item:?}"));
+                    pos += used;
+                }
+                buf.drain(..pos);
+            }
+            (items, buf.len())
+        };
+        let whole = feed(&mut std::iter::once(stream.len()));
+        prop_assert_eq!(whole.1, 0);
+        let marked = tail.iter().filter(|t| t.0 == 3).count();
+        prop_assert_eq!(whole.0.len(), snapshot.len() + 1 + tail.len() + marked);
+        prop_assert_eq!(&feed(&mut reads.iter().copied().cycle()), &whole);
+        prop_assert_eq!(&feed(&mut std::iter::repeat(1)), &whole);
     }
 }

@@ -244,7 +244,7 @@ fn snapshot_command_end_to_end_over_tcp() {
         server.shutdown();
     }
     // The client can also verify the file out of band.
-    let records = snapshot::read_all(&snap_path).unwrap();
+    let records = snapshot::Snapshot::read(&snap_path).unwrap();
     assert_eq!(records.len(), N as usize);
     // Bootstrap a brand-new server from the snapshot and read it back.
     {
