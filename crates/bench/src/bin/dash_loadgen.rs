@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dash_common::{cli, mix64, uniform_keys, ZipfGenerator};
+use dash_server::trace::log::escape_into;
 use dash_server::{ClusterClient, RespClient, Value};
 
 const USAGE: &str = "\
@@ -1674,21 +1675,6 @@ fn main() {
     std::process::exit(if failed { 1 } else { 0 });
 }
 
-/// Minimal JSON string escaping — enough for addresses, labels and
-/// paths (quote, backslash, control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// The `--json` document, handwritten (no serde in the tree): run
 /// parameters, per-phase throughput/counts, the per-op latency
 /// percentiles, and the overall verdict.
@@ -1702,7 +1688,9 @@ fn render_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"addr\": \"{}\",\n", json_escape(&cfg.addr)));
+    out.push_str("  \"addr\": \"");
+    escape_into(&mut out, &cfg.addr);
+    out.push_str("\",\n");
     out.push_str(&format!("  \"conns\": {},\n", cfg.conns));
     out.push_str(&format!("  \"ops\": {},\n", cfg.ops));
     out.push_str(&format!("  \"read_pct\": {},\n", cfg.read_pct));
@@ -1714,12 +1702,13 @@ fn render_json(
         if i > 0 {
             out.push(',');
         }
+        out.push_str("\n    {\"label\": \"");
+        escape_into(&mut out, &p.label);
         out.push_str(&format!(
-            "\n    {{\"label\": \"{}\", \"throughput_ops_per_sec\": {:.1}, \
+            "\", \"throughput_ops_per_sec\": {:.1}, \
              \"gets\": {}, \"sets\": {}, \"hits\": {}, \"op_errors\": {}, \
              \"failed_connections\": {}, \"expired_or_evicted\": {}, \
              \"oom_rejections\": {}}}",
-            json_escape(&p.label),
             p.throughput,
             p.gets,
             p.sets,
@@ -1766,10 +1755,9 @@ fn render_json(
                 if i > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
-                    "\"{}\": {{\"mean_ns\": {mean}, \"max_ns\": {max}}}",
-                    json_escape(name)
-                ));
+                out.push('"');
+                escape_into(&mut out, name);
+                out.push_str(&format!("\": {{\"mean_ns\": {mean}, \"max_ns\": {max}}}"));
             }
             out.push_str("}},\n");
         }

@@ -283,45 +283,48 @@ impl RespClient {
         Ok(find_field(&self.info()?, field))
     }
 
-    fn repl_field(&mut self, field: &str) -> std::io::Result<String> {
-        find_field(&self.replication_info()?, field).ok_or_else(|| {
+    /// One field of `INFO <section>`, an error when the section lacks it.
+    fn section_field(&mut self, section: &str, field: &str) -> std::io::Result<String> {
+        let text = self.info_payload(&[b"INFO", section.as_bytes()])?;
+        find_field(&text, field).ok_or_else(|| {
             std::io::Error::new(
                 ErrorKind::InvalidData,
-                format!("INFO replication has no {field} field"),
+                format!("INFO {section} has no {field} field"),
             )
         })
     }
 
-    fn repl_u64(&mut self, field: &str) -> std::io::Result<u64> {
-        let value = self.repl_field(field)?;
+    /// One integer field of `INFO <section>`.
+    fn section_u64(&mut self, section: &str, field: &str) -> std::io::Result<u64> {
+        let value = self.section_field(section, field)?;
         value.parse().map_err(|_| {
             std::io::Error::new(
                 ErrorKind::InvalidData,
-                format!("INFO {field} is not an integer: {value:?}"),
+                format!("INFO {section} {field} is not an integer: {value:?}"),
             )
         })
     }
 
     /// `role`: `"primary"` or `"replica"`.
     pub fn role(&mut self) -> std::io::Result<String> {
-        self.repl_field("role")
+        self.section_field("replication", "role")
     }
 
     /// `repl_offset`: the server's replication stream position. Equal
     /// on a primary and its caught-up replica once writes quiesce.
     pub fn repl_offset(&mut self) -> std::io::Result<u64> {
-        self.repl_u64("repl_offset")
+        self.section_u64("replication", "repl_offset")
     }
 
     /// `repl_log_flushes`: `write(2)` calls the redo logs have issued for
     /// records since the store was opened.
     pub fn repl_log_flushes(&mut self) -> std::io::Result<u64> {
-        self.repl_u64("repl_log_flushes")
+        self.section_u64("replication", "repl_log_flushes")
     }
 
     /// `connected_replicas`: live replica streams on a primary.
     pub fn connected_replicas(&mut self) -> std::io::Result<u64> {
-        self.repl_u64("connected_replicas")
+        self.section_u64("replication", "connected_replicas")
     }
 
     /// `master_link` on a replica: `"up"` or `"down"` (`None` on a
@@ -333,19 +336,7 @@ impl RespClient {
     /// One integer field out of `INFO stats` (e.g. `"worker_panics"`,
     /// `"commands_served"`, `"eh_splits"`).
     pub fn stat_u64(&mut self, field: &str) -> std::io::Result<u64> {
-        let text = self.stats_info()?;
-        let value = find_field(&text, field).ok_or_else(|| {
-            std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("INFO stats has no {field} field"),
-            )
-        })?;
-        value.parse().map_err(|_| {
-            std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("INFO stats {field} is not an integer: {value:?}"),
-            )
-        })
+        self.section_u64("stats", field)
     }
 
     // ---- SLOWLOG ----------------------------------------------------------

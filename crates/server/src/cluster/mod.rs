@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+use crate::metrics::stats;
 use crate::resp::Value;
 use crate::server::Inner;
 
@@ -264,6 +265,11 @@ impl ClusterState {
         (map.slots_assigned(), map.slots_owned_by(&self.announce))
     }
 
+    /// Distinct slot owners in the map.
+    pub(crate) fn known_nodes(&self) -> usize {
+        self.map.read().nodes().len()
+    }
+
     fn moved(&self, slot: u16) -> Value {
         match self.map.read().owner(slot) {
             Some(addr) => {
@@ -350,75 +356,6 @@ impl ClusterState {
             }
         }
     }
-
-    /// The `CLUSTER INFO` payload (a bulk string of `key:value` lines,
-    /// like `INFO`).
-    pub(crate) fn info_text(&self) -> String {
-        let map = self.map.read();
-        let assigned = map.slots_assigned();
-        let owned = map.slots_owned_by(&self.announce);
-        let nodes = map.nodes().len();
-        let epoch = map.epoch();
-        drop(map);
-        let mut out = String::new();
-        out.push_str("# cluster\r\n");
-        out.push_str("cluster_enabled:1\r\n");
-        out.push_str(&format!(
-            "cluster_state:{}\r\n",
-            if assigned == NUM_SLOTS as usize { "ok" } else { "down" }
-        ));
-        out.push_str(&format!("cluster_announce:{}\r\n", self.announce));
-        out.push_str(&format!("cluster_epoch:{epoch}\r\n"));
-        out.push_str(&format!("cluster_slots_assigned:{assigned}\r\n"));
-        out.push_str(&format!("cluster_slots_owned:{owned}\r\n"));
-        out.push_str(&format!("cluster_known_nodes:{nodes}\r\n"));
-        out.push_str(&format!(
-            "moved_redirects:{}\r\n",
-            self.moved_redirects.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!("ask_redirects:{}\r\n", self.ask_redirects.load(Ordering::Relaxed)));
-        out.push_str(&format!(
-            "migrations_started:{}\r\n",
-            self.migrations_started.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "migrations_completed:{}\r\n",
-            self.migrations_completed.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "migrations_failed:{}\r\n",
-            self.migrations_failed.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "keys_migrated:{}\r\n",
-            self.keys_migrated_total.load(Ordering::Relaxed)
-        ));
-        let mig = self.migration.lock();
-        out.push_str(&format!("migration_active:{}\r\n", u8::from(mig.active)));
-        out.push_str(&format!("migration_state:{}\r\n", mig.state));
-        if mig.state != "none" {
-            out.push_str(&format!("migration_range:{}-{}\r\n", mig.start, mig.end));
-            out.push_str(&format!("migration_target:{}\r\n", mig.target));
-            out.push_str(&format!(
-                "migration_keys:{}\r\n",
-                self.migration_keys.load(Ordering::Relaxed)
-            ));
-        }
-        if !mig.error.is_empty() {
-            out.push_str(&format!(
-                "migration_error:{}\r\n",
-                mig.error.replace(['\r', '\n'], " ")
-            ));
-        }
-        drop(mig);
-        let imp = self.import.lock();
-        out.push_str(&format!("import_active:{}\r\n", u8::from(imp.is_some())));
-        if let Some(imp) = imp.as_ref() {
-            out.push_str(&format!("import_range:{}-{}\r\n", imp.start, imp.end));
-            out.push_str(&format!("import_source:{}\r\n", imp.source));
-        }
-        out
-    }
 }
 
 fn cluster_err(msg: impl Into<String>) -> Value {
@@ -446,7 +383,7 @@ pub(crate) fn cluster_command(cl: &Arc<ClusterState>, inner: &Inner, args: &[&[u
     let sub = String::from_utf8_lossy(sub).to_ascii_uppercase();
     let rest = &args[1..];
     match sub.as_str() {
-        "INFO" => Value::Bulk(cl.info_text().into_bytes()),
+        "INFO" => Value::Bulk(stats::info(inner, stats::CLUSTER).into_bytes()),
         "SLOTS" => {
             let ranges = cl.map.read().ranges();
             Value::Array(

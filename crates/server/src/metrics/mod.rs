@@ -13,15 +13,18 @@
 //!   shared cacheline between event workers.
 //! * **Readers pay the aggregation.** INFO and a scrape sum the
 //!   stripes; both are O(shards + buckets), never O(keys).
-//! * **Nothing is counted twice.** The event core's health counters
-//!   (`worker_panics`, `accept_errors`, ...) that used to live as ad-hoc
-//!   `pub(crate)` atomics on `Inner` live *here* now — `net/` pokes the
-//!   registry, and INFO/Prometheus render the same cells.
+//! * **Nothing is counted or named twice.** The event core's health
+//!   counters (`worker_panics`, `accept_errors`, ...) live in this
+//!   registry, which `net/` pokes. Every number INFO, `CLUSTER INFO` and
+//!   the endpoint print — from here, the engine, the tracer or the
+//!   cluster — is one row of the stats table ([`stats`]): its INFO
+//!   field, its Prometheus series and how to read it, declared once.
 
 pub mod counter;
 pub mod histogram;
 pub mod slowlog;
 pub(crate) mod prometheus;
+pub(crate) mod stats;
 
 pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnapshot, Histogram};

@@ -1,189 +1,111 @@
 //! Prometheus text exposition (format 0.0.4) plus the tiny HTTP/1.0
 //! response builder the accept loop serves it with.
 //!
-//! Rendering is a pure read: striped counters are summed, histograms
-//! snapshotted and written as cumulative `_bucket`/`_sum`/`_count`
-//! series (bounds converted from nanoseconds to seconds for `le`), and
-//! the engine/replication gauges are sampled — no locks beyond the
-//! slowlog's (untouched here) and the repl hub's sink-list read lock.
-//! Nothing scans the keyspace: per-shard key counts come from the
-//! O(shards) counters, so a scrape is safe at any poll frequency.
+//! Rendering is a pure read of the stats table ([`super::stats`]): its
+//! exported rows by place, and the labelled families written here
+//! between them. Histograms are written as cumulative `_bucket`/`_sum`/
+//! `_count` series (`le` in seconds). Nothing scans the keyspace, so a
+//! scrape is safe at any poll frequency.
 
 use std::fmt::Write;
 
 use crate::server::Inner;
 
 use super::histogram::{HistSnapshot, BOUNDS_NS, NUM_BOUNDS};
+use super::stats::{Prom, Sample, ROWS, SHARD_ROWS};
 use super::CmdFamily;
+
+/// Writes one labelled family: its HELP/TYPE lines and its series.
+type Family = fn(&mut String, &Sample);
+
+/// The labelled families, each printed after the row at that place in
+/// the scrape.
+const FAMILIES: [(u8, Family); 3] = [(7, latency), (9, shard_series), (24, sinks)];
 
 /// Render the whole exposition payload.
 pub(crate) fn render(inner: &Inner) -> String {
-    let m = &inner.metrics;
+    let s = Sample::new(inner);
+    let mut rows: Vec<_> = ROWS.iter().filter_map(|r| Some((r.export?, r))).collect();
+    rows.sort_by_key(|((at, _), _)| *at);
     let mut out = String::with_capacity(16 * 1024);
-
-    counter(&mut out, "dash_connections_accepted_total", "Connections accepted.", m.connections_accepted.get());
-    counter(&mut out, "dash_commands_served_total", "Commands decoded and executed.", m.commands_served.get());
-    counter(&mut out, "dash_accept_errors_total", "Accept-loop errors survived (EMFILE and friends).", m.accept_errors.get());
-    counter(&mut out, "dash_worker_panics_total", "Caught connection-handler and worker panics.", m.worker_panics.get());
-    gauge_i(&mut out, "dash_active_connections", "Connections currently registered on an event loop.", m.active_connections.get());
-    gauge_i(&mut out, "dash_event_workers", "Event-loop worker pool size.", inner.event_workers as i64);
-    gauge_i(&mut out, "dash_slowlog_len", "Entries currently retained in the SLOWLOG ring.", m.slowlog.len() as i64);
-
-    // Per-command latency histograms, one labeled series per family.
-    help_type(&mut out, "dash_cmd_latency_seconds", "Command execution latency at the execute seam.", "histogram");
-    for fam in CmdFamily::ALL {
-        let snap = m.cmd_hist[fam.index()].snapshot();
-        write_histogram(&mut out, "dash_cmd_latency_seconds", fam.name(), &snap);
-    }
-
-    // Per-stage latency from sampled traces: {stage, cmd} series.
-    // Families a stage never observed are skipped — with tracing off
-    // the whole block renders nothing but HELP/TYPE.
-    help_type(&mut out, "dash_stage_seconds", "Per-stage request latency from sampled traces.", "histogram");
-    for stage in crate::trace::Stage::ALL {
-        for fam in CmdFamily::ALL {
-            let snap = m.stage_snapshot(stage, fam);
-            if snap.count() == 0 {
-                continue;
-            }
-            write_stage_histogram(&mut out, stage.name(), fam.name(), &snap);
+    for ((at, series), row) in rows {
+        if let Some(value) = (row.read)(&s) {
+            help_type(&mut out, series);
+            let _ = writeln!(out, "{} {value}", series.1);
         }
-    }
-    counter(&mut out, "dash_traces_captured_total", "Request spans captured into the flight recorder.", inner.tracer.captured_total());
-    counter(&mut out, "dash_traces_abandoned_total", "Captured spans whose reply flush was never observed.", inner.tracer.abandoned_total());
-
-    // Engine: per-shard gauges and the paper's own instrumentation axis
-    // (segment splits / directory doublings), summed engine-wide too.
-    let shards = inner.engine.shard_telemetry();
-    help_type(&mut out, "dash_shard_keys", "Keys per shard (O(shards) counters, no scan).", "gauge");
-    help_type(&mut out, "dash_shard_capacity_slots", "Table slot capacity per shard.", "gauge");
-    help_type(&mut out, "dash_shard_load_factor", "keys / capacity_slots per shard.", "gauge");
-    help_type(&mut out, "dash_shard_blob_bytes", "Net record bytes (header, key and value) written minus retired since open.", "gauge");
-    help_type(&mut out, "dash_blob_dead_bytes", "Dead (retired, unreclaimed) record bytes per shard.", "gauge");
-    help_type(&mut out, "dash_eh_splits_total", "Dash-EH segment splits since open.", "counter");
-    help_type(&mut out, "dash_eh_doublings_total", "Dash-EH directory doublings since open.", "counter");
-    help_type(&mut out, "dash_eh_merges_total", "Dash-EH segment merges since open.", "counter");
-    help_type(&mut out, "dash_write_lock_waits_total", "Shard write-lock acquisitions that had to wait.", "counter");
-    help_type(&mut out, "dash_epoch_pins_total", "Epoch pins taken by engine operations.", "counter");
-    for (i, t) in shards.iter().enumerate() {
-        let lf = if t.capacity_slots == 0 { 0.0 } else { t.keys as f64 / t.capacity_slots as f64 };
-        let _ = writeln!(out, "dash_shard_keys{{shard=\"{i}\"}} {}", t.keys);
-        let _ = writeln!(out, "dash_shard_capacity_slots{{shard=\"{i}\"}} {}", t.capacity_slots);
-        let _ = writeln!(out, "dash_shard_load_factor{{shard=\"{i}\"}} {lf}");
-        let _ = writeln!(
-            out,
-            "dash_shard_blob_bytes{{shard=\"{i}\"}} {}",
-            t.blob_bytes_written as i64 - t.blob_bytes_released as i64
-        );
-        let _ = writeln!(out, "dash_blob_dead_bytes{{shard=\"{i}\"}} {}", t.dead_bytes);
-        let _ = writeln!(out, "dash_eh_splits_total{{shard=\"{i}\"}} {}", t.eh_splits);
-        let _ = writeln!(out, "dash_eh_doublings_total{{shard=\"{i}\"}} {}", t.eh_doublings);
-        let _ = writeln!(out, "dash_eh_merges_total{{shard=\"{i}\"}} {}", t.eh_merges);
-        let _ = writeln!(out, "dash_write_lock_waits_total{{shard=\"{i}\"}} {}", t.write_lock_waits);
-        let _ = writeln!(out, "dash_epoch_pins_total{{shard=\"{i}\"}} {}", t.epoch_pins);
-    }
-
-    // Expiration & eviction: the memory budget, what counts against it,
-    // and the four ways a key leaves without a client DEL.
-    let engine = &inner.engine;
-    gauge_i(&mut out, "dash_maxmemory_bytes", "Configured memory budget (0 = unlimited).", engine.max_memory().unwrap_or(0) as i64);
-    gauge_i(&mut out, "dash_mem_used_bytes", "Pool bytes counted against the budget: table, records and pending frees.", engine.mem_used() as i64);
-    gauge_i(&mut out, "dash_expire_wheel_entries", "Timer-wheel entries queued for active expiry.", engine.wheel_entries() as i64);
-    counter(&mut out, "dash_expired_keys_total", "Keys removed because their TTL deadline passed (lazy + active + sweep).", engine.expired_keys_total());
-    counter(&mut out, "dash_evicted_keys_total", "Keys evicted by the maxmemory policy.", engine.evicted_keys_total());
-    counter(&mut out, "dash_oom_rejections_total", "Writes rejected with -OOM (eviction could not make room).", engine.oom_rejections_total());
-    counter(&mut out, "dash_compactions_total", "Record reclamation passes that freed space.", engine.compactions_total());
-    counter(&mut out, "dash_reclaimed_bytes_total", "Bytes returned to the free lists by reclamation.", engine.reclaimed_bytes_total());
-
-    // The lookup hint: keys ÷ windows is how many lookups a pipelined
-    // tick or a multi-key call overlapped.
-    counter(&mut out, "dash_prefetch_windows_total", "Lookup hints issued for two or more keys (pipeline windows and multi-key calls).", engine.prefetch_windows_total());
-    counter(&mut out, "dash_prefetch_keys_total", "Keys those hints covered.", engine.prefetch_keys_total());
-
-    // Replication: the stream position, each live sink's position and
-    // lag, and how often this replica's link had to be rebuilt.
-    counter(&mut out, "dash_repl_offset", "Replication stream offset (ops since store creation).", inner.engine.repl_offset());
-    counter(&mut out, "dash_repl_log_flushes_total", "write(2) calls the redo logs issued for records since open (records per flush is the group-commit batching factor).", inner.engine.repl_log_flushes());
-    gauge_i(&mut out, "dash_repl_connected_replicas", "Live replica streams.", inner.engine.connected_replicas() as i64);
-    counter(&mut out, "dash_log_append_errors_total", "Redo-log records dropped by a failed write (ops applied, records missing).", inner.engine.log_append_errors());
-    counter(&mut out, "dash_repl_reconnects_total", "Replica-side reconnects to the primary.", m.repl_reconnects.get());
-    help_type(&mut out, "dash_repl_sink_lag_ops", "Ops queued to a replica sink, not yet drained.", "gauge");
-    help_type(&mut out, "dash_repl_sink_offset", "The sink's acknowledged stream position (offset minus lag).", "gauge");
-    let offset = inner.engine.repl_offset();
-    for (id, lag) in inner.engine.replica_lags() {
-        let _ = writeln!(out, "dash_repl_sink_lag_ops{{sink=\"{id}\"}} {lag}");
-        let _ = writeln!(out, "dash_repl_sink_offset{{sink=\"{id}\"}} {}", offset.saturating_sub(lag));
-    }
-    gauge_i(&mut out, "dash_repl_log_bytes", "Total bytes across the per-shard redo logs.", inner.engine.repl_log_bytes() as i64);
-    gauge_i(&mut out, "dash_repl_log_segments", "Sealed redo-log segments on disk across shards.", inner.engine.repl_log_segments() as i64);
-    let log_open = inner.engine.repl_log_open_cost();
-    gauge_i(&mut out, "dash_repl_log_open_scanned_bytes", "Redo-log bytes read and validated by the last store open (bounded by the segment cap per shard).", log_open.scanned_bytes as i64);
-    gauge_i(&mut out, "dash_repl_log_open_us", "Microseconds the last store open spent reopening the redo logs.", log_open.micros as i64);
-
-    // Cluster: slot ownership, redirect and migration counters. Only in
-    // cluster mode — a non-cluster server exports no cluster series.
-    if let Some(cl) = &inner.cluster {
-        use std::sync::atomic::Ordering;
-        gauge_i(&mut out, "dash_cluster_enabled", "1 when this server runs in cluster mode.", 1);
-        gauge_i(&mut out, "dash_cluster_epoch", "Slot-map epoch (bumps on every topology change).", cl.epoch() as i64);
-        let (assigned, owned) = cl.slot_counts();
-        gauge_i(&mut out, "dash_cluster_slots_assigned", "Slots with a known owner in this node's map.", assigned as i64);
-        gauge_i(&mut out, "dash_cluster_slots_owned", "Slots this node owns.", owned as i64);
-        counter(&mut out, "dash_cluster_moved_redirects_total", "MOVED redirects issued.", cl.moved_redirects.load(Ordering::Relaxed));
-        counter(&mut out, "dash_cluster_ask_redirects_total", "ASK redirects issued.", cl.ask_redirects.load(Ordering::Relaxed));
-        counter(&mut out, "dash_cluster_migrations_started_total", "Slot migrations started on this node (source side).", cl.migrations_started.load(Ordering::Relaxed));
-        counter(&mut out, "dash_cluster_migrations_completed_total", "Slot migrations completed (ownership flipped).", cl.migrations_completed.load(Ordering::Relaxed));
-        counter(&mut out, "dash_cluster_migrations_failed_total", "Slot migrations aborted before the flip.", cl.migrations_failed.load(Ordering::Relaxed));
-        counter(&mut out, "dash_cluster_keys_migrated_total", "Keys streamed to migration targets (bulk + tail).", cl.keys_migrated_total.load(Ordering::Relaxed));
-        gauge_i(&mut out, "dash_cluster_migration_active", "1 while an outbound slot migration is running.", i64::from(cl.migration.lock().active));
+        for (_, family) in FAMILIES.iter().filter(|(after, _)| *after == at) {
+            family(&mut out, &s);
+        }
     }
     out
 }
 
-fn help_type(out: &mut String, name: &str, help: &str, kind: &str) {
+/// Per-command latency, one series per family; then per-stage latency
+/// from sampled traces, `{stage, cmd}` series for the cells a stage
+/// observed — with tracing off that block is its HELP/TYPE alone.
+fn latency(out: &mut String, s: &Sample) {
+    let m = &s.inner.metrics;
+    let name = "dash_cmd_latency_seconds";
+    help_type(out, ("histogram", name, "Command execution latency at the execute seam."));
+    for fam in CmdFamily::ALL {
+        write_histogram(out, name, &format!("cmd=\"{}\"", fam.name()), &m.cmd_snapshot(fam));
+    }
+    let name = "dash_stage_seconds";
+    help_type(out, ("histogram", name, "Per-stage request latency from sampled traces."));
+    for stage in crate::trace::Stage::ALL {
+        for fam in CmdFamily::ALL {
+            let snap = m.stage_snapshot(stage, fam);
+            if snap.count() > 0 {
+                let labels = format!("stage=\"{}\",cmd=\"{}\"", stage.name(), fam.name());
+                write_histogram(out, name, &labels, &snap);
+            }
+        }
+    }
+}
+
+/// Every HELP/TYPE of the per-shard table, then its series shard by shard.
+fn shard_series(out: &mut String, s: &Sample) {
+    SHARD_ROWS.iter().for_each(|&(series, _)| help_type(out, series));
+    for (i, t) in s.shards().iter().enumerate() {
+        for ((_, name, _), read) in SHARD_ROWS {
+            let _ = writeln!(out, "{name}{{shard=\"{i}\"}} {}", read(t));
+        }
+    }
+}
+
+/// Each live replica sink's lag and acknowledged position.
+fn sinks(out: &mut String, s: &Sample) {
+    let help = "Ops queued to a replica sink, not yet drained.";
+    help_type(out, ("gauge", "dash_repl_sink_lag_ops", help));
+    let help = "The sink's acknowledged stream position (offset minus lag).";
+    help_type(out, ("gauge", "dash_repl_sink_offset", help));
+    let offset = s.inner.engine.repl_offset();
+    for (id, lag) in s.inner.engine.replica_lags() {
+        let _ = writeln!(out, "dash_repl_sink_lag_ops{{sink=\"{id}\"}} {lag}");
+        let acked = offset.saturating_sub(lag);
+        let _ = writeln!(out, "dash_repl_sink_offset{{sink=\"{id}\"}} {acked}");
+    }
+}
+
+fn help_type(out: &mut String, (kind, name, help): Prom) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
 }
 
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    help_type(out, name, help, "counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-fn gauge_i(out: &mut String, name: &str, help: &str, value: i64) {
-    help_type(out, name, help, "gauge");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// One family's `_bucket`/`_sum`/`_count` series. Buckets are emitted
-/// cumulative with an explicit `+Inf`, per the exposition format.
-fn write_histogram(out: &mut String, name: &str, family: &str, snap: &HistSnapshot) {
+/// One histogram's `_bucket`/`_sum`/`_count` series under `labels`
+/// (`cmd="get"`, say). Buckets are emitted cumulative with an explicit
+/// `+Inf`, per the exposition format.
+fn write_histogram(out: &mut String, name: &str, labels: &str, snap: &HistSnapshot) {
     let mut cum = 0u64;
     for (count, bound) in snap.counts.iter().zip(BOUNDS_NS.iter()) {
         cum += count;
         let le = *bound as f64 / 1e9;
-        let _ = writeln!(out, "{name}_bucket{{cmd=\"{family}\",le=\"{le}\"}} {cum}");
+        let _ = writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cum}");
     }
     cum += snap.counts[NUM_BOUNDS];
-    let _ = writeln!(out, "{name}_bucket{{cmd=\"{family}\",le=\"+Inf\"}} {cum}");
-    let _ = writeln!(out, "{name}_sum{{cmd=\"{family}\"}} {}", snap.sum_ns as f64 / 1e9);
-    let _ = writeln!(out, "{name}_count{{cmd=\"{family}\"}} {cum}");
-}
-
-/// The two-label (`stage`, `cmd`) variant of [`write_histogram`] for
-/// `dash_stage_seconds`.
-fn write_stage_histogram(out: &mut String, stage: &str, family: &str, snap: &HistSnapshot) {
-    let labels = format!("stage=\"{stage}\",cmd=\"{family}\"");
-    let mut cum = 0u64;
-    for (count, bound) in snap.counts.iter().zip(BOUNDS_NS.iter()) {
-        cum += count;
-        let le = *bound as f64 / 1e9;
-        let _ = writeln!(out, "dash_stage_seconds_bucket{{{labels},le=\"{le}\"}} {cum}");
-    }
-    cum += snap.counts[NUM_BOUNDS];
-    let _ = writeln!(out, "dash_stage_seconds_bucket{{{labels},le=\"+Inf\"}} {cum}");
-    let _ = writeln!(out, "dash_stage_seconds_sum{{{labels}}} {}", snap.sum_ns as f64 / 1e9);
-    let _ = writeln!(out, "dash_stage_seconds_count{{{labels}}} {cum}");
+    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cum}");
+    let _ = writeln!(out, "{name}_sum{{{labels}}} {}", snap.sum_ns as f64 / 1e9);
+    let _ = writeln!(out, "{name}_count{{{labels}}} {cum}");
 }
 
 // ---- minimal HTTP/1.0 responder ------------------------------------------
@@ -265,7 +187,7 @@ mod tests {
         h.record(1_500);
         h.record(u64::MAX); // overflow bucket
         let mut out = String::new();
-        write_histogram(&mut out, "t_seconds", "get", &h.snapshot());
+        write_histogram(&mut out, "t_seconds", "cmd=\"get\"", &h.snapshot());
         let buckets: Vec<u64> = out
             .lines()
             .filter(|l| l.starts_with("t_seconds_bucket"))
@@ -285,7 +207,8 @@ mod tests {
         let h = super::super::histogram::Histogram::new();
         h.record(2_000);
         let mut out = String::new();
-        write_stage_histogram(&mut out, "persist", "set", &h.snapshot());
+        let labels = "stage=\"persist\",cmd=\"set\"";
+        write_histogram(&mut out, "dash_stage_seconds", labels, &h.snapshot());
         assert!(
             out.contains("dash_stage_seconds_bucket{stage=\"persist\",cmd=\"set\",le=\"+Inf\"} 1"),
             "{out}"

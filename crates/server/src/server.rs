@@ -41,7 +41,7 @@ use parking_lot::Mutex;
 
 use crate::command::{Cmd, Command};
 use crate::engine::ShardedDash;
-use crate::metrics::{CmdFamily, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
+use crate::metrics::{stats, Metrics, DEFAULT_SLOWLOG_THRESHOLD_US};
 use crate::net::EventFd;
 use crate::repl::wire::{self, Record};
 use crate::resp::{self, encode, Value};
@@ -93,9 +93,9 @@ pub(crate) struct Inner {
     pub(crate) shutdown: AtomicBool,
     pub(crate) addr: SocketAddr,
     /// The telemetry registry: every health counter, the per-command
-    /// latency histograms and the SLOWLOG ring. The single home for
-    /// these numbers — `net/` increments here, and INFO, SLOWLOG and
-    /// the metrics endpoint all render from here.
+    /// latency histograms and the SLOWLOG ring. `net/` increments here;
+    /// what INFO and the metrics endpoint print of it (and of the
+    /// engine) is declared in the stats table, `metrics/stats.rs`.
     pub(crate) metrics: Metrics,
     /// The request-tracing control plane: sampling knobs, span ids, and
     /// the per-worker flight-recorder rings behind `TRACE DUMP`.
@@ -678,16 +678,14 @@ pub(crate) fn execute(
         // so monitoring polls never scale with the data they watch.
         Cmd::Info => {
             let text = match args {
-                [s] if s.eq_ignore_ascii_case(b"replication") => replication_info_text(inner),
-                [s] if s.eq_ignore_ascii_case(b"stats") => stats_info_text(inner),
-                [s] if s.eq_ignore_ascii_case(b"latency") => latency_info_text(inner),
-                [s] if s.eq_ignore_ascii_case(b"keyspace") => keyspace_info_text(inner),
-                [s] if s.eq_ignore_ascii_case(b"memory") => memory_info_text(inner),
-                [_] => return err(
-                    out,
-                    "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
-                ),
-                _ => info_text(inner),
+                [word] => match stats::named(word) {
+                    Some(section) => stats::info(inner, section),
+                    None => return err(
+                        out,
+                        "unknown INFO section ('replication', 'stats', 'latency', 'memory' and 'keyspace' are supported)",
+                    ),
+                },
+                _ => stats::info(inner, stats::DEFAULT),
             };
             resp::encode_bulk(text.as_bytes(), out);
             Outcome::Replied
@@ -975,203 +973,6 @@ pub(crate) fn serve_replica_stream(mut stream: TcpStream, inner: &Inner) -> std:
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
         }
     }
-}
-
-/// The default INFO payload: the server section, replication, stats,
-/// latency, and one line per shard with its recovery provenance.
-///
-/// Everything here is **O(shards)**: per-shard key counts come from the
-/// engine's counters, never a scan, so monitoring can poll INFO at any
-/// frequency without the cost scaling with the data. The ground-truth
-/// `scan_len` lives in the opt-in `INFO keyspace` section.
-fn info_text(inner: &Inner) -> String {
-    let engine = &inner.engine;
-    let infos = engine.shard_infos();
-    let keys = engine.shard_keys();
-    let mut out = String::new();
-    out.push_str("# dash-server\r\n");
-    out.push_str(&format!("shards:{}\r\n", engine.shard_count()));
-    out.push_str(&format!("keys:{}\r\n", engine.len()));
-    out.push_str(&format!("recovered_shards:{}\r\n", engine.recovered_shards()));
-    out.push_str(&format!("event_workers:{}\r\n", inner.event_workers));
-    out.push_str(&replication_info_text(inner));
-    out.push_str(&stats_info_text(inner));
-    out.push_str(&memory_info_text(inner));
-    out.push_str(&latency_info_text(inner));
-    out.push_str("# shards\r\n");
-    for (i, (info, n)) in infos.iter().zip(&keys).enumerate() {
-        out.push_str(&format!(
-            "shard{i}:keys={n},recovered={},clean={},version={}\r\n",
-            u8::from(info.recovered),
-            u8::from(info.clean),
-            info.version,
-        ));
-    }
-    out
-}
-
-/// The stats section (`INFO stats`): the event core's health counters
-/// and the engine's aggregate instrumentation. O(shards), no scans.
-fn stats_info_text(inner: &Inner) -> String {
-    let m = &inner.metrics;
-    let shards = inner.engine.shard_telemetry();
-    let sum = |f: fn(&crate::engine::ShardTelemetry) -> u64| shards.iter().map(f).sum::<u64>();
-    let blob_net: i64 =
-        shards.iter().map(|t| t.blob_bytes_written as i64 - t.blob_bytes_released as i64).sum();
-    let mut out = String::new();
-    out.push_str("# stats\r\n");
-    out.push_str(&format!("connections_accepted:{}\r\n", m.connections_accepted.get()));
-    out.push_str(&format!("commands_served:{}\r\n", m.commands_served.get()));
-    out.push_str(&format!("active_connections:{}\r\n", m.active_connections.get()));
-    out.push_str(&format!("accept_errors:{}\r\n", m.accept_errors.get()));
-    out.push_str(&format!("worker_panics:{}\r\n", m.worker_panics.get()));
-    out.push_str(&format!("slowlog_len:{}\r\n", m.slowlog.len()));
-    out.push_str(&format!("slowlog_threshold_us:{}\r\n", m.slowlog.threshold_us()));
-    out.push_str(&format!("trace_enabled:{}\r\n", u8::from(inner.tracer.enabled())));
-    out.push_str(&format!("trace_sample_every:{}\r\n", inner.tracer.sample_every()));
-    out.push_str(&format!("traces_captured:{}\r\n", inner.tracer.captured_total()));
-    out.push_str(&format!("traces_abandoned:{}\r\n", inner.tracer.abandoned_total()));
-    out.push_str(&format!("prefetch_windows:{}\r\n", inner.engine.prefetch_windows_total()));
-    out.push_str(&format!("prefetch_keys:{}\r\n", inner.engine.prefetch_keys_total()));
-    out.push_str(&format!("epoch_pins:{}\r\n", sum(|t| t.epoch_pins)));
-    out.push_str(&format!("write_lock_waits:{}\r\n", sum(|t| t.write_lock_waits)));
-    out.push_str(&format!("eh_splits:{}\r\n", sum(|t| t.eh_splits)));
-    out.push_str(&format!("eh_doublings:{}\r\n", sum(|t| t.eh_doublings)));
-    out.push_str(&format!("eh_merges:{}\r\n", sum(|t| t.eh_merges)));
-    out.push_str(&format!("blob_bytes_net:{blob_net}\r\n"));
-    out.push_str(&format!("expired_keys:{}\r\n", inner.engine.expired_keys_total()));
-    out.push_str(&format!("evicted_keys:{}\r\n", inner.engine.evicted_keys_total()));
-    out.push_str(&format!("oom_rejections:{}\r\n", inner.engine.oom_rejections_total()));
-    out.push_str(&format!("compactions:{}\r\n", inner.engine.compactions_total()));
-    out.push_str(&format!("reclaimed_bytes:{}\r\n", inner.engine.reclaimed_bytes_total()));
-    out.push_str(&format!("repl_reconnects:{}\r\n", m.repl_reconnects.get()));
-    for (id, lag) in inner.engine.replica_lags() {
-        out.push_str(&format!("replica_sink{id}:lag_ops={lag}\r\n"));
-    }
-    out
-}
-
-/// The latency section (`INFO latency`): per command family, the
-/// observation count and the p50/p99/p999 quantiles in microseconds
-/// (bucket upper bounds — see the histogram docs for the ~41% bound on
-/// quantization error). Families with no observations report count 0
-/// and no quantile lines.
-fn latency_info_text(inner: &Inner) -> String {
-    let mut out = String::new();
-    out.push_str("# latency\r\n");
-    let mut all = crate::metrics::HistSnapshot::default();
-    for fam in CmdFamily::ALL {
-        let snap = inner.metrics.cmd_snapshot(fam);
-        let name = fam.name();
-        out.push_str(&format!("cmd_{name}_count:{}\r\n", snap.count()));
-        if snap.count() > 0 {
-            for (label, q) in [("p50", 0.5), ("p99", 0.99), ("p999", 0.999)] {
-                if let Some(ns) = snap.quantile_ns(q) {
-                    out.push_str(&format!("cmd_{name}_{label}_us:{}\r\n", ns.div_ceil(1_000)));
-                }
-            }
-        }
-        all.merge(&snap);
-    }
-    // The merged row: one latency profile over every executed command.
-    out.push_str(&format!("cmd_all_count:{}\r\n", all.count()));
-    if all.count() > 0 {
-        for (label, q) in [("p50", 0.5), ("p99", 0.99), ("p999", 0.999)] {
-            if let Some(ns) = all.quantile_ns(q) {
-                out.push_str(&format!("cmd_all_{label}_us:{}\r\n", ns.div_ceil(1_000)));
-            }
-        }
-    }
-    out
-}
-
-/// The memory section (`INFO memory`): the eviction budget and policy,
-/// live vs dead pool bytes (the fragmentation signal reclamation
-/// acts on), and the per-shard breakdown. O(shards), no scans.
-fn memory_info_text(inner: &Inner) -> String {
-    let engine = &inner.engine;
-    let mut out = String::new();
-    out.push_str("# memory\r\n");
-    out.push_str(&format!("maxmemory:{}\r\n", engine.max_memory().unwrap_or(0)));
-    out.push_str(&format!("maxmemory_policy:{}\r\n", engine.eviction_policy().name()));
-    out.push_str(&format!("mem_used_bytes:{}\r\n", engine.mem_used()));
-    out.push_str(&format!("dead_bytes:{}\r\n", engine.dead_bytes()));
-    out.push_str(&format!("expire_wheel_entries:{}\r\n", engine.wheel_entries()));
-    for (i, t) in engine.shard_telemetry().iter().enumerate() {
-        out.push_str(&format!(
-            "shard{i}:mem_used={},dead={}\r\n",
-            t.mem_used_bytes, t.dead_bytes
-        ));
-    }
-    out
-}
-
-/// The keyspace section (`INFO keyspace`): the O(shards) counter next
-/// to its **ground truth by full scan** — persistent disagreement on a
-/// quiescent server means counter drift (momentary disagreement under
-/// live writers is expected). O(total keys): the one INFO section whose
-/// cost scales with the data, which is why it is opt-in.
-fn keyspace_info_text(inner: &Inner) -> String {
-    let engine = &inner.engine;
-    let mut out = String::new();
-    out.push_str("# keyspace\r\n");
-    out.push_str(&format!("keys:{}\r\n", engine.len()));
-    out.push_str(&format!("scan_len:{}\r\n", engine.scan_len()));
-    for (i, n) in engine.shard_keys().iter().enumerate() {
-        out.push_str(&format!("shard{i}_keys:{n}\r\n"));
-    }
-    out
-}
-
-/// The replication lines of INFO, also served standalone as
-/// `INFO replication` (cheap — no key counts, no scans): the role, the
-/// stream position (primary: ops published since store creation;
-/// replica: primary-numbered offset applied), and the live replica
-/// streams. Offset equality between a primary and its quiesced replica
-/// means the replica holds every acknowledged write — the precondition
-/// the failover drill checks before killing the primary.
-fn replication_info_text(inner: &Inner) -> String {
-    let engine = &inner.engine;
-    let role = inner.role();
-    let mut out = String::new();
-    out.push_str("# replication\r\n");
-    out.push_str(&format!(
-        "role:{}\r\n",
-        match role {
-            Role::Primary => "primary",
-            Role::Replica => "replica",
-        }
-    ));
-    let repl_offset = match role {
-        Role::Primary => engine.repl_offset(),
-        Role::Replica => inner.applied_offset.load(Ordering::SeqCst),
-    };
-    out.push_str(&format!("repl_offset:{repl_offset}\r\n"));
-    out.push_str(&format!("connected_replicas:{}\r\n", engine.connected_replicas()));
-    out.push_str(&format!("log_append_errors:{}\r\n", engine.log_append_errors()));
-    // `write(2)` calls behind the records written since this open: a
-    // pipelined or batched load shows far fewer flushes than records.
-    out.push_str(&format!("repl_log_flushes:{}\r\n", engine.repl_log_flushes()));
-    // Total bytes across the per-shard redo logs — what --replay-logs
-    // would read, and the number capacity planning wants to watch.
-    out.push_str(&format!("repl_log_bytes:{}\r\n", engine.repl_log_bytes()));
-    out.push_str(&format!("repl_log_segments:{}\r\n", engine.repl_log_segments()));
-    // What the last restart paid to reopen the logs: bounded by the
-    // segment cap per shard, so a slow restart that is not the log's
-    // fault says so here.
-    let log_open = engine.repl_log_open_cost();
-    out.push_str(&format!("repl_log_open_scanned_bytes:{}\r\n", log_open.scanned_bytes));
-    out.push_str(&format!("repl_log_open_us:{}\r\n", log_open.micros));
-    if role == Role::Replica {
-        if let Some(master) = &inner.master_addr {
-            out.push_str(&format!("master_addr:{master}\r\n"));
-        }
-        out.push_str(&format!(
-            "master_link:{}\r\n",
-            if inner.link_up.load(Ordering::SeqCst) { "up" } else { "down" }
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -115,8 +115,9 @@ pub fn log(level: Level, target: &str, msg: &str) {
     };
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control chars).
-fn escape_into(out: &mut String, s: &str) {
+/// Minimal JSON string escaping (quotes, backslash, control chars),
+/// appended to `out` — the log lines' and `dash-loadgen --json`'s.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -271,3 +271,47 @@ fn promotion_after_primary_death_loses_no_acknowledged_write() {
     assert_eq!(reopened.get(&k).unwrap(), Some(v));
     reopened.close().unwrap();
 }
+
+/// A replica's `repl_offset` is one number wherever it is read. Its
+/// primary takes 200 SETs over 20 keys before it attaches, so the full
+/// sync carries 20 records against a primary offset of 200: the replica
+/// reports the primary-numbered position it has applied in INFO and on
+/// `/metrics` alike, not the count of records it applied locally.
+#[test]
+fn replica_metrics_offset_matches_info() {
+    let primary = serve(ShardedDash::open(&mem_cfg(2)).unwrap(), "127.0.0.1:0").unwrap();
+    let mut pc = RespClient::connect(primary.addr()).unwrap();
+    for i in 0..200 {
+        let (k, v) = kv(i % 20);
+        assert_eq!(pc.command(&[b"SET", &k, &v]).unwrap(), Value::Simple("OK".into()));
+    }
+    let replica = serve_with(
+        ShardedDash::open(&mem_cfg(2)).unwrap(),
+        "127.0.0.1:0",
+        ServeOptions {
+            replica_of: Some(primary.addr().to_string()),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut rc = RespClient::connect(replica.addr()).unwrap();
+    wait_for("INFO offsets agree", || rc.repl_offset().unwrap() == pc.repl_offset().unwrap());
+    assert_eq!(pc.repl_offset().unwrap(), 200);
+
+    use std::io::{Read, Write};
+    let mut scrape = std::net::TcpStream::connect(replica.metrics_addr().unwrap()).unwrap();
+    scrape.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut body = String::new();
+    scrape.read_to_string(&mut body).unwrap();
+    let exported: u64 = body
+        .lines()
+        .find_map(|l| l.strip_prefix("dash_repl_offset "))
+        .expect("dash_repl_offset on the replica's /metrics")
+        .parse()
+        .unwrap();
+    assert_eq!(exported, rc.repl_offset().unwrap(), "replica /metrics vs its INFO");
+    assert_eq!(exported, 200, "replica /metrics vs the primary's INFO");
+    replica.shutdown();
+    primary.shutdown();
+}
