@@ -39,8 +39,13 @@ OPTIONS:
                        refuses a --dir that already holds a store
     --replay-logs DIR  after opening (or restoring) the store, replay
                        the redo logs (repl-N.log) found in DIR on top —
-                       incremental backup: old snapshot + log replay
-                       reconstructs the final state
+                       incremental backup: with --restore, each shard's
+                       log replays from the position the snapshot
+                       recorded, reconstructing the final state; alone,
+                       from the start of each log. The logs keep only a
+                       window, so a snapshot older than what they still
+                       hold (or a shard count that differs) is refused
+                       before anything is applied
     --max-memory BYTES
                        memory budget over pool bytes (table, records and
                        pending frees), enforced per shard as
@@ -53,11 +58,14 @@ OPTIONS:
                        allkeys-lru (evict the least-recently-used of N
                        samples) or allkeys-lfu (least-frequently-used)
     --repl-log-max-bytes N
-                       a shard's redo log always seals its active file
-                       into a segment at a size cap (default 4 MiB), so
-                       a restart validates one bounded file; N overrides
-                       the cap and lets a durable SNAPSHOT delete the
-                       sealed segments it covers (default: keep them)
+                       a shard's redo log seals its active file into a
+                       4 MiB segment (a restart validates one bounded
+                       file) and, at each seal, deletes its oldest
+                       segments (never the one just sealed) while the
+                       log exceeds its window:
+                       max(4 MiB, a quarter of the shard's pool bytes in
+                       use) by default, N bytes when given (segments
+                       then seal at min(N, 4 MiB))
     --replica-of HOST:PORT
                        start as a read-only replica of the primary at
                        HOST:PORT (bootstraps via PSYNC snapshot+tail;
@@ -199,32 +207,30 @@ fn main() {
         eviction,
         repl_log_max_bytes,
     };
-    let engine = match &restore {
-        None => ShardedDash::open(&cfg),
-        Some(snapshot) => ShardedDash::restore(&cfg, snapshot),
+    let fail = |what: &str, e: dash_server::EngineError| -> ! {
+        eprintln!("dash-server: {what}: {e}");
+        std::process::exit(1);
     };
-    let engine = match engine {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("dash-server: cannot open store: {e}");
-            std::process::exit(1);
-        }
+    let opened = match (&restore, &replay_logs) {
+        (None, _) => ShardedDash::open(&cfg).map(|engine| (engine, None)),
+        (Some(snapshot), None) => ShardedDash::restore(&cfg, snapshot).map(|engine| (engine, None)),
+        (Some(snapshot), Some(log_dir)) => ShardedDash::restore_and_replay(&cfg, snapshot, log_dir)
+            .map(|(engine, n)| (engine, Some(n))),
     };
+    let (engine, replayed) = opened.unwrap_or_else(|e| fail("cannot open store", e));
     if let Some(snapshot) = &restore {
-        println!("restored {} keys from snapshot {}", engine.len(), snapshot.display());
+        println!("restored snapshot {}", snapshot.display());
     }
     if let Some(log_dir) = &replay_logs {
-        match engine.replay_log_dir(log_dir) {
-            Ok(n) => println!(
-                "replayed {n} ops from redo logs in {} ({} keys now)",
-                log_dir.display(),
-                engine.len()
-            ),
-            Err(e) => {
-                eprintln!("dash-server: cannot replay logs from {}: {e}", log_dir.display());
-                std::process::exit(1);
-            }
-        }
+        let n = replayed.unwrap_or_else(|| {
+            engine.replay_log_dir(log_dir).unwrap_or_else(|e| {
+                fail(&format!("cannot replay logs from {}", log_dir.display()), e)
+            })
+        });
+        println!("replayed {n} ops from redo logs in {}", log_dir.display());
+    }
+    if restore.is_some() || replay_logs.is_some() {
+        println!("{} keys now", engine.len());
     }
     for (i, info) in engine.shard_infos().iter().enumerate() {
         if info.recovered {

@@ -43,10 +43,12 @@ use crate::expire::{is_expired, now_ms, policy, EvictionPolicy, TimerWheel};
 use crate::metrics::Counter;
 use crate::record::{self, Rec, RecKey, RecProbe};
 use crate::repl::hub::{ReplHub, ReplSubscription};
-use crate::repl::log::LogWriter;
+use crate::repl::log::{LogWriter, ReplayFile, SEGMENT_BYTES, WINDOW_DIVISOR};
 use crate::repl::wire::{encode, encode_op, Digest, FileHeader, Record};
 use crate::repl::OpRef;
-use crate::snapshot::{DurableFile, Snapshot, SnapshotError, SNAP_MAGIC, SNAP_VERSION};
+use crate::snapshot::{
+    DurableFile, Snapshot, SnapshotError, SNAP_MAGIC, SNAP_VERSION, SNAP_VERSION_UNPOSITIONED,
+};
 
 /// Upper bound on one value. Bounded (like keys) so a stale record
 /// pointer followed by an optimistic reader can never walk far out of a
@@ -143,12 +145,15 @@ pub struct EngineConfig {
     pub max_memory: Option<u64>,
     /// What to evict when the budget is hit (`--maxmemory-policy`).
     pub eviction: EvictionPolicy,
-    /// `--repl-log-max-bytes`. A shard's redo log always seals its
-    /// active file into a segment at a size cap (that is what bounds
-    /// reopen); `Some(n)` overrides the default cap
-    /// ([`SEGMENT_BYTES`](crate::repl::log::SEGMENT_BYTES)) **and** opts
-    /// in to a durable `SNAPSHOT` deleting the sealed segments it
-    /// covers. `None` = default cap, and sealed segments are kept.
+    /// `--repl-log-max-bytes`. A shard's redo log seals its active file
+    /// into a segment at [`SEGMENT_BYTES`] (that is what bounds reopen)
+    /// and, at each seal, deletes its oldest segments — never the one
+    /// just sealed — while the log exceeds its window: max(`SEGMENT_BYTES`,
+    /// the shard pool's `mem_used` / [`WINDOW_DIVISOR`]). `Some(n)` makes
+    /// the window `n` bytes and seals at min(`n`, `SEGMENT_BYTES`).
+    ///
+    /// [`SEGMENT_BYTES`]: crate::repl::log::SEGMENT_BYTES
+    /// [`WINDOW_DIVISOR`]: crate::repl::log::WINDOW_DIVISOR
     pub repl_log_max_bytes: Option<u64>,
 }
 
@@ -264,6 +269,9 @@ struct Shard {
     /// [`LogBatch`] flush the buffer at the end of its scope without
     /// taking the write lock.
     log: Option<Mutex<LogWriter>>,
+    /// `--repl-log-max-bytes`: the log window, overriding the one
+    /// relative to the pool (see [`Shard::record`]).
+    log_window: Option<u64>,
     /// Store-wide replication fan-out (shared by all shards).
     hub: Arc<ReplHub>,
     /// Record bytes written since open.
@@ -417,11 +425,21 @@ impl Shard {
     /// [`LogWriter`], which keeps the file a clean prefix and counts what
     /// it drops (`INFO log_append_errors`). Live replica streams feed from
     /// the hub and are unaffected.
+    ///
+    /// A record that seals the active file trims the log to its window
+    /// right here, under the write lock, so which segments exist is a
+    /// function of the op stream alone. A failed delete only leaves
+    /// extra log; the next seal retries it.
     fn record(&self, op: OpRef<'_>) {
         if let Some(log) = &self.log {
             let deferred = LogBatch::defers(self);
             let mut log = log.lock();
-            log.buffer(op);
+            if log.buffer(op) {
+                let window = self
+                    .log_window
+                    .unwrap_or_else(|| (self.pool.mem_used() / WINDOW_DIVISOR).max(SEGMENT_BYTES));
+                let _ = log.retain(window);
+            }
             if !deferred {
                 let _ = log.flush();
             }
@@ -563,9 +581,6 @@ pub struct ShardedDash {
     /// this open (the wheel is volatile, and rebuilding it on open
     /// would break constant-time recovery).
     sweep_cursor: Mutex<(usize, u64)>,
-    /// Whether `--repl-log-max-bytes` was given; gates snapshot-time
-    /// segment sealing + truncation (the logs rotate either way).
-    log_rotation: bool,
     /// What reopening the redo logs cost at [`open`](Self::open).
     log_open: LogOpenCost,
     /// Keys deleted because their deadline passed (lazy + active).
@@ -610,6 +625,44 @@ fn same_target(a: &Path, b: &Path) -> bool {
         (Some(x), Some(y)) => x == y,
         _ => false,
     }
+}
+
+/// Replaying a store's own logs into it would append every replayed op
+/// back onto the very logs being read.
+fn refuse_own_logs(store_dir: &Path, log_dir: &Path) -> EngineResult<()> {
+    let own = store_dir.canonicalize().ok();
+    if own.is_some() && own == log_dir.canonicalize().ok() {
+        return Err(EngineError::ReplLog(format!(
+            "refusing to replay a store's own logs ({}) into it",
+            log_dir.display()
+        )));
+    }
+    Ok(())
+}
+
+/// Check every shard's chain in `dir` before anything is applied: each
+/// must supply its records from its position on (`positions`, one per
+/// source shard; `None`: from 0, any shard count). Returns what to read.
+fn plan_replay(dir: &Path, positions: Option<&[u64]>) -> EngineResult<Vec<Vec<ReplayFile>>> {
+    let shards = (0..).take_while(|&i| log_file(dir, i).exists()).count();
+    if shards == 0 {
+        return Err(EngineError::ReplLog(format!("no repl-0.log in {}", dir.display())));
+    }
+    if let Some(positions) = positions.filter(|p| p.len() != shards) {
+        return Err(EngineError::ReplLog(format!(
+            "the snapshot was taken of {} shards, but {} holds the logs of {shards}",
+            positions.len(),
+            dir.display()
+        )));
+    }
+    (0..shards)
+        .map(|i| {
+            let path = log_file(dir, i);
+            let from = positions.map_or(0, |p| p[i]);
+            crate::repl::log::replay_from(&path, from)
+                .map_err(|e| EngineError::ReplLog(format!("shard {i} ({}): {e}", path.display())))
+        })
+        .collect()
 }
 
 /// Count the `shard-N.pool` files in `dir`, insisting they are exactly
@@ -726,6 +779,7 @@ impl ShardedDash {
                 keys_delta: AtomicI64::new(0),
                 info: ShardInfo { recovered, clean: out.clean, version: out.version },
                 log,
+                log_window: cfg.repl_log_max_bytes,
                 hub: hub.clone(),
                 blob_written: AtomicU64::new(0),
                 blob_released: AtomicU64::new(0),
@@ -753,7 +807,6 @@ impl ShardedDash {
             policy: cfg.eviction,
             local_expiry: AtomicBool::new(true),
             sweep_cursor: Mutex::new((0, 0)),
-            log_rotation: cfg.repl_log_max_bytes.is_some(),
             log_open,
             expired_keys: AtomicU64::new(0),
             evicted_keys: AtomicU64::new(0),
@@ -1671,13 +1724,26 @@ impl ShardedDash {
     /// own epoch pin and written after it is dropped, so a slow disk or a
     /// stalled replica holds up this writer, never reclamation. Writers
     /// keep running; an overwritten key lands with its old or new value.
+    ///
+    /// First come the shards' log positions, each read under its shard's
+    /// write lock before the scan starts: every op below a position is
+    /// in the table the scan reads (a mutation is applied and counted
+    /// under that lock), so the snapshot plus the log from its positions
+    /// on is the whole store. A store without redo logs has no positions
+    /// and writes the version before them.
     pub(crate) fn snapshot_into(&self, out: &mut dyn std::io::Write) -> std::io::Result<u64> {
         const SNAPSHOT_PAGE: usize = 1024;
         let shards = self.shards.len() as u32;
-        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: shards }.encode();
-        out.write_all(&header)?;
+        let logs: Vec<_> = self.shards.iter().filter_map(|s| Some((s, s.log.as_ref()?))).collect();
+        let version = if logs.is_empty() { SNAP_VERSION_UNPOSITIONED } else { SNAP_VERSION };
+        let header = FileHeader { magic: SNAP_MAGIC, version, meta: shards }.encode();
+        let mut page_bytes = header.to_vec();
         let mut digest = Digest::new(&header);
-        let mut page_bytes = Vec::new();
+        for (shard, log) in logs {
+            let _w = shard.lock_write();
+            digest.cover(encode(Record::Base(log.lock().records()), &mut page_bytes));
+        }
+        out.write_all(&page_bytes)?;
         let now = now_ms();
         for shard in &self.shards {
             let mut cursor = ScanCursor::START;
@@ -1721,48 +1787,55 @@ impl ShardedDash {
                 path.display()
             )));
         }
-        // With log rotation on, seal each shard's active log under its
-        // write lock before the scan: every op sealed into a segment
-        // here updated the table before the scan starts (both happen
-        // under the same lock), so once the snapshot is durable those
-        // segments are redundant and can be deleted.
-        let mut covered: Vec<(usize, Vec<PathBuf>)> = Vec::new();
-        if self.log_rotation {
-            for (si, shard) in self.shards.iter().enumerate() {
-                if let Some(log) = &shard.log {
-                    let _w = shard.lock_write();
-                    if let Ok(segs) = log.lock().rotate_for_snapshot() {
-                        if !segs.is_empty() {
-                            covered.push((si, segs));
-                        }
-                    }
-                }
-            }
-        }
         let failed = |e: std::io::Error| EngineError::from(SnapshotError::from(e));
         let mut file = DurableFile::create(path).map_err(failed)?;
         let n = self.snapshot_into(&mut file.out).map_err(failed)?;
         file.commit().map_err(failed)?;
-        // `commit` returned: the snapshot is durable (file and directory
-        // fsynced), so the covered segments may go. Best-effort — a
-        // failure only leaves extra log.
-        for (si, segs) in covered {
-            if let Some(log) = &self.shards[si].log {
-                let _ = log.lock().truncate_segments(&segs);
-            }
-        }
         Ok(n)
     }
 
-    /// Restore a snapshot (version 3, or 2 from an older build) into a
-    /// **fresh** store opened with `cfg` (the open-from-backup path). The
-    /// file is fully verified — every record, the count and the digest
-    /// (or v2 checksum) — *before* any store state is created, so
-    /// a corrupted snapshot is rejected with a clean error and no
-    /// half-restored directory. Records re-partition under `cfg.shards`;
-    /// the snapshot's source shard count does not constrain the target.
+    /// Restore a snapshot (version 3 or 4) into a **fresh** store opened
+    /// with `cfg` (the open-from-backup path). The file is fully verified
+    /// — every record, the count and the digest — *before* any store
+    /// state is created, so a corrupted snapshot is rejected with a clean
+    /// error and no half-restored directory. Records re-partition under
+    /// `cfg.shards`; the snapshot's source shard count does not constrain
+    /// the target.
     pub fn restore(cfg: &EngineConfig, snapshot: &Path) -> EngineResult<Self> {
+        Self::restore_replaying(cfg, snapshot, None).map(|(store, _)| store)
+    }
+
+    /// [`restore`](Self::restore), then replay the redo logs in `log_dir`
+    /// — the source store's directory — from the positions the snapshot
+    /// recorded (a version-3 snapshot has none: position 0): the
+    /// incremental backup. Every check runs before the target is
+    /// created: the snapshot's, and each shard's chain must reach back to
+    /// its position ([`replay_from`](crate::repl::log::replay_from)), and
+    /// the directory must hold the logs of as many shards as the
+    /// snapshot was taken of. Returns the store and the ops replayed.
+    pub fn restore_and_replay(
+        cfg: &EngineConfig,
+        snapshot: &Path,
+        log_dir: &Path,
+    ) -> EngineResult<(Self, u64)> {
+        Self::restore_replaying(cfg, snapshot, Some(log_dir))
+    }
+
+    fn restore_replaying(
+        cfg: &EngineConfig,
+        snapshot: &Path,
+        log_dir: Option<&Path>,
+    ) -> EngineResult<(Self, u64)> {
         let snapshot = Snapshot::read(snapshot)?;
+        let replay = match log_dir {
+            Some(log_dir) => {
+                if let Some(dir) = &cfg.dir {
+                    refuse_own_logs(dir, log_dir)?;
+                }
+                plan_replay(log_dir, Some(snapshot.positions()))?
+            }
+            None => Vec::new(),
+        };
         if let Some(dir) = &cfg.dir {
             if dir.exists() && discover_shards(dir).map_or(true, |n| n > 0) {
                 return Err(EngineError::Layout(format!(
@@ -1771,7 +1844,7 @@ impl ShardedDash {
                 )));
             }
         }
-        let open_and_load = || -> EngineResult<Self> {
+        let open_and_load = || -> EngineResult<(Self, u64)> {
             let store = Self::open(cfg)?;
             // Through the apply path: the snapshot is already-accepted
             // state, so no budget is enforced, and deadlines are restored
@@ -1780,10 +1853,11 @@ impl ShardedDash {
                 let _batch = store.log_batch();
                 snapshot.try_for_each(|op| store.apply(op).map(drop))?;
             }
-            Ok(store)
+            let replayed = store.replay(&replay)?;
+            Ok((store, replayed))
         };
         match open_and_load() {
-            Ok(store) => Ok(store),
+            Ok(loaded) => Ok(loaded),
             Err(e) => {
                 // A failure mid-restore (snapshot bigger than the
                 // configured pools, disk full, ...) must not leave a
@@ -1892,50 +1966,32 @@ impl ShardedDash {
     }
 
     /// Replay the redo logs found in `dir` (`repl-N.log`, any shard
-    /// count) on top of this store — the incremental-backup restore: a
-    /// store bootstrapped from an old snapshot plus a full log replay
-    /// converges to the log's final state, because each key's last op
+    /// count) on top of this store, from position 0: each key's last op
     /// wins and per-shard order is preserved (a key lives in exactly one
-    /// source shard, so one file holds its whole history in order).
-    /// Returns how many ops were applied.
+    /// source shard, so its chain holds the key's whole history in
+    /// order). A chain retention has trimmed no longer starts at 0 and is
+    /// refused, naming the gap, before anything is applied; replaying
+    /// from a snapshot's positions is
+    /// [`restore_and_replay`](Self::restore_and_replay). Returns how many
+    /// ops were applied.
     pub fn replay_log_dir(&self, dir: &Path) -> EngineResult<u64> {
-        // Replaying a store's own logs into it would append every
-        // replayed op back onto the very logs being read.
-        let own_dir = self
-            .shard_paths
-            .first()
-            .and_then(|p| p.parent())
-            .and_then(|d| d.canonicalize().ok());
-        if own_dir.is_some() && own_dir == dir.canonicalize().ok() {
-            return Err(EngineError::ReplLog(format!(
-                "refusing to replay a store's own logs ({}) into it",
-                dir.display()
-            )));
+        if let Some(own) = self.shard_paths.first().and_then(|p| p.parent()) {
+            refuse_own_logs(own, dir)?;
         }
-        if !log_file(dir, 0).exists() {
-            return Err(EngineError::ReplLog(format!(
-                "no repl-0.log in {}",
-                dir.display()
-            )));
-        }
+        self.replay(&plan_replay(dir, None)?)
+    }
+
+    /// Apply a checked replay: shard by shard, each file's ops from its
+    /// start position on, one file in memory at a time.
+    fn replay(&self, plan: &[Vec<ReplayFile>]) -> EngineResult<u64> {
         let _batch = self.log_batch();
         let mut applied = 0u64;
-        for i in 0.. {
-            let path = log_file(dir, i);
-            if !path.exists() {
-                break;
-            }
-            // The chain reader walks rotated segments first, then the
-            // active file — the original append order — and each file
-            // is applied before the next is read: peak memory is one
-            // segment's ops, not the log's.
-            let log_err = |e| EngineError::ReplLog(format!("{}: {e}", path.display()));
-            for file in crate::repl::log::read_log_chain(&path).map_err(log_err)? {
-                let (ops, _recovery) = file.map_err(log_err)?;
-                for op in &ops {
-                    self.apply(op.as_ref())?;
-                }
-                applied += ops.len() as u64;
+        for file in plan.iter().flatten() {
+            let log_err = |e| EngineError::ReplLog(format!("{}: {e}", file.path.display()));
+            let (ops, _) = crate::repl::log::read_log(&file.path).map_err(log_err)?;
+            for op in ops.iter().skip(file.skip as usize) {
+                self.apply(op.as_ref())?;
+                applied += 1;
             }
         }
         Ok(applied)

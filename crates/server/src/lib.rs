@@ -21,8 +21,9 @@
 //!   of connections cost no threads; a multi-key command is the engine's
 //!   single-key calls, one per key, under the connection tick's hint and
 //!   group commit.
-//! * [`repl`] — replication: a per-shard redo log (torn-tail-safe,
-//!   doubling as incremental backup via `--replay-logs`), primary-side
+//! * [`repl`] — replication: a per-shard redo log (torn-tail-safe, kept
+//!   as a bounded window, doubling as incremental backup from a
+//!   snapshot's positions via `--replay-logs`), primary-side
 //!   streaming (`REPLCONF`/`PSYNC` → `+FULLRESYNC`, then the snapshot and
 //!   the tail as one stream of the log's own records, the encoding
 //!   [`snapshot`] files use too), and replica mode ([`serve_with`] +

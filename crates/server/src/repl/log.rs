@@ -18,28 +18,39 @@
 //!
 //! **Always segmented.** The active file `repl-N.log` is sealed —
 //! renamed to `repl-N.seg{K}.log` with a monotonically increasing K —
-//! once it crosses [`SEGMENT_BYTES`] (`--repl-log-max-bytes` overrides
-//! the cap), and a fresh active file starts. Sealed segments are
-//! immutable. Every file opens with a **base record**: the count of
-//! records in the files before it. The op records are the ground truth;
-//! the base is derived state, written once per file so that it never has
-//! to be recounted.
+//! once it crosses [`SEGMENT_BYTES`] (`--repl-log-max-bytes` lowers the
+//! cap), and a fresh active file starts. Sealed segments are immutable.
+//! Every file opens with a **base record**: the count of records in the
+//! files before it — the file's **position** in the shard's op stream.
+//! The op records are the ground truth; the base is derived state,
+//! written once per file so that it never has to be recounted.
+//!
+//! **A window, not a history.** The pools recover themselves; the log is
+//! the replication and backup feed, and only its recent end is kept. The
+//! engine calls [`LogWriter::retain`] at every seal, under the shard's
+//! write lock, with the shard's window: max([`SEGMENT_BYTES`], the shard
+//! pool's `mem_used` / [`WINDOW_DIVISOR`]), or `--repl-log-max-bytes`
+//! when given. The oldest sealed segments go until the log fits, the one
+//! just sealed excepted, so a shard's log is at most max(window, one
+//! segment) plus the active file's one segment, and which files exist is
+//! a function of the op stream alone.
+//! A writer opened on its own (tools, tests) never deletes anything.
 //!
 //! **What reopen reads.** [`LogWriter::open`] lists the directory (for
 //! [`LogWriter::bytes`] and the next K) and scans exactly one file, the
 //! active one: its base record plus its own intact records *is* the
 //! store-wide record count that seeds the replication offset, and it is
 //! the only file a crash can have torn. So reopen costs O(cap), whatever
-//! the log's size, and a durable snapshot deleting old segments cannot
-//! rewind the count. No sealed segment's contents are read, and that
-//! skips no safety check: nothing is replayed into state at open. Sealed
-//! segments are validated where they are consumed ([`read_log_chain`]),
-//! record by record. One exception, bounded too: the active file is
-//! missing, empty or has no intact base record — a fresh log, a crash
-//! inside [`rotate`](LogWriter::rotate) between the rename and the new
-//! file's first write, or a header reset. The base is then recovered
-//! from the newest sealed segment (its base + its records; one more
-//! bounded scan) and the active file starts over.
+//! the log's size, and retention deleting old segments cannot rewind the
+//! count. No sealed segment's contents are read, and that skips no
+//! safety check: nothing is replayed into state at open. Sealed segments
+//! are validated where they are consumed ([`read_log_chain`],
+//! [`replay_from`]), record by record. One exception, bounded too: the
+//! active file is missing, empty or has no intact base record — a fresh
+//! log, a crash inside [`rotate`](LogWriter::rotate) between the rename
+//! and the new file's first write, or a header reset. The base is then
+//! recovered from the newest sealed segment (its base + its records; one
+//! more bounded scan) and the active file starts over.
 //!
 //! Only this version is read. An older file — version 1 (before base
 //! records) or version 2 (FNV-1a checksums) — is refused by the readers
@@ -63,11 +74,14 @@
 //! pools remain the authoritative store state; the log is the
 //! replication/backup feed).
 //!
-//! A durable snapshot may delete every segment sealed *before* its scan
-//! began (the engine forces a rotation under each shard's write lock
-//! first; opt-in via `--repl-log-max-bytes`), bounding log disk usage
-//! without losing replay coverage: snapshot + remaining log still
-//! reconstructs the final state.
+//! **Replay from a position.** A snapshot records each shard's
+//! [`LogWriter::records`] as it starts; [`replay_from`] hands out the
+//! chain's records from such a position on, and refuses — before a
+//! record is applied — a chain that cannot supply all of them: one whose
+//! oldest retained file starts after the position (retention deleted
+//! the records between), whose files do not follow on from each other,
+//! or that ends before the position (a log that was reset, or another
+//! store's).
 //!
 //! **What a write guarantees.** The pool is the ground truth and is
 //! persisted per operation; this log is the derived replication and
@@ -98,6 +112,7 @@
 //! [`dropped`]: LogWriter::dropped
 //! [`sync`]: LogWriter::sync
 
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -109,9 +124,13 @@ use crate::repl::{OpRef, ReplOp};
 pub const LOG_MAGIC: u64 = u64::from_le_bytes(*b"DASHLOG1");
 /// Current format version, and the only one read.
 pub const LOG_VERSION: u32 = 3;
-/// Size at which the active file is sealed unless the caller overrides
-/// it: the bound on what a reopen scans.
+/// Size at which the active file is sealed unless the caller lowers it:
+/// the bound on what a reopen scans.
 pub const SEGMENT_BYTES: u64 = 4 << 20;
+/// A shard's default log window is its pool's `mem_used` divided by
+/// this (never less than [`SEGMENT_BYTES`]): the log a store keeps is at
+/// most a quarter of what its pools hold, plus one segment.
+pub const WINDOW_DIVISOR: u64 = 4;
 /// Buffered bytes at which [`LogWriter::buffer`] flushes on its own: the
 /// bound on what a writer holds however long its caller defers.
 pub const BUFFER_BYTES: usize = 64 << 10;
@@ -210,6 +229,64 @@ pub fn read_log_chain(
     Ok(files.into_iter().map(|file| read_log(&file)))
 }
 
+/// One file of a replay: its path, and how many of its leading records
+/// come before the replay's start position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplayFile {
+    pub path: PathBuf,
+    pub skip: u64,
+}
+
+/// The files of the chain at `path` (the active log) that carry its
+/// records from position `from` on. Every file is read and validated
+/// first, so a chain that cannot supply those records is refused before
+/// any of them is applied: its oldest retained file starts after `from`,
+/// two files do not follow on from each other, or the chain ends before
+/// `from`. A file without an intact base record holds nothing trusted
+/// and is passed over; if records went with it, the next file's base
+/// shows the gap.
+pub fn replay_from(path: &Path, from: u64) -> io::Result<Vec<ReplayFile>> {
+    let refuse = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let mut files: Vec<PathBuf> = segment_files(path)?.into_iter().map(|(_, p)| p).collect();
+    files.push(path.to_path_buf());
+    let mut plan = Vec::new();
+    // Where the previous file ended: the position the next must start at.
+    let mut end: Option<u64> = None;
+    for file in files {
+        let buf = std::fs::read(&file)?;
+        let found = scan(&buf, |_| {}).map_err(|e| refuse(format!("{}: {e}", file.display())))?;
+        let Some(base) = found.base else { continue };
+        match end {
+            None if base > from => {
+                return Err(refuse(format!(
+                    "records {from}..{base} are gone: replay starts at position {from}, but \
+                     the oldest retained file, {}, has base {base}",
+                    file.display()
+                )));
+            }
+            Some(end) if base != end => {
+                return Err(refuse(format!(
+                    "{} has base {base}, but the file before it ends at record {end}",
+                    file.display()
+                )));
+            }
+            _ => {}
+        }
+        end = Some(base + found.records);
+        if base + found.records > from {
+            plan.push(ReplayFile { path: file, skip: from.saturating_sub(base) });
+        }
+    }
+    let end = end.unwrap_or(0);
+    if end < from {
+        return Err(refuse(format!(
+            "the log ends at record {end}, before position {from}: it was reset, or is \
+             another store's"
+        )));
+    }
+    Ok(plan)
+}
+
 /// Sealed-segment path for the active log at `path`:
 /// `repl-N.log` → `repl-N.seg{K}.log`.
 fn segment_path(path: &Path, seq: u64) -> PathBuf {
@@ -218,7 +295,9 @@ fn segment_path(path: &Path, seq: u64) -> PathBuf {
 }
 
 /// Sealed segments for the active log at `path`, sorted by sequence
-/// number. Holes are fine — snapshot truncation deletes old segments.
+/// number: the retained ones, oldest first. The sequence numbers say
+/// nothing about continuity — retention deletes from the front, and the
+/// base records are what [`replay_from`] checks.
 pub fn segment_files(path: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let stem = path.file_stem().unwrap_or_default().to_string_lossy().into_owned();
     let prefix = format!("{stem}.seg");
@@ -272,8 +351,9 @@ pub struct LogWriter {
     records: u64,
     /// Records in the active file only (a rotation seals only these).
     active_records: u64,
-    /// Sealed segments on disk, and their bytes (for size reporting).
-    segments: u64,
+    /// Sealed segments on disk, oldest first — sequence number and
+    /// bytes — and their bytes summed (for size reporting).
+    sealed: VecDeque<(u64, u64)>,
     segment_bytes: u64,
     /// Active file length (header + valid records + appends) — kept
     /// here so observing log growth never pays a stat() per scrape.
@@ -294,7 +374,8 @@ pub struct LogWriter {
 
 impl LogWriter {
     /// Open (or create) the log at `path` for shard `shard`, sealing the
-    /// active file at `max_bytes` (default [`SEGMENT_BYTES`]). The active
+    /// active file at `max_bytes`, at most [`SEGMENT_BYTES`] (its
+    /// default). Nothing is deleted: see [`retain`](Self::retain). The active
     /// file is scanned, its torn tail truncated, and appends continue
     /// from the end of the valid prefix; the record count continues from
     /// its base record. Sealed segments are listed, not read (the module
@@ -305,8 +386,10 @@ impl LogWriter {
         max_bytes: Option<u64>,
     ) -> io::Result<(LogWriter, LogRecovery)> {
         let segs = segment_files(path)?;
-        let segment_bytes =
-            segs.iter().map(|(_, seg)| std::fs::metadata(seg).map_or(0, |m| m.len())).sum();
+        let sealed: VecDeque<(u64, u64)> = segs
+            .iter()
+            .map(|(seq, seg)| (*seq, std::fs::metadata(seg).map_or(0, |m| m.len())))
+            .collect();
         // truncate(false): an existing log is recovered, not clobbered.
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
@@ -356,12 +439,12 @@ impl LogWriter {
             file,
             path: path.to_path_buf(),
             shard,
-            cap: max_bytes.unwrap_or(SEGMENT_BYTES),
+            cap: max_bytes.map_or(SEGMENT_BYTES, |cap| cap.min(SEGMENT_BYTES)),
             next_seq: segs.last().map_or(0, |(seq, _)| seq + 1),
             records: recovery.records,
             active_records,
-            segments: segs.len() as u64,
-            segment_bytes,
+            segment_bytes: sealed.iter().map(|(_, len)| len).sum(),
+            sealed,
             bytes: bytes as u64,
             buf: Vec::new(),
             buffered: 0,
@@ -398,40 +481,29 @@ impl LogWriter {
             }
         };
         self.file = fresh;
+        self.sealed.push_back((self.next_seq, self.bytes));
         self.next_seq += 1;
-        self.segments += 1;
         self.segment_bytes += self.bytes;
         self.bytes = prelude.len() as u64;
         self.active_records = 0;
         Ok(())
     }
 
-    /// Seal the active file (if it holds any records) and return every
-    /// sealed segment currently on disk — the set a snapshot started
-    /// *after* this call covers, and may delete once durable.
-    pub fn rotate_for_snapshot(&mut self) -> io::Result<Vec<PathBuf>> {
-        self.flush()?;
-        if self.active_records > 0 {
-            self.rotate()?;
-        }
-        Ok(segment_files(&self.path)?.into_iter().map(|(_, p)| p).collect())
-    }
-
     /// Encode one record into the buffer; nothing reaches the file until
     /// [`flush`](Self::flush). Call under the shard's write lock, so that
     /// buffer order is apply order. Crossing the size cap seals the
     /// active file first (best-effort — a failed rotation leaves the log
-    /// growing, to be retried on the next record). Never fails: a
-    /// poisoned writer counts the record in [`dropped`](Self::dropped).
-    pub fn buffer(&mut self, op: OpRef<'_>) {
+    /// growing, to be retried on the next record); returns whether this
+    /// call sealed it, which is when [`retain`](Self::retain) is due.
+    /// Never fails: a poisoned writer counts the record in
+    /// [`dropped`](Self::dropped).
+    pub fn buffer(&mut self, op: OpRef<'_>) -> bool {
         let seal_due = self.active_records > 0 && self.bytes >= self.cap;
-        if seal_due && self.dropped == 0 {
-            let _ = self.rotate();
-        }
+        let sealed = seal_due && self.dropped == 0 && self.rotate().is_ok();
         // Poisoned (possibly by the flush that sealing just tried).
         if self.dropped > 0 {
             self.dropped += 1;
-            return;
+            return sealed;
         }
         let start = self.buf.len();
         encode_op(op, &mut self.buf);
@@ -442,6 +514,7 @@ impl LogWriter {
         if self.buf.len() >= BUFFER_BYTES {
             let _ = self.flush();
         }
+        sealed
     }
 
     /// Hand everything buffered to the kernel — one `write`, after which
@@ -489,7 +562,8 @@ impl LogWriter {
     }
 
     /// Records in the log so far (recovered + appended, buffered ones
-    /// included), deleted segments included.
+    /// included), deleted segments included: the position the next
+    /// record takes, which a snapshot records.
     pub fn records(&self) -> u64 {
         self.records
     }
@@ -502,7 +576,7 @@ impl LogWriter {
 
     /// Sealed segments on disk.
     pub fn segments(&self) -> u64 {
-        self.segments
+        self.sealed.len() as u64
     }
 
     /// Flush, then fsync the active file — durable against power loss,
@@ -512,24 +586,24 @@ impl LogWriter {
         self.file.sync_all()
     }
 
-    /// Delete sealed segments a durable snapshot now covers. Returns how
-    /// many were removed; a segment already gone is not an error. The
-    /// record count is unaffected, now and after a reopen: the active
-    /// file's base record carries it.
-    pub fn truncate_segments(&mut self, covered: &[PathBuf]) -> io::Result<u64> {
-        self.flush()?;
-        let mut removed = 0u64;
-        for p in covered {
-            let len = std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-            match std::fs::remove_file(p) {
-                Ok(()) => {
-                    removed += 1;
-                    self.segments = self.segments.saturating_sub(1);
-                    self.segment_bytes = self.segment_bytes.saturating_sub(len);
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+    /// Keep the log within `window` bytes: delete the oldest sealed
+    /// segments while [`bytes`](Self::bytes) exceeds it. The active file
+    /// and the newest sealed segment always stay, so the log never holds
+    /// less than one segment of history, whatever a record's overshoot
+    /// past the cap. Returns how many went; a segment already gone counts
+    /// as deleted. The record count is unaffected, now and after a
+    /// reopen: the active file's base record carries it.
+    pub fn retain(&mut self, window: u64) -> io::Result<u64> {
+        let mut removed = 0;
+        while self.bytes() > window && self.sealed.len() > 1 {
+            let Some(&(seq, len)) = self.sealed.front() else { break };
+            match std::fs::remove_file(segment_path(&self.path, seq)) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
             }
+            self.sealed.pop_front();
+            self.segment_bytes -= len;
+            removed += 1;
         }
         Ok(removed)
     }
@@ -804,34 +878,86 @@ mod tests {
         assert_eq!(read_chain(&p.0).len(), 51);
     }
 
+    /// Retention deletes the oldest sealed segments until the log fits
+    /// its window, and nothing else: the count survives it and a reopen,
+    /// and the retained chain replays as the tail of the op stream.
     #[test]
-    fn snapshot_rotation_returns_covered_segments_and_truncation_removes_them() {
-        let p = TempPath::new("rotate-snap");
-        let ops = sample_ops(40);
-        let (mut w, _) = LogWriter::open(&p.0, 0, Some(512)).unwrap();
+    fn retention_deletes_the_oldest_segments_and_the_count_survives() {
+        let p = TempPath::new("retain");
+        let ops = sample_ops(120);
+        let (mut w, _) = LogWriter::open(&p.0, 0, Some(TINY_CAP)).unwrap();
         for op in &ops {
             w.append(op).unwrap();
         }
-        let covered = w.rotate_for_snapshot().unwrap();
-        assert!(!covered.is_empty());
-        assert_eq!(
-            covered.len(),
-            segment_files(&p.0).unwrap().len(),
-            "after the forced rotation every record lives in a sealed segment"
-        );
-        // Ops appended *after* the cut are not covered and must survive.
-        w.append(&ReplOp::Set { key: b"post".to_vec(), value: b"cut".to_vec() }).unwrap();
-        let removed = w.truncate_segments(&covered).unwrap();
-        assert_eq!(removed as usize, covered.len());
-        assert!(segment_files(&p.0).unwrap().is_empty());
-        assert_eq!(w.segments(), 0);
-        let read = read_chain(&p.0);
-        assert_eq!(read.len(), 1, "only the post-snapshot op remains in the log");
-        assert_eq!(read[0].key(), b"post");
-        assert_eq!(w.records(), 41, "the offset counter never rewinds on truncation");
+        let on_disk = |segs: &[(u64, PathBuf)]| -> u64 {
+            segs.iter().map(|(_, seg)| std::fs::metadata(seg).unwrap().len()).sum()
+        };
+        let before = segment_files(&p.0).unwrap();
+        assert!(before.len() > 6, "a 256-byte cap over 120 records seals many segments");
+        let sizes: Vec<u64> = before.iter().map(|seg| on_disk(std::slice::from_ref(seg))).collect();
+        let window = 3 * TINY_CAP;
+        let removed = w.retain(window).unwrap() as usize;
+        let after = segment_files(&p.0).unwrap();
+        assert_eq!(after, before[removed..], "the oldest go, in order, and only they");
+        assert!(w.bytes() <= window, "{} B left over a {window} B window", w.bytes());
+        assert!(w.bytes() + sizes[removed - 1] > window, "the last one deleted was needed to fit");
+        assert_eq!(w.bytes(), on_disk(&after) + std::fs::metadata(&p.0).unwrap().len());
+        assert_eq!((w.segments(), w.records()), (after.len() as u64, 120));
+        // The retained chain is the stream's tail from its oldest base.
+        let first = base_of(&after[0].1).unwrap();
+        assert_eq!(replay_ops(&p.0, first), ops[first as usize..]);
+        assert_eq!(w.retain(window).unwrap(), 0, "a log within its window is left alone");
         drop(w);
-        let (_, rec) = LogWriter::open(&p.0, 0, Some(512)).unwrap();
-        assert_eq!(rec.records, 41, "nor across a reopen: the base record carries it");
+        let (mut w, rec) = LogWriter::open(&p.0, 0, Some(TINY_CAP)).unwrap();
+        assert_eq!(rec.records, 120, "a reopen continues the count: the base record carries it");
+        assert_eq!(segment_files(&p.0).unwrap(), after, "and deletes nothing");
+        w.retain(0).unwrap();
+        assert_eq!(segment_files(&p.0).unwrap(), after[after.len() - 1..]);
+        assert_eq!(w.segments(), 1, "the newest sealed segment and the active file always stay");
+    }
+
+    /// The records of a replay from `from`, in order.
+    fn replay_ops(path: &Path, from: u64) -> Vec<ReplOp> {
+        let mut all = Vec::new();
+        for file in replay_from(path, from).unwrap() {
+            all.extend(read_log(&file.path).unwrap().0.into_iter().skip(file.skip as usize));
+        }
+        all
+    }
+
+    /// Replay from a position hands out exactly the records from there
+    /// on, and refuses — naming the numbers — a chain that cannot supply
+    /// them: trimmed past the position, holed in the middle, or ending
+    /// before it.
+    #[test]
+    fn replay_from_a_position_refuses_every_gap() {
+        let p = TempPath::new("replay-from");
+        let ops = sample_ops(60);
+        write_log(&p.0, 0, Some(TINY_CAP), &ops);
+        for from in [0, 1, 17, 59, 60] {
+            assert_eq!(replay_ops(&p.0, from), ops[from as usize..], "from {from}");
+        }
+        let err = replay_from(&p.0, 61).unwrap_err().to_string();
+        assert!(err.contains("ends at record 60, before position 61"), "{err}");
+        let segs = segment_files(&p.0).unwrap();
+        // A hole in the middle: a sealed segment gone.
+        let hole = &segs[segs.len() / 2].1;
+        let (hole_base, next_base) =
+            (base_of(hole).unwrap(), base_of(&segs[segs.len() / 2 + 1].1).unwrap());
+        std::fs::remove_file(hole).unwrap();
+        let err = replay_from(&p.0, 0).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!(
+                "has base {next_base}, but the file before it ends at record {hole_base}"
+            )),
+            "{err}"
+        );
+        // Trimmed at the front: the oldest retained base is past the start.
+        std::fs::remove_file(&segs[0].1).unwrap();
+        let first = base_of(&segs[1].1).unwrap();
+        let err = replay_from(&p.0, 0).unwrap_err().to_string();
+        assert!(err.contains(&format!("records 0..{first} are gone")), "{err}");
+        assert!(err.contains(&format!("has base {first}")), "{err}");
     }
 
     /// Size independence as a count: whatever the log's size, reopen
@@ -1009,15 +1135,15 @@ mod tests {
         let ops = sample_ops(60);
         {
             let (mut w, _) = LogWriter::open(&p.0, 0, Some(TINY_CAP)).unwrap();
-            for op in &ops[..40] {
-                w.buffer(op.as_ref());
+            let mut seals = 0;
+            for (i, op) in ops.iter().enumerate() {
+                if w.buffer(op.as_ref()) {
+                    seals += 1;
+                    // The record that sealed is buffered for the new file.
+                    assert_eq!(read_chain(&p.0), ops[..i], "a seal leaves nothing buffered");
+                }
             }
-            let covered = w.rotate_for_snapshot().unwrap();
-            assert_eq!(covered.len(), segment_files(&p.0).unwrap().len());
-            assert_eq!(read_chain(&p.0), ops[..40], "a forced seal leaves nothing buffered");
-            for op in &ops[40..] {
-                w.buffer(op.as_ref());
-            }
+            assert_eq!(seals, w.segments(), "buffer reports every seal");
         }
         assert!(segment_files(&p.0).unwrap().len() > 2);
         assert_eq!(read_chain(&p.0), ops);

@@ -207,6 +207,9 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
                     }
                     // Not an op — the offset does not advance.
                     Item::Mark(id) => pending_trace = (id != 0).then_some(id),
+                    // Where the primary's logs stood: a replica's own
+                    // log numbers its records, so nothing to apply.
+                    Item::Position(_) => {}
                     Item::End { records } => {
                         loaded = Some(records);
                         break;

@@ -8,8 +8,9 @@
 //!       1 SET     u32 key_len, key, value…
 //!       2 DEL     u32 key_len, key
 //!       3 SETEX   u32 key_len, key, u64 expire_at_ms, value…
-//!       4 BASE    u64 records before this log file      (log files only)
-//!       5 END     u64 record count, u64 digest          (snapshots only)
+//!       4 BASE    u64 records before this log file      (log files; a
+//!                 snapshot's per-shard log positions)
+//!       5 END     u64 op record count, u64 digest       (snapshots only)
 //!       6 MARK    u64 trace id                          (tails only)
 //! u64 record_checksum(body_len ‖ body): MurmurHash64A
 //! ```
@@ -165,9 +166,9 @@ fn decode_body(body: &[u8]) -> Option<Record<'_>> {
     (b.remaining() == 0).then_some(record)
 }
 
-/// What an `END` record carries and checks a stream against: the records
-/// before it, and a fold of the stream's 16 header bytes and of every
-/// record's checksum in order.
+/// What an `END` record carries and checks a stream against: the op
+/// records before it, and a fold of the stream's 16 header bytes and of
+/// every record's checksum in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Digest {
     pub(crate) records: u64,
@@ -179,13 +180,19 @@ impl Digest {
         Digest { records: 0, fold: hash64(header) }
     }
 
-    /// Fold in the next record, by its checksum.
+    /// Fold in the next record, by its checksum, and count it.
     pub fn add(&mut self, checksum: u64) {
+        self.cover(checksum);
+        self.records += 1;
+    }
+
+    /// Fold in the next record without counting it: a snapshot's log
+    /// positions are covered by its digest but are not keys.
+    pub fn cover(&mut self, checksum: u64) {
         let mut pair = [0u8; 16];
         pair[..8].copy_from_slice(&self.fold.to_le_bytes());
         pair[8..].copy_from_slice(&checksum.to_le_bytes());
         self.fold = hash64(&pair);
-        self.records += 1;
     }
 }
 

@@ -4,16 +4,27 @@
 //!
 //! ```text
 //! header    16 B  SNAP_MAGIC, SNAP_VERSION, source shard count
-//!                 (informational — records re-partition on restore)
+//!                 (records re-partition on restore)
+//! positions 21 B  one BASE record per source shard: that shard's redo-log
+//!           each  record count when the scan started
 //! records   *     one SET or SETEX record per live key
-//! end       29 B  an END record: the record count, and a digest folding
-//!                 the header bytes and every record's checksum in order
+//! end       29 B  an END record: the op record count, and a digest
+//!                 folding the header bytes and every record's checksum
+//!                 in order, positions included
 //! ```
 //!
 //! A `SETEX` record carries the key's **absolute** deadline, so deadlines
 //! survive snapshot/restore verbatim. `END` catches what per-record
 //! checksums cannot: a record dropped, duplicated or reordered, and a
 //! damaged header. The engine's `snapshot_into` is the one writer.
+//!
+//! The positions are where `--replay-logs` starts each shard's chain:
+//! every op below a position is in the snapshot, so the snapshot plus
+//! the log from its positions on rebuilds the store. **Version 3** is the
+//! same stream without them. A store with no redo log (a volatile one)
+//! still writes it, and the reader takes a version-3 file's positions as
+//! 0 — replay from the start of each chain. Versions 1 and 2, and
+//! unknown ones, are refused naming their version.
 //!
 //! [`Reader`] is the one decoder, and it is incremental: a replica feeds
 //! it each socket read, and past `END` it reads on into the tail — ops,
@@ -22,14 +33,6 @@
 //! [`Snapshot`] makes two passes of the decoder over it, like the log's
 //! scan and parse: the first verifies everything, so a damaged file is
 //! refused before a single record is applied; the second applies.
-//!
-//! **Version 2** — `u32 key_len, u32 value_len, u64 expire_at_ms, key,
-//! value` records, an end mark, the count, and FNV-1a over the whole file
-//! — is still read, restore-only, so a store whose pool format a newer
-//! build refuses can cross over by `SNAPSHOT` with the old build and
-//! `--restore` with the new. That path and its FNV are transitional:
-//! kept for one ROADMAP round (direction 5), then deleted. Version 1 and
-//! unknown versions are refused, naming their version.
 //!
 //! [`DurableFile`] is the crate's one crash-safe publish — unique tmp
 //! sibling, write, fsync the file, rename, fsync the directory — shared
@@ -43,16 +46,16 @@ use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dash_common::MAX_KEY_LEN;
-
-use crate::engine::MAX_VALUE_LEN;
 use crate::repl::wire::{decode, Decoded, Digest, FileHeader, Parser, Record};
 use crate::repl::OpRef;
 
 /// `b"DASHSNP1"` as a little-endian u64.
 pub const SNAP_MAGIC: u64 = u64::from_le_bytes(*b"DASHSNP1");
-/// The version written; version 2 is still read, restore-only.
-pub const SNAP_VERSION: u32 = 3;
+/// The version written, with log positions.
+pub const SNAP_VERSION: u32 = 4;
+/// The version before positions: still read, and written by a store
+/// without redo logs.
+pub const SNAP_VERSION_UNPOSITIONED: u32 = 3;
 
 /// Why a snapshot could not be written or loaded.
 #[derive(Debug)]
@@ -85,12 +88,14 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
 
 pub type SnapshotResult<T> = Result<T, SnapshotError>;
 
-/// Where a [`Reader`] is: before the header, in the snapshot's records
-/// (folding the digest its `END` must match), or in the tail.
+/// Where a [`Reader`] is: before the header, in a version-4 snapshot's
+/// log positions (this many still to come), in its records (folding the
+/// digest its `END` must match), or in the tail.
 #[derive(Debug, Clone, Copy, Default)]
 enum State {
     #[default]
     Header,
+    Positions(Digest, u32),
     Records(Digest),
     Tail,
 }
@@ -109,6 +114,8 @@ pub struct Reader {
 pub enum Item<'a> {
     /// A key mutation: a snapshot's `SET`/`SETEX`, or any op of the tail.
     Op(OpRef<'a>),
+    /// A source shard's log position, in shard order.
+    Position(u64),
     /// The snapshot's `END`, verified against everything before it.
     End { records: u64 },
     /// A tail `MARK`: the next op was traced on the primary under this
@@ -129,10 +136,18 @@ impl Reader {
                 let Some(header) = buf.first_chunk::<{ FileHeader::LEN }>() else {
                     return Ok(None);
                 };
-                let versions = SNAP_VERSION..=SNAP_VERSION;
-                FileHeader::read(&mut Parser::new(header), SNAP_MAGIC, versions, "snapshot")
-                    .map_err(corrupt)?;
-                (State::Records(Digest::new(header)), FileHeader::LEN)
+                let versions = SNAP_VERSION_UNPOSITIONED..=SNAP_VERSION;
+                let read =
+                    FileHeader::read(&mut Parser::new(header), SNAP_MAGIC, versions, "snapshot")
+                        .map_err(corrupt)?;
+                let digest = Digest::new(header);
+                let state = match read.meta {
+                    shards if read.version == SNAP_VERSION && shards > 0 => {
+                        State::Positions(digest, shards)
+                    }
+                    _ => State::Records(digest),
+                };
+                (state, FileHeader::LEN)
             }
             state => (state, 0),
         };
@@ -143,6 +158,12 @@ impl Reader {
             Decoded::Invalid => return Err(corrupt(format!("damaged record at byte {at}"))),
         };
         let (item, state) = match (state, record) {
+            (State::Positions(mut digest, left), Record::Base(position)) => {
+                digest.cover(checksum);
+                let state =
+                    if left > 1 { State::Positions(digest, left - 1) } else { State::Records(digest) };
+                (Item::Position(position), state)
+            }
             // A snapshot is SET/SETEX only: a DEL falls to the last arm.
             (State::Records(mut digest), Record::Op(op)) if !matches!(op, OpRef::Del { .. }) => {
                 digest.add(checksum);
@@ -170,8 +191,8 @@ impl Reader {
 /// can hand out a single op.
 pub struct Snapshot {
     buf: Vec<u8>,
-    version: u32,
     records: usize,
+    positions: Vec<u64>,
 }
 
 impl Snapshot {
@@ -180,14 +201,25 @@ impl Snapshot {
     }
 
     /// Verify a snapshot's bytes: header, every record, the count and the
-    /// digest (or v2 checksum), and nothing after them.
+    /// digest, and nothing after them.
     pub fn parse(buf: Vec<u8>) -> SnapshotResult<Snapshot> {
-        let versions = 2..=SNAP_VERSION;
-        let version = FileHeader::read(&mut Parser::new(&buf), SNAP_MAGIC, versions, "snapshot")
-            .map_err(corrupt)?
-            .version;
-        let mut snapshot = Snapshot { buf, version, records: 0 };
-        snapshot.records = snapshot.try_for_each(|_| SnapshotResult::Ok(()))? as usize;
+        let versions = SNAP_VERSION_UNPOSITIONED..=SNAP_VERSION;
+        let header = FileHeader::read(&mut Parser::new(&buf), SNAP_MAGIC, versions, "snapshot")
+            .map_err(corrupt)?;
+        let mut snapshot = Snapshot { buf, records: 0, positions: Vec::new() };
+        let (mut records, mut positions) = (0, Vec::new());
+        snapshot.walk(|item| {
+            match item {
+                Item::Op(_) => records += 1,
+                Item::Position(position) => positions.push(position),
+                Item::End { .. } | Item::Mark(_) => {}
+            }
+            SnapshotResult::Ok(())
+        })?;
+        if header.version == SNAP_VERSION_UNPOSITIONED {
+            positions = vec![0; header.meta as usize];
+        }
+        (snapshot.records, snapshot.positions) = (records, positions);
         Ok(snapshot)
     }
 
@@ -200,6 +232,13 @@ impl Snapshot {
         self.records == 0
     }
 
+    /// Each source shard's log position, in shard order: where replaying
+    /// that shard's redo log resumes (0 for every shard of a version-3
+    /// file).
+    pub fn positions(&self) -> &[u64] {
+        &self.positions
+    }
+
     /// One pass of the decoder: hand every record, as the op that loads
     /// it, to `f` in file order; returns how many.
     pub fn try_for_each<'a, E: From<SnapshotError>>(
@@ -207,15 +246,22 @@ impl Snapshot {
         mut f: impl FnMut(OpRef<'a>) -> Result<(), E>,
     ) -> Result<u64, E> {
         let mut seen = 0;
-        if self.version == 2 {
-            let mut p = Parser::new(&self.buf);
-            p.take(FileHeader::LEN, "header").map_err(corrupt)?;
-            while let Some(op) = next_v2(&mut p, seen).map_err(corrupt)? {
-                f(op)?;
+        self.walk(|item| match item {
+            Item::Op(op) => {
                 seen += 1;
+                f(op)
             }
-            return Ok(seen);
-        }
+            _ => Ok(()),
+        })?;
+        Ok(seen)
+    }
+
+    /// One pass of the decoder up to `END`, handing `f` each position and
+    /// op; anything after `END` is damage.
+    fn walk<'a, E: From<SnapshotError>>(
+        &'a self,
+        mut f: impl FnMut(Item<'a>) -> Result<(), E>,
+    ) -> Result<(), E> {
         let (mut reader, mut pos) = (Reader::default(), 0);
         loop {
             let Some((item, used)) = reader.next(&self.buf[pos..])? else {
@@ -223,44 +269,15 @@ impl Snapshot {
             };
             pos += used;
             match item {
-                Item::Op(op) => f(op)?,
-                // Before the tail, the only other item is the END.
-                _ if pos == self.buf.len() => return Ok(seen),
-                _ => return Err(corrupt(format!("{} bytes after END", self.buf.len() - pos)).into()),
+                Item::End { .. } if pos == self.buf.len() => return Ok(()),
+                Item::End { .. } => {
+                    let after = self.buf.len() - pos;
+                    return Err(corrupt(format!("{after} bytes after END")).into());
+                }
+                item => f(item)?,
             }
-            seen += 1;
         }
     }
-}
-
-/// The next record of a version-2 snapshot, `seen` records in; at its end
-/// mark, the count, checksum and length are verified and `None` returned.
-fn next_v2<'a>(p: &mut Parser<'a>, seen: u64) -> Result<Option<OpRef<'a>>, String> {
-    let key_len = p.u32("key length")?;
-    if key_len == u32::MAX {
-        let count = p.u64("record count")?;
-        let (hashed, checksum) = (fnv1a(p.since(0)), p.u64("checksum")?);
-        if (count, checksum, p.remaining()) != (seen, hashed, 0) {
-            return Err(format!("trailer: {count} records, checksum {checksum:#018x}, {} \
-                 bytes after it; stream: {seen} records, checksum {hashed:#018x}", p.remaining()));
-        }
-        return Ok(None);
-    }
-    let value_len = p.u32("value length")?;
-    let expire_at_ms = p.u64("expiry deadline")?;
-    if key_len as usize > MAX_KEY_LEN || value_len as usize > MAX_VALUE_LEN {
-        return Err(format!("record of {key_len} + {value_len} bytes exceeds the limits"));
-    }
-    let key = p.take(key_len as usize, "key bytes")?;
-    let value = p.take(value_len as usize, "value bytes")?;
-    Ok(Some(OpRef::set(key, value, expire_at_ms)))
-}
-
-/// FNV-1a 64, the version-2 checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// A file that appears under its real name whole and durable, or not at
@@ -345,17 +362,36 @@ mod tests {
         OpRef::set(key, value, expire_at_ms)
     }
 
-    /// A v3 stream of `ops` under a header naming `shards`: what the
-    /// engine's writer produces for a store holding exactly them.
+    /// A v4 stream of `ops` under a header naming `shards`, shard `i`'s
+    /// log at position `1000 * i + 7`: what the engine's writer produces
+    /// for a file-backed store holding exactly them.
     fn stream(shards: u32, ops: &[OpRef<'_>]) -> Vec<u8> {
-        let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: shards }.encode();
+        let positions: Vec<u64> = (0..shards).map(|i| 1000 * u64::from(i) + 7).collect();
+        stream_of(SNAP_VERSION, shards, &positions, ops)
+    }
+
+    fn stream_of(version: u32, shards: u32, positions: &[u64], ops: &[OpRef<'_>]) -> Vec<u8> {
+        let header = FileHeader { magic: SNAP_MAGIC, version, meta: shards }.encode();
         let mut out = header.to_vec();
         let mut digest = Digest::new(&header);
+        for &position in positions {
+            digest.cover(encode(Record::Base(position), &mut out));
+        }
         for &op in ops {
             digest.add(encode_op(op, &mut out));
         }
         encode(Record::End(digest), &mut out);
         out
+    }
+
+    /// Where a stream's first op record starts: past the header and the
+    /// positions.
+    fn first_op(buf: &[u8]) -> usize {
+        let mut at = FileHeader::LEN;
+        while let Decoded::Record(Record::Base(_), _, used) = decode(&buf[at..]) {
+            at += used;
+        }
+        at
     }
 
     fn sample(n: u32) -> Vec<(Vec<u8>, Vec<u8>, u64)> {
@@ -399,6 +435,7 @@ mod tests {
         assert_eq!(write_sample(&p.0, 100), 100);
         let snap = Snapshot::read(&p.0).unwrap();
         assert_eq!(snap.len(), 100);
+        assert_eq!(snap.positions(), [7, 1007, 2007, 3007]);
         for (op, (k, v, e)) in ops_of(&snap).into_iter().zip(sample(100)) {
             assert_eq!(op, set(&k, &v, e), "deadline must survive the roundtrip verbatim");
         }
@@ -411,13 +448,35 @@ mod tests {
     /// whatever follows.
     #[test]
     fn a_v1_stream_is_refused_naming_its_version() {
-        for version in [1, SNAP_VERSION + 1] {
+        for version in [1, 2, SNAP_VERSION + 1] {
             let mut buf = stream(4, &[]);
             buf[..FileHeader::LEN]
                 .copy_from_slice(&FileHeader { magic: SNAP_MAGIC, version, meta: 4 }.encode());
             let err = Snapshot::parse(buf).err().unwrap();
             assert!(err.to_string().contains(&format!("version {version}")), "{err}");
         }
+    }
+
+    /// A version-2 file — the layout before the log's record, from a
+    /// build two formats back — is refused at its header, naming the
+    /// version: re-take it with a build that writes version 3 or 4.
+    #[test]
+    fn a_v2_snapshot_is_refused_naming_its_version() {
+        let mut v2 = FileHeader { magic: SNAP_MAGIC, version: 2, meta: 3 }.encode().to_vec();
+        // One v2 record (lengths, no deadline, key, value), then its trailer.
+        for word in [5u32, 2, 0, 0] {
+            v2.extend_from_slice(&word.to_le_bytes());
+        }
+        v2.extend_from_slice(b"plainv1");
+        v2.extend_from_slice(&u32::MAX.to_le_bytes());
+        v2.extend_from_slice(&[0; 16]);
+        let p = TempPath::new("v2-refused");
+        std::fs::write(&p.0, &v2).unwrap();
+        let err = Snapshot::read(&p.0).err().unwrap().to_string();
+        assert!(err.contains("version 2"), "{err}");
+        let cfg = EngineConfig { shards: 2, shard_bytes: 4 << 20, ..EngineConfig::default() };
+        let err = ShardedDash::restore(&cfg, &p.0).err().unwrap().to_string();
+        assert!(err.contains("version 2"), "{err}");
     }
 
     /// The one writer serves both sinks: the engine's snapshot of a store
@@ -462,9 +521,10 @@ mod tests {
         assert_eq!(owned(&Snapshot::read(&p.0).unwrap()), [set(&key, &value, 0).to_owned()]);
     }
 
-    /// Every single-byte flip — header included: byte 14, the shard count
-    /// no record covers, falls to the digest — is refused by the
-    /// verifying pass, so nothing of a damaged file is ever applied.
+    /// Every single-byte flip — header and positions included: the shard
+    /// count no record covers says how many positions follow, and falls
+    /// to the digest besides — is refused by the verifying pass, so
+    /// nothing of a damaged file is ever applied.
     #[test]
     fn every_corrupted_byte_is_detected() {
         let p = TempPath::new("corrupt");
@@ -502,7 +562,8 @@ mod tests {
         let good = stream(4, &ops);
         // Each record's byte range, from the decoder.
         let mut spans = Vec::new();
-        let mut at = FileHeader::LEN;
+        let head = first_op(&good);
+        let mut at = head;
         while let Decoded::Record(Record::Op(_), _, used) = decode(&good[at..]) {
             spans.push(at..at + used);
             at += used;
@@ -510,7 +571,7 @@ mod tests {
         assert_eq!(spans.len(), 4);
         let end = &good[at..];
         let rebuilt = |order: &[usize]| {
-            let mut out = good[..FileHeader::LEN].to_vec();
+            let mut out = good[..head].to_vec();
             for &i in order {
                 out.extend_from_slice(&good[spans[i].clone()]);
             }
@@ -524,18 +585,35 @@ mod tests {
         for order in damaged {
             assert!(Snapshot::parse(rebuilt(order)).is_err(), "order {order:?} went undetected");
         }
+        // The positions are records like any other: swapped, dropped or
+        // duplicated, the digest or the count of them gives it away.
+        let positions: Vec<_> = (FileHeader::LEN..head).step_by(21).map(|at| at..at + 21).collect();
+        assert_eq!(positions.len(), 4);
+        for order in [[1, 0, 2, 3], [0, 1, 2, 2], [0, 0, 1, 2]] {
+            let mut out = good[..FileHeader::LEN].to_vec();
+            for i in order {
+                out.extend_from_slice(&good[positions[i].clone()]);
+            }
+            out.extend_from_slice(&good[head..]);
+            assert!(Snapshot::parse(out).is_err(), "positions {order:?} went undetected");
+        }
+        let mut three = good[..FileHeader::LEN].to_vec();
+        three.extend_from_slice(&good[FileHeader::LEN..head - 21]);
+        three.extend_from_slice(&good[head..]);
+        assert!(Snapshot::parse(three).is_err(), "a dropped position went undetected");
     }
 
-    /// A snapshot holds one `SET`/`SETEX` per key and nothing else: a
-    /// `DEL`, a log's `BASE` or a tail's `MARK` — each intact and counted
-    /// in the digest, as a writer that produced it would have — is
-    /// refused, as is a second `END`.
+    /// A snapshot holds its positions and then one `SET`/`SETEX` per key
+    /// and nothing else: a `DEL`, a `BASE` past the positions or a
+    /// tail's `MARK` — each intact and counted in the digest, as a writer
+    /// that produced it would have — is refused, as is a second `END`.
     #[test]
     fn del_base_and_mark_records_are_refused_inside_a_snapshot() {
         let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: 1 }.encode();
         for stray in [Record::Op(OpRef::Del { key: b"k" }), Record::Base(0), Record::Mark(7)] {
             let mut buf = header.to_vec();
             let mut digest = Digest::new(&header);
+            digest.cover(encode(Record::Base(3), &mut buf));
             digest.add(encode_op(set(b"a", b"1", 0), &mut buf));
             let at = buf.len();
             digest.add(encode(stray, &mut buf));
@@ -546,19 +624,27 @@ mod tests {
         let mut twice = stream(1, &[]);
         twice.extend_from_within(FileHeader::LEN..);
         assert!(Snapshot::parse(twice).is_err());
+        // Where a position belongs, only a position will do.
+        let mut buf = header.to_vec();
+        let mut digest = Digest::new(&header);
+        digest.add(encode_op(set(b"a", b"1", 0), &mut buf));
+        encode(Record::End(digest), &mut buf);
+        let err = Snapshot::parse(buf).err().unwrap().to_string();
+        assert!(err.contains(&format!("misplaced record at byte {}", FileHeader::LEN)), "{err}");
     }
 
     /// The v3 snapshot encoding, byte for byte: header, a `SET`, a
     /// `SETEX` and the `END`. A change to the layout, a checksum or the
     /// digest fails here instead of silently misreading old snapshots.
+    /// A v3 file names no positions: replay reads each as 0.
     #[test]
     fn the_v3_snapshot_encoding_is_pinned() {
         let ops = [set(b"k1", b"val", 0), set(b"k2", b"v", 1_700_000_000_000)];
-        let buf = stream(3, &ops);
+        let buf = stream_of(SNAP_VERSION_UNPOSITIONED, 3, &[], &ops);
         let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN_V3);
         let snap = Snapshot::parse(buf).unwrap();
-        assert_eq!(ops_of(&snap), ops);
+        assert_eq!((ops_of(&snap), snap.positions()), (ops.to_vec(), &[0, 0, 0][..]));
     }
 
     /// One line per piece: the header, then each record as length ‖ body
@@ -572,55 +658,29 @@ mod tests {
         "11000000", "0502000000000000009718f3662d05c015", "1ba54f4664c8dafa",
     );
 
-    /// Written by the version-2 writer: a plain record, one with a
-    /// deadline, and one with a binary key, under a header naming 3
-    /// shards.
-    const GOLDEN_V2: &str = concat!(
-        "44415348534e50310200000003000000",
-        "05000000", "02000000", "0000000000000000", "706c61696e", "7631",
-        "03000000", "02000000", "00d8c32cbb030000", "74746c", "7632",
-        "04000000", "03000000", "0000000000000000", "000d0aff", "62696e",
-        "ffffffff", "0300000000000000", "9d917c550e908fcb",
+    /// The v4 encoding, byte for byte: the v3 stream with two shards'
+    /// log positions between the header and the records, folded into
+    /// END's digest but not its count.
+    #[test]
+    fn the_v4_snapshot_encoding_is_pinned() {
+        let ops = [set(b"k1", b"val", 0), set(b"k2", b"v", 1_700_000_000_000)];
+        let buf = stream_of(SNAP_VERSION, 2, &[0x0102_0304, 0], &ops);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_V4);
+        let snap = Snapshot::parse(buf).unwrap();
+        assert_eq!((ops_of(&snap), snap.positions()), (ops.to_vec(), &[0x0102_0304, 0][..]));
+    }
+
+    /// As [`GOLDEN_V3`], with the two `BASE` records (the log's own,
+    /// `repl::log`'s pinned prelude) after the header.
+    const GOLDEN_V4: &str = concat!(
+        "44415348534e50310400000002000000",
+        "09000000", "040403020100000000", "cbfc8364934b38c4",
+        "09000000", "040000000000000000", "8809c10f1a18fe65",
+        "0a000000", "01020000006b3176616c", "469632bb11508ad8",
+        "10000000", "03020000006b320068e5cf8b01000076", "f4e3f4ae44e407d1",
+        "11000000", "0502000000000000003090ba309e6f85ae", "7554a729d273a993",
     );
-
-    fn unhex(hex: &str) -> Vec<u8> {
-        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
-    }
-
-    /// A snapshot from the build before the v3 format still restores,
-    /// byte-exact, deadlines verbatim; its checksum is still checked.
-    #[test]
-    fn a_v2_snapshot_restores_byte_exact() {
-        let v2 = unhex(GOLDEN_V2);
-        let snap = Snapshot::parse(v2.clone()).unwrap();
-        let want = [
-            (&b"plain"[..], &b"v1"[..], 0),
-            (b"ttl", b"v2", 4_102_444_800_000),
-            (&[0, 13, 10, 255], b"bin", 0),
-        ];
-        let ops: Vec<_> = want.iter().map(|&(k, v, e)| set(k, v, e)).collect();
-        assert_eq!((snap.len(), ops_of(&snap)), (3, ops));
-        for pos in 0..v2.len() {
-            let mut bad = v2.clone();
-            bad[pos] ^= 0x40;
-            assert!(Snapshot::parse(bad).is_err(), "v2 flip at byte {pos} went undetected");
-        }
-        let p = TempPath::new("v2-restore");
-        std::fs::write(&p.0, &v2).unwrap();
-        let cfg = EngineConfig { shards: 2, shard_bytes: 4 << 20, ..EngineConfig::default() };
-        let store = ShardedDash::restore(&cfg, &p.0).unwrap();
-        assert_eq!(store.len(), 3);
-        for (key, value, expire_at_ms) in want {
-            assert_eq!(store.get_with_expiry(key).unwrap(), Some((value.to_vec(), expire_at_ms)));
-        }
-    }
-
-    #[test]
-    fn fnv_matches_known_vector() {
-        // FNV-1a 64 of "a" is a published test vector.
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-    }
 
     /// The incremental reader over a stream cut anywhere: every prefix
     /// yields the items of a whole feed up to its cut, and nothing else.
@@ -638,8 +698,9 @@ mod tests {
             items
         };
         let whole = items(&buf);
-        assert_eq!(whole.len(), 5, "{whole:?}");
-        assert!(whole[2].starts_with("End") && whole[3] == "Mark(5)", "{whole:?}");
+        assert_eq!(whole.len(), 7, "{whole:?}");
+        assert_eq!(whole[..2], ["Position(7)", "Position(1007)"], "{whole:?}");
+        assert!(whole[4].starts_with("End") && whole[5] == "Mark(5)", "{whole:?}");
         for cut in 0..buf.len() {
             let got = items(&buf[..cut]);
             assert_eq!(got, whole[..got.len()], "cut {cut}");

@@ -2,13 +2,13 @@
 //! durability across crash/reopen and snapshot/restore, deterministic
 //! replication (the primary is the only clock), sampled eviction under
 //! a memory budget, record reclamation, and redo-log rotation with
-//! snapshot-covered truncation.
+//! retention and replay from a snapshot's positions.
 #![cfg(unix)]
 
 use std::time::{Duration, Instant};
 
 use dash_repro::dash_server::expire::now_ms;
-use dash_repro::dash_server::repl::log::segment_files;
+use dash_repro::dash_server::repl::log::{replay_from, segment_files};
 use dash_repro::dash_server::{EvictionPolicy, Value};
 use dash_repro::{
     serve, serve_with, EngineConfig, EngineError, RespClient, ServeOptions, ShardedDash,
@@ -386,30 +386,30 @@ fn fragmentation_rises_then_reclamation_drops_it() {
     store.close().unwrap();
 }
 
-/// Log rotation + snapshot truncation + replay stay coherent: segments
-/// seal as the active log crosses the cap, a durable snapshot deletes
-/// the segments it covers, and snapshot + remaining chain still
-/// reconstructs the exact state — absolute deadlines included.
+/// Log rotation + retention + replay stay coherent: segments seal as
+/// the active log crosses the cap, retention deletes them so the chain
+/// no longer reaches back to its start, and the snapshot plus the chain
+/// replayed from the snapshot's position still reconstructs the exact
+/// state — absolute deadlines included.
 #[test]
 fn log_rotation_truncation_and_replay_stay_coherent() {
     let src = TempDir::new("expire-rot-src");
     let dst = TempDir::new("expire-rot-dst");
     let snap = src.path.join("mid.snap");
-    let cfg = EngineConfig { repl_log_max_bytes: Some(2048), ..dir_cfg(&src, 1) };
+    let cfg = EngineConfig { repl_log_max_bytes: Some(4096), ..dir_cfg(&src, 1) };
     let store = ShardedDash::open(&cfg).unwrap();
     for i in 0..300u32 {
         store.set(format!("rot{i:04}").as_bytes(), format!("value-{i}").as_bytes()).unwrap();
     }
     let log_path = src.path.join("repl-0.log");
+    // A 4 KiB window over ~10 KB of log: two seals, and retention kept
+    // only the segment sealed last.
     let sealed = segment_files(&log_path).unwrap();
-    assert!(sealed.len() >= 2, "a 2 KiB cap must seal segments (got {})", sealed.len());
-    // A durable snapshot covers everything sealed so far — those
-    // segments must be deleted, not kept forever.
+    assert_eq!(sealed.iter().map(|(seq, _)| *seq).collect::<Vec<_>>(), [1]);
+    assert!(store.repl_log_bytes() < 2 * (4096 + 64), "{} B of log", store.repl_log_bytes());
+    let err = replay_from(&log_path, 0).unwrap_err();
+    assert!(err.to_string().contains("records 0.."), "the chain was trimmed: {err}");
     store.snapshot_to(&snap).unwrap();
-    assert!(
-        segment_files(&log_path).unwrap().len() < sealed.len(),
-        "snapshot must truncate the segments it covers"
-    );
     // Post-snapshot history: overwrites, a delete, and a TTL write whose
     // absolute deadline must travel through the log untouched.
     for i in 0..50u32 {
@@ -420,10 +420,11 @@ fn log_rotation_truncation_and_replay_stay_coherent() {
     store.set_with_expiry(b"rot-ttl", b"v", deadline).unwrap();
     store.close().unwrap();
 
-    // Restore the snapshot elsewhere, then replay the surviving chain.
-    let restored = ShardedDash::restore(&dir_cfg(&dst, 2), &snap).unwrap();
-    assert_eq!(restored.len(), 300, "snapshot alone is the mid-run state");
-    restored.replay_log_dir(&src.path).unwrap();
+    // Restore the snapshot elsewhere and replay the chain from the
+    // position the snapshot recorded.
+    let (restored, replayed) =
+        ShardedDash::restore_and_replay(&dir_cfg(&dst, 2), &snap, &src.path).unwrap();
+    assert_eq!(replayed, 52, "the post-snapshot history, and only it");
     assert_eq!(restored.len(), 300, "300 - 1 deleted + 1 ttl key");
     for i in 0..300u32 {
         let want = match i {

@@ -5,14 +5,17 @@
 #![cfg(unix)]
 
 use dash_repro::dash_server::repl::log::{
-    read_log, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION, SEGMENT_BYTES,
+    read_log, replay_from, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION, SEGMENT_BYTES,
+    WINDOW_DIVISOR,
 };
 use dash_repro::dash_server::repl::wire::{
-    encode, encode_op, encode_record, record_checksum, Digest, FileHeader, Record,
+    decode, encode, encode_op, encode_record, record_checksum, Decoded, Digest, FileHeader, Record,
 };
 use dash_repro::dash_server::repl::OpRef;
-use dash_repro::dash_server::snapshot::{Reader, SNAP_MAGIC, SNAP_VERSION};
-use dash_repro::dash_server::{ReplOp, MAX_VALUE_LEN};
+use dash_repro::dash_server::snapshot::{
+    Reader, Snapshot, SNAP_MAGIC, SNAP_VERSION, SNAP_VERSION_UNPOSITIONED,
+};
+use dash_repro::dash_server::{ReplOp, SnapshotError, MAX_VALUE_LEN};
 use dash_repro::{EngineConfig, ShardedDash};
 use proptest::prelude::*;
 
@@ -259,9 +262,9 @@ fn offset_recovers_across_restarts() {
     store.close().unwrap();
 }
 
-/// The offset never rewinds: a durable `SNAPSHOT` deletes the sealed
-/// segments it covers, and the next open still continues the count —
-/// it is carried by the active file's base record, not re-summed from
+/// The offset never rewinds: retention deletes sealed segments as the
+/// log seals, and the next open still continues the count — it is
+/// carried by the active file's base record, not re-summed from
 /// whatever segments survive.
 #[test]
 fn offset_is_continuous_across_truncate_and_reopen() {
@@ -273,10 +276,13 @@ fn offset_is_continuous_across_truncate_and_reopen() {
             let (k, v) = kv(i);
             store.set(&k, &v).unwrap();
         }
-        let sealed = store.repl_log_segments();
-        assert!(sealed >= 4, "a 2 KiB cap over 600 SETs must seal segments");
-        store.snapshot_to(&src.path.join("cut.snap")).unwrap();
-        assert_eq!(store.repl_log_segments(), 0, "the snapshot covers every sealed segment");
+        // A 2 KiB window over 600 SETs: every shard sealed again and
+        // again, and retention kept only the segment it sealed last.
+        assert_eq!(store.repl_log_segments(), 2, "one sealed segment per shard");
+        for shard in 0..2 {
+            let err = replay_from(&src.path.join(format!("repl-{shard}.log")), 0).unwrap_err();
+            assert!(err.to_string().contains("records 0.."), "shard {shard} was trimmed: {err}");
+        }
         for i in 0..10 {
             let (k, _) = kv(i);
             store.set(&k, b"after-the-cut").unwrap();
@@ -287,6 +293,71 @@ fn offset_is_continuous_across_truncate_and_reopen() {
     };
     let store = ShardedDash::open(&cfg).unwrap();
     assert_eq!(store.repl_offset(), before, "reopen after truncation must not rewind");
+    store.close().unwrap();
+}
+
+/// One shard's log on disk: the active file and its sealed segments.
+fn log_bytes_on_disk(dir: &TempDir, shard: usize) -> u64 {
+    let path = dir.path.join(format!("repl-{shard}.log"));
+    let sealed: u64 = segment_files(&path)
+        .unwrap()
+        .iter()
+        .map(|(_, seg)| std::fs::metadata(seg).unwrap().len())
+        .sum();
+    sealed + std::fs::metadata(&path).unwrap().len()
+}
+
+/// The log is a window, not a history: under overwrite churn on a
+/// 2-shard store with the default window, every shard's log stays within
+/// max(segment, `mem_used` / 4) plus one segment after every seal, while
+/// the churn writes several times that, and the segment sealed last is
+/// always kept.
+#[test]
+fn retention_bounds_every_shards_log_under_churn() {
+    const KEYS: u32 = 36_000;
+    let src = TempDir::new("repl-churn");
+    let cfg = EngineConfig { shard_bytes: 64 << 20, ..dir_cfg(&src, 2) };
+    let store = ShardedDash::open(&cfg).unwrap();
+    let value = |i: u32, round: u32| vec![(i ^ round) as u8; 1000];
+    let max_record = 64 + 1000;
+    let (mut seals, mut written) = (0u64, 0u64);
+    let mut last = (store.repl_log_segments(), store.repl_log_bytes());
+    for round in 0..2u32 {
+        // The first round loads the key set; later ones overwrite it.
+        for i in 0..KEYS {
+            let key = format!("churn:{:05}", (i * 7919 + round) % KEYS).into_bytes();
+            store.set(&key, &value(i, round)).unwrap();
+            written += 1;
+            let now = (store.repl_log_segments(), store.repl_log_bytes());
+            // A seal adds a segment or, with retention, leaves fewer
+            // bytes than before; between seals the active file grows.
+            if now.0 != last.0 || now.1 < last.1 {
+                seals += 1;
+                for (shard, t) in store.shard_telemetry().iter().enumerate() {
+                    let window = (t.mem_used_bytes / WINDOW_DIVISOR).max(SEGMENT_BYTES);
+                    let on_disk = log_bytes_on_disk(&src, shard);
+                    assert!(
+                        on_disk <= window + SEGMENT_BYTES + max_record,
+                        "shard {shard} after seal {seals}: {on_disk} B of log over a {window} B window"
+                    );
+                }
+            }
+            last = now;
+        }
+    }
+    let logged = written * 1000;
+    assert!(seals >= 8, "{logged} B of churn through 4 MiB segments: {seals} seals");
+    assert!(
+        store.repl_log_bytes() < logged / 3,
+        "the log kept {} B of {logged}",
+        store.repl_log_bytes()
+    );
+    assert_eq!(store.repl_log_segments(), 2, "each shard keeps the segment it sealed last");
+    assert_eq!(store.repl_offset(), written, "deletion never rewinds the offset");
+    for i in (0..KEYS).step_by(1009) {
+        let key = format!("churn:{i:05}").into_bytes();
+        assert_eq!(store.get(&key).unwrap().map(|v| v.len()), Some(1000), "key {i}");
+    }
     store.close().unwrap();
 }
 
@@ -374,15 +445,26 @@ fn a_parent_format_log_is_refused_by_replay_and_started_over_by_open() {
 fn a_v2_log_is_started_over_by_open_and_refused_by_replay() {
     let src = TempDir::new("repl-v2-src");
     let dst = TempDir::new("repl-v2-dst");
-    let cfg = EngineConfig { repl_log_max_bytes: Some(2048), ..dir_cfg(&src, 2) };
+    let cfg = dir_cfg(&src, 2);
     {
         let store = ShardedDash::open(&cfg).unwrap();
         for i in 0..300 {
             let (k, v) = kv(i);
             store.set(&k, &v).unwrap();
         }
-        assert!(store.repl_log_segments() >= 4, "a 2 KiB cap over 300 SETs must seal segments");
         store.close().unwrap();
+    }
+    // Rewrite each shard's log as a chain of sealed segments: a writer
+    // opened on its own seals at its cap and deletes nothing.
+    for shard in 0..2u32 {
+        let path = src.path.join(format!("repl-{shard}.log"));
+        let (ops, _) = read_log(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let (mut w, _) = LogWriter::open(&path, shard, Some(2048)).unwrap();
+        for op in &ops {
+            w.append(op).unwrap();
+        }
+        assert!(w.segments() >= 2, "a 2 KiB cap over {} SETs must seal segments", ops.len());
     }
     let mut patched = 0;
     for entry in std::fs::read_dir(&src.path).unwrap() {
@@ -422,6 +504,196 @@ fn a_v2_log_is_started_over_by_open_and_refused_by_replay() {
         logged.append(&mut read_log(&path).unwrap().0);
     }
     assert_eq!(logged, [ReplOp::Set { key: k, value: v }], "the new write, and only it");
+}
+
+/// Write `kv(i)` for every `i` in `keys`.
+fn set_range(store: &ShardedDash, keys: std::ops::Range<u32>) {
+    for i in keys {
+        let (k, v) = kv(i);
+        store.set(&k, &v).unwrap();
+    }
+}
+
+/// The base record of the oldest file still in shard `shard`'s chain.
+fn oldest_base(dir: &TempDir, shard: usize) -> u64 {
+    let active = dir.path.join(format!("repl-{shard}.log"));
+    let oldest = segment_files(&active).unwrap().first().map_or(active, |(_, seg)| seg.clone());
+    let bytes = std::fs::read(oldest).unwrap();
+    let Decoded::Record(Record::Base(base), _, _) = decode(&bytes[FileHeader::LEN..]) else {
+        panic!("no base record")
+    };
+    base
+}
+
+/// The incremental backup from positions: a snapshot taken mid-run plus
+/// each shard's chain from the position the snapshot recorded rebuilds
+/// the final state exactly — although retention has trimmed the chains
+/// past their start, so a replay from 0 is refused.
+#[test]
+fn restore_and_replay_resumes_each_chain_at_the_snapshots_position() {
+    let src = TempDir::new("repl-pos-src");
+    let dst = TempDir::new("repl-pos-dst");
+    let snap = src.path.join("mid.snap");
+    let cfg = EngineConfig { repl_log_max_bytes: Some(8192), ..dir_cfg(&src, 2) };
+    let store = ShardedDash::open(&cfg).unwrap();
+    set_range(&store, 0..800);
+    store.snapshot_to(&snap).unwrap();
+    let positions = Snapshot::read(&snap).unwrap().positions().to_vec();
+    assert_eq!(positions.iter().sum::<u64>(), 800, "every write so far is below a position");
+    set_range(&store, 800..900);
+    for i in 0..50 {
+        store.del(&kv(i).0).unwrap();
+    }
+    store.close().unwrap();
+    for (shard, &position) in positions.iter().enumerate() {
+        let base = oldest_base(&src, shard);
+        assert!(0 < base && base <= position, "shard {shard}: trimmed to {base}");
+    }
+    let err = ShardedDash::open(&dir_cfg(&dst, 3)).unwrap().replay_log_dir(&src.path).unwrap_err();
+    assert!(err.to_string().contains("records 0.."), "{err}");
+    std::fs::remove_dir_all(&dst.path).unwrap();
+
+    let (restored, replayed) =
+        ShardedDash::restore_and_replay(&dir_cfg(&dst, 3), &snap, &src.path).unwrap();
+    assert_eq!(replayed, 150, "the writes after the snapshot, and only those");
+    assert_eq!(restored.len(), 850);
+    for i in 0..900 {
+        let (k, v) = kv(i);
+        assert_eq!(restored.get(&k).unwrap(), (i >= 50).then_some(v), "key {i}");
+    }
+    restored.close().unwrap();
+}
+
+/// A snapshot older than the log's window cannot be brought current:
+/// once retention has deleted records past the snapshot's position,
+/// restore-and-replay refuses — naming the shard, the position and the
+/// oldest retained base — before it creates anything, and a plain replay
+/// from 0 applies nothing either.
+#[test]
+fn replay_refuses_a_snapshot_older_than_the_window() {
+    let src = TempDir::new("repl-gap-src");
+    let dst = TempDir::new("repl-gap-dst");
+    let snap = src.path.join("old.snap");
+    let cfg = EngineConfig { repl_log_max_bytes: Some(4096), ..dir_cfg(&src, 2) };
+    let store = ShardedDash::open(&cfg).unwrap();
+    set_range(&store, 0..100);
+    store.snapshot_to(&snap).unwrap();
+    let positions = Snapshot::read(&snap).unwrap().positions().to_vec();
+    set_range(&store, 100..1000);
+    store.close().unwrap();
+    let base = oldest_base(&src, 0);
+    assert!(base > positions[0], "retention deleted past the position: base {base}");
+
+    let err = ShardedDash::restore_and_replay(&dir_cfg(&dst, 3), &snap, &src.path)
+        .err()
+        .unwrap()
+        .to_string();
+    let gap = format!("records {}..{base} are gone", positions[0]);
+    assert!(err.contains("shard 0") && err.contains(&gap), "{err}");
+    assert!(err.contains(&format!("has base {base}")), "{err}");
+    assert!(!dst.path.exists(), "nothing of the target was created");
+
+    let target = ShardedDash::open(&dir_cfg(&dst, 3)).unwrap();
+    assert!(target.replay_log_dir(&src.path).is_err());
+    assert_eq!(target.len(), 0, "nothing of a refused replay is applied");
+    target.close().unwrap();
+}
+
+/// Replay refuses logs that do not continue the snapshot: another
+/// store's, with a different shard count (both counts named), and a log
+/// that was started over and ends before the snapshot's position.
+#[test]
+fn replay_refuses_another_stores_logs_and_a_reset_log() {
+    let src = TempDir::new("repl-other-src");
+    let other = TempDir::new("repl-other-3");
+    let dst = TempDir::new("repl-other-dst");
+    let snap = src.path.join("s.snap");
+    let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
+    set_range(&store, 0..200);
+    store.snapshot_to(&snap).unwrap();
+    store.close().unwrap();
+    let store = ShardedDash::open(&dir_cfg(&other, 3)).unwrap();
+    set_range(&store, 0..50);
+    store.close().unwrap();
+    let err = ShardedDash::restore_and_replay(&dir_cfg(&dst, 2), &snap, &other.path)
+        .err()
+        .unwrap()
+        .to_string();
+    assert!(err.contains("taken of 2 shards") && err.contains("the logs of 3"), "{err}");
+
+    // The source's logs deleted and started over by the next open.
+    for shard in 0..2 {
+        std::fs::remove_file(src.path.join(format!("repl-{shard}.log"))).unwrap();
+    }
+    let store = ShardedDash::open(&dir_cfg(&src, 2)).unwrap();
+    set_range(&store, 200..210);
+    store.close().unwrap();
+    let position = Snapshot::read(&snap).unwrap().positions()[0];
+    let err = ShardedDash::restore_and_replay(&dir_cfg(&dst, 2), &snap, &src.path)
+        .err()
+        .unwrap()
+        .to_string();
+    assert!(err.contains(&format!("before position {position}")), "{err}");
+    assert!(!dst.path.exists(), "nothing of the target was created");
+}
+
+/// `v4`'s keys as a version-3 snapshot at `v3`: the same stream without
+/// positions.
+fn as_v3(v4: &std::path::Path, v3: &std::path::Path) {
+    let snap = Snapshot::read(v4).unwrap();
+    let shards = snap.positions().len() as u32;
+    let header =
+        FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION_UNPOSITIONED, meta: shards }.encode();
+    let mut out = header.to_vec();
+    let mut digest = Digest::new(&header);
+    snap.try_for_each(|op| {
+        digest.add(encode_op(op, &mut out));
+        Ok::<_, SnapshotError>(())
+    })
+    .unwrap();
+    encode(Record::End(digest), &mut out);
+    std::fs::write(v3, out).unwrap();
+}
+
+/// A version-3 snapshot names no positions, so its replay starts every
+/// chain at 0: exact against an untrimmed chain, refused against one
+/// retention has trimmed.
+#[test]
+fn a_v3_snapshot_replays_only_against_an_untrimmed_chain() {
+    for (tag, window) in [("whole", None), ("trimmed", Some(4096))] {
+        let src = TempDir::new(&format!("repl-v3-{tag}-src"));
+        let dst = TempDir::new(&format!("repl-v3-{tag}-dst"));
+        let (v4, v3) = (src.path.join("v4.snap"), src.path.join("v3.snap"));
+        let store =
+            ShardedDash::open(&EngineConfig { repl_log_max_bytes: window, ..dir_cfg(&src, 2) })
+                .unwrap();
+        set_range(&store, 0..400);
+        store.snapshot_to(&v4).unwrap();
+        set_range(&store, 400..1000);
+        for i in 0..50 {
+            store.del(&kv(i).0).unwrap();
+        }
+        store.close().unwrap();
+        as_v3(&v4, &v3);
+        assert_eq!(Snapshot::read(&v3).unwrap().positions(), [0, 0], "{tag}");
+        match ShardedDash::restore_and_replay(&dir_cfg(&dst, 3), &v3, &src.path) {
+            Ok((restored, replayed)) => {
+                assert!(window.is_none(), "a trimmed chain was replayed from 0");
+                assert_eq!(replayed, 1050, "the whole chain, from 0");
+                assert_eq!(restored.len(), 950);
+                for i in 0..1000 {
+                    let (k, v) = kv(i);
+                    assert_eq!(restored.get(&k).unwrap(), (i >= 50).then_some(v), "key {i}");
+                }
+                restored.close().unwrap();
+            }
+            Err(e) => {
+                assert!(window.is_some(), "an untrimmed chain was refused: {e}");
+                assert!(e.to_string().contains("records 0.."), "{e}");
+                assert!(!dst.path.exists());
+            }
+        }
+    }
 }
 
 /// What the format allows in a record body that follows a file's base
@@ -510,8 +782,9 @@ proptest! {
         );
     }
 
-    /// The replica's decoder is incremental: a `PSYNC` stream — snapshot
-    /// records, their `END`, then tail ops and `MARK`s — fed in reads cut
+    /// The replica's decoder is incremental: a `PSYNC` stream — the two
+    /// shards' log positions, snapshot records, their `END`, then tail
+    /// ops and `MARK`s — fed in reads cut
     /// at arbitrary points, down to one byte at a time, yields exactly the
     /// items of one whole feed, and consumes every byte.
     #[test]
@@ -526,6 +799,9 @@ proptest! {
         let header = FileHeader { magic: SNAP_MAGIC, version: SNAP_VERSION, meta: 2 }.encode();
         let mut stream = header.to_vec();
         let mut digest = Digest::new(&header);
+        for position in [snapshot.len() as u64, 7] {
+            digest.cover(encode(Record::Base(position), &mut stream));
+        }
         let keys: Vec<Vec<u8>> = (0..16).map(|i| format!("key:{i}").into_bytes()).collect();
         for (i, value) in snapshot.iter().enumerate() {
             digest.add(encode_op(OpRef::set(&keys[i], value, 7 * (i as u64 % 2)), &mut stream));
@@ -563,7 +839,7 @@ proptest! {
         let whole = feed(&mut std::iter::once(stream.len()));
         prop_assert_eq!(whole.1, 0);
         let marked = tail.iter().filter(|t| t.0 == 3).count();
-        prop_assert_eq!(whole.0.len(), snapshot.len() + 1 + tail.len() + marked);
+        prop_assert_eq!(whole.0.len(), 2 + snapshot.len() + 1 + tail.len() + marked);
         prop_assert_eq!(&feed(&mut reads.iter().copied().cycle()), &whole);
         prop_assert_eq!(&feed(&mut std::iter::repeat(1)), &whole);
     }
