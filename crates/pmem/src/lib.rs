@@ -17,9 +17,13 @@
 //!   paper uses PMDK transactions for segment-split directory updates);
 //! * epoch-based reclamation so optimistic readers never dereference freed
 //!   segments or variable-length keys;
-//! * PM access accounting and an optional Optane-like cost model (latency +
-//!   shared bandwidth token buckets) used by the benchmark harnesses to
-//!   reproduce the bandwidth-saturation behaviour central to the paper.
+//! * PM access accounting in [`Striped`] counters — the write-striped cell
+//!   the server's counters and latency histograms are built on too — and
+//!   an optional Optane-like cost model (latency + shared bandwidth token
+//!   buckets) used by the benchmark harnesses to reproduce the
+//!   bandwidth-saturation behaviour central to the paper;
+//! * a per-thread span record ([`span`]) that a tracing layer arms to learn
+//!   how much of one request went to flushes, fences and lock waits.
 //!
 //! ```
 //! use pmem::{PmemPool, PoolConfig};
@@ -43,9 +47,9 @@ mod error;
 mod layout;
 #[cfg(unix)]
 mod mmap;
-pub mod persist_timer;
 mod pool;
 mod proptests;
+pub mod span;
 mod stats;
 mod tx;
 
@@ -55,7 +59,7 @@ pub use epoch::{EpochGuard, EpochManager};
 pub use error::{PmError, Result};
 pub use layout::{align_up, PmOffset, CACHELINE};
 pub use pool::{PmemPool, PoolConfig, PoolImage, RecoveryOutcome};
-pub use stats::StatsSnapshot;
+pub use stats::{StatsSnapshot, Striped};
 pub use tx::MAX_TX_WRITES;
 
 /// Ask the CPU to start pulling the cacheline holding `ptr` toward L1

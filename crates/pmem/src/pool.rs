@@ -8,7 +8,8 @@ use crate::cost::{CostModel, CostState};
 use crate::epoch::EpochManager;
 use crate::error::{PmError, Result};
 use crate::layout::{align_up, PmOffset, CACHELINE};
-use crate::stats::{PmStats, StatsSnapshot};
+use crate::span::Wait;
+use crate::stats::{self, StatsSnapshot, Striped, PM_CELLS};
 use crate::tx::{RedoArea, MAX_TX_WRITES};
 
 /// Format stamp: bits 32..48 of [`MAGIC`]. Bumped whenever persistent
@@ -197,7 +198,7 @@ pub struct PmemPool {
     region: Region,
     size: usize,
     shadow: Option<Region>,
-    stats: PmStats,
+    stats: Striped<PM_CELLS>,
     cost: CostState,
     pub(crate) alloc_mode: AllocMode,
     pub(crate) class_locks: Box<[Mutex<()>]>,
@@ -229,7 +230,7 @@ impl PmemPool {
             region,
             size,
             shadow,
-            stats: PmStats::new(),
+            stats: Striped::new(),
             cost: CostState::new(cfg.cost),
             alloc_mode: cfg.alloc_mode,
             class_locks: class_locks.into_boxed_slice(),
@@ -510,11 +511,11 @@ impl PmemPool {
     /// flush is silently dropped (the power cut happened "before" it).
     pub fn flush(&self, off: PmOffset, len: usize) {
         debug_assert!(off.get() as usize + len <= self.size);
-        let persist_mark = crate::persist_timer::mark();
+        let persist_mark = crate::span::mark();
         let start = off.get() & !(CACHELINE as u64 - 1);
         let end = align_up(off.get() + len as u64, CACHELINE as u64);
         let bytes = (end - start) as usize;
-        self.stats.note_flush(bytes);
+        self.stats.add([(stats::FLUSHES, 1), (stats::FLUSH_BYTES, bytes as u64)]);
         self.cost.charge_write(bytes);
         // The global flush index exists only for crash injection, which is
         // only meaningful in shadow mode; maintaining it unconditionally
@@ -524,7 +525,7 @@ impl PmemPool {
         if let Some(shadow) = &self.shadow {
             let n = self.flushes_issued.fetch_add(1, Ordering::Relaxed) + 1;
             if n > self.flush_limit.load(Ordering::Relaxed) {
-                crate::persist_timer::add_since(persist_mark);
+                crate::span::add_since(persist_mark, Wait::Persist);
                 return;
             }
             // SAFETY: bounds checked; volatile word copies tolerate racing
@@ -537,15 +538,15 @@ impl PmemPool {
                 }
             }
         }
-        crate::persist_timer::add_since(persist_mark);
+        crate::span::add_since(persist_mark, Wait::Persist);
     }
 
     /// SFENCE-equivalent; orders prior flushes.
     pub fn fence(&self) {
-        let persist_mark = crate::persist_timer::mark();
-        self.stats.note_fence();
+        let persist_mark = crate::span::mark();
+        self.stats.add([(stats::FENCES, 1)]);
         std::sync::atomic::fence(Ordering::SeqCst);
-        crate::persist_timer::add_since(persist_mark);
+        crate::span::add_since(persist_mark, Wait::Persist);
     }
 
     /// `flush` + `fence`.
@@ -558,7 +559,7 @@ impl PmemPool {
     /// `bytes`; applies read latency and bandwidth costs if enabled.
     #[inline]
     pub fn note_pm_read(&self, bytes: usize) {
-        self.stats.note_read(bytes);
+        self.stats.add([(stats::PM_READS, 1), (stats::PM_READ_BYTES, bytes as u64)]);
         self.cost.charge_read(bytes);
     }
 
@@ -567,12 +568,12 @@ impl PmemPool {
     /// write bandwidth in the cost model.
     #[inline]
     pub fn note_pm_write(&self, bytes: usize) {
-        self.stats.note_write(bytes);
+        self.stats.add([(stats::PM_WRITES, 1), (stats::PM_WRITE_BYTES, bytes as u64)]);
         self.cost.charge_write(bytes);
     }
 
     pub(crate) fn note_alloc_event(&self) {
-        self.stats.note_alloc();
+        self.stats.add([(stats::ALLOCS, 1)]);
     }
 
     /// Charge the page-fault cost of `bytes` of *fresh* pool space (free
@@ -585,11 +586,11 @@ impl PmemPool {
     }
 
     pub(crate) fn note_free_event(&self) {
-        self.stats.note_free();
+        self.stats.add([(stats::FREES, 1)]);
     }
 
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        StatsSnapshot::of(&self.stats)
     }
 
     pub fn cost_model(&self) -> CostModel {
@@ -620,7 +621,7 @@ impl PmemPool {
         if self.shadow.is_some() {
             self.flushes_issued.load(Ordering::SeqCst)
         } else {
-            self.stats.snapshot().flushes
+            self.stats.sum()[stats::FLUSHES]
         }
     }
 

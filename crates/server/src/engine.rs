@@ -316,14 +316,14 @@ impl Shard {
     /// to the active span's `lock_wait` stage. Both hooks are a
     /// thread-local load when no span is active.
     fn lock_write(&self) -> parking_lot::MutexGuard<'_, ()> {
-        crate::trace::note_engine_entry();
+        pmem::span::enter();
         match self.write_lock.try_lock() {
             Some(g) => g,
             None => {
                 self.lock_waits.fetch_add(1, Ordering::Relaxed);
-                let mark = crate::trace::lock_wait_mark();
+                let mark = pmem::span::mark();
                 let g = self.write_lock.lock();
-                crate::trace::note_lock_wait(mark);
+                pmem::span::add_since(mark, pmem::span::Wait::Lock);
                 g
             }
         }
@@ -332,7 +332,7 @@ impl Shard {
     /// Pin this shard's epoch, counting the pin. The read paths'
     /// engine-entry chokepoint (see [`Shard::lock_write`]).
     fn pin(&self) -> pmem::EpochGuard<'_> {
-        crate::trace::note_engine_entry();
+        pmem::span::enter();
         self.pins.fetch_add(1, Ordering::Relaxed);
         self.pool.epoch().pin()
     }

@@ -1,55 +1,29 @@
-//! Striped atomic counters and a plain gauge — the primitive cells the
-//! metrics registry is built from.
+//! The metrics registry's primitive cells: a counter and a plain gauge.
 //!
-//! A [`Counter`] spreads its increments over [`STRIPES`] cacheline-
-//! padded atomics, indexed by a thread-local stripe id (the same
-//! pattern the pmem crate's `PmStats` uses): event-loop workers bump
+//! A [`Counter`] is one [`pmem::Striped`] cell, the write-striped cell
+//! the pool's PM counts are kept in too: event-loop workers bump
 //! disjoint cachelines on the hot path, and only a reader (INFO, a
 //! Prometheus scrape) pays the sum. A [`Gauge`] is one signed atomic —
 //! its users (connection counts) change it at accept/close frequency,
 //! where contention is irrelevant and signed add/sub semantics matter
 //! more than striping.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
-/// Stripe count: enough that a worker pool sized to available CPUs
-/// rarely shares a stripe, small enough that reads stay trivial.
-pub(crate) const STRIPES: usize = 16;
-
-thread_local! {
-    /// This thread's stripe index, assigned round-robin at first use.
-    pub(crate) static STRIPE_ID: usize = {
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES
-    };
-}
-
-#[repr(align(64))]
-#[derive(Default)]
-struct Cell(AtomicU64);
+use pmem::Striped;
 
 /// A monotonic, lock-free, write-striped counter.
-pub struct Counter {
-    cells: Box<[Cell]>,
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Default)]
+pub struct Counter(Striped<1>);
 
 impl Counter {
     pub fn new() -> Counter {
-        let mut cells = Vec::with_capacity(STRIPES);
-        cells.resize_with(STRIPES, Cell::default);
-        Counter { cells: cells.into_boxed_slice() }
+        Counter::default()
     }
 
     #[inline]
     pub fn add(&self, n: u64) {
-        let id = STRIPE_ID.with(|s| *s);
-        self.cells[id].0.fetch_add(n, Ordering::Relaxed);
+        self.0.add([(0, n)]);
     }
 
     #[inline]
@@ -59,7 +33,7 @@ impl Counter {
 
     /// Current total (sums the stripes — a read-side cost by design).
     pub fn get(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        self.0.sum()[0]
     }
 }
 

@@ -10,14 +10,13 @@
 //! The top finite bound is ≈23.7 s, comfortably past the 10 s target;
 //! anything beyond lands in the overflow (`+Inf`) bucket.
 //!
-//! Recording is one thread-local stripe pick plus two relaxed
+//! A histogram is one [`Striped`] cell per bucket plus one for the sum:
+//! recording is one thread-local stripe pick plus two relaxed
 //! `fetch_add`s; a [`snapshot`](Histogram::snapshot) folds the stripes
 //! into plain arrays that merge across histograms (workers, families)
 //! with element-wise addition.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use super::counter::{STRIPES, STRIPE_ID};
+use pmem::Striped;
 
 /// Octave count: bounds span `1000 << 0` .. `1000 << (OCTAVES-1)` ns.
 const OCTAVES: usize = 25;
@@ -48,53 +47,29 @@ pub fn bucket_index(ns: u64) -> usize {
     BOUNDS_NS.partition_point(|&b| b < ns)
 }
 
-#[repr(align(64))]
-struct Stripe {
-    counts: [AtomicU64; BUCKETS],
-    sum_ns: AtomicU64,
-}
-
-impl Default for Stripe {
-    fn default() -> Self {
-        Stripe { counts: std::array::from_fn(|_| AtomicU64::new(0)), sum_ns: AtomicU64::new(0) }
-    }
-}
+/// The striped cells of a histogram: one count per bucket, then the sum.
+const CELLS: usize = BUCKETS + 1;
 
 /// A write-striped latency histogram.
-pub struct Histogram {
-    stripes: Box<[Stripe]>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Default)]
+pub struct Histogram(Striped<CELLS>);
 
 impl Histogram {
     pub fn new() -> Histogram {
-        let mut stripes = Vec::with_capacity(STRIPES);
-        stripes.resize_with(STRIPES, Stripe::default);
-        Histogram { stripes: stripes.into_boxed_slice() }
+        Histogram::default()
     }
 
     /// Record one observation of `ns` nanoseconds.
     #[inline]
     pub fn record(&self, ns: u64) {
-        let stripe = &self.stripes[STRIPE_ID.with(|s| *s)];
-        stripe.counts[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        stripe.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.0.add([(bucket_index(ns), 1), (BUCKETS, ns)]);
     }
 
     /// Fold the stripes into one plain snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
-        let mut out = HistSnapshot::default();
-        for stripe in self.stripes.iter() {
-            for (acc, cell) in out.counts.iter_mut().zip(&stripe.counts) {
-                *acc += cell.load(Ordering::Relaxed);
-            }
-            out.sum_ns += stripe.sum_ns.load(Ordering::Relaxed);
-        }
+        let cells = self.0.sum();
+        let mut out = HistSnapshot { sum_ns: cells[BUCKETS], ..HistSnapshot::default() };
+        out.counts.copy_from_slice(&cells[..BUCKETS]);
         out
     }
 }

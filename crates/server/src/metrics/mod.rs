@@ -30,7 +30,9 @@ pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnapshot, Histogram};
 pub use slowlog::SlowLog;
 
-/// Default `--slowlog-threshold-us`: 10 ms.
+/// Default `--slowlog-threshold-us`, and the tracer's default
+/// always-capture threshold (`TRACE THRESHOLD`): 10 ms. A request slower
+/// than this is logged, and traced even when the sampler did not pick it.
 pub const DEFAULT_SLOWLOG_THRESHOLD_US: u64 = 10_000;
 
 /// The command families latency is recorded under. Coarse on purpose:
@@ -105,7 +107,7 @@ pub struct Metrics {
     /// — fed only by sampled trace completions (so the un-sampled hot
     /// path never touches it), rendered as
     /// `dash_stage_seconds{stage,cmd}` on the Prometheus endpoint.
-    /// Boxed: 7×8 striped histograms are a few hundred KB.
+    /// Boxed; the 7×8 histograms' stripes are ~0.8 MB of heap.
     pub stage_hist: Box<[[Histogram; CmdFamily::COUNT]; crate::trace::Stage::COUNT]>,
     /// The SLOWLOG ring.
     pub slowlog: SlowLog,

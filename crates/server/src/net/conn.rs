@@ -487,7 +487,7 @@ impl Conn {
                             Some((id, _)) => id,
                             None => inner.tracer.alloc_id(),
                         };
-                        trace::begin_span(id);
+                        pmem::span::begin(id);
                         id
                     } else {
                         0
@@ -497,8 +497,8 @@ impl Conn {
                     let outcome = execute(cmd, parts, inner, &mut self.session, &mut self.wbuf);
                     let exec_end = Instant::now();
                     let exec_ns = dur_ns(exec_end - started);
-                    // End the span whatever the outcome, so the
-                    // thread-locals are disarmed before the next command.
+                    // End the span whatever the outcome, so it is
+                    // disarmed before the next command.
                     let detail =
                         if captured { Some(trace::end_span(started, exec_ns)) } else { None };
                     self.panic.span = 0;

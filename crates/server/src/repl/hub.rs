@@ -127,7 +127,7 @@ impl ReplHub {
         // Publishes run on the thread that executed the command, so the
         // active trace span (if any) is this thread-local — the op it
         // produced inherits the span's identity.
-        let trace_id = crate::trace::current_span_id();
+        let trace_id = pmem::span::id();
         let mut make = Some(make);
         let mut op: Option<Arc<ReplOp>> = None;
         for s in sinks.iter() {
@@ -297,7 +297,7 @@ mod tests {
         let hub = Arc::new(ReplHub::new());
         let sub = hub.subscribe();
         hub.publish_with(|| set(0));
-        crate::trace::begin_span(99);
+        pmem::span::begin(99);
         hub.publish_with(|| set(1));
         crate::trace::end_span(std::time::Instant::now(), 0);
         hub.publish_with(|| set(2));

@@ -44,8 +44,8 @@
 //! the log's size, and retention deleting old segments cannot rewind the
 //! count. No sealed segment's contents are read, and that skips no
 //! safety check: nothing is replayed into state at open. Sealed segments
-//! are validated where they are consumed ([`read_log_chain`],
-//! [`replay_from`]), record by record. One exception, bounded too: the
+//! are validated where they are consumed ([`replay_from`], then
+//! [`read_log`]), record by record. One exception, bounded too: the
 //! active file is missing, empty or has no intact base record — a fresh
 //! log, a crash inside [`rotate`](LogWriter::rotate) between the rename
 //! and the new file's first write, or a header reset. The base is then
@@ -215,18 +215,6 @@ pub fn read_log(path: &Path) -> io::Result<(Vec<ReplOp>, LogRecovery)> {
         scanned_bytes: buf.len() as u64,
     };
     Ok((ops, recovery))
-}
-
-/// A shard's full op stream, one file at a time: sealed segments in
-/// sequence order, then the active file at `path` — the replay path.
-/// Each item is one file's [`read_log`], so a consumer that applies as
-/// it goes holds one segment's ops at a time.
-pub fn read_log_chain(
-    path: &Path,
-) -> io::Result<impl Iterator<Item = io::Result<(Vec<ReplOp>, LogRecovery)>>> {
-    let mut files: Vec<PathBuf> = segment_files(path)?.into_iter().map(|(_, p)| p).collect();
-    files.push(path.to_path_buf());
-    Ok(files.into_iter().map(|file| read_log(&file)))
 }
 
 /// One file of a replay: its path, and how many of its leading records
@@ -679,15 +667,6 @@ mod tests {
         }
     }
 
-    /// The whole chain's ops, in order.
-    fn read_chain(path: &Path) -> Vec<ReplOp> {
-        let mut all = Vec::new();
-        for file in read_log_chain(path).unwrap() {
-            all.append(&mut file.unwrap().0);
-        }
-        all
-    }
-
     /// The base record of the file at `path`.
     fn base_of(path: &Path) -> Option<u64> {
         scan(&std::fs::read(path).unwrap(), |_| {}).unwrap().base
@@ -753,7 +732,7 @@ mod tests {
             w.append(ops.last().unwrap()).unwrap();
             drop(w);
             assert_eq!(
-                read_chain(&p.0),
+                replay_ops(&p.0, 0),
                 ops,
                 "{layout}: append after truncation must continue the sequence"
             );
@@ -811,7 +790,7 @@ mod tests {
             }
             // Restore and confirm the pristine chain still reads fully.
             std::fs::write(&p.0, &original).unwrap();
-            assert_eq!(read_chain(&p.0), ops);
+            assert_eq!(replay_ops(&p.0, 0), ops);
         }
     }
 
@@ -860,7 +839,7 @@ mod tests {
             before += read_log(seg).unwrap().1.records;
         }
         assert_eq!(base_of(&p.0), Some(before));
-        assert_eq!(read_chain(&p.0), ops, "segments-then-active must replay the exact sequence");
+        assert_eq!(replay_ops(&p.0, 0), ops, "segments-then-active must replay the exact sequence");
     }
 
     #[test]
@@ -875,7 +854,7 @@ mod tests {
         w.append(&ReplOp::Del { key: b"k".to_vec() }).unwrap();
         assert_eq!(w.records(), 51);
         drop(w);
-        assert_eq!(read_chain(&p.0).len(), 51);
+        assert_eq!(replay_ops(&p.0, 0).len(), 51);
     }
 
     /// Retention deletes the oldest sealed segments until the log fits
@@ -914,6 +893,24 @@ mod tests {
         w.retain(0).unwrap();
         assert_eq!(segment_files(&p.0).unwrap(), after[after.len() - 1..]);
         assert_eq!(w.segments(), 1, "the newest sealed segment and the active file always stay");
+        // A segment already gone counts as deleted, and its bytes leave
+        // the total with it: delete the oldest by hand, then seal again.
+        std::fs::remove_file(&after[after.len() - 1].1).unwrap();
+        let mut sealed = false;
+        for op in &ops {
+            sealed = w.buffer(op.as_ref());
+            if sealed {
+                break;
+            }
+        }
+        assert!(sealed, "a segment's worth of records seals the active file");
+        w.flush().unwrap();
+        assert_eq!(w.segments(), 2, "the writer still counts the segment deleted by hand");
+        assert_eq!(w.retain(0).unwrap(), 1);
+        let left = segment_files(&p.0).unwrap();
+        assert_eq!(left.len(), 1, "only the segment just sealed is on disk");
+        assert_eq!(w.segments(), 1);
+        assert_eq!(w.bytes(), on_disk(&left) + std::fs::metadata(&p.0).unwrap().len());
     }
 
     /// The records of a replay from `from`, in order.
@@ -1021,7 +1018,7 @@ mod tests {
             assert_eq!(base_of(&p.0), Some(60), "{window}");
             let mut want = ops.clone();
             want.push(post);
-            assert_eq!(read_chain(&p.0), want, "{window}");
+            assert_eq!(replay_ops(&p.0, 0), want, "{window}");
         }
     }
 
@@ -1140,13 +1137,13 @@ mod tests {
                 if w.buffer(op.as_ref()) {
                     seals += 1;
                     // The record that sealed is buffered for the new file.
-                    assert_eq!(read_chain(&p.0), ops[..i], "a seal leaves nothing buffered");
+                    assert_eq!(replay_ops(&p.0, 0), ops[..i], "a seal leaves nothing buffered");
                 }
             }
             assert_eq!(seals, w.segments(), "buffer reports every seal");
         }
         assert!(segment_files(&p.0).unwrap().len() > 2);
-        assert_eq!(read_chain(&p.0), ops);
+        assert_eq!(replay_ops(&p.0, 0), ops);
         let (_, rec) = LogWriter::open(&p.0, 0, Some(TINY_CAP)).unwrap();
         assert_eq!((rec.records, rec.truncated_bytes), (60, 0));
     }

@@ -243,7 +243,7 @@ fn session(inner: &Inner, master: &str) -> io::Result<()> {
 /// apply has no client-visible ingress or egress.
 fn apply_traced(inner: &Inner, op: OpRef<'_>, trace_id: u64) -> io::Result<()> {
     use crate::trace::{self, Stage};
-    trace::begin_span(trace_id);
+    pmem::span::begin(trace_id);
     let start = std::time::Instant::now();
     let res = inner.engine.apply(op);
     let total_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -1190,8 +1190,8 @@ mod tests {
         .unwrap();
         let logged = || -> Vec<ReplOp> {
             let mut ops = Vec::new();
-            for file in crate::repl::log::read_log_chain(&dir.join("repl-0.log")).unwrap() {
-                ops.append(&mut file.unwrap().0);
+            for file in crate::repl::log::replay_from(&dir.join("repl-0.log"), 0).unwrap() {
+                ops.append(&mut crate::repl::log::read_log(&file.path).unwrap().0);
             }
             ops
         };

@@ -15,7 +15,7 @@
 //! |               | role check, argument parsing)                       |
 //! | `lock_wait`   | blocked time acquiring contended shard write locks  |
 //! | `execute`     | engine work proper (table probe, value copy, …)     |
-//! | `persist`     | PM flush + fence wall time ([`pmem::persist_timer`])|
+//! | `persist`     | PM flush + fence wall time ([`pmem::span`])         |
 //! | `reply_flush` | execute end → last reply byte accepted by the socket|
 //!
 //! The stage sums are within rounding of the measured total *by
@@ -29,9 +29,12 @@
 //! threshold (coarse, from timestamps already taken). A non-captured
 //! request on a tracing-enabled server pays two extra `Instant` reads
 //! and a thread-local counter bump; with tracing off it pays one
-//! relaxed atomic load. The engine/pmem hooks behind `lock_wait` and
-//! `persist` check a thread-local flag and do nothing when no span is
-//! active, so the un-sampled hot path never takes a timestamp there.
+//! relaxed atomic load. The engine entry stamp and the `lock_wait` and
+//! `persist` timers are [`pmem::span`]'s per-thread span record, armed
+//! by the span's id alone: with no span active each hook is one
+//! thread-local load, so the un-sampled hot path never takes a
+//! timestamp there. This module only turns what a span recorded into
+//! stage times ([`end_span`]).
 //!
 //! Captured spans land in fixed-size per-worker flight-recorder rings
 //! ([`Tracer::record`]), dumpable on demand (`TRACE DUMP`,
@@ -56,10 +59,6 @@ use parking_lot::{Mutex, RwLock};
 pub const RING_CAP: usize = 256;
 /// Default `TRACE ON` sampling period (1-in-N).
 pub const DEFAULT_SAMPLE: u64 = 64;
-/// Default always-capture threshold in microseconds (aligned with the
-/// SLOWLOG default): a request slower than this is recorded even when
-/// the sampler did not pick it. 0 disables threshold capture.
-pub const DEFAULT_THRESHOLD_US: u64 = 10_000;
 /// Worker id recorded for spans captured on the replica sync thread.
 pub const REPL_WORKER: u64 = u64::MAX;
 
@@ -202,6 +201,8 @@ type Ring = Mutex<VecDeque<TraceRecord>>;
 pub struct Tracer {
     enabled: AtomicBool,
     sample_every: AtomicU64,
+    /// A request slower than this many µs is captured even when the
+    /// sampler skipped it; 0 disables threshold capture.
     threshold_us: AtomicU64,
     next_id: AtomicU64,
     /// Spans captured into a ring since start.
@@ -227,7 +228,7 @@ impl Tracer {
         Tracer {
             enabled: AtomicBool::new(false),
             sample_every: AtomicU64::new(DEFAULT_SAMPLE),
-            threshold_us: AtomicU64::new(DEFAULT_THRESHOLD_US),
+            threshold_us: AtomicU64::new(crate::metrics::DEFAULT_SLOWLOG_THRESHOLD_US),
             next_id: AtomicU64::new(1),
             captured: AtomicU64::new(0),
             abandoned: AtomicU64::new(0),
@@ -388,75 +389,9 @@ pub fn unix_ms() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_millis() as u64)
 }
 
-// ---- the per-thread active span -----------------------------------------
-//
-// A command executes synchronously on one worker thread, so the span
-// scratch can be plain thread-locals: armed before `execute`, stamped
-// by the engine hooks mid-flight, drained right after. All `Cell`s of
-// `Copy` types — no RefCell bookkeeping on the hot path.
-
 thread_local! {
+    /// This thread's position in its 1-in-N sampling slice.
     static SAMPLE_TICK: Cell<u64> = const { Cell::new(0) };
-    /// Id of the active span (0 = none). Doubles as the "active" flag
-    /// for the engine hooks and as the trace id the replication hub
-    /// attaches to ops published while this span runs.
-    static SPAN_ID: Cell<u64> = const { Cell::new(0) };
-    /// First engine touch of the active span (the dispatch→engine
-    /// boundary), stamped once by [`note_engine_entry`].
-    static ENGINE_MARK: Cell<Option<Instant>> = const { Cell::new(None) };
-    /// Nanoseconds spent blocked on contended shard write locks.
-    static LOCK_NS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Arm the span scratch for a captured command (worker thread, just
-/// before `execute`). Also arms the pmem persist accumulator.
-pub fn begin_span(id: u64) {
-    SPAN_ID.with(|s| s.set(id));
-    ENGINE_MARK.with(|m| m.set(None));
-    LOCK_NS.with(|l| l.set(0));
-    pmem::persist_timer::begin();
-}
-
-/// The id of the span active on this thread (0 = none) — what the
-/// replication hub stamps onto ops published under a traced command.
-#[inline]
-pub fn current_span_id() -> u64 {
-    SPAN_ID.with(Cell::get)
-}
-
-/// Engine entry hook (`Shard::pin` / `Shard::lock_write`): stamp the
-/// dispatch→engine boundary, first call wins. No-op without a span.
-#[inline]
-pub fn note_engine_entry() {
-    if SPAN_ID.with(Cell::get) == 0 {
-        return;
-    }
-    ENGINE_MARK.with(|m| {
-        if m.get().is_none() {
-            m.set(Some(Instant::now()));
-        }
-    });
-}
-
-/// Prologue of a contended write-lock acquisition: a timestamp when a
-/// span is active, `None` otherwise (the caller passes it back to
-/// [`note_lock_wait`] after blocking).
-#[inline]
-pub fn lock_wait_mark() -> Option<Instant> {
-    if SPAN_ID.with(Cell::get) == 0 {
-        None
-    } else {
-        Some(Instant::now())
-    }
-}
-
-/// Epilogue of a contended write-lock acquisition.
-#[inline]
-pub fn note_lock_wait(mark: Option<Instant>) {
-    if let Some(t0) = mark {
-        let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        LOCK_NS.with(|l| l.set(l.get().saturating_add(ns)));
-    }
 }
 
 /// The execute-seam attribution of a finished span.
@@ -468,17 +403,16 @@ pub struct SpanDetail {
     pub persist_ns: u64,
 }
 
-/// Disarm the span scratch and attribute the execute seam:
+/// Disarm the span armed by [`pmem::span::begin`] and attribute the
+/// execute seam:
 /// `dispatch` = entry → first engine touch (whole seam if the command
 /// never touched the engine), `execute` = engine residual after lock
 /// waits and persist time. The four parts sum to `total_exec_ns`
 /// exactly, except when clock skew would drive `execute` negative (it
 /// saturates at 0).
 pub fn end_span(exec_start: Instant, total_exec_ns: u64) -> SpanDetail {
-    SPAN_ID.with(|s| s.set(0));
-    let persist_ns = pmem::persist_timer::take_ns();
-    let lock_wait_ns = LOCK_NS.with(Cell::take);
-    let dispatch_ns = match ENGINE_MARK.with(Cell::take) {
+    let pmem::span::SpanTimes { entered, persist_ns, lock_wait_ns } = pmem::span::end();
+    let dispatch_ns = match entered {
         Some(mark) => u64::try_from((mark - exec_start).as_nanos())
             .unwrap_or(u64::MAX)
             .min(total_exec_ns),
@@ -492,6 +426,7 @@ pub fn end_span(exec_start: Instant, total_exec_ns: u64) -> SpanDetail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmem::span;
     use std::time::Duration;
 
     fn rec(id: u64, worker: u64, unix_ms: u64) -> TraceRecord {
@@ -577,18 +512,18 @@ mod tests {
 
     #[test]
     fn span_attribution_sums_to_the_seam_total() {
-        begin_span(1);
-        assert_eq!(current_span_id(), 1);
+        span::begin(1);
+        assert_eq!(span::id(), 1);
         let start = Instant::now();
         std::thread::sleep(Duration::from_millis(2)); // "dispatch"
-        note_engine_entry();
-        let m = lock_wait_mark();
+        span::enter();
+        let m = span::mark();
         std::thread::sleep(Duration::from_millis(2)); // "lock wait"
-        note_lock_wait(m);
+        span::add_since(m, span::Wait::Lock);
         std::thread::sleep(Duration::from_millis(1)); // "execute"
         let total = u64::try_from(start.elapsed().as_nanos()).unwrap();
         let d = end_span(start, total);
-        assert_eq!(current_span_id(), 0, "end_span must disarm");
+        assert_eq!(span::id(), 0, "end_span must disarm");
         assert_eq!(
             d.dispatch_ns + d.lock_wait_ns + d.execute_ns + d.persist_ns,
             total,
@@ -600,7 +535,7 @@ mod tests {
 
     #[test]
     fn spans_without_engine_contact_attribute_everything_to_dispatch() {
-        begin_span(2);
+        span::begin(2);
         let start = Instant::now();
         let d = end_span(start, 10_000);
         assert_eq!(d.dispatch_ns, 10_000);
@@ -609,10 +544,10 @@ mod tests {
 
     #[test]
     fn hooks_are_inert_without_a_span() {
-        assert_eq!(current_span_id(), 0);
-        note_engine_entry(); // must not arm anything
-        assert!(lock_wait_mark().is_none());
-        begin_span(3);
+        assert_eq!(span::id(), 0);
+        span::enter(); // must not arm anything
+        assert!(span::mark().is_none());
+        span::begin(3);
         let d = end_span(Instant::now(), 1_000);
         assert_eq!(d.dispatch_ns, 1_000, "earlier inert calls must not have stamped");
     }

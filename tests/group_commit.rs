@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use dash_repro::dash_server::repl::log::read_log_chain;
+use dash_repro::dash_server::repl::log::{read_log, replay_from};
 use dash_repro::dash_server::{ReplOp, Value};
 use dash_repro::{serve_with, EngineConfig, RespClient, ServeOptions, ServerHandle, ShardedDash};
 
@@ -46,14 +46,15 @@ fn serve_dir(dir: &Path) -> ServerHandle {
     .unwrap()
 }
 
-/// Every shard's op chain, read from the files of the store in `dir`
-/// as they are right now.
+/// Every shard's op chain from record 0, read from the files of the
+/// store in `dir` as they are right now, walked as replay walks it: each
+/// file must follow on from the one before.
 fn logs_now(dir: &Path) -> Vec<Vec<ReplOp>> {
     (0..SHARDS)
         .map(|shard| {
             let mut ops = Vec::new();
-            for file in read_log_chain(&dir.join(format!("repl-{shard}.log"))).unwrap() {
-                ops.append(&mut file.unwrap().0);
+            for file in replay_from(&dir.join(format!("repl-{shard}.log")), 0).unwrap() {
+                ops.append(&mut read_log(&file.path).unwrap().0);
             }
             ops
         })
