@@ -174,8 +174,10 @@ impl Default for EngineConfig {
 /// the answer to "why was that restart slow" (`INFO replication`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogOpenCost {
-    /// Log-file bytes read and validated — bounded by the segment cap
-    /// per shard, whatever the logs' size.
+    /// Log-file bytes read and validated — per shard, the prelude plus
+    /// what its stamp did not cover (under 64 KiB and the last flush
+    /// behind a crash, nothing behind a clean close), at most the segment
+    /// cap when the stamp is not taken; whatever the logs' size.
     pub scanned_bytes: u64,
     /// Wall time inside `LogWriter::open`.
     pub micros: u64,
@@ -696,7 +698,10 @@ impl ShardedDash {
     /// shards) when no shard files exist yet, otherwise reattaching to
     /// every `shard-N.pool` found. Open time is independent of the data
     /// volume: each pool runs Dash's constant-work recovery, and each
-    /// redo log validates one file of bounded size, its active one
+    /// redo log validates only the part of its active file that its
+    /// stamp does not cover — under 64 KiB and one flush behind a crash,
+    /// nothing past the prelude behind a clean close, the whole active
+    /// file (at most the segment cap) when the stamp cannot be taken
     /// ([`LogWriter::open`]; [`repl_log_open_cost`] reports the bytes).
     ///
     /// [`repl_log_open_cost`]: Self::repl_log_open_cost
@@ -1871,13 +1876,7 @@ impl ShardedDash {
                 if let Some(dir) = &cfg.dir {
                     for i in 0..cfg.shards {
                         let _ = std::fs::remove_file(shard_file(dir, i));
-                        let lf = log_file(dir, i);
-                        if let Ok(segs) = crate::repl::log::segment_files(&lf) {
-                            for (_, seg) in segs {
-                                let _ = std::fs::remove_file(seg);
-                            }
-                        }
-                        let _ = std::fs::remove_file(lf);
+                        crate::repl::log::remove_log(&log_file(dir, i));
                     }
                 }
                 Err(e)

@@ -30,6 +30,11 @@ pub use counter::{Counter, Gauge};
 pub use histogram::{HistSnapshot, Histogram};
 pub use slowlog::SlowLog;
 
+use std::sync::OnceLock;
+
+/// Per-stage latency by command family, `[stage][family]`.
+type StageHists = [[Histogram; CmdFamily::COUNT]; crate::trace::Stage::COUNT];
+
 /// Default `--slowlog-threshold-us`, and the tracer's default
 /// always-capture threshold (`TRACE THRESHOLD`): 10 ms. A request slower
 /// than this is logged, and traced even when the sampler did not pick it.
@@ -107,8 +112,10 @@ pub struct Metrics {
     /// — fed only by sampled trace completions (so the un-sampled hot
     /// path never touches it), rendered as
     /// `dash_stage_seconds{stage,cmd}` on the Prometheus endpoint.
-    /// Boxed; the 7×8 histograms' stripes are ~0.8 MB of heap.
-    pub stage_hist: Box<[[Histogram; CmdFamily::COUNT]; crate::trace::Stage::COUNT]>,
+    /// The 7×8 histograms' stripes are ~0.8 MB of heap, allocated by the
+    /// first [`observe_stages`](Self::observe_stages): a server that
+    /// never samples a trace never pays for them.
+    stage_hist: OnceLock<Box<StageHists>>,
     /// The SLOWLOG ring.
     pub slowlog: SlowLog,
 }
@@ -123,9 +130,7 @@ impl Metrics {
             active_connections: Gauge::new(),
             repl_reconnects: Counter::new(),
             cmd_hist: std::array::from_fn(|_| Histogram::new()),
-            stage_hist: Box::new(std::array::from_fn(|_| {
-                std::array::from_fn(|_| Histogram::new())
-            })),
+            stage_hist: OnceLock::new(),
             slowlog: SlowLog::new(slowlog_threshold_us),
         }
     }
@@ -150,7 +155,10 @@ impl Metrics {
     /// Feed one completed sampled span into the per-stage histograms.
     /// Runs once per *captured* trace, never on the un-sampled path.
     pub fn observe_stages(&self, family: CmdFamily, stages_ns: &[u64; crate::trace::Stage::COUNT]) {
-        for (stage_row, &ns) in self.stage_hist.iter().zip(stages_ns) {
+        let hists = self.stage_hist.get_or_init(|| {
+            Box::new(std::array::from_fn(|_| std::array::from_fn(|_| Histogram::new())))
+        });
+        for (stage_row, &ns) in hists.iter().zip(stages_ns) {
             stage_row[family.index()].record(ns);
         }
     }
@@ -160,9 +168,12 @@ impl Metrics {
         self.cmd_hist[family.index()].snapshot()
     }
 
-    /// One (stage, family) cell's snapshot.
+    /// One (stage, family) cell's snapshot: empty until the first
+    /// sampled trace completes.
     pub fn stage_snapshot(&self, stage: crate::trace::Stage, family: CmdFamily) -> HistSnapshot {
-        self.stage_hist[stage.index()][family.index()].snapshot()
+        self.stage_hist.get().map_or_else(HistSnapshot::default, |hists| {
+            hists[stage.index()][family.index()].snapshot()
+        })
     }
 }
 
@@ -188,6 +199,8 @@ mod tests {
     fn stage_observations_land_in_their_cells_only() {
         use crate::trace::Stage;
         let m = Metrics::new(1_000_000);
+        assert_eq!(m.stage_snapshot(Stage::Persist, CmdFamily::Set).count(), 0);
+        assert!(m.stage_hist.get().is_none(), "nothing allocated before the first sample");
         m.observe_stages(CmdFamily::Set, &[10, 20, 30, 40, 50, 60, 70]);
         for stage in Stage::ALL {
             assert_eq!(m.stage_snapshot(stage, CmdFamily::Set).count(), 1);

@@ -37,20 +37,64 @@
 //! A writer opened on its own (tools, tests) never deletes anything.
 //!
 //! **What reopen reads.** [`LogWriter::open`] lists the directory (for
-//! [`LogWriter::bytes`] and the next K) and scans exactly one file, the
+//! [`LogWriter::bytes`] and the next K) and reads exactly one file, the
 //! active one: its base record plus its own intact records *is* the
 //! store-wide record count that seeds the replication offset, and it is
-//! the only file a crash can have torn. So reopen costs O(cap), whatever
-//! the log's size, and retention deleting old segments cannot rewind the
-//! count. No sealed segment's contents are read, and that skips no
-//! safety check: nothing is replayed into state at open. Sealed segments
-//! are validated where they are consumed ([`replay_from`], then
-//! [`read_log`]), record by record. One exception, bounded too: the
-//! active file is missing, empty or has no intact base record — a fresh
-//! log, a crash inside [`rotate`](LogWriter::rotate) between the rename
-//! and the new file's first write, or a header reset. The base is then
-//! recovered from the newest sealed segment (its base + its records; one
-//! more bounded scan) and the active file starts over.
+//! the only file a crash can have torn. Of that file it reads only what
+//! the last **stamp** does not cover. The stamp, `repl-N.stamp` next to
+//! the log, is 32 bytes: the active file's base, a byte offset
+//! into it, the count of op records between the prelude (header and base
+//! record) and that offset, and a [`hash64`] over those three. The
+//! writer lays it down on the write path, so a process kill leaves one
+//! behind:
+//!
+//! - a [`flush`] whose `write` succeeded stamps the file's end, once
+//!   [`STAMP_BYTES`] have reached the kernel since the last stamp — one
+//!   `pwrite` per 64 KiB of log;
+//! - sealing (`rotate`) stamps the new file (its base, at the
+//!   prelude's end) *before* the rename;
+//! - an open that did not take the stamp rewrites it with what it found
+//!   (a full scan, a reset, a start-over) before the first append;
+//! - [`sync`], the clean close, stamps the end after the log's fsync and
+//!   then fsyncs the stamp.
+//!
+//! `Drop` never stamps: a process kill never runs it. So reopen reads the
+//! prelude plus what follows the stamp — under [`STAMP_BYTES`] plus the
+//! last flush (one record for a write-through [`append`], at most
+//! [`BUFFER_BYTES`] plus one record for a group commit) — whatever the
+//! active file's size.
+//!
+//! `open` takes the stamp only when its checksum verifies, the active
+//! file's header and base record parse with this shard's index, the
+//! file's base is the stamp's, and the offset lies between the prelude's
+//! end and the file's length. It then scans from the offset to the end,
+//! with the same decoder and the same torn-tail truncation as a full
+//! scan. Anything else gets the full scan of the active file, exactly as
+//! if there were no stamp: a missing stamp (a log written before stamps
+//! existed opens as it always did), a damaged one, a stale one (a crash
+//! inside `rotate` between its stamp and its rename), or one whose offset
+//! is past the end. A reset that starts the active file over at the
+//! *same* base rewrites the stamp before anything is appended, so a stale
+//! offset is never taken into the new file's records.
+//!
+//! **Open trusts what a previous writer stamped; readers validate
+//! everything they consume.** A byte flipped in the stamped range is not
+//! seen by `open`, which neither reads nor truncates there; [`read_log`]
+//! and [`replay_from`] find it, record by record, and stop at it. And
+//! only [`sync`] fsyncs: after a power loss (not a process kill) the
+//! stamp may be on disk while the data it covers is not. If its offset is
+//! then past the end, `open` falls back to the full scan; if not, the
+//! count that seeds `repl_offset` may over-count.
+//!
+//! No sealed segment's contents are read either, and that skips no safety
+//! check: nothing is replayed into state at open, and sealed segments are
+//! validated where they are consumed. Retention deleting old segments
+//! cannot rewind the count: the base record carries it. One exception,
+//! bounded too: the active file is missing, empty or has no intact base
+//! record — a fresh log, a crash inside [`rotate`](LogWriter::rotate)
+//! between the rename and the new file's first write, or a header reset.
+//! The base is then recovered from the newest sealed segment (its base +
+//! its records; one more bounded scan) and the active file starts over.
 //!
 //! Only this version is read. An older file — version 1 (before base
 //! records) or version 2 (FNV-1a checksums) — is refused by the readers
@@ -107,6 +151,7 @@
 //! process-death-safe like the writes around it.
 //!
 //! [`buffer`]: LogWriter::buffer
+//! [`hash64`]: dash_common::hash64
 //! [`flush`]: LogWriter::flush
 //! [`append`]: LogWriter::append
 //! [`dropped`]: LogWriter::dropped
@@ -115,7 +160,10 @@
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+
+use dash_common::hash64;
 
 use crate::repl::wire::{decode, encode, encode_op, Decoded, FileHeader, Parser, Record};
 use crate::repl::{OpRef, ReplOp};
@@ -134,6 +182,16 @@ pub const WINDOW_DIVISOR: u64 = 4;
 /// Buffered bytes at which [`LogWriter::buffer`] flushes on its own: the
 /// bound on what a writer holds however long its caller defers.
 pub const BUFFER_BYTES: usize = 64 << 10;
+
+/// Log bytes that reach the kernel between two stamps on the write path:
+/// what a reopen may have to scan past the stamp, plus the last flush.
+pub const STAMP_BYTES: u64 = 64 << 10;
+/// Size of the stamp file's one record.
+const STAMP_LEN: usize = 32;
+
+/// Length of every file's prelude: the header, then the base record
+/// framed (length, tag, count, checksum).
+pub const PRELUDE_LEN: usize = FileHeader::LEN + 4 + 1 + 8 + 8;
 
 /// What every file starts with: the header and the base record.
 fn encode_prelude(shard: u32, records_before: u64) -> Vec<u8> {
@@ -158,7 +216,7 @@ struct Scan {
 
 /// Validate one log file's bytes, handing each op record of the valid
 /// prefix to `on_op`. `Err` only when the header itself is unusable.
-fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(OpRef<'a>)) -> Result<Scan, String> {
+fn scan<'a>(buf: &'a [u8], on_op: impl FnMut(OpRef<'a>)) -> Result<Scan, String> {
     let header =
         FileHeader::read(&mut Parser::new(buf), LOG_MAGIC, LOG_VERSION..=LOG_VERSION, "repl log")?;
     let mut scan = Scan { shard: header.meta, base: None, records: 0, valid_len: FileHeader::LEN };
@@ -168,14 +226,153 @@ fn scan<'a>(buf: &'a [u8], mut on_op: impl FnMut(OpRef<'a>)) -> Result<Scan, Str
     };
     scan.base = Some(records_before);
     scan.valid_len += used;
-    // Only op records follow: a second base record, or a stream-only
-    // END or MARK, is not something the writer produces.
-    while let Decoded::Record(Record::Op(op), _, used) = decode(&buf[scan.valid_len..]) {
-        on_op(op);
-        scan.records += 1;
-        scan.valid_len += used;
-    }
+    let (records, used) = scan_ops(&buf[scan.valid_len..], on_op);
+    scan.records = records;
+    scan.valid_len += used;
     Ok(scan)
+}
+
+/// Validate the op records that open `buf`, handing each to `on_op`:
+/// how many, and the bytes they span. Only op records follow a prelude:
+/// a second base record, or a stream-only END or MARK, is not something
+/// the writer produces.
+fn scan_ops<'a>(buf: &'a [u8], mut on_op: impl FnMut(OpRef<'a>)) -> (u64, usize) {
+    let (mut records, mut valid_len) = (0, 0);
+    while let Decoded::Record(Record::Op(op), _, used) = decode(&buf[valid_len..]) {
+        on_op(op);
+        records += 1;
+        valid_len += used;
+    }
+    (records, valid_len)
+}
+
+/// What the stamp file records of the active file (module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Stamp {
+    /// The active file's base record.
+    base: u64,
+    /// A record boundary in the active file, at or past the prelude.
+    offset: u64,
+    /// Op records between the prelude and `offset`.
+    records: u64,
+}
+
+impl Stamp {
+    /// The three fields little-endian, then `hash64` of them.
+    fn encode(&self) -> [u8; STAMP_LEN] {
+        let mut out = [0u8; STAMP_LEN];
+        for (i, field) in [self.base, self.offset, self.records].into_iter().enumerate() {
+            out[i * 8..i * 8 + 8].copy_from_slice(&field.to_le_bytes());
+        }
+        let checksum = hash64(&out[..24]);
+        out[24..].copy_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    /// The stamp in `file`, if it is whole and its checksum verifies.
+    fn read(file: &File) -> Option<Stamp> {
+        let mut raw = [0u8; STAMP_LEN];
+        file.read_exact_at(&mut raw, 0).ok()?;
+        let word = |i: usize| u64::from_le_bytes(raw[i * 8..i * 8 + 8].try_into().unwrap());
+        (hash64(&raw[..24]) == word(3))
+            .then(|| Stamp { base: word(0), offset: word(1), records: word(2) })
+    }
+}
+
+/// The stamp file next to the active log at `path`:
+/// `repl-N.log` → `repl-N.stamp`.
+fn stamp_path(path: &Path) -> PathBuf {
+    path.with_extension("stamp")
+}
+
+/// The active file as [`LogWriter::open`] keeps it.
+struct Active {
+    /// Records before this file: its base record.
+    base: u64,
+    /// Intact op records in it.
+    records: u64,
+    /// Its valid length, prelude included: where appends continue.
+    len: u64,
+}
+
+/// The active file from `stamp` and a scan of what follows its offset,
+/// its torn tail truncated — if `open` may take the stamp (module doc);
+/// `None`, with nothing touched, if it may not.
+fn resume(file: &File, shard: u32, stamp: Stamp) -> io::Result<Option<(Active, LogRecovery)>> {
+    let len = file.metadata()?.len();
+    if stamp.offset < PRELUDE_LEN as u64 || stamp.offset > len {
+        return Ok(None);
+    }
+    let mut prelude = [0u8; PRELUDE_LEN];
+    file.read_exact_at(&mut prelude, 0)?;
+    match scan(&prelude, |_| {}) {
+        Ok(found) if found.shard == shard && found.base == Some(stamp.base) => {}
+        _ => return Ok(None),
+    }
+    let mut tail = vec![0u8; (len - stamp.offset) as usize];
+    file.read_exact_at(&mut tail, stamp.offset)?;
+    let (records, used) = scan_ops(&tail, |_| {});
+    let active = Active {
+        base: stamp.base,
+        records: stamp.records + records,
+        len: stamp.offset + used as u64,
+    };
+    if active.len < len {
+        file.set_len(active.len)?;
+    }
+    let recovery = LogRecovery {
+        records: active.base + active.records,
+        truncated_bytes: len - active.len,
+        reset: false,
+        scanned_bytes: (PRELUDE_LEN + tail.len()) as u64,
+    };
+    Ok(Some((active, recovery)))
+}
+
+/// The stamp-less open: read and validate the whole active file,
+/// truncate its torn tail, or start it over.
+fn scan_whole(
+    file: &mut File,
+    shard: u32,
+    segs: &[(u64, PathBuf)],
+) -> io::Result<(Active, LogRecovery)> {
+    let mut buf = Vec::new();
+    file.read_to_end(&mut buf)?;
+    let mut scanned_bytes = buf.len() as u64;
+    // The header's shard index is outside any record checksum; a
+    // mismatch (corruption, or a file moved between shard slots)
+    // makes the whole file as untrustworthy as an unusable header.
+    let found = scan(&buf, |_| {}).ok().filter(|found| found.shard == shard);
+    let active = match found.as_ref().and_then(|found| Some((found.base?, found))) {
+        // A file worth keeping states its base.
+        Some((base, found)) => {
+            if found.valid_len < buf.len() {
+                file.set_len(found.valid_len as u64)?;
+            }
+            Active { base, records: found.records, len: found.valid_len as u64 }
+        }
+        // Nothing to keep: a fresh log, a rotation that died before
+        // the new file's prelude was whole, or a file that cannot be
+        // trusted. Start the active file over rather than refuse to
+        // open the store — the pools hold the authoritative state.
+        None => {
+            let base = records_in_segments(segs, &mut scanned_bytes);
+            let prelude = encode_prelude(shard, base);
+            file.set_len(0)?;
+            file.write_all_at(&prelude, 0)?;
+            Active { base, records: 0, len: prelude.len() as u64 }
+        }
+    };
+    // A file started over for want of a base record still had a
+    // usable header: only what followed it was cut.
+    let valid_len = found.as_ref().map_or(0, |found| found.valid_len);
+    let recovery = LogRecovery {
+        records: active.base + active.records,
+        truncated_bytes: (buf.len() - valid_len) as u64,
+        reset: found.is_none() && !buf.is_empty(),
+        scanned_bytes,
+    };
+    Ok((active, recovery))
 }
 
 /// What [`LogWriter::open`] found on disk.
@@ -190,8 +387,11 @@ pub struct LogRecovery {
     /// The store itself is unaffected — but log-replay backups from
     /// before the reset no longer cover this shard.
     pub reset: bool,
-    /// File bytes read and validated to learn the above: at most the
-    /// segment cap plus one record, however large the log.
+    /// Log-file bytes read and validated to learn the above, however
+    /// large the log. Under a stamp `open` takes: the prelude plus what
+    /// follows the stamp, under [`STAMP_BYTES`] plus the last flush.
+    /// Otherwise the whole active file, at most the segment cap plus one
+    /// record (and on a start-over the newest sealed segment too).
     pub scanned_bytes: u64,
 }
 
@@ -306,6 +506,17 @@ pub fn segment_files(path: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(segs)
 }
 
+/// Delete the log at `path` and everything it is made of: its sealed
+/// segments, the active file and its stamp. Best effort: what cannot be
+/// listed or removed stays.
+pub fn remove_log(path: &Path) {
+    for (_, seg) in segment_files(path).unwrap_or_default() {
+        let _ = std::fs::remove_file(seg);
+    }
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(stamp_path(path));
+}
+
 /// Records through the end of the newest sealed segment, for an active
 /// file that cannot say so itself: walk back from the newest segment,
 /// adding up records, until one supplies a base — the first intact one
@@ -358,13 +569,17 @@ pub struct LogWriter {
     /// Records lost to a failed `write`, and every record offered since:
     /// non-zero means poisoned.
     dropped: u64,
+    /// The stamp file, and the active-file offset it last recorded.
+    stamp: File,
+    stamped_at: u64,
 }
 
 impl LogWriter {
     /// Open (or create) the log at `path` for shard `shard`, sealing the
     /// active file at `max_bytes`, at most [`SEGMENT_BYTES`] (its
-    /// default). Nothing is deleted: see [`retain`](Self::retain). The active
-    /// file is scanned, its torn tail truncated, and appends continue
+    /// default). Nothing is deleted: see [`retain`](Self::retain). The
+    /// active file is scanned from its stamp, or whole when the stamp
+    /// cannot be taken; its torn tail is truncated, and appends continue
     /// from the end of the valid prefix; the record count continues from
     /// its base record. Sealed segments are listed, not read (the module
     /// doc names the exception).
@@ -379,66 +594,46 @@ impl LogWriter {
             .map(|(seq, seg)| (*seq, std::fs::metadata(seg).map_or(0, |m| m.len())))
             .collect();
         // truncate(false): an existing log is recovered, not clobbered.
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let mut scanned_bytes = buf.len() as u64;
-        // The header's shard index is outside any record checksum; a
-        // mismatch (corruption, or a file moved between shard slots)
-        // makes the whole file as untrustworthy as an unusable header.
-        let found = scan(&buf, |_| {}).ok().filter(|found| found.shard == shard);
-        // A file worth keeping states its base.
-        let keep = found.as_ref().filter(|found| found.base.is_some());
-        let before = match keep.and_then(|found| found.base) {
-            Some(before) => before,
-            None => records_in_segments(&segs, &mut scanned_bytes),
+        let open_rw = |path: &Path| {
+            OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)
         };
-        let (active_records, bytes) = match keep {
-            Some(found) => {
-                if found.valid_len < buf.len() {
-                    file.set_len(found.valid_len as u64)?;
-                }
-                file.seek(SeekFrom::Start(found.valid_len as u64))?;
-                (found.records, found.valid_len)
-            }
-            // Nothing to keep: a fresh log, a rotation that died before
-            // the new file's prelude was whole, or a file that cannot be
-            // trusted. Start the active file over rather than refuse to
-            // open the store — the pools hold the authoritative state.
-            None => {
-                let prelude = encode_prelude(shard, before);
-                file.set_len(0)?;
-                file.seek(SeekFrom::Start(0))?;
-                file.write_all(&prelude)?;
-                (0, prelude.len())
-            }
+        let mut file = open_rw(path)?;
+        let stamp_file = open_rw(&stamp_path(path))?;
+        let stamp = Stamp::read(&stamp_file);
+        let resumed = match stamp {
+            Some(stamp) => resume(&file, shard, stamp)?,
+            None => None,
         };
-        // A file started over for want of a base record still had a
-        // usable header: only what followed it was cut.
-        let valid_len = found.as_ref().map_or(0, |found| found.valid_len);
-        let recovery = LogRecovery {
-            records: before + active_records,
-            truncated_bytes: (buf.len() - valid_len) as u64,
-            reset: found.is_none() && !buf.is_empty(),
-            scanned_bytes,
+        // Where the stamp on disk points, if it was taken.
+        let stamped_at = stamp.filter(|_| resumed.is_some()).map(|stamp| stamp.offset);
+        let (active, recovery) = match resumed {
+            Some(resumed) => resumed,
+            None => scan_whole(&mut file, shard, &segs)?,
         };
-        let writer = LogWriter {
+        file.seek(SeekFrom::Start(active.len))?;
+        let mut writer = LogWriter {
             file,
             path: path.to_path_buf(),
             shard,
             cap: max_bytes.map_or(SEGMENT_BYTES, |cap| cap.min(SEGMENT_BYTES)),
             next_seq: segs.last().map_or(0, |(seq, _)| seq + 1),
             records: recovery.records,
-            active_records,
+            active_records: active.records,
             segment_bytes: sealed.iter().map(|(_, len)| len).sum(),
             sealed,
-            bytes: bytes as u64,
+            bytes: active.len,
             buf: Vec::new(),
             buffered: 0,
             flushes: 0,
             dropped: 0,
+            stamp: stamp_file,
+            stamped_at: stamped_at.unwrap_or(active.len),
         };
+        // What a full scan found is stamped before anything is appended,
+        // so a stamp is never taken into records it did not see.
+        if stamped_at.is_none() {
+            writer.stamp_end()?;
+        }
         Ok((writer, recovery))
     }
 
@@ -448,23 +643,34 @@ impl LogWriter {
     /// retries. A crash between the rename and the fresh file's prelude
     /// is repaired by [`open`](Self::open) from the segment just sealed.
     fn rotate(&mut self) -> io::Result<()> {
-        // What is buffered belongs to the file being sealed.
-        self.flush()?;
-        let seg = segment_path(&self.path, self.next_seq);
-        std::fs::rename(&self.path, &seg)?;
+        // What is buffered belongs to the file being sealed; the stamp
+        // below supersedes any a flush would write for it.
+        self.drain()?;
+        // Stamp the fresh file before it exists: a crash before the
+        // rename leaves this stamp next to a file with another base (the
+        // one being sealed holds records), which `open` does not take.
         let prelude = encode_prelude(self.shard, self.records);
-        let fresh = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&self.path)
-            .and_then(|mut fresh| fresh.write_all(&prelude).map(|()| fresh));
+        self.write_stamp(Stamp { base: self.records, offset: prelude.len() as u64, records: 0 })?;
+        let seg = segment_path(&self.path, self.next_seq);
+        let fresh = std::fs::rename(&self.path, &seg).and_then(|()| {
+            OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create_new(true)
+                .open(&self.path)
+                .and_then(|mut fresh| fresh.write_all(&prelude).map(|()| fresh))
+                .inspect_err(|_| {
+                    // Undo so appends keep landing in a discoverable
+                    // file; the rename replaces whatever the failed start
+                    // left.
+                    let _ = std::fs::rename(&seg, &self.path);
+                })
+        });
         let fresh = match fresh {
             Ok(fresh) => fresh,
             Err(e) => {
-                // Undo so appends keep landing in a discoverable file;
-                // the rename replaces whatever the failed start left.
-                let _ = std::fs::rename(&seg, &self.path);
+                // The file that keeps growing is stamped again.
+                let _ = self.stamp_end();
                 return Err(e);
             }
         };
@@ -509,7 +715,23 @@ impl LogWriter {
     /// it is safe against a process kill. A failure poisons the writer:
     /// the buffered records are dropped and counted, and so is every
     /// record offered afterwards.
+    /// Once [`STAMP_BYTES`] have reached the kernel since the last stamp,
+    /// a successful flush stamps the file's end (best effort: a stamp
+    /// that did not land leaves the previous one, still true of this
+    /// file, and the next flush tries again).
     pub fn flush(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.drain()?;
+        if self.bytes - self.stamped_at >= STAMP_BYTES {
+            let _ = self.stamp_end();
+        }
+        Ok(())
+    }
+
+    /// [`flush`](Self::flush) without the stamp.
+    fn drain(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -568,10 +790,31 @@ impl LogWriter {
     }
 
     /// Flush, then fsync the active file — durable against power loss,
-    /// not just process death.
+    /// not just process death — then stamp its end and fsync the stamp,
+    /// so that a reopen after a clean close scans nothing past the
+    /// prelude.
     pub fn sync(&mut self) -> io::Result<()> {
         self.flush()?;
-        self.file.sync_all()
+        self.file.sync_all()?;
+        if self.stamped_at != self.bytes {
+            self.stamp_end()?;
+        }
+        self.stamp.sync_all()
+    }
+
+    /// Stamp the end of everything written: one `pwrite`. Only with
+    /// nothing buffered — the stamp must never cover what the kernel
+    /// does not hold.
+    fn stamp_end(&mut self) -> io::Result<()> {
+        assert!(self.buf.is_empty(), "a stamp past the written bytes");
+        let base = self.records - self.active_records;
+        self.write_stamp(Stamp { base, offset: self.bytes, records: self.active_records })
+    }
+
+    fn write_stamp(&mut self, stamp: Stamp) -> io::Result<()> {
+        self.stamp.write_all_at(&stamp.encode(), 0)?;
+        self.stamped_at = stamp.offset;
+        Ok(())
     }
 
     /// Keep the log within `window` bytes: delete the oldest sealed
@@ -598,8 +841,10 @@ impl LogWriter {
 }
 
 impl Drop for LogWriter {
+    /// Drains the buffer, and stamps nothing: a process kill never runs
+    /// this, and a reopen must cost what it costs after one.
     fn drop(&mut self) {
-        let _ = self.flush();
+        let _ = self.drain();
     }
 }
 
@@ -615,19 +860,14 @@ mod tests {
         fn new(tag: &str) -> Self {
             let mut p = std::env::temp_dir();
             p.push(format!("dash-repl-log-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_file(&p);
+            remove_log(&p);
             TempPath(p)
         }
     }
 
     impl Drop for TempPath {
         fn drop(&mut self) {
-            if let Ok(segs) = segment_files(&self.0) {
-                for (_, seg) in segs {
-                    let _ = std::fs::remove_file(seg);
-                }
-            }
-            let _ = std::fs::remove_file(&self.0);
+            remove_log(&self.0);
         }
     }
 
@@ -685,10 +925,10 @@ mod tests {
             }
             w.sync().unwrap();
         }
-        // Reopen continues where the valid prefix ends.
-        let len = std::fs::metadata(&p.0).unwrap().len();
+        // Reopen continues where the valid prefix ends; the clean close
+        // stamped that end, so only the prelude is read.
         let (mut w, rec) = LogWriter::open(&p.0, 7, None).unwrap();
-        assert_eq!(rec, LogRecovery { records: 10, scanned_bytes: len, ..fresh });
+        assert_eq!(rec, LogRecovery { records: 10, scanned_bytes: PRELUDE_LEN as u64, ..fresh });
         for op in &ops[10..] {
             w.append(op).unwrap();
         }
@@ -1233,5 +1473,221 @@ mod tests {
             let (read, found) = parse(&buf).unwrap();
             assert_eq!((read.as_slice(), found.valid_len), (&ops[..2], head.len()), "{stray:?}");
         }
+    }
+
+    /// Records of about 1 KiB each: a hundred carry a log past a stamp.
+    fn big_ops(n: u32) -> Vec<ReplOp> {
+        (0..n)
+            .map(|i| ReplOp::Set { key: format!("big-{i}").into_bytes(), value: vec![i as u8; 1000] })
+            .collect()
+    }
+
+    /// The stamp next to the log at `path`, if one verifies.
+    fn stamp_of(path: &Path) -> Option<Stamp> {
+        Stamp::read(&File::open(stamp_path(path)).ok()?)
+    }
+
+    /// Write `ops` and close cleanly: the stamp covers the whole file.
+    fn write_closed_log(path: &Path, ops: &[ReplOp]) {
+        let (mut w, _) = LogWriter::open(path, 0, None).unwrap();
+        for op in ops {
+            w.append(op).unwrap();
+        }
+        w.sync().unwrap();
+    }
+
+    /// Open the log at `path` from the same bytes twice: with its stamp,
+    /// and with the stamp deleted. Returns each recovery and the file as
+    /// each open left it, stamped first.
+    fn open_both_ways(path: &Path, cap: Option<u64>) -> [(LogRecovery, Vec<u8>); 2] {
+        let log = std::fs::read(path).unwrap();
+        let stamp = std::fs::read(stamp_path(path)).unwrap();
+        std::fs::remove_file(stamp_path(path)).unwrap();
+        let without = LogWriter::open(path, 0, cap).unwrap().1;
+        let left = std::fs::read(path).unwrap();
+        std::fs::write(path, &log).unwrap();
+        std::fs::write(stamp_path(path), &stamp).unwrap();
+        let with = LogWriter::open(path, 0, cap).unwrap().1;
+        [(with, std::fs::read(path).unwrap()), (without, left)]
+    }
+
+    /// The write path lays the stamps down: a flush once 64 KiB have
+    /// reached the kernel, the clean close at the end — `Drop` never.
+    #[test]
+    fn flushes_and_the_clean_close_stamp_and_drop_does_not() {
+        let p = TempPath::new("stamp-write");
+        let ops = big_ops(100);
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        let opened = Stamp { base: 0, offset: PRELUDE_LEN as u64, records: 0 };
+        assert_eq!(stamp_of(&p.0), Some(opened), "a fresh log is stamped at its prelude");
+        let mut stamps = 0;
+        for op in &ops {
+            let before = stamp_of(&p.0);
+            w.append(op).unwrap();
+            let after = stamp_of(&p.0).unwrap();
+            if Some(after) != before {
+                stamps += 1;
+                assert!(after.offset - before.unwrap().offset >= STAMP_BYTES);
+                assert_eq!(after.offset, w.bytes(), "a flush stamps the end it wrote");
+                assert_eq!(after.records, w.records());
+            }
+        }
+        assert!(stamps >= 1, "100 KB of appends crossed the stamp interval");
+        let last = stamp_of(&p.0).unwrap();
+        w.buffer(ops[0].as_ref());
+        drop(w);
+        assert_eq!(stamp_of(&p.0), Some(last), "drop drains the buffer and stamps nothing");
+        let (mut w, rec) = LogWriter::open(&p.0, 0, None).unwrap();
+        assert_eq!(rec.records, 101);
+        assert_eq!(
+            rec.scanned_bytes,
+            PRELUDE_LEN as u64 + std::fs::metadata(&p.0).unwrap().len() - last.offset,
+            "the stamp is taken: the prelude and what follows it"
+        );
+        w.sync().unwrap();
+        let end = Stamp { base: 0, offset: w.bytes(), records: 101 };
+        assert_eq!(stamp_of(&p.0), Some(end), "sync stamps the end");
+    }
+
+    /// A torn tail behind a stamp more than 64 KiB into the file: the
+    /// stamp is taken, and the tail is cut exactly where a full scan
+    /// cuts it.
+    #[test]
+    fn a_torn_tail_after_a_stamp_is_truncated_under_the_stamp() {
+        let p = TempPath::new("stamp-torn");
+        write_log(&p.0, 0, None, &big_ops(100));
+        let stamp = stamp_of(&p.0).unwrap();
+        assert!(stamp.offset > STAMP_BYTES, "a flush stamped the file past 64 KiB");
+        let full = std::fs::read(&p.0).unwrap();
+        assert!(stamp.offset < full.len() as u64 - 5, "records follow the stamp");
+        std::fs::write(&p.0, &full[..full.len() - 5]).unwrap();
+        let [(with, with_file), (without, without_file)] = open_both_ways(&p.0, None);
+        assert_eq!(with.records, 99, "the torn last record goes");
+        assert_eq!((with.records, with.truncated_bytes), (without.records, without.truncated_bytes));
+        assert_eq!(with_file, without_file, "the same truncation");
+        assert_eq!(with.scanned_bytes, PRELUDE_LEN as u64 + full.len() as u64 - 5 - stamp.offset);
+        assert!(with.scanned_bytes < without.scanned_bytes, "the stamp was taken");
+    }
+
+    /// A byte flipped before the stamp: `open` trusts the stamp and does
+    /// not see it; the reader, which validates what it consumes, stops
+    /// at it.
+    #[test]
+    fn a_flip_before_the_stamp_is_found_by_the_reader_not_by_open() {
+        let p = TempPath::new("stamp-flip");
+        let ops = sample_ops(40);
+        write_closed_log(&p.0, &ops);
+        let mut bad = std::fs::read(&p.0).unwrap();
+        let mid = bad.len() / 2;
+        bad[mid] ^= 0x40;
+        std::fs::write(&p.0, &bad).unwrap();
+        let [(with, with_file), (without, _)] = open_both_ways(&p.0, None);
+        assert_eq!(with, LogRecovery { records: 40, truncated_bytes: 0, reset: false, scanned_bytes: PRELUDE_LEN as u64 });
+        assert_eq!(with_file, bad, "open neither reads nor truncates the stamped range");
+        assert!(without.records < 40 && without.truncated_bytes > 0);
+        let (read, _) = read_log(&p.0).unwrap();
+        assert_eq!(read.len() as u64, without.records, "the reader stops at the flip");
+        assert_eq!(read, ops[..read.len()]);
+    }
+
+    /// Every damaged stamp — each byte flipped, or cut short — is not
+    /// taken: the open is exactly a stamp-less one.
+    #[test]
+    fn a_damaged_stamp_falls_back_to_the_full_scan() {
+        let p = TempPath::new("stamp-damaged");
+        write_closed_log(&p.0, &sample_ops(20));
+        let log = std::fs::read(&p.0).unwrap();
+        let stamp = std::fs::read(stamp_path(&p.0)).unwrap();
+        assert_eq!(stamp.len(), STAMP_LEN);
+        let mut damaged: Vec<Vec<u8>> = (0..STAMP_LEN)
+            .map(|pos| {
+                let mut bad = stamp.clone();
+                bad[pos] ^= 0x01;
+                bad
+            })
+            .collect();
+        damaged.push(stamp[..STAMP_LEN - 1].to_vec());
+        damaged.push(Vec::new());
+        for bad in damaged {
+            std::fs::write(&p.0, &log).unwrap();
+            std::fs::write(stamp_path(&p.0), &bad).unwrap();
+            let [with, without] = open_both_ways(&p.0, None);
+            assert_eq!(with, without, "stamp {bad:02x?}");
+            assert_eq!(with.0.scanned_bytes, log.len() as u64, "the whole file is read");
+            assert_eq!(with.0.records, 20);
+        }
+    }
+
+    /// A stamp whose offset is past the file's end — the file was cut
+    /// after a clean close, or a power loss lost data the stamp covers —
+    /// is not taken.
+    #[test]
+    fn a_stamp_past_the_end_falls_back_to_the_full_scan() {
+        let p = TempPath::new("stamp-past-eof");
+        write_closed_log(&p.0, &sample_ops(20));
+        let full = std::fs::read(&p.0).unwrap();
+        std::fs::write(&p.0, &full[..full.len() - 5]).unwrap();
+        let [with, without] = open_both_ways(&p.0, None);
+        assert_eq!(with, without);
+        assert_eq!((with.0.records, with.0.scanned_bytes), (19, full.len() as u64 - 5));
+        assert!(with.0.truncated_bytes > 0);
+    }
+
+    /// `rotate` stamps the new file, then renames. A crash between the
+    /// two leaves a stamp for a file that does not exist yet next to the
+    /// old active file, whose base is another: it is not taken.
+    #[test]
+    fn a_stale_stamp_from_inside_rotate_falls_back_to_the_full_scan() {
+        let p = TempPath::new("stamp-stale");
+        let ops = sample_ops(60);
+        write_log(&p.0, 0, Some(TINY_CAP), &ops);
+        let base = base_of(&p.0).unwrap();
+        assert!(base > 0 && base < 60, "segments, then an active file with records");
+        let fresh = Stamp { base: 60, offset: PRELUDE_LEN as u64, records: 0 };
+        std::fs::write(stamp_path(&p.0), fresh.encode()).unwrap();
+        let [with, without] = open_both_ways(&p.0, Some(TINY_CAP));
+        assert_eq!(with, without);
+        assert_eq!(with.0.records, 60);
+        assert_eq!(with.0.scanned_bytes, std::fs::metadata(&p.0).unwrap().len());
+        let expected = Stamp { base, offset: with.0.scanned_bytes, records: 60 - base };
+        assert_eq!(stamp_of(&p.0), Some(expected), "the full scan stamps what it found");
+    }
+
+    /// A header reset that starts the active file over at the *same*
+    /// base as the stale stamp: the reset rewrites the stamp before the
+    /// first append, so the records appended past the old offset are
+    /// counted from the prelude, never resynced mid-record.
+    #[test]
+    fn a_reset_at_the_same_base_never_resyncs_mid_record() {
+        let p = TempPath::new("stamp-reset");
+        let ops = sample_ops(60);
+        write_log(&p.0, 0, Some(TINY_CAP), &ops);
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let base = base_of(&p.0).unwrap();
+        let stale = stamp_of(&p.0).unwrap();
+        assert!(stale.offset > PRELUDE_LEN as u64 && stale.base == base);
+        // The newest sealed segment ends where the active file begins:
+        // the reset starts over at the same base.
+        let mut bad = std::fs::read(&p.0).unwrap();
+        bad[0] ^= 0x40;
+        std::fs::write(&p.0, &bad).unwrap();
+        let [with, without] = open_both_ways(&p.0, None);
+        assert_eq!(with, without);
+        assert!(with.0.reset && with.0.records == base);
+        let restarted = Stamp { base, offset: PRELUDE_LEN as u64, records: 0 };
+        assert_eq!(stamp_of(&p.0), Some(restarted), "rewritten before the first append");
+        let (mut w, _) = LogWriter::open(&p.0, 0, None).unwrap();
+        let more = big_ops(3);
+        for op in &more {
+            w.append(op).unwrap();
+        }
+        drop(w);
+        assert!(std::fs::metadata(&p.0).unwrap().len() > stale.offset, "appends pass the old offset");
+        let [with, without] = open_both_ways(&p.0, None);
+        assert_eq!((with.0.records, with.0.truncated_bytes), (base + 3, 0));
+        assert_eq!((with.0.records, with.1), (without.0.records, without.1));
+        assert_eq!(read_log(&p.0).unwrap().0, more);
     }
 }

@@ -5,8 +5,8 @@
 #![cfg(unix)]
 
 use dash_repro::dash_server::repl::log::{
-    read_log, replay_from, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION, SEGMENT_BYTES,
-    WINDOW_DIVISOR,
+    read_log, replay_from, segment_files, LogWriter, LOG_MAGIC, LOG_VERSION, PRELUDE_LEN,
+    SEGMENT_BYTES, STAMP_BYTES, WINDOW_DIVISOR,
 };
 use dash_repro::dash_server::repl::wire::{
     decode, encode, encode_op, encode_record, record_checksum, Decoded, Digest, FileHeader, Record,
@@ -229,10 +229,14 @@ fn every_byte_corruption_yields_only_a_valid_prefix() {
         std::fs::write(&log_path, &original).unwrap();
     }
     // LogWriter reopen on a mid-record flip truncates and keeps going.
+    // The opens above left a stamp past the middle, and open trusts what
+    // a stamp covers (`a_flip_before_the_stamp_is_found_by_the_reader_not_by_open`
+    // in `repl/log.rs`): without it, open scans the whole file.
     let mut bad = original.clone();
     let mid = 16 + (original.len() - 16) / 2;
     bad[mid] ^= 0x20;
     std::fs::write(&log_path, &bad).unwrap();
+    std::fs::remove_file(src.path.join("repl-0.stamp")).unwrap();
     let (mut w, rec) = LogWriter::open(&log_path, 0, None).unwrap();
     assert!(rec.records < 48 && rec.truncated_bytes > 0);
     w.append(&ReplOp::Set { key: b"resume".to_vec(), value: b"ok".to_vec() }).unwrap();
@@ -362,8 +366,9 @@ fn retention_bounds_every_shards_log_under_churn() {
 }
 
 /// Recovery is size-independent, asserted as a count: a log ten times
-/// the segment cap reopens by reading one file of at most the cap plus
-/// one record — under the default cap, the one `None` selects.
+/// the segment cap reopens by reading the active file's prelude and what
+/// follows its stamp — under the default cap, the one `None` selects,
+/// and behind a crash (the writer dropped, a torn tail), not a close.
 #[test]
 fn reopening_a_log_ten_times_the_cap_scans_one_segment() {
     let dir = TempDir::new("repl-bounded");
@@ -388,10 +393,47 @@ fn reopening_a_log_ten_times_the_cap_scans_one_segment() {
     let (w, rec) = LogWriter::open(&path, 0, None).unwrap();
     assert_eq!(rec.records, appended, "every intact record, and only those");
     assert!(rec.truncated_bytes > 0 && !rec.reset);
-    assert_eq!(rec.scanned_bytes, len - 2, "the active file and nothing else");
     let max_record = (4 + 1 + 4 + dash_repro::dash_common::MAX_KEY_LEN + 8 + MAX_VALUE_LEN + 8) as u64;
-    assert!(rec.scanned_bytes <= SEGMENT_BYTES + max_record);
+    assert!(
+        rec.scanned_bytes <= PRELUDE_LEN as u64 + STAMP_BYTES + max_record,
+        "{} B scanned: the prelude and what follows the stamp, nothing else",
+        rec.scanned_bytes
+    );
     assert!(w.bytes() >= 10 * SEGMENT_BYTES, "sealed segments still count towards the size");
+}
+
+/// A restart reads what the last stamps did not cover, through the
+/// whole store: behind a crash (dropped without `close()`), each shard's
+/// prelude plus under 64 KiB and one record past its stamp, though the
+/// logs hold several times that; behind a clean close, the preludes
+/// alone. The count is exact either way.
+#[test]
+fn a_restart_reads_only_what_the_stamps_did_not_cover() {
+    let dir = TempDir::new("repl-stamped");
+    let cfg = dir_cfg(&dir, 2);
+    let value = vec![0xA5u8; 200];
+    {
+        let store = ShardedDash::open(&cfg).unwrap();
+        for i in 0..3000 {
+            store.set(format!("stamp:{i:05}").as_bytes(), &value).unwrap();
+        }
+        assert!(store.repl_log_bytes() > 4 * STAMP_BYTES, "{} B of log", store.repl_log_bytes());
+    }
+    let store = ShardedDash::open(&cfg).unwrap();
+    // A SETEX of one of those keys, the largest record they log: length,
+    // tag, key length, key, deadline, value, checksum.
+    let record = 4 + 1 + 4 + 11 + 8 + 200 + 8;
+    let bound = 2 * (PRELUDE_LEN as u64 + STAMP_BYTES + record);
+    let scanned = store.repl_log_open_cost().scanned_bytes;
+    assert!(scanned <= bound, "{scanned} B scanned after a crash, over {bound}");
+    assert_eq!(store.repl_offset(), 3000);
+    store.close().unwrap();
+    let store = ShardedDash::open(&cfg).unwrap();
+    assert_eq!(store.repl_log_open_cost().scanned_bytes, 2 * PRELUDE_LEN as u64);
+    assert_eq!(store.repl_offset(), 3000);
+    store.set(b"after", b"restart").unwrap();
+    assert_eq!(store.repl_offset(), 3001);
+    store.close().unwrap();
 }
 
 /// A store whose logs were written before base records existed (v1
@@ -739,20 +781,34 @@ proptest! {
     /// `LogWriter::open` and the copying reader in `read_log` must stop
     /// at the same record — the first the format does not allow — and
     /// what they accepted must be what the writer would have written.
+    /// The valid prefix is stamped or not: three records behind the
+    /// stamp a fresh file gets at its prelude, or ~100 KB of them behind
+    /// one a flush wrote mid-file — each closed cleanly (stamped at its
+    /// end) or not. Under a stamp, open scans only what follows it.
     #[test]
     fn open_counts_exactly_the_records_read_log_reads(
         bodies in proptest::collection::vec(body_strategy(), 1..8),
+        stamped_prefix in any::<bool>(),
+        closed in any::<bool>(),
     ) {
         let dir = TempDir::new("repl-prop");
         std::fs::create_dir_all(&dir.path).unwrap();
         let path = dir.path.join("repl-0.log");
+        let prefix = if stamped_prefix { 100 } else { 3 };
         {
             let (mut w, _) = LogWriter::open(&path, 0, None).unwrap();
-            for i in 0..3 {
-                let (key, value) = kv(i);
+            for i in 0..prefix {
+                let (key, mut value) = kv(i);
+                if stamped_prefix {
+                    value.resize(1000, b'.');
+                }
                 w.append(&ReplOp::Set { key, value }).unwrap();
             }
+            if closed {
+                w.sync().unwrap();
+            }
         }
+        let prefix = prefix as usize;
         let mut file = std::fs::read(&path).unwrap();
         let mut frames = Vec::new();
         for body in bodies {
@@ -767,13 +823,16 @@ proptest! {
         let allowed = frames.iter().take_while(|(body, _)| body_is_an_op_record(body)).count();
 
         let (ops, read) = read_log(&path).unwrap();
-        prop_assert_eq!(ops.len(), 3 + allowed, "read_log accepts what the format allows");
-        for (op, (_, frame)) in ops[3..].iter().zip(&frames) {
+        prop_assert_eq!(ops.len(), prefix + allowed, "read_log accepts what the format allows");
+        for (op, (_, frame)) in ops[prefix..].iter().zip(&frames) {
             let mut again = Vec::new();
             encode_record(op, &mut again);
             prop_assert_eq!(&again, frame, "an accepted record is one the writer produces");
         }
         let (_, rec) = LogWriter::open(&path, 0, None).unwrap();
+        if stamped_prefix || closed {
+            prop_assert!(rec.scanned_bytes < file.len() as u64, "the stamp is taken");
+        }
         prop_assert_eq!(rec.records, ops.len() as u64);
         prop_assert_eq!(rec.truncated_bytes, read.truncated_bytes);
         prop_assert_eq!(
